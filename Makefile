@@ -1,4 +1,4 @@
-.PHONY: install test coverage bench bench-timing bench-ingest bench-enrich bench-share bench-trace bench-store bench-idle bench-federation bench-fanout chaos examples metrics-demo obs-demo lint-metrics verify clean
+.PHONY: install test coverage bench bench-timing bench-ingest bench-enrich bench-share bench-store bench-idle bench-federation bench-fanout chaos examples metrics-demo obs-demo lint-metrics verify clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -23,9 +23,6 @@ bench-enrich:
 
 bench-share:
 	PYTHONPATH=src pytest benchmarks/bench_x17_share_throughput.py -s --benchmark-disable
-
-bench-trace:
-	PYTHONPATH=src pytest benchmarks/bench_x22_trace_overhead.py -s --benchmark-disable
 
 bench-store:
 	PYTHONPATH=src pytest benchmarks/bench_x18_store_scaling.py -s --benchmark-disable

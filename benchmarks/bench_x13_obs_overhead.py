@@ -1,10 +1,11 @@
 """X13: telemetry overhead guard.
 
-The observability layer wires counters, histograms and spans through every
-stage of ``run_cycle()``.  This bench runs the same workload with the
-registry enabled and with it disabled (``PlatformConfig.metrics_enabled``)
-and asserts the instrumented path stays within 10% of the uninstrumented
-one, so later PRs cannot quietly regress the hot path with expensive
+The observability layer wires counters, histograms, spans, per-IoC
+lineage, structured log records and SLO burn rates through every stage of
+``run_cycle()``; ``PlatformConfig.metrics_enabled`` switches all of them.
+This bench runs the same workload with the stack on and off and asserts
+the instrumented path stays within 10% of the uninstrumented one, so later
+changes cannot quietly regress the hot path with expensive
 instrumentation.
 """
 
@@ -76,10 +77,19 @@ def test_x13_instrumented_run_actually_recorded():
     report = platform.run_cycle()
     assert report.timings["cycle"] > 0.0
     assert platform.metrics.counter("caop_cycles_total").value() == 1
+    assert platform.misp.store.provenance_count() > 0
+    assert platform.log.records()
+    assert platform.slo.last_statuses()
 
     disabled = ContextAwareOSINTPlatform.build_default(
         PlatformConfig(seed=13, feed_entries=20, metrics_enabled=False))
-    assert disabled.run_cycle().timings == {}
+    bare = disabled.run_cycle()
+    assert bare.timings == {}
+    assert disabled.misp.store.provenance_count() == 0
+    assert disabled.log.records() == []
+    assert disabled.slo is None
+    # The baseline still runs the pipeline for real.
+    assert bare.collection.ciocs_created > 0
 
 
 @pytest.mark.parametrize("metrics_enabled", [True, False])

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -55,6 +54,7 @@ from ..obs import (
     Tracer,
     trace_id_for,
 )
+from ..parallel import ordered_map, pool_width
 from ..stix import StixObject
 from .compose import tags_to_feeds
 from .heuristics import EvaluationContext, HeuristicRegistry, default_registry
@@ -376,27 +376,14 @@ class HeuristicComponent:
         # are resolved here, in drain order, before any worker runs.
         tasks = [
             (event, cache.source_types_for(event),
-             FixedClock(self._clock.now()), cache)
+             FixedClock(self._clock.now()))
             for event in eligible
         ]
-        pool_size = max(1, min(self._workers, len(tasks)))
-        self._m_pool.set(pool_size)
-        # Captured span context rides into the pool so per-event scoring
-        # spans nest under this cycle's enrich span instead of surfacing
-        # as orphan root traces.
-        parent_span = self._tracer.capture()
-
-        def score_task(task):
-            with self._tracer.attach(parent_span), \
-                    self._tracer.span("score_event"):
-                return self._score_task(*task)
-
-        if pool_size == 1:
-            scored = [score_task(task) for task in tasks]
-        else:
-            with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                futures = [pool.submit(score_task, task) for task in tasks]
-                scored = [future.result() for future in futures]
+        self._m_pool.set(pool_width(self._workers, len(tasks)))
+        scored = ordered_map(
+            lambda task: self.score_event(
+                task[0], source_types=task[1], clock=task[2], cache=cache),
+            tasks, self._workers, self._tracer, "score_event")
 
         # Phase 3: write-back planner — build each eIoC fully in memory, in
         # drain order, then commit the cycle as one batch.
@@ -484,13 +471,6 @@ class HeuristicComponent:
             eioc=event,
         )
 
-    def _score_task(self, event: MispEvent, source_types: FrozenSet[str],
-                    clock: Clock, cache: EnrichmentContextCache
-                    ) -> List[Tuple[str, ThreatScoreResult]]:
-        """One worker unit: export to STIX and score every supported object."""
-        return self.score_event(event, source_types=source_types,
-                                clock=clock, cache=cache)
-
     def score_event(self, event: MispEvent,
                     source_types: Optional[FrozenSet[str]] = None,
                     clock: Optional[Clock] = None,
@@ -535,8 +515,3 @@ class HeuristicComponent:
                 results.append(
                     (obj["id"], heuristic.evaluate(context, metrics=self._metrics)))
         return results
-
-    def _source_types_for(self, event: MispEvent) -> FrozenSet[str]:
-        """Back-compat shim: resolve source families with a fresh cache."""
-        cache = EnrichmentContextCache(self._misp.store, cve_db=self._cve_db)
-        return cache.source_types_for(event)

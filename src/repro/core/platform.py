@@ -9,15 +9,15 @@ Wires the three modules together:
 - **Output**: the rIoC generator + dashboard (socket.io push) and external
   sharing (MISP peers).
 
-``run_cycle()`` advances the whole platform one collection round and
-returns a :class:`CycleReport`.
+``run_cycle()`` advances the whole platform one collection round, one
+:class:`Stage` of :attr:`ContextAwareOSINTPlatform.STAGES` after another,
+and returns a :class:`CycleReport`.
 """
 
 from __future__ import annotations
 
-import datetime as _dt
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..clock import Clock, SimulatedClock
 from ..cvss import CveDatabase
@@ -26,7 +26,6 @@ from ..errors import ReproError
 from ..feeds import (
     FeedDescriptor,
     FeedFetcher,
-    FeedGenerator,
     IndicatorPool,
     SimulatedTransport,
     standard_feed_set,
@@ -66,6 +65,10 @@ from .enrich import EnrichmentResult, HeuristicComponent
 from .ioc import ReducedIoc
 from .reduce import RIocGenerator
 
+#: Breaker state -> component health (closed is ok).
+_BREAKER_HEALTH = {BreakerState.OPEN: HEALTH_FAILING,
+                   BreakerState.HALF_OPEN: HEALTH_DEGRADED}
+
 
 @dataclass
 class CycleReport:
@@ -96,12 +99,9 @@ class CycleReport:
     fanout_deltas: int = 0
     fanout_shed: int = 0
     fanout_resyncs: int = 0
-    #: Quiet cycle: nothing collected, enriched, reduced, alarmed, shared
-    #: or changed, and no compaction ran.  Idle cycles are the steady state
-    #: the incremental pipeline keeps near-free (docs/PERFORMANCE.md).
-    idle: bool = False
-    #: Stage name -> wall seconds, flattened from the cycle's span trace
-    #: (empty when the platform runs with telemetry disabled).
+    #: Span name -> seconds, flattened from the cycle's span trace (empty
+    #: when the platform runs with telemetry disabled).  ``<name>.work``
+    #: keys hold summed worker-pool time; see docs/OBSERVABILITY.md.
     timings: Dict[str, float] = field(default_factory=dict)
     #: Stage name -> error message, for every stage that failed this cycle
     #: (stage isolation: the remaining stages still ran).
@@ -117,6 +117,33 @@ class CycleReport:
         """Mean threat score across this cycle's eIoCs."""
         return sum(self.scores) / len(self.scores) if self.scores else 0.0
 
+    def to_record(self) -> Dict[str, Any]:
+        """The cycle's outcome as one flat record.
+
+        The ``cycle_end`` log record and the SLO snapshot carry exactly
+        these fields.  ``idle`` is true when every other field is zero or
+        false: a quiet cycle, the steady state the incremental pipeline
+        keeps near-free (docs/PERFORMANCE.md).
+        """
+        record: Dict[str, Any] = {
+            "ciocs_created": self.collection.ciocs_created,
+            "eiocs_created": self.eiocs_created,
+            "riocs_created": self.riocs_created,
+            "new_alarms": self.new_alarms,
+            "shares_sent": self.shares_sent,
+            "deltas_consumed": self.deltas_consumed,
+            "fanout_deltas": self.fanout_deltas,
+            "compacted": self.compacted,
+            "degraded": self.degraded,
+        }
+        record["idle"] = not any(record.values())
+        return record
+
+    @property
+    def idle(self) -> bool:
+        """Quiet cycle: nothing collected, changed, shared or compacted."""
+        return self.to_record()["idle"]
+
 
 @dataclass
 class PlatformConfig:
@@ -124,12 +151,9 @@ class PlatformConfig:
 
     seed: int = 7
     feed_entries: int = 60
-    feed_overlap: float = 0.5
     sensor_alarm_rate: float = 0.25
     sensor_steps_per_cycle: int = 6
     drop_irrelevant_text: bool = False
-    #: Filter known-benign values (public resolvers, RFC1918, top sites).
-    use_warninglists: bool = True
     #: Worker threads for the collector's feed-fetch stage.  The transport's
     #: per-request RNG keeps results identical to workers=1; see
     #: docs/PERFORMANCE.md.
@@ -142,21 +166,11 @@ class PlatformConfig:
     #: Payloads are pre-rendered and ledger writes are committed post-drain,
     #: so any count produces identical ledgers; see docs/SHARING.md.
     share_workers: int = 4
-    #: Transient-failure retries per share transport attempt.
-    share_retries: int = 2
     org: str = "CAOP"
-    #: Record metrics and per-stage spans (disable only to measure the
-    #: telemetry overhead itself; see bench_x13_obs_overhead).
+    #: Record metrics, per-stage spans, per-IoC lineage, structured log
+    #: records and SLO burn rates (disable only to measure the telemetry
+    #: overhead itself; see bench_x13_obs_overhead).
     metrics_enabled: bool = True
-    #: Record per-IoC lineage rows into the store's provenance table
-    #: (``None`` follows ``metrics_enabled``; see docs/OBSERVABILITY.md).
-    provenance_enabled: Optional[bool] = None
-    #: Emit structured JSON log records (``None`` follows ``metrics_enabled``).
-    structured_log_enabled: Optional[bool] = None
-    #: Evaluate SLO burn rates each cycle (``None`` follows ``metrics_enabled``).
-    slo_enabled: Optional[bool] = None
-    #: Ring-buffer capacity of the structured log.
-    log_capacity: int = 4096
     #: Optional JSONL sink the structured log also appends to.
     log_file: Optional[str] = None
     #: Optional SQLite path for the MISP store (``None`` keeps it in-memory).
@@ -166,15 +180,7 @@ class PlatformConfig:
     #: Hash-shard count for the MISP store (``1`` = classic single file;
     #: ``>= 2`` selects the sharded backend — see docs/PERFORMANCE.md).
     store_shards: int = 1
-    #: Transient-failure retries per feed fetch (and per store batch).
-    fetch_retries: int = 2
-    store_retries: int = 2
-    #: Backoff shape for those retries; jitter is deterministic per
-    #: (feed, attempt) — see docs/RESILIENCE.md.
-    retry_base_delay_seconds: float = 0.5
-    retry_max_delay_seconds: float = 60.0
-    retry_jitter: float = 0.5
-    #: How backoff is applied: "virtual" advances the SimulatedClock,
+    #: How retry backoff is applied: "virtual" advances the SimulatedClock,
     #: "real" sleeps wall-clock, "none" records without moving any clock.
     backoff_mode: str = "virtual"
     #: Consecutive fetch failures before a feed's breaker opens, and how
@@ -187,20 +193,36 @@ class PlatformConfig:
     #: Run the decay-compaction full pass every N cycles (<= 0 disables the
     #: compact stage entirely; see docs/PERFORMANCE.md).
     compaction_every_cycles: int = 25
-    #: Additional rate limit: minimum platform-clock seconds between
-    #: compaction runs (virtual seconds under the simulated clock).
-    compaction_min_interval_seconds: float = 0.0
-    #: Whether compaction deletes expired events (False = re-score only).
-    compaction_purge: bool = True
-    #: Maintain the incremental dashboard/report rollups each cycle.
-    rollups_enabled: bool = True
-    #: Snapshot+delta fan-out knobs: replayable delta history per room and
-    #: the per-subscriber queue bound (the load-shedding high-water mark).
-    fanout_history: int = 64
-    fanout_max_pending: int = 64
     #: Simulated fan-out subscribers attached to the rIoC room at build
     #: time (``caop run --subscribers``); pumped once per cycle.
     fanout_subscribers: int = 0
+
+
+@dataclass
+class _Cycle:
+    """What one ``run_cycle`` hands from stage to stage."""
+
+    number: int
+    report: CycleReport
+    enrichments: List[EnrichmentResult] = field(default_factory=list)
+    riocs: List[ReducedIoc] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One isolated step of ``run_cycle``.
+
+    ``run(platform, cycle)`` looks its collaborators up on the platform
+    each time it runs, so a collaborator replaced after build is the one
+    called.  ``also`` names further health slots the stage reports into
+    (``collect`` owns ``store``).  When ``when(platform)`` is false the
+    stage is skipped without opening a span.
+    """
+
+    name: str
+    run: Callable[["ContextAwareOSINTPlatform", _Cycle], None]
+    also: Tuple[str, ...] = ()
+    when: Optional[Callable[["ContextAwareOSINTPlatform"], bool]] = None
 
 
 class ContextAwareOSINTPlatform:
@@ -224,13 +246,13 @@ class ContextAwareOSINTPlatform:
                  log: Optional[StructuredLog] = None,
                  slo: Optional[SloEngine] = None,
                  compaction_every_cycles: int = 25,
-                 compaction_min_interval_seconds: float = 0.0,
-                 compaction_purge: bool = True,
-                 rollups_enabled: bool = True,
                  fanout_subscribers: int = 0) -> None:
+        from ..dashboard.geo import GeoSummaryView
+        from ..dashboard.views import CorrelationGraphView, KeywordSummaryView
         from .compaction import CompactionStage
         from .decay import ScoreDecayEngine
         from .deltas import RollupGroup
+        from .report import IntelReportBuilder
         from .sightings import SightingProcessor
 
         self.osint_collector = osint_collector
@@ -248,41 +270,24 @@ class ContextAwareOSINTPlatform:
         #: Rate-limited decay full pass (the ``compact`` cycle stage).
         self.compaction = CompactionStage(
             misp.store, decay=self.decay, clock=clock,
-            every_cycles=compaction_every_cycles,
-            min_interval_seconds=compaction_min_interval_seconds,
-            purge=compaction_purge, metrics=self.metrics)
+            every_cycles=compaction_every_cycles, metrics=self.metrics)
         #: Incrementally-maintained materialized views over the store's
         #: change feed, brought current once per cycle (``rollup`` stage)
         #: and checkpointed at :meth:`checkpoint`.
         self.rollups = RollupGroup(misp.store)
-        self.graph_view = None
-        self.keyword_view = None
-        self.geo_view = None
-        self.report_builder = None
-        if rollups_enabled:
-            from ..dashboard.geo import GeoSummaryView
-            from ..dashboard.views import (
-                CorrelationGraphView,
-                KeywordSummaryView,
-            )
-            from .report import IntelReportBuilder
-            self.graph_view = self.rollups.add(
-                CorrelationGraphView(misp.store, persistent=True))
-            self.keyword_view = self.rollups.add(
-                KeywordSummaryView(misp.store, persistent=True))
-            self.geo_view = GeoSummaryView()
-            self.rollups.add(
-                self.geo_view.store_rollup(misp.store, persistent=True))
-            self.report_builder = IntelReportBuilder(
-                misp.store, clock=clock, decay=self.decay,
-                incremental=True, persistent=True)
-            self.rollups.add(self.report_builder.rollup)
+        self.graph_view = self.rollups.add(
+            CorrelationGraphView(misp.store, persistent=True))
+        self.keyword_view = self.rollups.add(
+            KeywordSummaryView(misp.store, persistent=True))
+        self.geo_view = GeoSummaryView()
+        self.rollups.add(self.geo_view.store_rollup(misp.store, persistent=True))
+        self.report_builder = IntelReportBuilder(
+            misp.store, clock=clock, decay=self.decay,
+            incremental=True, persistent=True)
+        self.rollups.add(self.report_builder.rollup)
         #: Simulated protocol-driving subscribers on the rIoC fan-out room
         #: (``caop run --subscribers``), pumped once per fanout stage.
-        self.fanout_clients: List = []
-        if fanout_subscribers:
-            self.fanout_clients = dashboard.attach_subscribers(
-                fanout_subscribers)
+        self.fanout_clients = dashboard.attach_subscribers(fanout_subscribers)
         self.deadletters = deadletters
         self.breakers = breakers
         #: The sharing gateway (delta-sync fan-out to external entities);
@@ -321,8 +326,7 @@ class ContextAwareOSINTPlatform:
         transport = SimulatedTransport(clock=clock, seed=config.seed)
         descriptors: List[FeedDescriptor] = []
         for generator, name in standard_feed_set(
-                pool, entries=config.feed_entries,
-                seed=config.seed, overlap=config.feed_overlap):
+                pool, entries=config.feed_entries, seed=config.seed):
             descriptor = generator.descriptor(name)
             transport.register_generator(descriptor, generator)
             descriptors.append(descriptor)
@@ -355,42 +359,38 @@ class ContextAwareOSINTPlatform:
                          clock: Optional[Clock] = None
                          ) -> "ContextAwareOSINTPlatform":
         """Common wiring once feeds and their transport exist."""
+        from ..misp.warninglists import WarninglistIndex
+        from ..sharing import SharingGateway
+
         config = config or PlatformConfig()
         clock = clock or SimulatedClock()
         inventory = inventory or paper_inventory()
         descriptors = list(descriptors)
-        metrics = MetricsRegistry(enabled=config.metrics_enabled)
-        tracer = Tracer(metrics=metrics, enabled=config.metrics_enabled)
-        provenance_on = config.metrics_enabled \
-            if config.provenance_enabled is None else config.provenance_enabled
-        log_on = config.metrics_enabled \
-            if config.structured_log_enabled is None \
-            else config.structured_log_enabled
-        slo_on = config.metrics_enabled \
-            if config.slo_enabled is None else config.slo_enabled
-        log = StructuredLog(clock=clock, capacity=config.log_capacity,
-                            sink_path=config.log_file, enabled=log_on)
+        telemetry = config.metrics_enabled
+        metrics = MetricsRegistry(enabled=telemetry)
+        tracer = Tracer(metrics=metrics, enabled=telemetry)
+        log = StructuredLog(clock=clock, sink_path=config.log_file,
+                            enabled=telemetry)
         if config.fault_injector is not None and transport.fault_injector is None:
             transport.fault_injector = config.fault_injector
         sleeper = sleeper_for(config.backoff_mode, clock)
+        # Stateless: delays depend only on (seed, key, attempt), so the
+        # fetcher, the store and the gateway share one policy.
+        retry = RetryPolicy(seed=config.seed)
         deadletters = DeadLetterQueue(clock=clock, metrics=metrics)
-        breakers = CircuitBreakerBoard(
-            clock=clock,
-            failure_threshold=config.breaker_failure_threshold,
-            cooldown_seconds=config.breaker_cooldown_seconds,
-            metrics=metrics)
+
+        def breaker_board() -> CircuitBreakerBoard:
+            return CircuitBreakerBoard(
+                clock=clock,
+                failure_threshold=config.breaker_failure_threshold,
+                cooldown_seconds=config.breaker_cooldown_seconds,
+                metrics=metrics)
+
+        breakers = breaker_board()
         fetcher = FeedFetcher(
             transport, clock=clock, metrics=metrics,
-            workers=config.fetch_workers,
-            retry_policy=RetryPolicy(
-                max_retries=config.fetch_retries,
-                base_delay_seconds=config.retry_base_delay_seconds,
-                max_delay_seconds=config.retry_max_delay_seconds,
-                jitter=config.retry_jitter,
-                seed=config.seed),
-            breakers=breakers,
-            sleeper=sleeper,
-            tracer=tracer)
+            workers=config.fetch_workers, retry_policy=retry,
+            breakers=breakers, sleeper=sleeper, tracer=tracer)
 
         store = None
         if config.store_path is not None or config.store_shards > 1:
@@ -404,28 +404,19 @@ class ContextAwareOSINTPlatform:
                               if config.store_shards > 1 else None)
         misp = MispInstance(
             org=config.org, store=store, metrics=metrics, clock=clock,
-            store_retry_policy=RetryPolicy(
-                max_retries=config.store_retries,
-                base_delay_seconds=config.retry_base_delay_seconds,
-                max_delay_seconds=config.retry_max_delay_seconds,
-                jitter=config.retry_jitter,
-                seed=config.seed),
-            sleeper=sleeper,
-            deadletters=deadletters,
-            fault_injector=config.fault_injector)
+            store_retry_policy=retry, sleeper=sleeper,
+            deadletters=deadletters, fault_injector=config.fault_injector)
         provenance = ProvenanceRecorder(
-            store=misp.store, clock=clock, org=config.org,
-            enabled=provenance_on)
-        slo = SloEngine(metrics=metrics) if slo_on else None
+            store=misp.store, clock=clock, org=config.org, enabled=telemetry)
+        slo = SloEngine(metrics=metrics) if telemetry else None
         sensors = SensorNetwork(inventory, clock=clock, seed=config.seed,
                                 alarm_rate=config.sensor_alarm_rate)
         infra_collector = InfrastructureDataCollector(
             inventory, sensors, misp=misp, clock=clock)
-        from ..misp.warninglists import WarninglistIndex
         osint_collector = OsintDataCollector(
             fetcher, descriptors, misp=misp, clock=clock,
             drop_irrelevant_text=config.drop_irrelevant_text,
-            warninglists=WarninglistIndex() if config.use_warninglists else None,
+            warninglists=WarninglistIndex(),
             metrics=metrics, tracer=tracer,
             deadletters=deadletters,
             fault_injector=config.fault_injector,
@@ -437,63 +428,136 @@ class ContextAwareOSINTPlatform:
             workers=config.enrich_workers,
             tracer=tracer, provenance=provenance, log=log)
         rioc_generator = RIocGenerator(inventory, clock=clock, metrics=metrics)
-        dashboard = DashboardServer(
-            inventory, metrics=metrics,
-            fanout_history=config.fanout_history,
-            fanout_max_pending=config.fanout_max_pending)
+        dashboard = DashboardServer(inventory, metrics=metrics)
         if config.fault_injector is not None:
             dashboard.sio.broker.fault_injector = config.fault_injector
-        from ..sharing import SharingGateway
         gateway = SharingGateway(
-            misp,
-            workers=config.share_workers,
-            retry_policy=RetryPolicy(
-                max_retries=config.share_retries,
-                base_delay_seconds=config.retry_base_delay_seconds,
-                max_delay_seconds=config.retry_max_delay_seconds,
-                jitter=config.retry_jitter,
-                seed=config.seed),
-            breakers=CircuitBreakerBoard(
-                clock=clock,
-                failure_threshold=config.breaker_failure_threshold,
-                cooldown_seconds=config.breaker_cooldown_seconds,
-                metrics=metrics),
-            deadletters=deadletters,
-            metrics=metrics,
-            clock=clock,
-            sleeper=sleeper,
+            misp, workers=config.share_workers, retry_policy=retry,
+            breakers=breaker_board(), deadletters=deadletters,
+            metrics=metrics, clock=clock, sleeper=sleeper,
             fault_injector=config.fault_injector,
             tracer=tracer, provenance=provenance, log=log)
         return cls(
-            osint_collector=osint_collector,
-            infra_collector=infra_collector,
-            sensors=sensors,
-            misp=misp,
-            heuristics=heuristics,
-            rioc_generator=rioc_generator,
-            dashboard=dashboard,
-            clock=clock,
-            metrics=metrics,
-            tracer=tracer,
-            deadletters=deadletters,
-            breakers=breakers,
-            gateway=gateway,
+            osint_collector=osint_collector, infra_collector=infra_collector,
+            sensors=sensors, misp=misp, heuristics=heuristics,
+            rioc_generator=rioc_generator, dashboard=dashboard, clock=clock,
+            metrics=metrics, tracer=tracer, deadletters=deadletters,
+            breakers=breakers, gateway=gateway,
             sensor_steps_per_cycle=config.sensor_steps_per_cycle,
-            provenance=provenance,
-            log=log,
-            slo=slo,
+            provenance=provenance, log=log, slo=slo,
             compaction_every_cycles=config.compaction_every_cycles,
-            compaction_min_interval_seconds=(
-                config.compaction_min_interval_seconds),
-            compaction_purge=config.compaction_purge,
-            rollups_enabled=config.rollups_enabled,
-            fanout_subscribers=config.fanout_subscribers,
-        )
+            fanout_subscribers=config.fanout_subscribers)
+
+    # -- the stages, in cycle order -------------------------------------------
+
+    def _sense(self, cycle: _Cycle) -> None:
+        # Infrastructure side: sensors tick, alarms reach the dashboard,
+        # internal IoCs reach MISP (stored only; no zmq feed).
+        alarms = self.sensors.tick(steps=self.sensor_steps_per_cycle)
+        cycle.report.new_alarms = len(alarms)
+        for alarm in alarms:
+            self.dashboard.push_alarm(alarm)
+        if self.infra_collector.ship_to_misp() is not None:
+            cycle.report.infrastructure_events = 1
+
+    def _collect(self, cycle: _Cycle) -> None:
+        # OSINT side: feeds into cIoCs (MISP publishes each on zmq).  The
+        # collector opens its own child spans (fetch -> normalize -> dedup
+        # -> filter -> correlate -> compose -> store).  A store failure is
+        # absorbed inside collect() (the events are quarantined) and
+        # surfaces in the ``store`` slot.
+        _ciocs, collection = self.osint_collector.collect()
+        cycle.report.collection = collection
+        if collection.store_error is not None:
+            cycle.report.stage_errors["store"] = collection.store_error
+
+    def _enrich(self, cycle: _Cycle) -> None:
+        # Heuristic analysis: drain the feed, score, enrich.
+        cycle.enrichments = self.heuristics.process_pending()
+        cycle.report.eiocs_created = len(cycle.enrichments)
+
+    def _reduce(self, cycle: _Cycle) -> None:
+        report = cycle.report
+        for enrichment in cycle.enrichments:
+            report.scores.append(enrichment.score.score)
+            rioc = self.rioc_generator.generate(enrichment.eioc)
+            if rioc is None:
+                report.riocs_suppressed += 1
+                continue
+            cycle.riocs.append(rioc)
+            if self.provenance.enabled:
+                self.provenance.record(
+                    "reduced-into", enrichment.eioc.uuid,
+                    actor="rioc-generator",
+                    detail=f"nodes={','.join(rioc.nodes)} "
+                           f"term={rioc.matched_term}")
+
+    def _push(self, cycle: _Cycle) -> None:
+        # Visualization: rIoCs to the dashboard sockets.
+        for rioc in cycle.riocs:
+            cycle.report.riocs_created += 1
+            cycle.report.dashboard_pushes += self.dashboard.push_rioc(rioc)
+
+    def _sharing(self) -> bool:
+        return self.gateway is not None and bool(self.gateway.entities)
+
+    def _share(self, cycle: _Cycle) -> None:
+        # Delta-sync fan-out of new/changed eIoCs to external entities.
+        shared = self.gateway.sync_cycle()
+        cycle.report.shares_sent = shared.shared
+        cycle.report.share_failures = shared.failed + shared.breaker_skipped
+
+    def _compact(self, cycle: _Cycle) -> None:
+        # The rate-limited decay full pass (usually a skip).  Runs *before*
+        # the rollup stage so any purge lands in the change feed the
+        # rollups consume this same cycle.
+        compaction = self.compaction.maybe_run(cycle.number)
+        cycle.report.compacted = compaction.ran
+        cycle.report.events_purged = compaction.purged
+
+    def _rollup(self, cycle: _Cycle) -> None:
+        # Bring the materialized dashboard and report views current off the
+        # change feed; on a quiet cycle a single empty changes_since query.
+        cycle.report.deltas_consumed = self.rollups.refresh()
+        if cycle.report.compacted:
+            # Compaction cadence doubles as the checkpoint cadence: persist
+            # rollup state while the store is already paying a write burst.
+            self.rollups.save_all()
+
+    def _fanout(self, cycle: _Cycle) -> None:
+        # Flush the snapshot+delta rooms (one delta render per dirty room,
+        # however many subscribers).  View-room syncing is gated on actual
+        # activity so a quiet cycle adds no SQL, and flushing clean rooms
+        # renders nothing.
+        report = cycle.report
+        if report.deltas_consumed or report.new_alarms or report.riocs_created:
+            self.dashboard.sync_view_rooms(self.graph_view, self.keyword_view)
+        flush = self.dashboard.flush_fanout()
+        report.fanout_deltas = flush.deltas
+        report.fanout_shed = flush.shed_messages
+        report.fanout_resyncs = flush.resyncs
+        for client in self.fanout_clients:
+            client.pump()
+
+    #: The cycle (Fig. 1: input -> operational -> output, plus sharing).
+    #: Order matters: compact runs before rollup so a purge is consumed in
+    #: the same cycle.
+    STAGES: Tuple[Stage, ...] = (
+        Stage("sense", _sense),
+        Stage("collect", _collect, also=("store",)),
+        Stage("enrich", _enrich),
+        Stage("reduce", _reduce),
+        Stage("push", _push),
+        Stage("share", _share, when=_sharing),
+        Stage("compact", _compact),
+        Stage("rollup", _rollup),
+        Stage("fanout", _fanout),
+    )
 
     def run_cycle(self) -> CycleReport:
-        """One full platform round: sense -> collect -> enrich -> reduce -> push.
+        """One full platform round: every stage of :attr:`STAGES` in order.
 
-        Each stage runs inside a named span; the resulting per-stage timing
+        Each stage runs inside a span named after it; the resulting timing
         breakdown lands on :attr:`CycleReport.timings` and in the
         ``caop_span_seconds`` histogram of :attr:`metrics`.
 
@@ -505,165 +569,36 @@ class ContextAwareOSINTPlatform:
         are bugs, not faults.
         """
         report = CycleReport(collection=CollectionReport())
-        cycle_no = len(self.history) + 1
-        self.log.begin_cycle(cycle_no)
-        self.provenance.begin_cycle(cycle_no)
+        cycle = _Cycle(number=len(self.history) + 1, report=report)
+        self.log.begin_cycle(cycle.number)
+        self.provenance.begin_cycle(cycle.number)
         self.log.emit("cycle", "cycle_start")
         with self.tracer.span("cycle") as cycle_span:
-            # 1. Infrastructure side: sensors tick, alarms reach the dashboard,
-            #    internal IoCs reach MISP (stored only; no zmq feed).
-            new_alarms: List = []
-            infra_event = None
-            try:
-                with self.tracer.span("sense"):
-                    new_alarms = self.sensors.tick(
-                        steps=self.sensor_steps_per_cycle)
-                    for alarm in new_alarms:
-                        self.dashboard.push_alarm(alarm)
-                    infra_event = self.infra_collector.ship_to_misp()
-            except ReproError as exc:
-                report.stage_errors["sense"] = str(exc)
-
-            # 2. OSINT side: collect feeds into cIoCs (MISP publishes each on
-            #    zmq).  The collector opens its own child spans (fetch ->
-            #    normalize -> dedup -> filter -> correlate -> compose -> store).
-            #    A store-stage failure is absorbed inside collect() (the
-            #    events are quarantined) and surfaces as ``store_error``.
-            try:
-                with self.tracer.span("collect"):
-                    _ciocs, collection = self.osint_collector.collect()
-                report.collection = collection
-                if collection.store_error is not None:
-                    report.stage_errors["store"] = collection.store_error
-            except ReproError as exc:
-                report.stage_errors["collect"] = str(exc)
-
-            # 3. Heuristic analysis: drain the feed, score, enrich.
-            enrichments: List[EnrichmentResult] = []
-            try:
-                with self.tracer.span("enrich"):
-                    enrichments = self.heuristics.process_pending()
-            except ReproError as exc:
-                report.stage_errors["enrich"] = str(exc)
-
-            # 4. Reduction + visualization: rIoCs to the dashboard sockets.
-            report.new_alarms = len(new_alarms)
-            report.infrastructure_events = 1 if infra_event is not None else 0
-            report.eiocs_created = len(enrichments)
-            riocs: List[ReducedIoc] = []
-            try:
-                with self.tracer.span("reduce"):
-                    for enrichment in enrichments:
-                        report.scores.append(enrichment.score.score)
-                        rioc = self.rioc_generator.generate(enrichment.eioc)
-                        if rioc is None:
-                            report.riocs_suppressed += 1
-                        else:
-                            riocs.append(rioc)
-                            if self.provenance.enabled:
-                                self.provenance.record(
-                                    "reduced-into", enrichment.eioc.uuid,
-                                    actor="rioc-generator",
-                                    detail=f"nodes={','.join(rioc.nodes)} "
-                                           f"term={rioc.matched_term}")
-            except ReproError as exc:
-                report.stage_errors["reduce"] = str(exc)
-            try:
-                with self.tracer.span("push"):
-                    for rioc in riocs:
-                        report.riocs_created += 1
-                        report.dashboard_pushes += self.dashboard.push_rioc(rioc)
-            except ReproError as exc:
-                report.stage_errors["push"] = str(exc)
-
-            # 5. Sharing: delta-sync fan-out of new/changed eIoCs to the
-            #    registered external entities (no-op until any register).
-            if self.gateway is not None and self.gateway.entities:
+            for stage in self.STAGES:
+                if stage.when is not None and not stage.when(self):
+                    continue
                 try:
-                    with self.tracer.span("share"):
-                        share_report = self.gateway.sync_cycle()
-                    report.shares_sent = share_report.shared
-                    report.share_failures = (share_report.failed
-                                             + share_report.breaker_skipped)
+                    with self.tracer.span(stage.name):
+                        stage.run(self, cycle)
                 except ReproError as exc:
-                    report.stage_errors["share"] = str(exc)
-
-            # 6. Compaction: the rate-limited decay full pass (usually a
-            #    skip).  Runs *before* the rollup stage so any purge lands
-            #    in the change feed the rollups consume this same cycle.
-            try:
-                with self.tracer.span("compact"):
-                    compaction = self.compaction.maybe_run(cycle_no)
-                report.compacted = compaction.ran
-                report.events_purged = compaction.purged
-            except ReproError as exc:
-                report.stage_errors["compact"] = str(exc)
-
-            # 7. Rollup maintenance: bring the materialized dashboard and
-            #    report views current off the change feed.  On a quiet cycle
-            #    this is a single empty changes_since query.
-            try:
-                with self.tracer.span("rollup"):
-                    report.deltas_consumed = self.rollups.refresh()
-                    if report.compacted:
-                        # Compaction cadence doubles as the checkpoint
-                        # cadence: persist rollup state while the store is
-                        # already paying a write burst.
-                        self.rollups.save_all()
-            except ReproError as exc:
-                report.stage_errors["rollup"] = str(exc)
-
-            # 8. Fan-out: flush the snapshot+delta rooms the dashboard
-            #    materializes for massive subscriber counts (one delta
-            #    render per dirty room, however many subscribers).  View-
-            #    room syncing is gated on actual activity so a quiet cycle
-            #    adds no SQL, and flushing clean rooms renders nothing.
-            try:
-                with self.tracer.span("fanout"):
-                    if (report.deltas_consumed > 0 or report.new_alarms
-                            or report.riocs_created):
-                        self.dashboard.sync_view_rooms(
-                            self.graph_view, self.keyword_view)
-                    flush = self.dashboard.flush_fanout()
-                    report.fanout_deltas = flush.deltas
-                    report.fanout_shed = flush.shed_messages
-                    report.fanout_resyncs = flush.resyncs
-                    for client in self.fanout_clients:
-                        client.pump()
-            except ReproError as exc:
-                report.stage_errors["fanout"] = str(exc)
-        report.idle = (not report.degraded
-                       and report.collection.ciocs_created == 0
-                       and report.eiocs_created == 0
-                       and report.riocs_created == 0
-                       and report.new_alarms == 0
-                       and report.shares_sent == 0
-                       and report.deltas_consumed == 0
-                       and report.fanout_deltas == 0
-                       and not report.compacted)
-        if report.idle:
+                    report.stage_errors[stage.name] = str(exc)
+        record = report.to_record()
+        if record["idle"]:
             self._m_idle.inc()
+        cycle_seconds = 0.0
         if cycle_span is not None:
             report.timings = cycle_span.flatten()
-            self._m_cycle_seconds.observe(cycle_span.duration_seconds)
+            cycle_seconds = cycle_span.duration_seconds
+            self._m_cycle_seconds.observe(cycle_seconds)
         self._m_cycles.inc()
         if report.degraded:
             self._m_degraded.inc()
         self.history.append(report)
         for stage, error in sorted(report.stage_errors.items()):
             self.log.emit(stage, "stage_error", level="error", error=error)
-        self.log.emit(
-            "cycle", "cycle_end",
-            ciocs=report.collection.ciocs_created,
-            eiocs=report.eiocs_created,
-            riocs=report.riocs_created,
-            shares=report.shares_sent,
-            degraded=report.degraded,
-            deltas=report.deltas_consumed,
-            fanout=report.fanout_deltas,
-            idle=report.idle)
+        self.log.emit("cycle", "cycle_end", **record)
         # Share staleness streak: cycles in which the fan-out only failed.
-        if self.gateway is not None and self.gateway.entities:
+        if self._sharing():
             if report.shares_sent > 0:
                 self._share_stale_cycles = 0
             elif report.share_failures > 0:
@@ -672,18 +607,12 @@ class ContextAwareOSINTPlatform:
         if self.slo is not None:
             fetched = report.collection.feeds_fetched
             failed = report.collection.feeds_failed
-            attempted = fetched + failed
-            self.slo.observe_cycle(cycle_no, self.clock.now(), {
-                "cycle_seconds": cycle_span.duration_seconds
-                if cycle_span is not None else 0.0,
-                "degraded": 1.0 if report.degraded else 0.0,
-                "drop_ratio": (failed / attempted) if attempted else 0.0,
-                "share_stale_cycles": float(self._share_stale_cycles),
-                "ciocs_created": float(report.collection.ciocs_created),
-                "eiocs_created": float(report.eiocs_created),
-                "shares_sent": float(report.shares_sent),
-                "deltas_consumed": float(report.deltas_consumed),
-                "idle": 1.0 if report.idle else 0.0,
+            self.slo.observe_cycle(cycle.number, self.clock.now(), {
+                **record,
+                "cycle_seconds": cycle_seconds,
+                "drop_ratio": failed / (fetched + failed)
+                if fetched + failed else 0.0,
+                "share_stale_cycles": self._share_stale_cycles,
             })
             self.slo.evaluate()
         health = self.health()
@@ -700,41 +629,27 @@ class ContextAwareOSINTPlatform:
         degraded while anything sits quarantined.
         """
         components: List[ComponentHealth] = []
-        if self.breakers is not None:
-            for name, state in sorted(self.breakers.states().items()):
-                if state == BreakerState.OPEN:
-                    status = HEALTH_FAILING
-                elif state == BreakerState.HALF_OPEN:
-                    status = HEALTH_DEGRADED
-                else:
-                    status = HEALTH_OK
+        boards = {"feed": self.breakers,
+                  "entity": self.gateway.breakers
+                  if self.gateway is not None else None}
+        for prefix, board in boards.items():
+            if board is None:
+                continue
+            for name, state in sorted(board.states().items()):
                 components.append(ComponentHealth(
-                    component=f"feed:{name}", status=status,
+                    component=f"{prefix}:{name}",
+                    status=_BREAKER_HEALTH.get(state, HEALTH_OK),
                     detail=f"breaker {state}"))
-        if self.gateway is not None:
-            for name, state in sorted(self.gateway.breakers.states().items()):
-                if state == BreakerState.OPEN:
-                    status = HEALTH_FAILING
-                elif state == BreakerState.HALF_OPEN:
-                    status = HEALTH_DEGRADED
-                else:
-                    status = HEALTH_OK
+        last = self.history[-1].stage_errors if self.history else {}
+        prev = self.history[-2].stage_errors if len(self.history) > 1 else {}
+        for stage in self.STAGES:
+            for slot in (stage.name, *stage.also):
+                status = HEALTH_OK
+                if slot in last:
+                    status = HEALTH_FAILING if slot in prev else HEALTH_DEGRADED
                 components.append(ComponentHealth(
-                    component=f"entity:{name}", status=status,
-                    detail=f"breaker {state}"))
-        last = self.history[-1] if self.history else None
-        prev = self.history[-2] if len(self.history) > 1 else None
-        for stage in ("sense", "collect", "store", "enrich", "reduce",
-                      "push", "share", "compact", "rollup", "fanout"):
-            if last is not None and stage in last.stage_errors:
-                repeated = prev is not None and stage in prev.stage_errors
-                components.append(ComponentHealth(
-                    component=f"stage:{stage}",
-                    status=HEALTH_FAILING if repeated else HEALTH_DEGRADED,
-                    detail=last.stage_errors[stage]))
-            else:
-                components.append(ComponentHealth(
-                    component=f"stage:{stage}", status=HEALTH_OK))
+                    component=f"stage:{slot}", status=status,
+                    detail=last.get(slot, "")))
         if self.deadletters is not None:
             depth = len(self.deadletters)
             components.append(ComponentHealth(

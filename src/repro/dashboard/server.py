@@ -34,18 +34,14 @@ class DashboardServer:
 
     def __init__(self, inventory: Inventory,
                  broker: Optional[MessageBroker] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 fanout_history: int = 64,
-                 fanout_max_pending: int = 64) -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self.state = DashboardState(inventory)
         self.sio = SocketIOServer(broker=broker)
         self.metrics = metrics or NULL_REGISTRY
         #: Snapshot+delta hub serving the massive-subscriber rooms; rides
         #: the same broker as the socket.io mirror so its drop accounting
         #: lands in the shared BrokerStats ledger.
-        self.fanout = FanoutHub(broker=self.sio.broker, metrics=metrics,
-                                history=fanout_history,
-                                max_pending=fanout_max_pending)
+        self.fanout = FanoutHub(broker=self.sio.broker, metrics=metrics)
         #: Latest :class:`~repro.resilience.PlatformHealth` snapshot the
         #: platform pushed (None until the first cycle completes).
         self.health: Optional[Any] = None

@@ -19,7 +19,6 @@ import hashlib
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -31,6 +30,7 @@ from ..errors import (
     TransientFeedError,
 )
 from ..obs import MetricsRegistry, NULL_REGISTRY
+from ..parallel import ordered_map, pool_width
 from ..resilience.breaker import BreakerState, CircuitBreakerBoard
 from ..resilience.retry import RetryPolicy, sleeper_for
 from .generators import FeedGenerator
@@ -263,8 +263,7 @@ class FeedFetcher:
         assert document is not None
         return document
 
-    def fetch_many(self, descriptors: Sequence[FeedDescriptor],
-                   workers: Optional[int] = None
+    def fetch_many(self, descriptors: Sequence[FeedDescriptor]
                    ) -> List[Tuple[FeedDescriptor, Optional[FeedDocument],
                                    Optional[FeedError]]]:
         """Fetch every feed, possibly concurrently.
@@ -279,29 +278,10 @@ class FeedFetcher:
         descriptors = list(descriptors)
         if not descriptors:
             return []
-        pool_size = workers if workers is not None else self._workers
-        pool_size = max(1, min(pool_size, len(descriptors)))
-        self._m_pool.set(pool_size)
-        fetch_task = self._fetch_once
-        if self._tracer is not None:
-            # Reattach the caller's span context inside pool threads so
-            # per-feed spans nest under the cycle's fetch span instead of
-            # becoming orphan root traces (the thread-local stack does not
-            # cross the pool boundary by itself).
-            parent = self._tracer.capture()
-
-            def fetch_task(descriptor):
-                with self._tracer.attach(parent), \
-                        self._tracer.span("fetch_feed", feed=descriptor.name):
-                    return self._fetch_once(descriptor)
-        if pool_size == 1:
-            results = [fetch_task(descriptor)
-                       for descriptor in descriptors]
-        else:
-            with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                futures = [pool.submit(fetch_task, descriptor)
-                           for descriptor in descriptors]
-                results = [future.result() for future in futures]
+        self._m_pool.set(pool_width(self._workers, len(descriptors)))
+        results = ordered_map(
+            self._fetch_once, descriptors, self._workers, self._tracer,
+            "fetch_feed", tags=lambda descriptor: {"feed": descriptor.name})
         self._sleeper.sleep(sum(backoff for _doc, _err, backoff in results))
         return [(descriptor, document, error)
                 for descriptor, (document, error, _backoff)

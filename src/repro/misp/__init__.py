@@ -34,7 +34,6 @@ from .model import (
     ThreatLevel,
 )
 from .storage import (
-    InMemoryBackend,
     SQLiteBackend,
     ShardedSQLiteBackend,
     StorageBackend,
@@ -87,7 +86,6 @@ __all__ = [
     "MispObject",
     "MispTag",
     "ThreatLevel",
-    "InMemoryBackend",
     "MispStore",
     "SQLiteBackend",
     "ShardedSQLiteBackend",

@@ -14,7 +14,6 @@ from .base import (
     chunks,
     shard_of,
 )
-from .memory import InMemoryBackend
 from .sharded import ShardedSQLiteBackend, shard_path
 from .sqlite import SQLiteBackend, detect_shard_count
 
@@ -22,7 +21,6 @@ __all__ = [
     "MAX_BOUND_VARS",
     "VAR_BUDGET",
     "BackendInfo",
-    "InMemoryBackend",
     "PersistBatch",
     "SQLiteBackend",
     "ShardedSQLiteBackend",

@@ -2,16 +2,14 @@
 
 :class:`~repro.misp.store.MispStore` is a thin facade: it turns
 :class:`~repro.misp.model.MispEvent` objects into plain rows, emits metrics,
-and delegates every byte of persistence to a :class:`StorageBackend`.  Three
+and delegates every byte of persistence to a :class:`StorageBackend`.  Two
 implementations exist:
 
 - :class:`~repro.misp.storage.sqlite.SQLiteBackend` — the classic single-file
   (or ``:memory:``) SQLite store;
 - :class:`~repro.misp.storage.sharded.ShardedSQLiteBackend` — N SQLite shards
   keyed by :func:`shard_of` plus a global catalog for the audit log, sync
-  ledger, provenance, counters and the value index;
-- :class:`~repro.misp.storage.memory.InMemoryBackend` — pure-python dicts for
-  benches and unit tests.
+  ledger, provenance, counters and the value index.
 
 Determinism contract (docs/PERFORMANCE.md): for the same operation sequence,
 every backend — and every shard count — must produce identical audit
@@ -111,7 +109,7 @@ class BackendInfo:
 
     kind: str
     shard_count: int = 1
-    #: Filesystem paths backing the store (empty for in-memory backends).
+    #: Filesystem paths backing the store (empty for ``:memory:`` stores).
     paths: List[str] = field(default_factory=list)
 
 
@@ -129,9 +127,8 @@ class StorageBackend:
     order, catalog last).  Read methods never observe a half-applied batch.
     """
 
-    #: Python→storage round trips issued so far (logical ops for the
-    #: in-memory backend).  The facade re-exports this as
-    #: ``MispStore.sql_statements`` for the SQL-budget benches.
+    #: Python→storage round trips issued so far.  The facade re-exports
+    #: this as ``MispStore.sql_statements`` for the SQL-budget benches.
     sql_statements: int = 0
 
     # -- lifecycle ----------------------------------------------------------

@@ -20,17 +20,15 @@ searchable:
   ``rowid`` ordering exactly.
 
 Write protocol (the determinism contract of docs/PERFORMANCE.md): per-shard
-row groups may be *staged* concurrently on a small thread pool, but commits
-are serial — shards in ascending shard order, catalog last — so any shard
-count and any pool width produce the same durable state and the same audit
-sequences.  Correlation edges are written to *both* endpoint shards (one
+row groups are staged and committed serially — shards in ascending shard
+order, catalog last — so any shard count produces the same durable state
+and the same audit sequences.  Correlation edges are written to *both* endpoint shards (one
 copy when both ends hash to the same shard); the catalog counter tracks
 logical edges, so counts match the single-file store byte for byte.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ...errors import StorageError
@@ -81,28 +79,24 @@ class ShardedSQLiteBackend(CatalogOps, StorageBackend):
     ``path`` names the catalog; shards live beside it as
     ``<path>.shard-NN``.  ``path=":memory:"`` gives every shard its own
     private in-memory database (useful for benches; not shared between
-    backends).  ``stage_workers`` bounds the thread pool that stages
-    per-shard writes; commits are always serial regardless.
+    backends).
     """
 
-    def __init__(self, path: str = ":memory:", shards: int = 4,
-                 cache_pages: Optional[int] = None,
-                 stage_workers: Optional[int] = None) -> None:
+    def __init__(self, path: str = ":memory:", shards: int = 4) -> None:
         if shards < 2:
             raise StorageError(
                 "ShardedSQLiteBackend needs >= 2 shards;"
                 " use SQLiteBackend for a single shard")
         self._path = path
         self._shards = int(shards)
-        self._cat = CountingConnection(path, cache_pages=cache_pages)
+        self._cat = CountingConnection(path)
         self._cat.executescript(CATALOG_SCHEMA)
         self._cat.executescript(_VALUE_INDEX_SCHEMA)
         init_meta(self._cat, shards=self._shards)
         self._conns: List[CountingConnection] = []
         for shard in range(self._shards):
             conn = CountingConnection(
-                ":memory:" if path == ":memory:" else shard_path(path, shard),
-                cache_pages=cache_pages)
+                ":memory:" if path == ":memory:" else shard_path(path, shard))
             conn.executescript(SHARD_SCHEMA)
             self._conns.append(conn)
         init_counters(self._cat, {
@@ -113,11 +107,6 @@ class ShardedSQLiteBackend(CatalogOps, StorageBackend):
                 "SELECT COUNT(*) FROM value_index").fetchone()[0],
             "correlations": self._count_logical_correlations(),
         })
-        workers = stage_workers if stage_workers is not None \
-            else min(self._shards, 8)
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, workers),
-            thread_name_prefix="caop-store-shard") if workers > 1 else None
 
     def _count_logical_correlations(self) -> int:
         # Mirrored rows mean a raw sum double-counts cross-shard edges; an
@@ -151,8 +140,6 @@ class ShardedSQLiteBackend(CatalogOps, StorageBackend):
             kind="sharded-sqlite", shard_count=self._shards, paths=paths)
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
         for conn in self._conns:
             conn.close()
         self._cat.close()
@@ -187,11 +174,8 @@ class ShardedSQLiteBackend(CatalogOps, StorageBackend):
         shard_attrs: Dict[int, List[Tuple]] = {}
         shard_tags: Dict[int, List[Tuple]] = {}
         shard_uuids: Dict[int, List[str]] = {}
-        per_shard_counts: Dict[int, int] = {}
         for uuid in batch.uuids:
-            shard = self._shard_for(uuid)
-            shard_uuids.setdefault(shard, []).append(uuid)
-            per_shard_counts[shard] = per_shard_counts.get(shard, 0) + 1
+            shard_uuids.setdefault(self._shard_for(uuid), []).append(uuid)
         for row in batch.event_rows:
             shard_events.setdefault(self._shard_for(row[0]), []).append(row)
         for row in batch.attribute_rows:
@@ -199,41 +183,33 @@ class ShardedSQLiteBackend(CatalogOps, StorageBackend):
         for row in batch.tag_rows:
             shard_tags.setdefault(self._shard_for(row[0]), []).append(row)
 
-        def stage_shard(shard: int) -> None:
-            conn = self._conns[shard]
-            uuids = shard_uuids.get(shard, [])
-            conn.executemany(
-                "INSERT OR REPLACE INTO events "
-                "(uuid, info, date, org, threat_level_id, analysis,"
-                " distribution, published, timestamp, blob)"
-                " VALUES (?,?,?,?,?,?,?,?,?,?)",
-                shard_events.get(shard, []))
-            conn.executemany(
-                "DELETE FROM attributes WHERE event_uuid = ?",
-                [(uuid,) for uuid in uuids])
-            conn.executemany(
-                "DELETE FROM event_tags WHERE event_uuid = ?",
-                [(uuid,) for uuid in uuids])
-            conn.executemany(
-                "INSERT OR REPLACE INTO attributes "
-                "(uuid, event_uuid, type, category, value, to_ids,"
-                " correlatable, timestamp) VALUES (?,?,?,?,?,?,?,?)",
-                shard_attrs.get(shard, []))
-            tags = shard_tags.get(shard, [])
-            if tags:
-                conn.executemany(
-                    "INSERT OR IGNORE INTO event_tags (event_uuid, name)"
-                    " VALUES (?,?)", tags)
-
         touched = sorted(shard_uuids)
         try:
-            if self._pool is not None and len(touched) > 1:
-                list(self._pool.map(stage_shard, touched))
-            else:
-                for shard in touched:
-                    stage_shard(shard)
-            # Catalog work stays on the coordinating thread: audit seq
-            # assignment and value_index rowids follow batch order exactly.
+            for shard in touched:
+                conn = self._conns[shard]
+                deletes = [(uuid,) for uuid in shard_uuids[shard]]
+                conn.executemany(
+                    "INSERT OR REPLACE INTO events "
+                    "(uuid, info, date, org, threat_level_id, analysis,"
+                    " distribution, published, timestamp, blob)"
+                    " VALUES (?,?,?,?,?,?,?,?,?,?)",
+                    shard_events.get(shard, []))
+                conn.executemany(
+                    "DELETE FROM attributes WHERE event_uuid = ?", deletes)
+                conn.executemany(
+                    "DELETE FROM event_tags WHERE event_uuid = ?", deletes)
+                conn.executemany(
+                    "INSERT OR REPLACE INTO attributes "
+                    "(uuid, event_uuid, type, category, value, to_ids,"
+                    " correlatable, timestamp) VALUES (?,?,?,?,?,?,?,?)",
+                    shard_attrs.get(shard, []))
+                tags = shard_tags.get(shard, [])
+                if tags:
+                    conn.executemany(
+                        "INSERT OR IGNORE INTO event_tags (event_uuid, name)"
+                        " VALUES (?,?)", tags)
+            # Catalog rows follow batch order exactly, so audit seqs and
+            # value_index rowids match the single-file store's.
             cat = self._cat
             cat.executemany(
                 "INSERT INTO audit_log (event_uuid, action, detail,"
@@ -261,7 +237,7 @@ class ShardedSQLiteBackend(CatalogOps, StorageBackend):
         for shard in touched:
             self._conns[shard].commit()
         self._cat.commit()
-        return {shard: per_shard_counts[shard] for shard in touched}
+        return {shard: len(shard_uuids[shard]) for shard in touched}
 
     def has_event(self, uuid: str) -> bool:
         conn = self._conns[self._shard_for(uuid)]

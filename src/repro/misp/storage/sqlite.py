@@ -140,11 +140,10 @@ class CountingConnection:
     The counter feeds ``MispStore.sql_statements`` so the SQL-budget benches
     keep working across backends.  ``check_same_thread=False`` because the
     sharing fan-out hands remote stores to worker threads (serialized behind
-    the gateway's transport lock) and the sharded backend commits worker
-    transactions from its coordinating thread.
+    the gateway's transport lock).
     """
 
-    def __init__(self, path: str, cache_pages: Optional[int] = None) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
         self.raw = sqlite3.connect(path, check_same_thread=False)
         self.statements = 0
@@ -154,10 +153,6 @@ class CountingConnection:
             # NORMAL fsyncs at checkpoints instead of every commit.
             self.raw.execute("PRAGMA journal_mode = WAL")
             self.raw.execute("PRAGMA synchronous = NORMAL")
-        if cache_pages is not None:
-            # Fixed page-cache budget *per connection*: a sharded store's
-            # aggregate cache scales with shard count (docs/PERFORMANCE.md).
-            self.raw.execute(f"PRAGMA cache_size = {int(cache_pages)}")
 
     def execute(self, sql: str, params: Sequence = ()) -> sqlite3.Cursor:
         self.statements += 1
@@ -469,9 +464,8 @@ class CatalogOps:
 class SQLiteBackend(CatalogOps, StorageBackend):
     """The classic one-file store: shard tables + catalog tables together."""
 
-    def __init__(self, path: str = ":memory:",
-                 cache_pages: Optional[int] = None) -> None:
-        self._conn = CountingConnection(path, cache_pages=cache_pages)
+    def __init__(self, path: str = ":memory:") -> None:
+        self._conn = CountingConnection(path)
         self._cat = self._conn
         self._path = path
         self._conn.executescript(SHARD_SCHEMA)

@@ -13,13 +13,13 @@ metrics, applies fault-injection seams, and delegates all persistence to a
 - the single-file SQLite backend (default, and the on-disk format of every
   pre-sharding store);
 - the hash-sharded SQLite backend (``shards=N``), which bounds per-event
-  scans to ``1/N`` of the corpus (docs/PERFORMANCE.md);
-- the in-memory backend (``backend=InMemoryBackend()``) for tests/benches.
+  scans to ``1/N`` of the corpus (docs/PERFORMANCE.md).
 
-Backends are interchangeable by construction: the conformance suite
+``MispStore(":memory:")`` keeps either one in memory.  Backends are
+interchangeable by construction: the conformance suite
 (tests/test_storage_backends.py) asserts byte-identical audit history,
-correlation graphs, sync ledgers and lineage across all of them, at any
-shard count.  ``MispStore(path)`` re-opens an existing store with whatever
+correlation graphs, sync ledgers and lineage across both, at any shard
+count.  ``MispStore(path)`` re-opens an existing store with whatever
 layout it was created with (recorded in its ``store_meta`` table).
 
 Persistence is batch-aware: :meth:`MispStore.save_events` writes a whole
@@ -84,33 +84,29 @@ class MispStore:
     absent, deletes fall back to the deleted event's own timestamp.
 
     ``shards`` selects the hash-sharded backend (``>= 2``); ``None`` means
-    "whatever the file at ``path`` was created with, else 1".  Passing a
-    ``backend`` overrides both and takes ownership of it.
+    "whatever the file at ``path`` was created with, else 1".
     """
 
     def __init__(self, path: str = ":memory:",
                  metrics: Optional[MetricsRegistry] = None,
                  clock: Optional[Clock] = None,
                  fault_injector=None,
-                 shards: Optional[int] = None,
-                 backend: Optional[StorageBackend] = None) -> None:
+                 shards: Optional[int] = None) -> None:
         self._clock = clock
         #: Optional :class:`~repro.resilience.FaultInjector` consulted at
         #: the top of every :meth:`save_events` (component ``store``, key
         #: ``save_events``), before the transaction starts.
         self.fault_injector = fault_injector
-        if backend is None:
-            detected = detect_shard_count(path)
-            if shards is None:
-                shards = detected if detected is not None else 1
-            elif detected is not None and detected != shards:
-                raise StorageError(
-                    f"store at {path!r} was created with {detected} "
-                    f"shard(s); refusing to open it with {shards}")
-            if shards >= 2:
-                backend = ShardedSQLiteBackend(path, shards=shards)
-            else:
-                backend = SQLiteBackend(path)
+        detected = detect_shard_count(path)
+        if shards is None:
+            shards = detected if detected is not None else 1
+        elif detected is not None and detected != shards:
+            raise StorageError(
+                f"store at {path!r} was created with {detected} "
+                f"shard(s); refusing to open it with {shards}")
+        backend: StorageBackend = (
+            ShardedSQLiteBackend(path, shards=shards) if shards >= 2
+            else SQLiteBackend(path))
         #: The :class:`~repro.misp.storage.base.StorageBackend` doing the
         #: actual persistence.
         self.backend = backend
@@ -170,15 +166,8 @@ class MispStore:
         return self.backend.info().shard_count
 
     def query_plan(self, sql: str, params: Sequence = ()) -> str:
-        """``EXPLAIN QUERY PLAN`` output for SQLite-backed stores.
-
-        Raises :class:`StorageError` for backends without a SQL planner.
-        """
-        plan = getattr(self.backend, "query_plan", None)
-        if plan is None:
-            raise StorageError(
-                f"{self.backend.info().kind} backend has no query planner")
-        return plan(sql, params)
+        """``EXPLAIN QUERY PLAN`` output (the catalog's, when sharded)."""
+        return self.backend.query_plan(sql, params)
 
     # -- events ----------------------------------------------------------------
 

@@ -180,11 +180,13 @@ class SloEngine:
                       values: Mapping[str, float]) -> None:
         """Snapshot one cycle's metric values into the time series.
 
-        The platform feeds ``cycle_seconds``, ``degraded``, ``drop_ratio``,
-        ``share_stale_cycles``, the per-cycle production counts
-        (``ciocs_created``, ``eiocs_created``, ``shares_sent``) and the
-        steady-state signals ``deltas_consumed`` / ``idle`` (1.0 on quiet
-        cycles), so custom rules can state objectives over any of them.
+        The platform feeds every field of
+        :meth:`~repro.core.platform.CycleReport.to_record` (production
+        counts such as ``ciocs_created``/``shares_sent``, ``degraded``, and
+        the steady-state signals ``deltas_consumed`` / ``idle``, 1.0 on
+        quiet cycles) plus ``cycle_seconds``, ``drop_ratio`` and
+        ``share_stale_cycles``, so custom rules can state objectives over
+        any of them.
         """
         self.timeseries.append(cycle, at, values)
 

@@ -28,7 +28,7 @@ class Span:
     """One timed pipeline stage; children are stages opened inside it."""
 
     __slots__ = ("name", "tags", "children", "duration_seconds", "error",
-                 "_started")
+                 "work", "_started")
 
     def __init__(self, name: str, tags: Optional[Dict[str, Any]] = None) -> None:
         self.name = name
@@ -36,6 +36,9 @@ class Span:
         self.children: List["Span"] = []
         self.duration_seconds: float = 0.0
         self.error = False
+        #: Set on spans :func:`~repro.parallel.ordered_map` opens for its
+        #: tasks: their time is worker time, not the caller's wall time.
+        self.work = False
         self._started = time.perf_counter()
 
     def finish(self) -> None:
@@ -57,13 +60,22 @@ class Span:
         return data
 
     def flatten(self) -> Dict[str, float]:
-        """name -> total duration over this subtree (same names sum)."""
+        """name -> seconds over this subtree (same names sum).
+
+        Spans on the coordinating thread report wall time under their own
+        name, so none can exceed the root.  Work spans, and every span
+        beneath one, report summed worker time under ``"<name>.work"``:
+        four pool threads scoring for 100 ms each give
+        ``score_event.work`` = 0.4 inside an ``enrich`` of about 0.1.
+        """
         totals: Dict[str, float] = {}
-        stack = [self]
+        stack = [(self, False)]
         while stack:
-            span = stack.pop()
-            totals[span.name] = totals.get(span.name, 0.0) + span.duration_seconds
-            stack.extend(span.children)
+            span, work = stack.pop()
+            work = work or span.work
+            key = f"{span.name}.work" if work else span.name
+            totals[key] = totals.get(key, 0.0) + span.duration_seconds
+            stack.extend((child, work) for child in span.children)
         return totals
 
     def find(self, name: str) -> Optional["Span"]:
@@ -147,12 +159,8 @@ class Tracer:
         thread would otherwise become an orphan root trace instead of
         nesting under the cycle that spawned the work.  The coordinating
         thread calls ``capture()`` before submitting tasks and each task
-        wraps its body in :meth:`attach`::
-
-            parent = tracer.capture()
-            def task(item):
-                with tracer.attach(parent), tracer.span("score_event"):
-                    ...
+        wraps its body in :meth:`attach`; :func:`~repro.parallel.ordered_map`
+        does both for every worker pool in the platform.
         """
         return self.current()
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -50,6 +49,7 @@ from ..obs import (
     Tracer,
     share_context,
 )
+from ..parallel import ordered_map, pool_width
 from ..resilience.breaker import BreakerState, CircuitBreakerBoard
 from ..resilience.retry import RetryPolicy, sleeper_for
 from .taxii import TaxiiServer
@@ -448,27 +448,15 @@ class SharingGateway:
         if not self._entities:
             return report
         plans, cache, _target = self.plan_cycle()
-        pool_size = max(1, min(self._workers, len(plans)))
-        self._m_pool.set(pool_size)
+        self._m_pool.set(pool_width(self._workers, len(plans)))
         # One log buffer per entity: workers stage records thread-locally,
         # the post-drain commit flushes them in registration order, so the
         # structured log is byte-identical at any worker count.
         buffers = [self._log.buffer() for _ in plans]
-        parent_span = self._tracer.capture()
-
-        def run_entity(plan: EntityCycle, buffer: LogBuffer) -> _EntityOutcome:
-            with self._tracer.attach(parent_span), \
-                    self._tracer.span("share_entity", entity=plan.entity.name):
-                return self._run_entity_cycle(plan, buffer)
-
-        if pool_size == 1:
-            outcomes = [run_entity(plan, buffer)
-                        for plan, buffer in zip(plans, buffers)]
-        else:
-            with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                futures = [pool.submit(run_entity, plan, buffer)
-                           for plan, buffer in zip(plans, buffers)]
-                outcomes = [future.result() for future in futures]
+        outcomes = ordered_map(
+            lambda pair: self._run_entity_cycle(*pair),
+            zip(plans, buffers), self._workers, self._tracer, "share_entity",
+            tags=lambda pair: {"entity": pair[0].entity.name})
         # Post-drain commit, serial and in registration order: backoff,
         # audit records, log records, lineage, ledger updates, quarantine,
         # telemetry.

@@ -18,7 +18,7 @@ from repro.core.decay import ScoreDecayEngine
 from repro.core.ioc import TAG_EIOC, THREAT_SCORE_COMMENT
 from repro.federation.fingerprint import store_fingerprint
 from repro.ids import content_uuid
-from repro.misp import InMemoryBackend, MispAttribute, MispEvent, MispStore
+from repro.misp import MispAttribute, MispEvent, MispStore
 from repro.obs import MetricsRegistry
 
 TS = dt.datetime(2026, 1, 1, tzinfo=dt.timezone.utc)
@@ -46,7 +46,7 @@ def scored_event(info="eioc", score=4.0, category="malware-domains",
 
 def build_store(clock):
     """Three scored events: one long-lived, one expired, one unscored."""
-    store = MispStore(backend=InMemoryBackend(), clock=clock)
+    store = MispStore(":memory:", clock=clock)
     fresh = scored_event(info="fresh", timestamp=clock.now())
     # malware-domains lifetime is 90 days; 100 days old => expired.
     stale = scored_event(
@@ -160,7 +160,7 @@ class TestDeferredPurgeConvergence:
 
         def drive(every_cycles):
             clock = SimulatedClock(start=start)
-            store = MispStore(backend=InMemoryBackend(), clock=clock)
+            store = MispStore(":memory:", clock=clock)
             decay = ScoreDecayEngine(clock=clock)
             stage = CompactionStage(store, decay=decay, clock=clock,
                                     every_cycles=every_cycles)

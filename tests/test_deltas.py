@@ -4,8 +4,9 @@ Three layers under test:
 
 - the storage conformance surface: ``changes_since`` (the raw audit feed,
   deletes included) and the ``rollup_state`` cursor table behave
-  identically on single-file SQLite, hash-sharded SQLite and in-memory
-  backends, and cursor persistence never perturbs federation fingerprints;
+  identically on a single-file SQLite store on disk or in memory and on
+  hash-sharded SQLite, and cursor persistence never perturbs federation
+  fingerprints;
 - ``core.deltas``: collapse semantics, consume-then-advance cursors,
   rollup refresh, and the RollupGroup single-read fast path;
 - the platform: incremental views equal their full-rescan reference
@@ -30,7 +31,7 @@ from repro.core.ioc import TAG_EIOC, THREAT_SCORE_COMMENT
 from repro.core.report import IntelReportBuilder
 from repro.dashboard.views import CorrelationGraphView, KeywordSummaryView
 from repro.federation.fingerprint import store_fingerprint
-from repro.misp import InMemoryBackend, MispAttribute, MispEvent, MispStore
+from repro.misp import MispAttribute, MispEvent, MispStore
 
 TS = dt.datetime(2026, 1, 1, tzinfo=dt.timezone.utc)
 
@@ -59,13 +60,13 @@ BACKENDS = ["sqlite", "sharded", "memory"]
 
 
 @pytest.fixture(params=BACKENDS)
-def store(request):
+def store(request, tmp_path):
     if request.param == "sqlite":
-        built = MispStore(":memory:")
+        built = MispStore(str(tmp_path / "store.db"))
     elif request.param == "sharded":
         built = MispStore(":memory:", shards=4)
     else:
-        built = MispStore(backend=InMemoryBackend())
+        built = MispStore(":memory:")
     yield built
     built.close()
 
@@ -146,7 +147,7 @@ def test_rollup_state_survives_reopen(tmp_path, shards):
 
 class TestCollapseChanges:
     def test_last_action_per_event_wins(self):
-        store = MispStore(backend=InMemoryBackend())
+        store = MispStore(":memory:")
         event = make_event()
         store.save_event(event)
         event.info = "v2"
@@ -158,7 +159,7 @@ class TestCollapseChanges:
         assert bool(batch)
 
     def test_delete_wins_and_recreate_wins_back(self):
-        store = MispStore(backend=InMemoryBackend())
+        store = MispStore(":memory:")
         gone, back = make_event(info="gone"), make_event(info="back")
         store.save_events([gone, back])
         store.delete_event(gone.uuid)
@@ -171,7 +172,7 @@ class TestCollapseChanges:
         assert set(batch.upserts).isdisjoint(batch.deleted)
 
     def test_ordering_is_last_seq_then_uuid(self):
-        store = MispStore(backend=InMemoryBackend())
+        store = MispStore(":memory:")
         events = [make_event(info=f"e{i}") for i in range(4)]
         store.save_events(events)
         events[0].info = "bump"
@@ -184,7 +185,7 @@ class TestCollapseChanges:
 
 class TestLoadDeltaEvents:
     def test_vanished_upsert_is_reported_deleted(self):
-        store = MispStore(backend=InMemoryBackend())
+        store = MispStore(":memory:")
         kept, racer = make_event(info="kept"), make_event(info="racer")
         store.save_events([kept, racer])
         batch = collapse_changes(store.changes_since(0))
@@ -198,7 +199,7 @@ class TestLoadDeltaEvents:
 
 class TestDeltaCursor:
     def test_read_does_not_advance(self):
-        store = MispStore(backend=InMemoryBackend())
+        store = MispStore(":memory:")
         store.save_event(make_event())
         cursor = DeltaCursor(store, "rollup:c")
         assert len(cursor.read()) == 1
@@ -206,14 +207,14 @@ class TestDeltaCursor:
         assert len(cursor.read()) == 1
 
     def test_advance_is_forward_only(self):
-        store = MispStore(backend=InMemoryBackend())
+        store = MispStore(":memory:")
         cursor = DeltaCursor(store, "rollup:c")
         cursor.advance(5)
         cursor.advance(3)
         assert cursor.position == 5
 
     def test_save_only_when_persistent_and_moved(self):
-        store = MispStore(backend=InMemoryBackend())
+        store = MispStore(":memory:")
         transient = DeltaCursor(store, "rollup:t", persistent=False)
         transient.advance(4)
         assert transient.save() is False
@@ -228,7 +229,7 @@ class TestDeltaCursor:
         assert store.get_rollup("rollup:d") == (4, '{"x": 2}')
 
     def test_persistent_cursor_restores_position_and_state(self):
-        store = MispStore(backend=InMemoryBackend())
+        store = MispStore(":memory:")
         store.set_rollup("rollup:d", 9, '{"x": 3}')
         cursor = DeltaCursor(store, "rollup:d", persistent=True)
         assert cursor.position == 9
@@ -257,7 +258,7 @@ class CountingRollup(StoreRollup):
 
 class TestStoreRollupAndGroup:
     def test_refresh_consumes_then_goes_quiet(self):
-        store = MispStore(backend=InMemoryBackend())
+        store = MispStore(":memory:")
         store.save_events([make_event(info=f"e{i}") for i in range(3)])
         rollup = CountingRollup(store, "rollup:count")
         assert rollup.refresh() == 3
@@ -266,7 +267,7 @@ class TestStoreRollupAndGroup:
         assert rollup.refresh() == 0
 
     def test_deletes_flow_through_refresh(self):
-        store = MispStore(backend=InMemoryBackend())
+        store = MispStore(":memory:")
         event = make_event()
         store.save_event(event)
         rollup = CountingRollup(store, "rollup:count")
@@ -276,7 +277,7 @@ class TestStoreRollupAndGroup:
         assert rollup.retired == [event.uuid]
 
     def test_aligned_group_shares_one_feed_read(self):
-        store = MispStore(backend=InMemoryBackend())
+        store = MispStore(":memory:")
         group = RollupGroup(store)
         a = group.add(CountingRollup(store, "rollup:a"))
         b = group.add(CountingRollup(store, "rollup:b"))
@@ -289,7 +290,7 @@ class TestStoreRollupAndGroup:
         assert store.sql_statements - before == 1
 
     def test_misaligned_members_realign(self):
-        store = MispStore(backend=InMemoryBackend())
+        store = MispStore(":memory:")
         group = RollupGroup(store)
         early = group.add(CountingRollup(store, "rollup:early"))
         store.save_event(make_event(info="first"))
@@ -301,7 +302,7 @@ class TestStoreRollupAndGroup:
         assert early.position == late.position == store.max_audit_seq()
 
     def test_persistent_rollup_checkpoints_and_resumes(self):
-        store = MispStore(backend=InMemoryBackend())
+        store = MispStore(":memory:")
         store.save_events([make_event(info=f"e{i}") for i in range(3)])
         rollup = CountingRollup(store, "rollup:p", persistent=True)
         rollup.refresh()
@@ -312,7 +313,7 @@ class TestStoreRollupAndGroup:
         assert resumed.refresh() == 0
 
     def test_payload_counter_stays_flat_on_quiet_refresh(self):
-        store = MispStore(backend=InMemoryBackend())
+        store = MispStore(":memory:")
         store.save_events([make_event(info=f"e{i}") for i in range(3)])
         rollup = CountingRollup(store, "rollup:count")
         rollup.refresh()
@@ -327,7 +328,7 @@ class TestIncrementalViewEquivalence:
     updates and deletes."""
 
     def _correlated_store(self):
-        store = MispStore(backend=InMemoryBackend())
+        store = MispStore(":memory:")
         pool = [f"d{k}.example" for k in range(4)]
         events = [make_event(info=f"event {i}",
                              values=(pool[i % 4], pool[(i + 1) % 4]))
@@ -357,7 +358,7 @@ class TestIncrementalViewEquivalence:
         assert view.hubs() == fresh.hubs()
 
     def test_keyword_view_tracks_updates_and_deletes(self):
-        store = MispStore(backend=InMemoryBackend())
+        store = MispStore(":memory:")
         noisy = make_event(info="ransomware phishing campaign")
         quiet = make_event(info="benign change window")
         store.save_events([noisy, quiet])
@@ -371,7 +372,7 @@ class TestIncrementalViewEquivalence:
         assert view.render() == fresh.render()
 
     def test_incremental_report_equals_windowed_scan(self):
-        store = MispStore(backend=InMemoryBackend())
+        store = MispStore(":memory:")
         clock_now = TS + dt.timedelta(days=3)
         from repro.clock import SimulatedClock
         clock = SimulatedClock(start=clock_now)

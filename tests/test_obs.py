@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.obs import MetricsRegistry, SCORE_BUCKETS, Span, Tracer
+from repro.parallel import ordered_map
 
 
 class TestCounter:
@@ -226,6 +227,20 @@ class TestTracer:
         assert set(totals) == {"cycle", "fetch"}
         assert totals["fetch"] >= 0.0
 
+    def test_flatten_reports_work_spans_apart(self):
+        tracer = Tracer()
+        with tracer.span("cycle"):
+            with tracer.span("enrich"):
+                for _ in range(2):
+                    with tracer.span("score_event") as span:
+                        span.work = True
+                        with tracer.span("lookup"):
+                            pass
+        totals = tracer.last_trace().flatten()
+        # Work spans, and everything beneath them, sum under ".work".
+        assert set(totals) == {"cycle", "enrich", "score_event.work",
+                               "lookup.work"}
+
     def test_disabled_tracer_yields_none_and_records_nothing(self):
         tracer = Tracer(enabled=False)
         with tracer.span("cycle") as span:
@@ -388,6 +403,84 @@ class TestWorkerPoolSpans:
             with tracer.span("root"):
                 pass
         assert tracer.last_trace().name == "root"
+
+    def test_stage_timings_never_exceed_the_cycle(self):
+        # Worker time is reported under ".work" keys; every other key is
+        # coordinating-thread wall time and so fits inside the cycle.
+        platform = self.build(workers=4)
+        timings = platform.run_cycle().timings
+        assert "score_event.work" in timings
+        assert "score_event" not in timings
+        for name, seconds in timings.items():
+            if not name.endswith(".work"):
+                assert seconds <= timings["cycle"], name
+
+    def test_timing_keys_do_not_depend_on_worker_count(self):
+        def keys(workers):
+            return set(self.build(workers).run_cycle().timings)
+
+        assert keys(1) == keys(4)
+
+
+class TestOrderedMap:
+    """The one worker pool behind fetch, enrich and share."""
+
+    def test_results_keep_input_order_under_reversed_completion(self):
+        # Item i waits for item i+1, so the last item finishes first.
+        done = [threading.Event() for _ in range(4)]
+        finished = []
+
+        def work(index):
+            if index + 1 < len(done):
+                assert done[index + 1].wait(timeout=5)
+            finished.append(index)
+            done[index].set()
+            return index * 10
+
+        assert ordered_map(work, range(4), workers=4) == [0, 10, 20, 30]
+        assert finished == [3, 2, 1, 0]
+
+    def test_earliest_failing_item_is_reraised(self):
+        # Item 4 fails before item 2 does; item 2's error still wins.
+        failed_late = threading.Event()
+
+        def work(index):
+            if index == 2:
+                assert failed_late.wait(timeout=5)
+                raise ValidationError("item 2")
+            if index == 4:
+                failed_late.set()
+                raise ValidationError("item 4")
+            return index
+
+        with pytest.raises(ValidationError, match="item 2"):
+            ordered_map(work, range(6), workers=6)
+
+    @pytest.mark.parametrize("workers, count", [(1, 5), (4, 1)])
+    def test_one_worker_runs_serially_on_the_caller(self, workers, count):
+        threads = ordered_map(lambda _: threading.get_ident(), range(count),
+                              workers=workers)
+        assert threads == [threading.get_ident()] * count
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_spans_nest_under_the_captured_parent(self, workers):
+        tracer = Tracer()
+        with tracer.span("cycle"):
+            with tracer.span("stage"):
+                ordered_map(lambda item: item, ["a", "b", "c"], workers,
+                            tracer=tracer, span_name="task",
+                            tags=lambda item: {"item": item})
+        assert [span.name for span in tracer.traces] == ["cycle"]
+        stage = tracer.last_trace().find("stage")
+        tasks = stage.children
+        assert [span.name for span in tasks] == ["task"] * 3
+        assert sorted(span.tags["item"] for span in tasks) == ["a", "b", "c"]
+        assert all(span.work for span in tasks)
+        assert set(tracer.last_trace().flatten()) == {
+            "cycle", "stage", "task.work"}
+
+    def test_empty_input(self):
+        assert ordered_map(lambda item: item, [], workers=4) == []
 
 
 class TestCardinalityGuard:

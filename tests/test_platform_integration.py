@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ContextAwareOSINTPlatform, PlatformConfig, is_eioc, threat_score_of
 from repro.dashboard import render_html, render_topology
+from repro.errors import ReproError
 from repro.infra import Severity
 from repro.misp import MispInstance
 from repro.sharing import ExternalEntity, SharingGateway, SiemConnector
@@ -94,3 +95,96 @@ class TestDownstreamIntegration:
         # Peer received the threat score attribute intact.
         received = peer.store.get_event(peer.store.list_events()[0].uuid)
         assert threat_score_of(received) is not None
+
+
+STAGE_ORDER = ["sense", "collect", "enrich", "reduce", "push", "share",
+               "compact", "rollup", "fanout"]
+
+#: stage -> (collaborator attribute, method) the stage calls every cycle.
+STAGE_COLLABORATORS = {
+    "sense": ("sensors", "tick"),
+    "collect": ("osint_collector", "collect"),
+    "enrich": ("heuristics", "process_pending"),
+    "reduce": ("rioc_generator", "generate"),
+    "push": ("dashboard", "push_rioc"),
+    "share": ("gateway", "sync_cycle"),
+    "compact": ("compaction", "maybe_run"),
+    "rollup": ("rollups", "refresh"),
+    "fanout": ("dashboard", "flush_fanout"),
+}
+
+
+def sharing_platform():
+    """A small platform with one sharing partner, so every stage runs."""
+    platform = ContextAwareOSINTPlatform.build_default(
+        PlatformConfig(seed=13, feed_entries=20, sensor_alarm_rate=0.3))
+    platform.gateway.register(ExternalEntity(
+        name="partner", transport="misp",
+        misp_instance=MispInstance(org="Partner")))
+    return platform
+
+
+class TestStageTable:
+    def test_stage_order_matches_the_table(self):
+        assert [stage.name for stage in ContextAwareOSINTPlatform.STAGES] \
+            == STAGE_ORDER
+        platform = sharing_platform()
+        platform.run_cycle()
+        spans = [span.name for span in platform.tracer.last_trace().children]
+        assert spans == STAGE_ORDER
+
+    def test_health_rows_follow_the_table(self, platform):
+        rows = [component.component
+                for component in platform.health().components
+                if component.component.startswith("stage:")]
+        assert rows == ["stage:sense", "stage:collect", "stage:store",
+                        "stage:enrich", "stage:reduce", "stage:push",
+                        "stage:share", "stage:compact", "stage:rollup",
+                        "stage:fanout"]
+
+    @pytest.mark.parametrize("stage", STAGE_ORDER)
+    def test_every_stage_is_isolated(self, stage):
+        platform = sharing_platform()
+        owner, method = STAGE_COLLABORATORS[stage]
+
+        def fail(*_args, **_kwargs):
+            raise ReproError(f"{stage} is down")
+
+        setattr(getattr(platform, owner), method, fail)
+        report = platform.run_cycle()
+        assert report.stage_errors == {stage: f"{stage} is down"}
+        spans = platform.tracer.last_trace().children
+        assert [span.name for span in spans] == STAGE_ORDER
+        failed = STAGE_ORDER.index(stage)
+        assert spans[failed].error
+        assert not any(span.error for span in spans[failed + 1:])
+        health = {component.component: component.status
+                  for component in platform.health().components}
+        assert health[f"stage:{stage}"] == "degraded"
+
+    def test_collaborator_replaced_after_build_is_called(self):
+        platform = ContextAwareOSINTPlatform.build_default(
+            PlatformConfig(seed=13, feed_entries=12))
+        calls = []
+        original = platform.heuristics.process_pending
+
+        def traced():
+            calls.append("process_pending")
+            return original()
+
+        platform.heuristics.process_pending = traced
+        report = platform.run_cycle()
+        assert calls == ["process_pending"]
+        assert report.eiocs_created > 0
+
+    def test_cycle_end_record_is_the_report_record(self):
+        platform = ContextAwareOSINTPlatform.build_default(
+            PlatformConfig(seed=13, feed_entries=12))
+        report = platform.run_cycle()
+        end = [record for record in platform.log.records()
+               if record["event"] == "cycle_end"][-1]
+        assert {key: end[key] for key in report.to_record()} \
+            == report.to_record()
+        assert report.idle is False
+        assert platform.slo.timeseries.latest("eiocs_created") \
+            == report.eiocs_created

@@ -161,7 +161,7 @@ class TestPlatformLineage:
         assert {"enriched-by", "scored"} <= kinds
 
     def test_provenance_disabled_records_nothing(self):
-        platform = self.build(provenance_enabled=False)
+        platform = self.build(metrics_enabled=False)
         platform.run_cycle()
         assert platform.misp.store.provenance_count() == 0
         assert not platform.provenance.enabled

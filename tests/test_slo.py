@@ -199,7 +199,7 @@ class TestPlatformSlo:
 
     def test_slo_disabled_skips_engine_and_health_rows(self):
         platform = ContextAwareOSINTPlatform.build_default(
-            PlatformConfig(feed_entries=12, slo_enabled=False))
+            PlatformConfig(feed_entries=12, metrics_enabled=False))
         platform.run_cycle()
         assert platform.slo is None
         assert not any(component.component.startswith("slo:")

@@ -1,10 +1,11 @@
 """Backend conformance suite for the pluggable MISP storage layer.
 
-One set of behavioural tests runs against every backend — single-file
-SQLite, hash-sharded SQLite (×4) and in-memory — plus cross-backend
-equivalence tests asserting that shard counts {1, 4, 16} (and the
-in-memory backend) produce byte-identical audit history, correlation
-graphs, sync ledgers and lineage for the same operation sequence.
+One set of behavioural tests runs against every layout — a single-file
+SQLite store on disk, hash-sharded SQLite (×4) and a single-file store in
+memory — plus cross-backend equivalence tests asserting that shard counts
+{1, 4, 16}, on disk or in memory, produce byte-identical audit history,
+correlation graphs, sync ledgers and lineage for the same operation
+sequence.
 """
 
 import datetime as dt
@@ -15,7 +16,6 @@ import pytest
 
 from repro.errors import StorageError
 from repro.misp import (
-    InMemoryBackend,
     MispAttribute,
     MispEvent,
     MispStore,
@@ -75,13 +75,13 @@ BACKENDS = ["sqlite", "sharded", "memory"]
 
 
 @pytest.fixture(params=BACKENDS)
-def store(request):
+def store(request, tmp_path):
     if request.param == "sqlite":
-        built = MispStore(":memory:")
+        built = MispStore(str(tmp_path / "store.db"))
     elif request.param == "sharded":
         built = MispStore(":memory:", shards=4)
     else:
-        built = MispStore(backend=InMemoryBackend())
+        built = MispStore(":memory:")
     yield built
     built.close()
 
@@ -312,11 +312,6 @@ class TestQueryPlan:
         finally:
             built.close()
 
-    def test_memory_backend_has_no_planner(self):
-        built = MispStore(backend=InMemoryBackend())
-        with pytest.raises(StorageError):
-            built.query_plan("SELECT 1")
-
 
 #: One corpus template shared by every equivalence run, so all backends
 #: see the same uuids and the fingerprints are comparable byte for byte.
@@ -386,15 +381,16 @@ def state_fingerprint(store, corpus, pool):
 class TestCrossBackendEquivalence:
     """The determinism tentpole: every backend, byte-identical state."""
 
-    def test_shard_counts_and_backends_agree(self):
+    def test_shard_counts_and_backends_agree(self, tmp_path):
         fingerprints = {}
-        for label, kwargs in [
-                ("single", {"shards": 1}),
-                ("sharded-4", {"shards": 4}),
-                ("sharded-16", {"shards": 16}),
-                ("memory", {"backend": InMemoryBackend()}),
+        for label, path, shards in [
+                ("single", ":memory:", 1),
+                ("sharded-4", ":memory:", 4),
+                ("sharded-16", ":memory:", 16),
+                ("single-file", str(tmp_path / "single.db"), 1),
+                ("sharded-file", str(tmp_path / "sharded.db"), 4),
         ]:
-            built = MispStore(":memory:", **kwargs)
+            built = MispStore(path, shards=shards)
             corpus, pool = run_scenario(built)
             fingerprints[label] = state_fingerprint(built, corpus, pool)
             built.close()

@@ -160,8 +160,7 @@ class TestPlatformLogStream:
         assert serial.log.to_jsonl() == pooled.log.to_jsonl()
 
     def test_structured_log_disabled_leaves_stream_empty(self):
-        config = PlatformConfig(feed_entries=12,
-                                structured_log_enabled=False)
+        config = PlatformConfig(feed_entries=12, metrics_enabled=False)
         platform = ContextAwareOSINTPlatform.build_default(config)
         platform.run_cycle()
         assert platform.log.records() == []
