@@ -1,4 +1,4 @@
-.PHONY: install test coverage bench bench-timing bench-ingest bench-enrich bench-share bench-store bench-idle bench-federation bench-fanout chaos examples metrics-demo obs-demo lint-metrics verify clean
+.PHONY: install test coverage bench bench-timing bench-ingest bench-enrich bench-share bench-store bench-idle bench-federation bench-fanout chaos tables examples metrics-demo obs-demo lint-metrics verify clean
 
 install:
 	pip install -e . || python setup.py develop

@@ -123,7 +123,9 @@ def state_fingerprint(store, events):
         "history": {uuid: store.event_history(uuid) for uuid in sample},
         "correlations": {uuid: store.correlations_for_event(uuid)
                          for uuid in sample},
-        "changed_tail": store.events_changed_since(0)[-50:],
+        "feed_tail": [(change.seq, change.event_uuid, change.action,
+                       change.logged_at)
+                      for change in store.changes_since(0)[-50:]],
         "watermarks": store.sync_watermarks(),
         "digests": store.get_sync_digests("partner-0", uuids[:50]),
         "search": {value: store.search_value(value) for value in POOL[:20]},

@@ -535,22 +535,29 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"caop {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    run = subparsers.add_parser("run", help="run platform cycles")
-    run.add_argument("--cycles", type=int, default=3)
-    run.add_argument("--seed", type=int, default=7)
-    run.add_argument("--entries", type=int, default=60,
-                     help="entries per synthetic feed")
+    # The simulated-cycle options `run` and `metrics` share.
+    cycle_options = argparse.ArgumentParser(add_help=False)
+    cycle_options.add_argument("--cycles", type=int, default=3)
+    cycle_options.add_argument("--seed", type=int, default=7)
+    cycle_options.add_argument("--entries", type=int, default=60,
+                               help="entries per synthetic feed")
+    cycle_options.add_argument(
+        "--fetch-workers", type=int, default=4,
+        help="worker threads for the feed-fetch stage")
+    cycle_options.add_argument(
+        "--share-workers", type=int, default=4,
+        help="worker threads for the sharing fan-out")
+    cycle_options.add_argument(
+        "--enrich-workers", type=int, default=4,
+        help="worker threads for the heuristic scoring stage")
+
+    run = subparsers.add_parser("run", help="run platform cycles",
+                                parents=[cycle_options])
     run.add_argument("--drop-irrelevant", action="store_true",
                      help="filter irrelevant news via the NLP classifier")
-    run.add_argument("--fetch-workers", type=int, default=4,
-                     help="worker threads for the feed-fetch stage")
-    run.add_argument("--share-workers", type=int, default=4,
-                     help="worker threads for the sharing fan-out")
     run.add_argument("--share-entities", type=int, default=0,
                      help="register N in-process TAXII partner entities "
                           "and share eIoCs to them each cycle")
-    run.add_argument("--enrich-workers", type=int, default=4,
-                     help="worker threads for the heuristic scoring stage")
     run.add_argument("--store", default=None,
                      help="persist the MISP store to this SQLite file")
     run.add_argument("--compact-every", type=int, default=25,
@@ -581,17 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     metrics = subparsers.add_parser(
         "metrics",
-        help="run simulated cycles and print the platform telemetry")
-    metrics.add_argument("--cycles", type=int, default=3)
-    metrics.add_argument("--seed", type=int, default=7)
-    metrics.add_argument("--entries", type=int, default=60,
-                         help="entries per synthetic feed")
-    metrics.add_argument("--fetch-workers", type=int, default=4,
-                         help="worker threads for the feed-fetch stage")
-    metrics.add_argument("--share-workers", type=int, default=4,
-                         help="worker threads for the sharing fan-out")
-    metrics.add_argument("--enrich-workers", type=int, default=4,
-                         help="worker threads for the heuristic scoring stage")
+        help="run simulated cycles and print the platform telemetry",
+        parents=[cycle_options])
     metrics.add_argument("--format", choices=("prometheus", "json", "both"),
                          default="both",
                          help="exposition format(s) to print")

@@ -1,17 +1,18 @@
 """Change-feed consumption: persisted cursors and materialized rollups.
 
-PR 5 proved the delta pattern for sharing (per-entity audit-seq watermark +
-digest ledger → steady-state sync shares nothing).  This module generalizes
-that idiom so *any* derived structure — dashboard views, geo aggregation,
-intel-report summaries — can consume the store's change feed instead of
-re-scanning stored state every cycle:
+The store's change feed (:meth:`~repro.misp.MispStore.changes_since`) is
+the one answer to "which events changed after position P, and in what
+order".  Every derived structure — dashboard views, geo aggregation,
+intel-report summaries, and the sharing gateway's per-entity delta sync —
+consumes it instead of re-scanning stored state every cycle:
 
 - :class:`DeltaCursor` — a named position into the audit-seq change feed,
   optionally persisted in the store's ``rollup_state`` table (deliberately
   separate from ``sync_state`` so federation fingerprints, which fold sync
   watermarks, never see local view-maintenance progress).
 - :func:`collapse_changes` — fold raw feed rows into one action per event
-  (the last one wins), split into upserts and deletes.
+  (the last one wins), split into upserts and deletes, with each upsert's
+  last seq (what the sharing gateway filters entity watermarks against).
 - :class:`StoreRollup` — base class for incrementally-maintained
   materialized views: ``refresh()`` reads the feed once, batch-loads only
   the changed events, and hands them to the subclass's ``apply_delta``.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..misp.model import MispEvent
 from ..misp.store import MispStore, StoreChange
@@ -41,14 +42,15 @@ class DeltaBatch:
     """One feed read collapsed to net effects, in deterministic order.
 
     ``upserts`` and ``deleted`` each hold event uuids ordered by
-    ``(last_change_seq, uuid)`` — the same total order
-    ``events_changed_since`` uses — and are disjoint: an event created and
-    deleted inside the window appears only in ``deleted``.
+    ``(last_change_seq, uuid)`` and are disjoint: an event created and
+    deleted inside the window appears only in ``deleted``.  ``last_seqs``
+    maps every upserted uuid to its last change seq in the window.
     """
 
     last_seq: int = 0
     upserts: List[str] = field(default_factory=list)
     deleted: List[str] = field(default_factory=list)
+    last_seqs: Dict[str, int] = field(default_factory=dict)
 
     def __bool__(self) -> bool:
         return bool(self.upserts or self.deleted)
@@ -68,8 +70,12 @@ def collapse_changes(changes: Sequence[StoreChange]) -> DeltaBatch:
         last[change.event_uuid] = (change.seq, change.action)
     ordered = sorted(last.items(), key=lambda kv: (kv[1][0], kv[0]))
     batch = DeltaBatch(last_seq=top)
-    for uuid, (_seq, action) in ordered:
-        (batch.deleted if action == "deleted" else batch.upserts).append(uuid)
+    for uuid, (seq, action) in ordered:
+        if action == "deleted":
+            batch.deleted.append(uuid)
+        else:
+            batch.upserts.append(uuid)
+            batch.last_seqs[uuid] = seq
     return batch
 
 
@@ -99,10 +105,11 @@ def load_delta_events(store: MispStore, batch: DeltaBatch
 class DeltaCursor:
     """A named, optionally persisted position in the store's change feed.
 
-    The in-memory generalization of PR 5's ``sync_state`` watermark: reads
-    never advance the cursor implicitly (consume-then-advance keeps crash
-    semantics at-least-once), and ``save()`` persists position + an opaque
-    state blob to ``rollup_state`` only when something actually moved.
+    Reads never advance the cursor implicitly (consume-then-advance keeps
+    crash semantics at-least-once), and ``save()`` persists position + an
+    opaque state blob to ``rollup_state`` only when something actually
+    moved.  Unlike a sharing watermark, which holds at the first failed
+    share, a rollup cursor always advances to the end of what it read.
     """
 
     def __init__(self, store: MispStore, name: str,
@@ -124,11 +131,9 @@ class DeltaCursor:
         """The state blob persisted alongside the position ('' if none)."""
         return self._saved_state
 
-    def read(self, until_seq: Optional[int] = None,
-             limit: Optional[int] = None) -> List[StoreChange]:
+    def read(self) -> List[StoreChange]:
         """Feed rows past the cursor; does NOT advance it."""
-        return self.store.changes_since(
-            self.position, until_seq=until_seq, limit=limit)
+        return self.store.changes_since(self.position)
 
     def advance(self, seq: int) -> None:
         """Move the cursor forward (never backward) after consuming."""
@@ -170,9 +175,9 @@ class StoreRollup:
     def position(self) -> int:
         return self.cursor.position
 
-    def refresh(self, until_seq: Optional[int] = None) -> int:
+    def refresh(self) -> int:
         """Consume everything past the cursor; returns feed rows consumed."""
-        changes = self.cursor.read(until_seq=until_seq)
+        changes = self.cursor.read()
         if not changes:
             return 0
         batch = collapse_changes(changes)

@@ -82,18 +82,16 @@ def build_offer(node: "FederationNode", dst: str) -> Dict[str, Dict[str, Any]]:
 def handle_offer(node: "FederationNode", src: str,
                  payload: Dict[str, Any]) -> Dict[str, Any]:
     """The receiver half: decide which offered uuids to request."""
-    want: List[str] = []
     from .node import prefers_incoming
 
-    for uuid in sorted(payload.get("offer", {})):
-        meta = payload["offer"][uuid]
-        stored = node.misp.store.get_event(uuid) \
-            if node.misp.store.has_event(uuid) else None
-        if stored is None:
-            want.append(uuid)
-            continue
-        if prefers_incoming(int(meta["ts"]), meta["digest"],
-                            _epoch(stored.timestamp), event_digest(stored)):
+    offer = payload.get("offer", {})
+    held = node.misp.store.get_events(sorted(offer))
+    want: List[str] = []
+    for uuid, stored in held.items():
+        meta = offer[uuid]
+        if stored is None or prefers_incoming(
+                int(meta["ts"]), meta["digest"],
+                _epoch(stored.timestamp), event_digest(stored)):
             want.append(uuid)
     return {"want": want}
 
@@ -132,7 +130,8 @@ def reconcile(node: "FederationNode", dst: str) -> Dict[str, int]:
             repaired += 1
             # The same ledger entry an ordinary successful sync writes:
             # the canonical digest of the *local* event.
-            node.gateway.ledger.record_success(dst, event)
+            node.misp.store.set_sync_digests(
+                dst, {uuid: event_digest(event)})
             if node.provenance.enabled:
                 node.provenance.record(
                     "shared-to", uuid, actor="anti-entropy",

@@ -198,20 +198,15 @@ class StorageBackend:
     def max_audit_seq(self) -> int:
         raise NotImplementedError
 
-    def events_changed_since(self, after_seq: int,
-                             until_seq: Optional[int] = None
-                             ) -> List[Tuple[str, int]]:
-        raise NotImplementedError
-
     def changes_since(self, after_seq: int,
-                      until_seq: Optional[int] = None,
-                      limit: Optional[int] = None
+                      until_seq: Optional[int] = None
                       ) -> List[Tuple[int, str, str, int]]:
-        """Raw audit rows ``(seq, event_uuid, action, logged_at)`` after
-        ``after_seq``, ordered by seq ascending.
+        """Raw audit rows ``(seq, event_uuid, action, logged_at)`` in
+        ``(after_seq, until_seq]``, ordered by seq ascending.
 
-        Unlike :meth:`events_changed_since` this keeps ``deleted`` actions,
-        so change-feed consumers can retire state for purged events.
+        The store's one change feed: ``deleted`` actions are kept, so
+        consumers (rollups, the sharing gateway) can retire state for
+        purged events.
         """
         raise NotImplementedError
 

@@ -256,8 +256,8 @@ class CatalogOps:
     Both SQLite backends keep these global, strictly-ordered tables in one
     database — the single-file backend in its only file, the sharded
     backend in its catalog — so the method bodies are identical given
-    ``self._cat``.  ``events_changed_since`` filters deleted events through
-    the concrete backend's :meth:`existing_events`.
+    ``self._cat``.  The audit log is read as one change feed
+    (:meth:`changes_since`); no method here touches per-shard event rows.
     """
 
     _cat: CountingConnection
@@ -280,26 +280,8 @@ class CatalogOps:
             "SELECT MAX(seq) FROM audit_log").fetchone()
         return int(row[0]) if row and row[0] is not None else 0
 
-    def events_changed_since(self, after_seq: int,
-                             until_seq: Optional[int] = None
-                             ) -> List[Tuple[str, int]]:
-        query = ("SELECT event_uuid, MAX(seq) AS last_seq FROM audit_log"
-                 " WHERE seq > ?")
-        params: List[Any] = [int(after_seq)]
-        if until_seq is not None:
-            query += " AND seq <= ?"
-            params.append(int(until_seq))
-        query += " GROUP BY event_uuid"
-        rows = self._cat.execute(query, params).fetchall()
-        # Deleted events drop out: keep only uuids that still exist.
-        alive = self.existing_events([row[0] for row in rows])
-        changed = [(row[0], int(row[1])) for row in rows if row[0] in alive]
-        changed.sort(key=lambda pair: (pair[1], pair[0]))
-        return changed
-
     def changes_since(self, after_seq: int,
-                      until_seq: Optional[int] = None,
-                      limit: Optional[int] = None
+                      until_seq: Optional[int] = None
                       ) -> List[Tuple[int, str, str, int]]:
         query = ("SELECT seq, event_uuid, action, logged_at FROM audit_log"
                  " WHERE seq > ?")
@@ -308,14 +290,8 @@ class CatalogOps:
             query += " AND seq <= ?"
             params.append(int(until_seq))
         query += " ORDER BY seq"
-        if limit is not None:
-            query += " LIMIT ?"
-            params.append(int(limit))
         rows = self._cat.execute(query, params).fetchall()
         return [(int(r[0]), r[1], r[2], int(r[3])) for r in rows]
-
-    def existing_events(self, uuids: Sequence[str]) -> Set[str]:
-        raise NotImplementedError
 
     # -- rollup cursors -------------------------------------------------------
 

@@ -29,11 +29,13 @@ correlatable value of a batch with chunked ``IN (...)`` queries sized by the
 shared bound-variable budget.  ``sql_statements`` counts Python→storage
 round trips so benchmarks can prove the batched path issues fewer of them.
 
-The store also persists the sharing gateway's delta-sync ledger
-(``sync_state``/``sync_digests``): a per-entity audit-seq watermark plus the
-content digest last successfully shared with each entity, so a sync cycle
-touches only events that are new or changed since that entity's last
-successful sync (docs/SHARING.md).
+The audit log doubles as the store's one change feed
+(:meth:`MispStore.changes_since`), which the rollups and the sharing
+gateway both consume.  The store also persists the gateway's delta-sync
+ledger (``sync_state``/``sync_digests``): a per-entity audit-seq watermark
+plus the content digest last successfully shared with each entity, so a
+sync cycle touches only events that are new or changed since that entity's
+last successful sync (docs/SHARING.md).
 """
 
 from __future__ import annotations
@@ -65,10 +67,11 @@ class StoreChange:
     """One audit-log row viewed as a change-feed entry.
 
     ``seq`` is the store's monotonic cursor; ``action`` is one of
-    ``created`` / ``updated`` / ``enriched`` / ``deleted``.  Unlike
-    :meth:`MispStore.events_changed_since`, the change feed keeps
-    ``deleted`` rows so incremental consumers can retire state for
-    purged events instead of silently never hearing about them.
+    ``created`` / ``updated`` / ``enriched`` / ``deleted``.  The feed keeps
+    ``deleted`` rows so incremental consumers can retire state for purged
+    events instead of silently never hearing about them;
+    :func:`~repro.core.deltas.collapse_changes` folds a window of rows into
+    live upserts (with their last seq) and deletes.
     """
 
     seq: int
@@ -366,34 +369,24 @@ class MispStore:
         The audit sequence is the store's monotonic change cursor: every
         save/enrich/delete lands one row, so "what changed since seq S" is a
         complete delta regardless of whether the edit bumped the event's own
-        timestamp.  The sharing gateway scans against this cursor.
+        timestamp.  The sharing gateway closes each cycle's feed window here.
         """
         return self.backend.max_audit_seq()
 
-    def events_changed_since(self, after_seq: int,
-                             until_seq: Optional[int] = None
-                             ) -> List[Tuple[str, int]]:
-        """Events touched by audit rows in ``(after_seq, until_seq]``.
-
-        Returns ``(event_uuid, last_change_seq)`` pairs ordered by that last
-        change (then uuid, for a total deterministic order).  Deleted events
-        drop out naturally: only uuids still stored are reported.
-        """
-        return self.backend.events_changed_since(after_seq, until_seq)
-
     def changes_since(self, after_seq: int,
-                      until_seq: Optional[int] = None,
-                      limit: Optional[int] = None) -> List[StoreChange]:
-        """The store's change feed: audit rows after ``after_seq``.
+                      until_seq: Optional[int] = None) -> List[StoreChange]:
+        """The store's change feed: audit rows in ``(after_seq, until_seq]``.
 
-        Returns :class:`StoreChange` entries ordered by ``seq`` ascending —
-        including ``deleted`` actions, which :meth:`events_changed_since`
-        filters out.  One cheap query (no ``IN`` lists, no payloads) that
-        costs nothing when nothing changed; incremental rollups poll it
-        with a persisted :class:`~repro.core.deltas.DeltaCursor`.
+        Returns :class:`StoreChange` entries ordered by ``seq`` ascending,
+        ``deleted`` actions included.  One cheap query (no ``IN`` lists, no
+        payloads) that costs nothing when nothing changed.  Incremental
+        rollups poll it with a persisted
+        :class:`~repro.core.deltas.DeltaCursor`; the sharing gateway reads
+        it once per cycle from its lowest entity watermark up to the
+        cycle's :meth:`max_audit_seq`.
         """
-        return [StoreChange(*row) for row in self.backend.changes_since(
-            after_seq, until_seq=until_seq, limit=limit)]
+        return [StoreChange(*row)
+                for row in self.backend.changes_since(after_seq, until_seq)]
 
     # -- rollup cursors -------------------------------------------------------
 

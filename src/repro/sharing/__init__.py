@@ -9,7 +9,6 @@ from .sync import (
     RenderCache,
     RenderedPayload,
     ShareCycleReport,
-    SyncLedger,
     digest_matches,
     event_digest,
     terminal_digest,
@@ -25,7 +24,6 @@ __all__ = [
     "RenderedPayload",
     "ShareCycleReport",
     "SharingPolicy",
-    "SyncLedger",
     "Tlp",
     "digest_matches",
     "event_digest",

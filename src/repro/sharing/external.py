@@ -16,8 +16,9 @@ Two share paths exist:
 - :meth:`SharingGateway.share_event` — the historical one-event broadcast
   (serial, immediate);
 - :meth:`SharingGateway.sync_cycle` — the scalable path: a **delta sync**
-  over the store's audit cursor (per-entity watermark + content-digest
-  ledger in :class:`~repro.misp.MispStore`), payloads rendered once per
+  over the store's change feed (one read per cycle, filtered by each
+  entity's watermark; per-entity watermark + content-digest ledger in
+  :class:`~repro.misp.MispStore`), payloads rendered once per
   cycle through a :class:`~repro.sharing.sync.RenderCache`, and the
   per-entity fan-out run on a bounded thread pool with circuit breakers,
   deterministic retry backoff and dead-letter quarantine.  Any worker count
@@ -29,11 +30,11 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..clock import Clock, SimulatedClock
+from ..core.deltas import collapse_changes
 from ..errors import SharingError
 from ..misp import MispEvent, MispInstance
 from ..misp.store import BATCH_SIZE_BUCKETS
@@ -65,7 +66,6 @@ from .sync import (
     RenderCache,
     RenderedPayload,
     ShareCycleReport,
-    SyncLedger,
     digest_matches,
     event_digest,
     terminal_digest,
@@ -190,7 +190,6 @@ class SharingGateway:
             sleeper_for("virtual", self._clock)
         self.fault_injector = fault_injector
         self._realtime = realtime
-        self.ledger = SyncLedger(local_misp.store)
         self.audit_log: List[SharingRecord] = []
         #: Serializes every transport touch of the local instance and of
         #: shared remote endpoints (MISP peer stores are SQLite connections;
@@ -272,7 +271,8 @@ class SharingGateway:
                                      trace=self._share_trace(
                                          entity, event.uuid, trace_cache))
             if record.ok:
-                self.ledger.record_success(entity.name, event, digest)
+                self._misp.store.set_sync_digests(
+                    entity.name, {event.uuid: digest})
             records.append(record)
         self.audit_log.extend(records)
         return records
@@ -381,41 +381,42 @@ class SharingGateway:
 
     # -- delta-sync fan-out ----------------------------------------------------
 
-    def plan_cycle(self) -> Tuple[List[EntityCycle], RenderCache, int]:
+    def plan_cycle(self) -> Tuple[List[EntityCycle], RenderCache]:
         """Build every entity's delta plan and pre-render the payloads.
 
         Runs entirely on the calling thread (all local-store reads happen
-        here): scans each entity's candidates from its watermark up to the
-        store's current audit cursor, drops digest-unchanged candidates,
-        applies the sharing policy, and renders each needed payload once
-        through the returned :class:`RenderCache`.
+        here): reads the store's change feed once, from the lowest entity
+        watermark up to the current audit cursor, and collapses it to live
+        upserts.  Each entity's candidates are the upserts whose last seq
+        is above its own watermark, in ``(last seq, uuid)`` order; digest-
+        unchanged candidates are dropped, the sharing policy is applied,
+        and each needed payload is rendered once through the returned
+        :class:`RenderCache`.
         """
-        target_seq = self.ledger.cursor()
+        store = self._misp.store
+        target_seq = store.max_audit_seq()
         cache = RenderCache(self._metrics)
-        raw_candidates = [
-            self.ledger.candidates(entity.name, target_seq)
-            for entity in self._entities
-        ]
-        wanted: "OrderedDict[str, None]" = OrderedDict()
-        for candidates in raw_candidates:
-            for uuid, _seq in candidates:
-                wanted.setdefault(uuid)
-        events = self._misp.store.get_events(list(wanted))
+        watermarks = self.watermarks()
+        batch = collapse_changes(store.changes_since(
+            min(watermarks.values(), default=target_seq),
+            until_seq=target_seq))
+        events = store.get_events(batch.upserts)
         digests = {uuid: event_digest(event)
                    for uuid, event in events.items() if event is not None}
         plans: List[EntityCycle] = []
         trace_cache: Dict[str, Optional[Dict[str, Any]]] = {}
-        for entity, candidates in zip(self._entities, raw_candidates):
-            plan = EntityCycle(
-                entity=entity,
-                watermark=self.ledger.watermark(entity.name),
-                target_seq=target_seq)
-            known = self.ledger.digests(
-                entity.name, [uuid for uuid, _seq in candidates])
-            for uuid, seq in candidates:
-                event = events.get(uuid)
+        for entity in self._entities:
+            plan = EntityCycle(entity=entity,
+                               watermark=watermarks[entity.name],
+                               target_seq=target_seq)
+            candidates = [uuid for uuid in batch.upserts
+                          if batch.last_seqs[uuid] > plan.watermark]
+            known = store.get_sync_digests(entity.name, candidates)
+            for uuid in candidates:
+                event = events[uuid]
                 if event is None:
                     continue
+                seq = batch.last_seqs[uuid]
                 digest = digests[uuid]
                 if digest_matches(known.get(uuid), digest):
                     plan.unchanged += 1
@@ -434,7 +435,7 @@ class SharingGateway:
                     payload=payload,
                     trace=self._share_trace(entity, uuid, trace_cache)))
             plans.append(plan)
-        return plans, cache, target_seq
+        return plans, cache
 
     def sync_cycle(self) -> ShareCycleReport:
         """One incremental share fan-out across every registered entity.
@@ -447,7 +448,8 @@ class SharingGateway:
         report = ShareCycleReport(entities=len(self._entities))
         if not self._entities:
             return report
-        plans, cache, _target = self.plan_cycle()
+        store = self._misp.store
+        plans, cache = self.plan_cycle()
         self._m_pool.set(pool_width(self._workers, len(plans)))
         # One log buffer per entity: workers stage records thread-locally,
         # the post-drain commit flushes them in registration order, so the
@@ -473,10 +475,14 @@ class SharingGateway:
                             detail=f"entity={record.entity} "
                                    f"transport={record.transport}")
             report.records.extend(outcome.records)
-            new_watermark: Optional[int] = plan.target_seq
+            new_watermark = plan.target_seq
             if outcome.blocked_seqs:
                 new_watermark = min(outcome.blocked_seqs) - 1
-            self.ledger.commit(entity.name, outcome.digests, new_watermark)
+            store.set_sync_digests(entity.name, outcome.digests)
+            # plan.watermark is still the stored one: only this commit
+            # writes watermarks.
+            if new_watermark > plan.watermark:
+                store.set_sync_watermark(entity.name, new_watermark)
             if self._deadletters is not None:
                 for event, reason in outcome.quarantine:
                     self._deadletters.quarantine_share(
@@ -664,6 +670,8 @@ class SharingGateway:
         return out
 
     def watermarks(self) -> Dict[str, int]:
-        """Per-entity persisted watermarks (entity -> audit seq)."""
-        return {entity.name: self.ledger.watermark(entity.name)
+        """Per-entity persisted watermarks (entity -> audit seq, 0 when
+        never synced), in registration order."""
+        stored = self._misp.store.sync_watermarks()
+        return {entity.name: stored.get(entity.name, 0)
                 for entity in self._entities}

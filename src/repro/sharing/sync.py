@@ -7,21 +7,25 @@ the same shape over the local store:
 
 - :func:`event_digest` — canonical content digest of one event (sha256 over
   the sorted-key MISP JSON), the identity the ledger and render cache key on;
-- :class:`SyncLedger` — per-entity **watermark + digest ledger** persisted in
-  :class:`~repro.misp.MispStore` (``sync_state``/``sync_digests`` tables).
-  The watermark is an audit-log sequence number: everything the store wrote
-  after it is a sync candidate, and the digest ledger then drops candidates
-  whose content the entity already holds — so a steady-state cycle shares
-  (and renders) nothing;
+- :func:`terminal_digest` / :func:`digest_matches` — the entries of the
+  per-entity digest ledger that :class:`~repro.misp.MispStore` persists next
+  to each entity's audit-seq watermark (``sync_state``/``sync_digests``).
+  Each cycle the gateway reads the store's change feed once, from the
+  lowest entity watermark up to the cycle's cursor, and collapses it with
+  :func:`~repro.core.deltas.collapse_changes`; every live event changed
+  after an entity's watermark is a candidate for it, and the digest ledger
+  then drops candidates whose content the entity already holds — so a
+  steady-state cycle shares (and renders) nothing;
 - :class:`RenderCache` — per-cycle payload cache keyed on ``(digest,
   format)``: a STIX bundle or MISP JSON document is serialized once per
   cycle no matter how many entities receive it;
 - :class:`ShareCycleReport` — what one ``sync_cycle`` accomplished.
 
 Determinism contract (docs/SHARING.md): candidates are ordered by their last
-audit change, payloads are pre-rendered serially, and ledger writes happen
-after the fan-out pool drains — so any ``share_workers`` count produces
-byte-identical records, remote stores, digests and watermarks.
+audit change (then uuid), payloads are pre-rendered serially, and ledger
+writes happen after the fan-out pool drains — so any ``share_workers``
+count produces byte-identical records, remote stores, digests and
+watermarks.
 """
 
 from __future__ import annotations
@@ -30,11 +34,10 @@ import hashlib
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..misp import MispEvent, to_stix2_bundle
 from ..misp.export import to_misp_json
-from ..misp.store import MispStore
 from ..obs import MetricsRegistry, NULL_REGISTRY
 
 #: Share outcome labels (the ``caop_share_outcomes_total`` counter values).
@@ -147,54 +150,6 @@ class RenderCache:
         """Fraction of lookups served from cache (0.0 with no lookups)."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-
-class SyncLedger:
-    """Per-entity watermark + digest ledger over a :class:`MispStore`.
-
-    All reads and writes go through the local store on the calling thread;
-    the gateway reads the ledger before the fan-out and commits updates
-    after the pool drains, in entity registration order.
-    """
-
-    def __init__(self, store: MispStore) -> None:
-        self._store = store
-
-    @property
-    def store(self) -> MispStore:
-        """The backing store (the local MISP instance's)."""
-        return self._store
-
-    def cursor(self) -> int:
-        """The store's current change cursor (max audit seq)."""
-        return self._store.max_audit_seq()
-
-    def watermark(self, entity: str) -> int:
-        """The entity's persisted watermark (0 when never synced)."""
-        return self._store.get_sync_watermark(entity)
-
-    def candidates(self, entity: str,
-                   until_seq: Optional[int] = None) -> List[Tuple[str, int]]:
-        """Events changed since the entity's watermark, change-ordered."""
-        return self._store.events_changed_since(
-            self.watermark(entity), until_seq)
-
-    def digests(self, entity: str, uuids: Sequence[str]) -> Dict[str, str]:
-        """The digests last successfully shared with ``entity``."""
-        return self._store.get_sync_digests(entity, uuids)
-
-    def commit(self, entity: str, digests: Dict[str, str],
-               watermark: Optional[int] = None) -> None:
-        """Persist one cycle's outcome for an entity (digests, watermark)."""
-        self._store.set_sync_digests(entity, digests)
-        if watermark is not None and watermark > self.watermark(entity):
-            self._store.set_sync_watermark(entity, watermark)
-
-    def record_success(self, entity: str, event: MispEvent,
-                       digest: Optional[str] = None) -> None:
-        """Mark one event as synced out-of-band (replay, legacy share)."""
-        self._store.set_sync_digests(
-            entity, {event.uuid: digest or event_digest(event)})
 
 
 #: Digest-ledger marker prefixes for terminal non-ok outcomes.  A refused

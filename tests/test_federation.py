@@ -193,7 +193,7 @@ class TestFederationConvergence:
     def test_watermarks_self_heal_after_recovery(self):
         a, b, c = self.converge(workers=4)
         for org in (a, b, c):
-            cursor = org.gateway.ledger.cursor()
+            cursor = org.misp.store.max_audit_seq()
             for entity, watermark in org.gateway.watermarks().items():
                 assert watermark == cursor, (org.name, entity)
         # Fully drained: one more round moves nothing.

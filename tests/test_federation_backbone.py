@@ -15,6 +15,7 @@ at the backbone edge.
 """
 
 import datetime as dt
+import math
 
 import pytest
 
@@ -28,12 +29,14 @@ from repro.federation import (
     SimulatedNetworkBackbone,
     Topology,
     chain,
+    handle_offer,
     hub_and_spoke,
     mesh,
     prefers_incoming,
     store_state,
 )
 from repro.misp import Distribution, MispAttribute, MispEvent
+from repro.misp.storage import VAR_BUDGET
 from repro.obs import MetricsRegistry
 from repro.resilience import FaultInjector, FaultPlan, FaultRule, link_key
 from repro.sharing import SharingPolicy, Tlp, mark_tlp
@@ -257,6 +260,24 @@ class TestAntiEntropy:
         from repro.federation import build_offer
         offer = build_offer(node, "right")
         assert set(offer) == {make_intel(0, PAPER_NOW).uuid}
+
+    def test_offer_is_probed_in_chunked_batches(self):
+        federation = self.build_pair()
+        store = federation.node("right").misp.store
+        older, newer = make_intel(0, PAPER_NOW), make_intel(1, PAPER_NOW)
+        store.save_events([older, newer])
+        later = int(PAPER_NOW.timestamp()) + 60
+        offer = {make_intel(i, PAPER_NOW).uuid: {"digest": "d", "ts": later}
+                 for i in range(1, 1000)}
+        offer[older.uuid] = {"digest": "d", "ts": 0}
+        before = store.sql_statements
+        response = handle_offer(federation.node("right"), "left",
+                                {"offer": offer})
+        assert store.sql_statements - before <= \
+            math.ceil(len(offer) / VAR_BUDGET)
+        # Unknown uuids and the newer offered copy are wanted; the held
+        # copy that is newer than the offer is not.
+        assert response["want"] == sorted(set(offer) - {older.uuid})
 
 
 class TestSightingsLoop:

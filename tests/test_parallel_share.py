@@ -87,9 +87,9 @@ def build_world(workers, events=6, fault_plan=None, policy=None,
     return gateway, local, peer, server, deadletters, clock
 
 
-def canonical_state(gateway, peer, server):
+def canonical_state(gateway, local, peer, server):
     """Everything the determinism contract covers, as one canonical blob."""
-    store = gateway.ledger.store
+    store = local.store
     digests = {
         entity.name: store.get_sync_digests(
             entity.name, [UUID_BASE.format(i) for i in range(32)])
@@ -114,10 +114,10 @@ class TestWorkerDeterminism:
     def test_worker_counts_byte_identical(self, cycles):
         blobs = []
         for workers in (1, 4, 8):
-            gateway, _local, peer, server, _dlq, _clock = build_world(workers)
+            gateway, local, peer, server, _dlq, _clock = build_world(workers)
             for _ in range(cycles):
                 gateway.sync_cycle()
-            blobs.append(canonical_state(gateway, peer, server))
+            blobs.append(canonical_state(gateway, local, peer, server))
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_worker_counts_byte_identical_under_faults(self):
@@ -125,10 +125,10 @@ class TestWorkerDeterminism:
             component="share", key="peer-misp", from_call=0, until_call=4)])
         blobs = []
         for workers in (1, 4, 8):
-            gateway, _local, peer, server, _dlq, _clock = build_world(
+            gateway, local, peer, server, _dlq, _clock = build_world(
                 workers, fault_plan=plan)
             gateway.sync_cycle()
-            blobs.append(canonical_state(gateway, peer, server))
+            blobs.append(canonical_state(gateway, local, peer, server))
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_pool_gauge_reflects_bound(self):
@@ -215,6 +215,27 @@ class TestDeltaSync:
         assert report.shared == 4
         assert late_peer.store.event_count() == 4
 
+    @pytest.mark.parametrize("entities", [1, 8])
+    def test_one_feed_read_per_cycle(self, entities, monkeypatch):
+        local = MispInstance(org="Local")
+        for event in make_events(4):
+            local.add_event(event)
+        gateway = SharingGateway(local, workers=4)
+        for index in range(entities):
+            gateway.register(ExternalEntity(name=f"partner-{index}",
+                                            transport="stix-download"))
+        reads = []
+        feed = local.store.changes_since
+
+        def spy(*args, **kwargs):
+            reads.append(args)
+            return feed(*args, **kwargs)
+
+        monkeypatch.setattr(local.store, "changes_since", spy)
+        report = gateway.sync_cycle()
+        assert len(reads) == 1
+        assert report.shared == 4 * entities
+
 
 class TestFailureSemantics:
     def test_failed_share_has_zero_payload_bytes(self):
@@ -230,12 +251,12 @@ class TestFailureSemantics:
     def test_failed_share_does_not_advance_watermark(self):
         plan = FaultPlan(rules=[FaultRule(component="share", key="peer-misp",
                                           rate=1.0)])
-        gateway, *_ = build_world(1, events=3, fault_plan=plan,
-                                  breaker_threshold=99)
+        gateway, local, *_ = build_world(1, events=3, fault_plan=plan,
+                                         breaker_threshold=99)
         gateway.sync_cycle()
         assert gateway.watermarks()["peer-misp"] == 0
         # The fault-free entities advanced to the cursor.
-        cursor = gateway.ledger.cursor()
+        cursor = local.store.max_audit_seq()
         assert gateway.watermarks()["cert-taxii"] == cursor
         assert gateway.watermarks()["legacy"] == cursor
 
@@ -245,7 +266,7 @@ class TestFailureSemantics:
         # the digest ledger remembers the successes.
         plan = FaultPlan(rules=[FaultRule(component="share", key="peer-misp",
                                           from_call=0, until_call=4)])
-        gateway, _local, peer, _server, _dlq, _clock = build_world(
+        gateway, local, peer, _server, _dlq, _clock = build_world(
             1, events=4, fault_plan=plan, breaker_threshold=99)
         report = gateway.sync_cycle()
         peer_records = [r for r in report.records if r.entity == "peer-misp"]
@@ -259,7 +280,8 @@ class TestFailureSemantics:
         assert {r.event_uuid for r in reshared} == {
             UUID_BASE.format(0), UUID_BASE.format(1)}
         assert second.unchanged == 2  # the two earlier successes
-        assert gateway.watermarks()["peer-misp"] == gateway.ledger.cursor()
+        assert gateway.watermarks()["peer-misp"] == \
+            local.store.max_audit_seq()
         assert peer.store.event_count() == 4
 
     def test_breaker_opens_and_skips_remaining_events(self):
@@ -291,7 +313,7 @@ class TestFailureSemantics:
         report = gateway.sync_cycle()
         assert report.refused == 1
         assert report.shared == 2
-        assert gateway.watermarks()["legacy"] == gateway.ledger.cursor()
+        assert gateway.watermarks()["legacy"] == local.store.max_audit_seq()
         refused = [r for r in report.records if not r.ok]
         assert len(refused) == 1
         assert refused[0].payload_bytes == 0
@@ -315,7 +337,7 @@ class TestFailureSemantics:
         assert not record.ok and record.payload_bytes == 0
         assert not peer.store.has_event(event.uuid)
         # Terminal: watermark advanced, nothing pending.
-        assert gateway.watermarks()["peer"] == gateway.ledger.cursor()
+        assert gateway.watermarks()["peer"] == local.store.max_audit_seq()
         assert gateway.sync_cycle().events_considered == 0
 
 
@@ -347,7 +369,7 @@ class TestDeadLetterReplay:
     def test_replay_after_recovery_delivers_and_ledger_self_heals(self):
         plan = FaultPlan(rules=[FaultRule(component="share", key="peer-misp",
                                           rate=1.0)])
-        gateway, _local, peer, _server, dlq, clock = build_world(
+        gateway, local, peer, _server, dlq, clock = build_world(
             1, events=3, fault_plan=plan, breaker_threshold=99,
             breaker_cooldown=300.0)
         gateway.sync_cycle()
@@ -363,7 +385,8 @@ class TestDeadLetterReplay:
         follow_up = gateway.sync_cycle()
         assert follow_up.shared == 0
         assert follow_up.unchanged == 3
-        assert gateway.watermarks()["peer-misp"] == gateway.ledger.cursor()
+        assert gateway.watermarks()["peer-misp"] == \
+            local.store.max_audit_seq()
 
     def test_share_letters_survive_save_load_round_trip(self, tmp_path):
         plan = FaultPlan(rules=[FaultRule(component="share", key="peer-misp",

@@ -14,6 +14,7 @@ import sqlite3
 
 import pytest
 
+from repro.core.deltas import collapse_changes
 from repro.errors import StorageError
 from repro.misp import (
     MispAttribute,
@@ -182,15 +183,22 @@ class TestConformanceCrud:
         assert store.sync_digest_count("alpha") == 0
 
     def test_events_changed_since(self, store):
+        # The changed events after a position, by last seq: the one change
+        # feed folded with collapse_changes.
         events = [make_event(info=f"e{i}") for i in range(3)]
         store.save_events(events)
         store.save_event(events[1])
         store.delete_event(events[2].uuid)
-        changed = store.events_changed_since(0)
-        assert changed == [(events[0].uuid, 1), (events[1].uuid, 4)]
-        assert store.events_changed_since(1) == [(events[1].uuid, 4)]
-        assert store.events_changed_since(0, until_seq=3) == \
-            [(events[0].uuid, 1), (events[1].uuid, 2)]
+
+        def live(after_seq, until_seq=None):
+            batch = collapse_changes(store.changes_since(after_seq, until_seq))
+            return [(uuid, batch.last_seqs[uuid]) for uuid in batch.upserts]
+
+        assert live(0) == [(events[0].uuid, 1), (events[1].uuid, 4)]
+        assert live(1) == [(events[1].uuid, 4)]
+        # The window ends before the re-save (seq 4) and the delete (seq 5).
+        assert live(0, until_seq=3) == \
+            [(events[0].uuid, 1), (events[1].uuid, 2), (events[2].uuid, 3)]
 
     def test_provenance(self, store):
         class Row:
@@ -364,7 +372,8 @@ def state_fingerprint(store, corpus, pool):
         "correlations": store.correlations_for_events(uuids),
         "per_event_corr": {uuid: store.correlations_for_event(uuid)
                            for uuid in uuids[:10]},
-        "changed": store.events_changed_since(0),
+        "feed": [(change.seq, change.event_uuid, change.action,
+                  change.logged_at) for change in store.changes_since(0)],
         "max_seq": store.max_audit_seq(),
         "watermarks": store.sync_watermarks(),
         "digests": store.get_sync_digests("partner-0", uuids),

@@ -182,13 +182,19 @@ def apply_schedule(federation, injector, ops, *, faults):
 def assert_watermark_safety(federation):
     for org in federation.topology.orgs:
         store = federation.node(org).misp.store
-        changed = store.events_changed_since(0)
+        # Each live event's last seq, straight from the raw audit feed.
+        last_seq = {}
+        for change in store.changes_since(0):
+            last_seq[change.event_uuid] = change.seq
+        live = {uuid: event for uuid, event in
+                store.get_events(sorted(last_seq)).items()
+                if event is not None}
         for dst in federation.topology.neighbors(org):
             watermark = store.get_sync_watermark(dst)
-            due = [(uuid, seq) for uuid, seq in changed if seq <= watermark]
-            ledger = store.get_sync_digests(dst, [uuid for uuid, _ in due])
-            for uuid, seq in due:
-                event = store.get_event(uuid)
+            due = [uuid for uuid in live if last_seq[uuid] <= watermark]
+            ledger = store.get_sync_digests(dst, due)
+            for uuid in due:
+                event, seq = live[uuid], last_seq[uuid]
                 assert digest_matches(ledger.get(uuid), event_digest(event)), (
                     f"{org}->{dst}: watermark {watermark} passed seq {seq} "
                     f"of {uuid} without a covering ledger entry")
