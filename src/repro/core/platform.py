@@ -178,7 +178,7 @@ class PlatformConfig:
     #: provenance recorder point at the same persistent store.
     store_path: Optional[str] = None
     #: Hash-shard count for the MISP store (``1`` = classic single file;
-    #: ``>= 2`` selects the sharded backend — see docs/PERFORMANCE.md).
+    #: ``>= 2`` adds ``<path>.shard-NN`` files — see docs/PERFORMANCE.md).
     store_shards: int = 1
     #: How retry backoff is applied: "virtual" advances the SimulatedClock,
     #: "real" sleeps wall-clock, "none" records without moving any clock.

@@ -149,8 +149,7 @@ class FederationNode:
         marking = self.policy.marking_of(event)
         if not Tlp.at_most(marking, self.accept_ceiling):
             return {"accepted": False, "reason": f"tlp:{marking} refused"}
-        stored = self.misp.store.get_event(event.uuid) \
-            if self.misp.store.has_event(event.uuid) else None
+        stored = self.misp.store.get_event(event.uuid)
         if stored is not None:
             incoming_ts, held_ts = _epoch(event.timestamp), \
                 _epoch(stored.timestamp)

@@ -33,12 +33,7 @@ from .model import (
     MispTag,
     ThreatLevel,
 )
-from .storage import (
-    SQLiteBackend,
-    ShardedSQLiteBackend,
-    StorageBackend,
-    shard_of,
-)
+from .storage import SQLiteBackend, shard_of
 from .store import MispStore, StoreChange
 from .warninglists import (
     Warninglist,
@@ -88,8 +83,6 @@ __all__ = [
     "ThreatLevel",
     "MispStore",
     "SQLiteBackend",
-    "ShardedSQLiteBackend",
-    "StorageBackend",
     "StoreChange",
     "shard_of",
     "Warninglist",

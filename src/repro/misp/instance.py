@@ -345,11 +345,10 @@ class MispInstance:
             # The receiving instance learns the group definition so it can
             # enforce the same boundary on any onward push.
             peer.sharing_groups.setdefault(group.uuid, group)
-        if peer.store.has_event(event.uuid):
-            stored = peer.store.get_event(event.uuid)
-            if stored is not None and stored.timestamp >= event.timestamp:
-                self.sync_stats.skipped_duplicates += 1
-                return False
+        stored = peer.store.get_event(event.uuid)
+        if stored is not None and stored.timestamp >= event.timestamp:
+            self.sync_stats.skipped_duplicates += 1
+            return False
         peer.receive_event(self.release_copy(event),
                            trace_context=trace_context)
         self.sync_stats.pushed_events += 1

@@ -1,30 +1,26 @@
-"""Pluggable storage backends for :class:`~repro.misp.store.MispStore`.
+"""The SQLite engine behind :class:`~repro.misp.store.MispStore`.
 
-See :mod:`repro.misp.storage.base` for the backend protocol and the
-determinism contract every implementation honours.
+:class:`SQLiteBackend` runs a store at any shard count: one file at one
+shard, a catalog plus ``<path>.shard-NN`` files at N.  See
+:mod:`repro.misp.storage.sqlite` for the two layouts and
+:mod:`repro.misp.storage.base` for the determinism contract.
 """
 
 from .base import (
     MAX_BOUND_VARS,
     VAR_BUDGET,
-    BackendInfo,
     PersistBatch,
-    StorageBackend,
     chunk_size,
     chunks,
     shard_of,
 )
-from .sharded import ShardedSQLiteBackend, shard_path
-from .sqlite import SQLiteBackend, detect_shard_count
+from .sqlite import SQLiteBackend, detect_shard_count, shard_path
 
 __all__ = [
     "MAX_BOUND_VARS",
     "VAR_BUDGET",
-    "BackendInfo",
     "PersistBatch",
     "SQLiteBackend",
-    "ShardedSQLiteBackend",
-    "StorageBackend",
     "chunk_size",
     "chunks",
     "detect_shard_count",

@@ -1,4 +1,4 @@
-"""Relational store for MISP events, backed by pluggable storage engines.
+"""Relational store for MISP events, backed by one SQLite engine.
 
 The paper's operational module keeps "a relational database to store locally
 information about IoCs and the monitored infrastructure" (§III-B1).  Events
@@ -7,20 +7,16 @@ correlation) and as their canonical MISP JSON blob (for lossless export).
 
 :class:`MispStore` is a facade: it converts
 :class:`~repro.misp.model.MispEvent` objects to and from plain rows, emits
-metrics, applies fault-injection seams, and delegates all persistence to a
-:class:`~repro.misp.storage.base.StorageBackend` —
-
-- the single-file SQLite backend (default, and the on-disk format of every
-  pre-sharding store);
-- the hash-sharded SQLite backend (``shards=N``), which bounds per-event
-  scans to ``1/N`` of the corpus (docs/PERFORMANCE.md).
-
-``MispStore(":memory:")`` keeps either one in memory.  Backends are
-interchangeable by construction: the conformance suite
-(tests/test_storage_backends.py) asserts byte-identical audit history,
-correlation graphs, sync ledgers and lineage across both, at any shard
-count.  ``MispStore(path)`` re-opens an existing store with whatever
-layout it was created with (recorded in its ``store_meta`` table).
+metrics, applies fault-injection seams, and delegates all persistence to
+:class:`~repro.misp.storage.sqlite.SQLiteBackend`.  At one shard (the
+default, and the on-disk format of every pre-sharding store) a store is a
+single file; ``shards=N`` hash-shards the event rows over N files beside a
+catalog, which bounds per-event scans to ``1/N`` of the corpus
+(docs/PERFORMANCE.md).  ``MispStore(":memory:")`` keeps either layout in
+memory.  The conformance suite (tests/test_storage_backends.py) asserts
+byte-identical audit history, correlation graphs, sync ledgers and lineage
+at any shard count.  ``MispStore(path)`` re-opens an existing store with
+whatever layout it was created with (recorded in its ``store_meta`` table).
 
 Persistence is batch-aware: :meth:`MispStore.save_events` writes a whole
 collection cycle — audit rows, event rows, attribute rows, tag rows — in a
@@ -49,13 +45,7 @@ from ..clock import Clock
 from ..errors import StorageError
 from ..obs import MetricsRegistry, NULL_REGISTRY
 from .model import MispEvent
-from .storage import (
-    PersistBatch,
-    SQLiteBackend,
-    ShardedSQLiteBackend,
-    StorageBackend,
-    detect_shard_count,
-)
+from .storage import PersistBatch, SQLiteBackend, detect_shard_count
 
 #: Batch-size histogram buckets: one cycle's cIoC count lands here.
 BATCH_SIZE_BUCKETS: Tuple[float, ...] = (
@@ -86,8 +76,10 @@ class MispStore:
     ``clock`` (optional) stamps audit rows for destructive operations; when
     absent, deletes fall back to the deleted event's own timestamp.
 
-    ``shards`` selects the hash-sharded backend (``>= 2``); ``None`` means
-    "whatever the file at ``path`` was created with, else 1".
+    ``shards`` is the number of hash shards (``>= 1``); ``None`` means
+    "whatever the file at ``path`` was created with, else 1".  A count that
+    differs from the one recorded in an existing store raises
+    :class:`~repro.errors.StorageError`.
     """
 
     def __init__(self, path: str = ":memory:",
@@ -100,19 +92,11 @@ class MispStore:
         #: the top of every :meth:`save_events` (component ``store``, key
         #: ``save_events``), before the transaction starts.
         self.fault_injector = fault_injector
-        detected = detect_shard_count(path)
         if shards is None:
-            shards = detected if detected is not None else 1
-        elif detected is not None and detected != shards:
-            raise StorageError(
-                f"store at {path!r} was created with {detected} "
-                f"shard(s); refusing to open it with {shards}")
-        backend: StorageBackend = (
-            ShardedSQLiteBackend(path, shards=shards) if shards >= 2
-            else SQLiteBackend(path))
-        #: The :class:`~repro.misp.storage.base.StorageBackend` doing the
+            shards = detect_shard_count(path) or 1
+        #: The :class:`~repro.misp.storage.sqlite.SQLiteBackend` doing the
         #: actual persistence.
-        self.backend = backend
+        self.backend = SQLiteBackend(path, shards=shards)
         #: JSON blob → MispEvent decodes performed so far.  The idle-cost
         #: bench asserts quiet cycles keep this flat (0 per quiet cycle).
         self._payloads_deserialized = 0
@@ -135,10 +119,9 @@ class MispStore:
             "caop_store_shard_batch_size",
             "Events persisted per shard per save_events call",
             buckets=BATCH_SIZE_BUCKETS)
-        info = backend.info()
         metrics.gauge(
             "caop_store_shards",
-            "Shard count of the MISP store backend").set(info.shard_count)
+            "Shard count of the MISP store backend").set(self.shard_count)
 
     def close(self) -> None:
         """Release the underlying resources."""
@@ -165,8 +148,8 @@ class MispStore:
 
     @property
     def shard_count(self) -> int:
-        """How many shards back this store (1 for unsharded backends)."""
-        return self.backend.info().shard_count
+        """How many shards back this store (1 for a single-file store)."""
+        return self.backend.shard_count
 
     def query_plan(self, sql: str, params: Sequence = ()) -> str:
         """``EXPLAIN QUERY PLAN`` output (the catalog's, when sharded)."""

@@ -72,7 +72,7 @@ def store(request, tmp_path):
 
 
 class TestChangeFeedConformance:
-    """``changes_since`` semantics are identical on every backend."""
+    """``changes_since`` semantics are identical on every layout."""
 
     def test_feed_keeps_deletes_in_seq_order(self, store):
         a, b = make_event(info="a"), make_event(info="b")

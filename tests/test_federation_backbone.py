@@ -36,6 +36,7 @@ from repro.federation import (
     store_state,
 )
 from repro.misp import Distribution, MispAttribute, MispEvent
+from repro.misp.export import to_misp_json
 from repro.misp.storage import VAR_BUDGET
 from repro.obs import MetricsRegistry
 from repro.resilience import FaultInjector, FaultPlan, FaultRule, link_key
@@ -278,6 +279,28 @@ class TestAntiEntropy:
         # Unknown uuids and the newer offered copy are wanted; the held
         # copy that is newer than the offer is not.
         assert response["want"] == sorted(set(offer) - {older.uuid})
+
+
+class TestInboundEvents:
+    def test_refused_copies_cost_one_receiver_statement(self):
+        federation = Federation(mesh(["left", "right"]),
+                                clock=SimulatedClock(PAPER_NOW))
+        receiver = federation.node("right")
+        receiver.misp.add_event(make_intel(0, PAPER_NOW))
+        store = receiver.misp.store
+
+        def relay(event, **extra):
+            before = store.sql_statements
+            reply = federation.node("left").backbone.transmit(
+                "left", "right", KIND_EVENT,
+                {"document": to_misp_json(event), **extra})
+            return reply, store.sql_statements - before
+
+        assert relay(make_intel(0, PAPER_NOW)) == \
+            ({"accepted": False, "reason": "duplicate"}, 1)
+        older = make_intel(0, PAPER_NOW - dt.timedelta(hours=1))
+        assert relay(older, reconcile=True) == \
+            ({"accepted": False, "reason": "stale"}, 1)
 
 
 class TestSightingsLoop:

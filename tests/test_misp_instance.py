@@ -128,6 +128,16 @@ class TestSync:
         misp.publish_event(event.uuid)
         assert misp.sync_stats.skipped_duplicates >= 1
 
+    def test_duplicate_push_costs_one_receiver_statement(self, misp):
+        peer = MispInstance(org="Peer")
+        event = make_event(distribution=Distribution.ALL_COMMUNITIES)
+        misp.add_event(event)
+        assert misp.push_event(event, peer)
+        before = peer.store.sql_statements
+        assert not misp.push_event(event, peer)
+        assert peer.store.sql_statements - before == 1
+        assert misp.sync_stats.skipped_duplicates == 1
+
     def test_pull_from_peer(self, misp):
         peer = MispInstance(org="Peer")
         event = make_event(distribution=Distribution.ALL_COMMUNITIES)

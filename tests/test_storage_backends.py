@@ -1,11 +1,12 @@
-"""Backend conformance suite for the pluggable MISP storage layer.
+"""Conformance suite for the MISP store's SQLite engine.
 
 One set of behavioural tests runs against every layout — a single-file
-SQLite store on disk, hash-sharded SQLite (×4) and a single-file store in
-memory — plus cross-backend equivalence tests asserting that shard counts
-{1, 4, 16}, on disk or in memory, produce byte-identical audit history,
-correlation graphs, sync ledgers and lineage for the same operation
-sequence.
+store on disk, a 4-shard store and a single-file store in memory — plus
+equivalence tests asserting that shard counts {1, 4, 16}, on disk or in
+memory, produce byte-identical audit history, correlation graphs, sync
+ledgers and lineage for the same operation sequence, and engine tests
+pinning the two on-disk layouts and the statement cost of opening and
+probing a store.
 """
 
 import datetime as dt
@@ -29,6 +30,7 @@ from repro.misp.storage import (
     detect_shard_count,
     shard_path,
 )
+from repro.misp.storage.sqlite import CountingConnection
 
 TS = dt.datetime(2026, 1, 1, tzinfo=dt.timezone.utc)
 
@@ -321,7 +323,7 @@ class TestQueryPlan:
             built.close()
 
 
-#: One corpus template shared by every equivalence run, so all backends
+#: One corpus template shared by every equivalence run, so all layouts
 #: see the same uuids and the fingerprints are comparable byte for byte.
 _SCENARIO_CORPUS, _SCENARIO_POOL = make_corpus(count=40)
 
@@ -388,7 +390,7 @@ def state_fingerprint(store, corpus, pool):
 
 
 class TestCrossBackendEquivalence:
-    """The determinism tentpole: every backend, byte-identical state."""
+    """The determinism tentpole: every layout, byte-identical state."""
 
     def test_shard_counts_and_backends_agree(self, tmp_path):
         fingerprints = {}
@@ -481,3 +483,89 @@ class TestOnDiskLayout:
 
     def test_shard_path_layout(self):
         assert shard_path("/data/store.db", 3) == "/data/store.db.shard-03"
+
+
+def table_names(path):
+    raw = sqlite3.connect(str(path))
+    try:
+        return {row[0] for row in raw.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'")}
+    finally:
+        raw.close()
+
+
+class TestEngine:
+    """One engine at every shard count: layouts, statement costs, refusals."""
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_has_event_costs_one_statement(self, shards):
+        # At one shard the catalog connection is shard 0: counting it
+        # twice would report two statements here.
+        built = MispStore(":memory:", shards=shards)
+        try:
+            event = make_event()
+            built.save_event(event)
+            for uuid, expected in ((event.uuid, True), ("ghost", False)):
+                before = built.sql_statements
+                assert built.has_event(uuid) is expected
+                assert built.sql_statements - before == 1
+        finally:
+            built.close()
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_close_closes_each_connection_once(self, monkeypatch, shards):
+        closed = []
+        original = CountingConnection.close
+
+        def spy(conn):
+            closed.append(conn)
+            original(conn)
+
+        monkeypatch.setattr(CountingConnection, "close", spy)
+        MispStore(":memory:", shards=shards).close()
+        # One file at one shard; the catalog plus four shards at four.
+        assert len(closed) == len(set(map(id, closed))) == \
+            (1 if shards == 1 else shards + 1)
+
+    def test_layouts_on_disk(self, tmp_path):
+        single = tmp_path / "single.db"
+        MispStore(str(single)).close()
+        assert "value_index" not in table_names(single)
+        assert "events" in table_names(single)
+        assert not list(tmp_path.glob("single.db.shard-*"))
+        sharded = tmp_path / "sharded.db"
+        MispStore(str(sharded), shards=4).close()
+        assert "value_index" in table_names(sharded)
+        assert "events" not in table_names(sharded)
+        assert sorted(p.name for p in tmp_path.glob("sharded.db.shard-*")) \
+            == [f"sharded.db.shard-{shard:02d}" for shard in range(4)]
+
+    def test_zero_shards_refused(self):
+        with pytest.raises(StorageError):
+            MispStore(":memory:", shards=0)
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_reopen_seeds_counters_lazily(self, tmp_path, shards):
+        # A store that has its counter rows opens without counting any
+        # table; one that lost them reseeds, counting each mirrored
+        # cross-shard edge once.
+        path = str(tmp_path / "store.db")
+        built = MispStore(path, shards=shards)
+        run_scenario(built)
+        counts = (built.event_count(), built.attribute_count(),
+                  built.correlation_count())
+        built.close()
+        for lost_counters in (False, True):
+            if lost_counters:
+                raw = sqlite3.connect(path)
+                raw.execute("DELETE FROM counters")
+                raw.commit()
+                raw.close()
+            reopened = MispStore(path)
+            try:
+                if not lost_counters:
+                    assert reopened.sql_statements <= 4
+                assert (reopened.event_count(), reopened.attribute_count(),
+                        reopened.correlation_count()) == counts
+            finally:
+                reopened.close()
