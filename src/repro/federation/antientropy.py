@@ -25,15 +25,51 @@ The protocol over one directed link ``src`` → ``dst``:
 
 A healthy link offers everything and repairs nothing: the exchange is a
 pure read (one offer message) and leaves no new state behind.
+
+Cost model (docs/FEDERATION.md): a pass decodes only what changed since
+the previous one.
+
+- The sender keeps one in-memory :class:`OfferIndex` per node, a rollup on
+  the store's change feed holding each event's release-gate inputs, epoch
+  timestamp and wire-copy digest.  Building an offer refreshes it, which
+  decodes only events whose audit rows are newer than its position, then
+  runs the live release gate and TLP check on every entry — so a
+  clearance or sharing-group change takes effect at the next pass.
+- The receiver probes the offer with
+  :meth:`~repro.misp.MispStore.event_digests`: stored timestamps and
+  sha256 digests of the stored blobs, no decoding.
+- The sender fetches the wanted events and their trace contexts in
+  batched reads, and writes its ledger rows and lineage rows once per
+  link pass — also when the link fails mid-pass, so the ledger records
+  exactly the repairs the receiver accepted.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from typing import (
+    Any,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    TYPE_CHECKING,
+    Union,
+)
 
+from ..core.deltas import StoreRollup
+from ..misp import (
+    Distribution,
+    MispEvent,
+    MispInstance,
+    MispStore,
+    MispTag,
+    SharingGroup,
+)
 from ..misp.export import to_misp_json
-from ..obs import share_context
+from ..obs import share_contexts
 from ..sharing.sync import event_digest
 from ..sharing.policy import Tlp
 from .backbone import KIND_DIGEST_OFFER, KIND_EVENT
@@ -46,36 +82,80 @@ def _epoch(stamp: Optional[_dt.datetime]) -> int:
     return int(stamp.timestamp()) if stamp is not None else 0
 
 
-def _releasable(node: "FederationNode", event, dst: str):
-    """(wire_copy, group) when the event may reach ``dst``; None otherwise.
+class OfferEntry(NamedTuple):
+    """What an offer needs of one stored event, without the event.
+
+    ``distribution``, ``sharing_group_id`` and ``tags`` are the fields
+    :meth:`~repro.misp.MispInstance.release_gate` and
+    :meth:`~repro.sharing.SharingPolicy.marking_of` read, so both gates run
+    on the entry itself; ``ts`` and ``digest`` describe the wire copy.
+    """
+
+    distribution: int
+    sharing_group_id: Optional[str]
+    tags: Tuple[MispTag, ...]
+    ts: int
+    digest: str
+
+
+class OfferIndex(StoreRollup):
+    """One node's offer inputs, kept current from the store's change feed.
+
+    In memory only (nothing is persisted, so a restarted node decodes its
+    store once on its first pass).  Entries with the same tag names share
+    one tag tuple, which keeps the index near 0.4 KB per event.
+    """
+
+    def __init__(self, store: MispStore) -> None:
+        super().__init__(store, "anti-entropy-offers")
+        #: event uuid -> :class:`OfferEntry`.
+        self.entries: Dict[str, OfferEntry] = {}
+        self._tags: Dict[Tuple[str, ...], Tuple[MispTag, ...]] = {}
+
+    def apply_delta(self, events: Sequence[MispEvent],
+                    deleted: Sequence[str]) -> None:
+        for uuid in deleted:
+            self.entries.pop(uuid, None)
+        for event in events:
+            # Only the hop downgrade makes the wire copy differ from the
+            # stored event.
+            copy = (MispInstance.release_copy(event)
+                    if event.distribution == Distribution.CONNECTED_COMMUNITIES
+                    else event)
+            tags = self._tags.setdefault(
+                tuple(tag.name for tag in event.tags), tuple(event.tags))
+            self.entries[event.uuid] = OfferEntry(
+                event.distribution, event.sharing_group_id, tags,
+                _epoch(event.timestamp), event_digest(copy))
+
+
+def _cleared(node: "FederationNode", item: Union[MispEvent, OfferEntry],
+             dst: str) -> Tuple[bool, Optional[SharingGroup]]:
+    """``(may reach dst, authorizing sharing group)`` for an event or entry.
 
     Mirrors the outbound path's two gates — MISP distribution and TLP
     policy — without touching the policy's refusal counters (this is a
     read-only probe, not a share attempt).
     """
-    ok, group, _reason = node.misp.release_gate(event, dst)
+    ok, group, _reason = node.misp.release_gate(item, dst)
     if not ok:
-        return None
-    marking = node.policy.marking_of(event)
+        return False, None
+    marking = node.policy.marking_of(item)
     if marking == Tlp.RED or not Tlp.at_most(
             marking, node.policy.clearance_of(dst)):
-        return None
-    return node.misp.release_copy(event), group
+        return False, None
+    return True, group
 
 
 def build_offer(node: "FederationNode", dst: str) -> Dict[str, Dict[str, Any]]:
     """The digest offer ``src`` advertises to ``dst``, uuid-sorted."""
+    index = node.offer_index
+    index.refresh()
     offer: Dict[str, Dict[str, Any]] = {}
-    for event in sorted(node.misp.store.list_events(),
-                        key=lambda e: e.uuid or ""):
-        released = _releasable(node, event, dst)
-        if released is None:
-            continue
-        copy, _group = released
-        offer[event.uuid] = {
-            "digest": event_digest(copy),
-            "ts": _epoch(copy.timestamp),
-        }
+    for uuid in sorted(index.entries):
+        entry = index.entries[uuid]
+        if _cleared(node, entry, dst)[0]:
+            offer[uuid] = {"digest": entry.digest, "ts": entry.ts}
     return offer
 
 
@@ -85,13 +165,12 @@ def handle_offer(node: "FederationNode", src: str,
     from .node import prefers_incoming
 
     offer = payload.get("offer", {})
-    held = node.misp.store.get_events(sorted(offer))
+    held = node.misp.store.event_digests(sorted(offer))
     want: List[str] = []
-    for uuid, stored in held.items():
+    for uuid, stamp in held.items():
         meta = offer[uuid]
-        if stored is None or prefers_incoming(
-                int(meta["ts"]), meta["digest"],
-                _epoch(stored.timestamp), event_digest(stored)):
+        if stamp is None or prefers_incoming(
+                int(meta["ts"]), meta["digest"], *stamp):
             want.append(uuid)
     return {"want": want}
 
@@ -101,41 +180,46 @@ def reconcile(node: "FederationNode", dst: str) -> Dict[str, int]:
 
     Raises :class:`~repro.errors.SharingError` when the link is down (the
     offer itself fails) — callers treat that like any other transient
-    transport fault and retry next round.
+    transport fault and retry next round.  A link that fails mid-pass
+    still records the repairs accepted before the failure.
     """
     offer = build_offer(node, dst)
     response = node.backbone.transmit(
         node.name, dst, KIND_DIGEST_OFFER, {"offer": offer})
     wanted = list(response.get("want", ()))
-    repaired = 0
-    for uuid in wanted:
-        event = node.misp.store.get_event(uuid)
-        if event is None:
-            continue
-        released = _releasable(node, event, dst)
-        if released is None:
-            continue
-        copy, group = released
-        message: Dict[str, Any] = {
-            "document": to_misp_json(copy),
-            "reconcile": True,
-        }
-        if group is not None:
-            message["sharing_group"] = group.to_dict()
-        if node.provenance.enabled:
-            message["trace"] = share_context(
-                node.misp.store, uuid, node.name)
-        result = node.backbone.transmit(node.name, dst, KIND_EVENT, message)
-        if result.get("accepted"):
-            repaired += 1
-            # The same ledger entry an ordinary successful sync writes:
-            # the canonical digest of the *local* event.
-            node.misp.store.set_sync_digests(
-                dst, {uuid: event_digest(event)})
-            if node.provenance.enabled:
-                node.provenance.record(
-                    "shared-to", uuid, actor="anti-entropy",
-                    detail=f"entity={dst} transport=backbone")
-                node.provenance.flush()
+    store = node.misp.store
+    events = store.get_events(wanted)
+    traces = (share_contexts(store, wanted, node.name)
+              if node.provenance.enabled else {})
+    # The same ledger entries an ordinary successful sync writes: the
+    # canonical digest of the *local* event.
+    repaired: Dict[str, str] = {}
+    try:
+        for uuid, event in events.items():
+            if event is None:
+                continue
+            ok, group = _cleared(node, event, dst)
+            if not ok:
+                continue
+            message: Dict[str, Any] = {
+                "document": to_misp_json(node.misp.release_copy(event)),
+                "reconcile": True,
+            }
+            if group is not None:
+                message["sharing_group"] = group.to_dict()
+            if uuid in traces:
+                message["trace"] = traces[uuid]
+            result = node.backbone.transmit(
+                node.name, dst, KIND_EVENT, message)
+            if result.get("accepted"):
+                repaired[uuid] = event_digest(event)
+                if node.provenance.enabled:
+                    node.provenance.record(
+                        "shared-to", uuid, actor="anti-entropy",
+                        detail=f"entity={dst} transport=backbone")
+    finally:
+        if repaired:
+            store.set_sync_digests(dst, repaired)
+            node.provenance.flush()
     return {"offered": len(offer), "wanted": len(wanted),
-            "repaired": repaired}
+            "repaired": len(repaired)}

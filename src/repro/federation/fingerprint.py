@@ -21,6 +21,7 @@ import hashlib
 import json
 from typing import Any, Dict, List
 
+from ..misp.export import canonical_json
 from ..misp.store import MispStore
 
 #: Provenance fields that record processing time, not lineage content.
@@ -28,12 +29,19 @@ _PROVENANCE_TIME_FIELDS = ("seq", "cycle", "logged_at")
 
 
 def store_state(store: MispStore) -> Dict[str, Any]:
-    """The canonical, order-free view of one store's full state."""
-    events = sorted(
-        json.dumps(event.to_dict(), sort_keys=True)
-        for event in store.list_events())
-    uuids = sorted(
-        event.uuid for event in store.list_events() if event.uuid)
+    """The canonical, order-free view of one store's full state.
+
+    Decodes each stored event once, and keeps only its canonical form and
+    uuid past that pass, not the decoded events.
+    """
+    events: List[str] = []
+    uuids: List[str] = []
+    for event in store.list_events():
+        events.append(canonical_json(event))
+        if event.uuid:
+            uuids.append(event.uuid)
+    events.sort()
+    uuids.sort()
     correlations = sorted(
         json.dumps(row, sort_keys=True)
         for rows in store.correlations_for_events(uuids).values()
@@ -65,5 +73,5 @@ def store_fingerprint(store: MispStore) -> str:
 def event_blob(store: MispStore) -> str:
     """Event-content-only canonical blob (the PR-5 harness's comparator)."""
     return json.dumps(sorted(
-        json.dumps(event.to_dict(), sort_keys=True)
-        for event in store.list_events()), sort_keys=True)
+        canonical_json(event) for event in store.list_events()),
+        sort_keys=True)

@@ -34,12 +34,14 @@ from ..core.sightings import RescoreOutcome, SightingProcessor
 from ..errors import SharingError
 from ..infra import paper_inventory
 from ..misp import MispEvent, MispInstance
+from ..misp.export import canonical_json
 from ..misp.sharing_groups import SharingGroup
 from ..obs import MetricsRegistry, ProvenanceRecorder
 from ..resilience import CircuitBreakerBoard, DeadLetterQueue, RetryPolicy
 from ..resilience.retry import sleeper_for
 from ..sharing import ExternalEntity, SharingGateway, SharingPolicy, Tlp
 from ..sharing.sync import ShareCycleReport, event_digest
+from .antientropy import OfferIndex, handle_offer, reconcile
 from .backbone import Backbone, InMemoryBackbone, KIND_EVENT, KIND_SIGHTING
 from .fingerprint import event_blob, store_fingerprint
 from .topology import Topology
@@ -112,6 +114,8 @@ class FederationNode:
         self.pending_sightings: List[Dict[str, Any]] = []
         #: Rescore outcomes of sightings applied at this org (it's origin).
         self.rescores: List[RescoreOutcome] = []
+        #: The anti-entropy sender's offer inputs, kept from the change feed.
+        self.offer_index = OfferIndex(self.misp.store)
         backbone.connect(name, self._handle)
 
     # -- wiring ---------------------------------------------------------------
@@ -130,7 +134,6 @@ class FederationNode:
         if kind == KIND_SIGHTING:
             return self._handle_sighting(src, payload)
         if kind == "digest-offer":
-            from .antientropy import handle_offer
             return handle_offer(self, src, payload)
         raise SharingError(f"unknown backbone message kind {kind!r}")
 
@@ -231,7 +234,6 @@ class FederationNode:
 
     def reconcile_with(self, dst: str) -> Dict[str, int]:
         """One anti-entropy exchange over the ``self`` → ``dst`` link."""
-        from .antientropy import reconcile
         return reconcile(self, dst)
 
     # -- state ----------------------------------------------------------------
@@ -341,8 +343,7 @@ class Federation:
                          for other in self.topology.orgs
                          if other != node.name)
                 if ok:
-                    released.append(
-                        _json.dumps(event.to_dict(), sort_keys=True))
+                    released.append(canonical_json(event))
             return _json.dumps(sorted(released))
 
         blobs = {shared_blob(node) for node in self.nodes.values()}

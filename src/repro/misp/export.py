@@ -53,6 +53,16 @@ def to_misp_json(event: MispEvent, indent: Optional[int] = None) -> str:
     return json.dumps(event.to_dict(), indent=indent, sort_keys=False)
 
 
+def canonical_json(event: MispEvent) -> str:
+    """The canonical sorted-key MISP JSON form of one event.
+
+    The one serialization behind the store's event blob, the content
+    digest (:func:`~repro.sharing.sync.event_digest`) and the federation
+    fingerprints, so a stored blob's sha256 *is* the event's digest.
+    """
+    return json.dumps(event.to_dict(), sort_keys=True)
+
+
 def from_misp_json(text: str) -> MispEvent:
     """Parse a MISP JSON document into an event."""
     try:

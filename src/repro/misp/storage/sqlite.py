@@ -512,6 +512,19 @@ class SQLiteBackend:
             result.update(rows)
         return result
 
+    def get_event_stamps(self, uuids: Sequence[str]
+                         ) -> Dict[str, Optional[Tuple[int, str]]]:
+        """Batch ``uuid → (timestamp, blob)`` fetch, like
+        :meth:`get_event_blobs`; absent uuids → None."""
+        result: Dict[str, Optional[Tuple[int, str]]] = {
+            uuid: None for uuid in uuids}
+        for shard, chunk in self._shard_chunks(list(result), chunk_size()):
+            rows = self._conns[shard].execute(
+                f"SELECT uuid, timestamp, blob FROM events WHERE uuid IN"
+                f" ({_marks(chunk)})", chunk).fetchall()
+            result.update((uuid, (int(ts), blob)) for uuid, ts, blob in rows)
+        return result
+
     def events_with_tag(self, tag: str, uuids: Sequence[str]) -> Set[str]:
         found: Set[str] = set()
         for shard, chunk in self._shard_chunks(
@@ -672,6 +685,19 @@ class SQLiteBackend:
             f"SELECT {_PROVENANCE_COLS} FROM provenance"
             " WHERE event_uuid = ? ORDER BY seq", (event_uuid,)).fetchall()
         return [provenance_row(row) for row in rows]
+
+    def provenance_for_events(self, event_uuids: Sequence[str]
+                              ) -> Dict[str, List[Dict[str, Any]]]:
+        """``event_uuid → rows`` (oldest first) in chunked queries."""
+        result: Dict[str, List[Dict[str, Any]]] = {
+            uuid: [] for uuid in event_uuids}
+        for chunk in chunks(list(result), chunk_size()):
+            rows = self._cat.execute(
+                f"SELECT {_PROVENANCE_COLS} FROM provenance WHERE event_uuid"
+                f" IN ({_marks(chunk)}) ORDER BY seq", chunk).fetchall()
+            for row in rows:
+                result[row[2]].append(provenance_row(row))
+        return result
 
     def provenance_for_trace(self, trace_id: str) -> List[Dict[str, Any]]:
         rows = self._cat.execute(

@@ -37,6 +37,7 @@ last successful sync (docs/SHARING.md).
 from __future__ import annotations
 
 import datetime as dt
+import hashlib
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -44,6 +45,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from ..clock import Clock
 from ..errors import StorageError
 from ..obs import MetricsRegistry, NULL_REGISTRY
+from .export import canonical_json
 from .model import MispEvent
 from .storage import PersistBatch, SQLiteBackend, detect_shard_count
 
@@ -242,7 +244,7 @@ class MispStore:
                 event.uuid, event.info, event.date.isoformat(), event.org,
                 event.threat_level_id, event.analysis, event.distribution,
                 int(event.published), int(event.timestamp.timestamp()),
-                json.dumps(event.to_dict(), sort_keys=True),
+                canonical_json(event),
             ))
             for attribute in attributes:
                 attribute_rows.append((
@@ -296,6 +298,21 @@ class MispStore:
         return {uuid: self._decode(blob) if blob is not None else None
                 for uuid, blob in blobs.items()}
 
+    def event_digests(self, uuids: Sequence[str]
+                      ) -> Dict[str, Optional[Tuple[int, str]]]:
+        """``uuid -> (epoch timestamp, content digest)`` without decoding.
+
+        The digest is the sha256 of the stored blob, which holds the
+        event's :func:`~repro.misp.export.canonical_json` bytes, so it
+        equals :func:`~repro.sharing.sync.event_digest` of the decoded
+        event.  One chunked ``SELECT`` per shard, request order kept,
+        absent uuids map to ``None``; ``payloads_deserialized`` does not
+        move.  The anti-entropy receiver probes an offer with it.
+        """
+        return {uuid: None if row is None else
+                (row[0], hashlib.sha256(row[1].encode()).hexdigest())
+                for uuid, row in self.backend.get_event_stamps(uuids).items()}
+
     def events_with_tag(self, tag: str, uuids: Sequence[str]) -> Set[str]:
         """Which of the given event uuids carry a tag (one chunked query)."""
         return self.backend.events_with_tag(tag, uuids)
@@ -331,6 +348,15 @@ class MispStore:
     def provenance_for_event(self, event_uuid: str) -> List[Dict[str, Any]]:
         """One event's lineage rows, oldest first."""
         return self.backend.provenance_for_event(event_uuid)
+
+    def provenance_for_events(self, event_uuids: Sequence[str]
+                              ) -> Dict[str, List[Dict[str, Any]]]:
+        """Many events' lineage rows (oldest first) in chunked queries.
+
+        Returns ``uuid -> rows`` for every requested uuid (empty list when
+        an event has no lineage).
+        """
+        return self.backend.provenance_for_events(event_uuids)
 
     def provenance_for_trace(self, trace_id: str) -> List[Dict[str, Any]]:
         """Every lineage row carrying one trace id, oldest first."""

@@ -46,6 +46,7 @@ from .provenance import (
     origin_path,
     render_lineage,
     share_context,
+    share_contexts,
     stitch_lineage,
     trace_id_for,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "origin_path",
     "render_lineage",
     "share_context",
+    "share_contexts",
     "stitch_lineage",
     "trace_id_for",
     "validate_record",

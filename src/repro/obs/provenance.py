@@ -150,8 +150,13 @@ def origin_path(store: Any, event_uuid: str, self_org: str) -> List[str]:
     via sync extends the path its latest ``synced-from`` row recorded, so
     the context C receives through B reads ``["org-a", "org-b"]``.
     """
+    return _path_from(store.provenance_for_event(event_uuid), self_org)
+
+
+def _path_from(rows: Sequence[Dict[str, Any]], self_org: str) -> List[str]:
+    """:func:`origin_path` over one event's already-read lineage rows."""
     path: List[str] = []
-    for row in reversed(store.provenance_for_event(event_uuid)):
+    for row in reversed(rows):
         if row["kind"] != "synced-from":
             continue
         try:
@@ -166,6 +171,14 @@ def share_context(store: Any, event_uuid: str, self_org: str) -> Dict[str, Any]:
     """The trace context a MISP push carries alongside one event."""
     return {"trace_id": trace_id_for(event_uuid),
             "path": origin_path(store, event_uuid, self_org)}
+
+
+def share_contexts(store: Any, event_uuids: Sequence[str],
+                   self_org: str) -> Dict[str, Dict[str, Any]]:
+    """:func:`share_context` for many events from one batched lineage read."""
+    return {uuid: {"trace_id": trace_id_for(uuid),
+                   "path": _path_from(rows, self_org)}
+            for uuid, rows in store.provenance_for_events(event_uuids).items()}
 
 
 def _hop_depth(rows: Sequence[Dict[str, Any]]) -> int:

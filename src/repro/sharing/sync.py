@@ -31,13 +31,12 @@ watermarks.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..misp import MispEvent, to_stix2_bundle
-from ..misp.export import to_misp_json
+from ..misp.export import canonical_json, to_misp_json
 from ..obs import MetricsRegistry, NULL_REGISTRY
 
 #: Share outcome labels (the ``caop_share_outcomes_total`` counter values).
@@ -55,12 +54,13 @@ FORMAT_STIX = "stix"
 def event_digest(event: MispEvent) -> str:
     """Canonical content digest of one event.
 
-    Computed over the sorted-key MISP JSON dict, so any two events whose
-    ``to_dict`` forms are equal share a digest regardless of attribute
-    object identity or construction order.
+    The sha256 of :func:`~repro.misp.export.canonical_json`, the bytes the
+    store keeps as the event's blob, so any two events whose ``to_dict``
+    forms are equal share a digest regardless of attribute object identity
+    or construction order, and :meth:`~repro.misp.MispStore.event_digests`
+    reads it without decoding.
     """
-    return hashlib.sha256(
-        json.dumps(event.to_dict(), sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(canonical_json(event).encode()).hexdigest()
 
 
 @dataclass

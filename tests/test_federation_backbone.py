@@ -28,6 +28,7 @@ from repro.federation import (
     KIND_EVENT,
     SimulatedNetworkBackbone,
     Topology,
+    build_offer,
     chain,
     handle_offer,
     hub_and_spoke,
@@ -35,12 +36,12 @@ from repro.federation import (
     prefers_incoming,
     store_state,
 )
-from repro.misp import Distribution, MispAttribute, MispEvent
+from repro.misp import Distribution, MispAttribute, MispEvent, SharingGroup
 from repro.misp.export import to_misp_json
 from repro.misp.storage import VAR_BUDGET
 from repro.obs import MetricsRegistry
 from repro.resilience import FaultInjector, FaultPlan, FaultRule, link_key
-from repro.sharing import SharingPolicy, Tlp, mark_tlp
+from repro.sharing import SharingPolicy, Tlp, event_digest, mark_tlp
 
 
 def make_intel(index, ts, distribution=Distribution.ALL_COMMUNITIES):
@@ -247,6 +248,123 @@ class TestAntiEntropy:
                    for r in reports.values())
         assert all(r["offered"] == 2 for r in reports.values())
         assert federation.fingerprints() == before  # a pure read
+        # With no store change since, a second pass decodes nothing on
+        # either end of either link.
+        stores = [node.misp.store for node in federation.nodes.values()]
+        decoded = [store.payloads_deserialized for store in stores]
+        assert federation.reconcile() == reports
+        assert [store.payloads_deserialized for store in stores] == decoded
+
+    def test_offer_matches_a_full_decode(self):
+        federation = Federation(mesh(["left", "right", "third"]),
+                                clock=SimulatedClock(PAPER_NOW))
+        node = federation.node("left")
+        known = SharingGroup(name="pair", organisations={"left", "right"})
+        learned = SharingGroup(name="later", organisations={"left", "right"})
+        node.misp.sharing_groups[known.uuid] = known
+        shapes = [
+            (Distribution.CONNECTED_COMMUNITIES, "green", None),
+            (Distribution.CONNECTED_COMMUNITIES, None, None),
+            (Distribution.ALL_COMMUNITIES, "green", None),
+            (Distribution.ALL_COMMUNITIES, "amber", None),
+            (Distribution.ALL_COMMUNITIES, "red", None),
+            (Distribution.ALL_COMMUNITIES, None, None),
+            (Distribution.ORGANISATION_ONLY, "green", None),
+            (Distribution.SHARING_GROUP, "green", known),
+            (Distribution.SHARING_GROUP, "amber", known),
+            (Distribution.SHARING_GROUP, "green", learned),
+        ]
+        events = []
+        for index, (distribution, tlp, group) in enumerate(shapes):
+            event = make_intel(index, PAPER_NOW)
+            event.distribution = distribution
+            if group is not None:
+                event.sharing_group_id = group.uuid
+            if tlp is None:
+                event.tags = []
+            else:
+                mark_tlp(event, tlp)
+            events.append(event)
+        node.misp.add_events(events)
+
+        def reference_offer(dst):
+            # A full decode: every stored event through both gates,
+            # digested as the wire copy it would be sent as.
+            offer = {}
+            for event in sorted(node.misp.store.list_events(),
+                                key=lambda e: e.uuid):
+                ok, _group, _reason = node.misp.release_gate(event, dst)
+                marking = node.policy.marking_of(event)
+                if not ok or marking == Tlp.RED or not Tlp.at_most(
+                        marking, node.policy.clearance_of(dst)):
+                    continue
+                copy = node.misp.release_copy(event)
+                offer[event.uuid] = {"digest": event_digest(copy),
+                                     "ts": int(copy.timestamp.timestamp())}
+            return offer
+
+        def check():
+            built = {dst: build_offer(node, dst) for dst in ("right", "third")}
+            assert built == {dst: reference_offer(dst)
+                             for dst in ("right", "third")}
+            return built
+
+        first = check()
+        # Connected communities reach a hop further only downgraded.
+        assert first["right"][events[0].uuid]["digest"] != \
+            event_digest(events[0])
+        updated = MispEvent.from_dict(events[2].to_dict())
+        updated.info = "intel 2, revised"
+        updated.timestamp = PAPER_NOW + dt.timedelta(minutes=5)
+        node.misp.add_event(updated)
+        node.misp.store.delete_event(events[0].uuid)
+        check()
+        # Gate inputs that live outside the store change after the index
+        # is built; the next offer sees them.
+        node.policy.set_clearance("right", Tlp.AMBER)
+        node.misp.sharing_groups[learned.uuid] = learned
+        last = check()
+        assert set(first["right"]) - set(last["right"]) == {events[0].uuid}
+        assert set(last["right"]) - set(first["right"]) == {
+            events[index].uuid for index in (1, 3, 5, 8, 9)}
+        assert set(last["third"]) == set(first["third"]) - {events[0].uuid}
+
+    def test_ledger_and_lineage_are_written_once_per_pass(self):
+        federation = self.build_pair()
+        left = federation.node("left")
+        store = left.misp.store
+
+        def repair_pass(start, count):
+            left.misp.add_events(
+                [make_intel(index, PAPER_NOW)
+                 for index in range(start, start + count)])
+            before = store.sql_statements
+            assert left.reconcile_with("right")["repaired"] == count
+            return store.sql_statements - before
+
+        assert repair_pass(0, 1) == repair_pass(1, 20)
+        assert store.sync_digest_count("right") == 21
+
+    def test_link_failure_mid_pass_keeps_the_accepted_repairs(self):
+        # Link call 0 carries the offer, so call 3 is the third repair.
+        plan = FaultPlan(rules=[FaultRule(
+            component="link", key=link_key("left", "right"), calls=(3,))])
+        federation = Federation(
+            mesh(["left", "right"]),
+            backbone=SimulatedNetworkBackbone(FaultInjector(plan)),
+            clock=SimulatedClock(PAPER_NOW))
+        left = federation.node("left")
+        events = [make_intel(index, PAPER_NOW) for index in range(5)]
+        left.misp.add_events(events)
+        with pytest.raises(SharingError):
+            left.reconcile_with("right")
+        store = left.misp.store
+        assert store.sync_digest_count("right") == 2
+        shared = [row for event in events
+                  for row in store.provenance_for_event(event.uuid)
+                  if row["kind"] == "shared-to"]
+        assert len(shared) == 2
+        assert federation.node("right").misp.store.event_count() == 2
 
     def test_offer_respects_release_gate_and_tlp(self):
         federation = self.build_pair()
@@ -420,6 +538,16 @@ def drive_partition_scenario(fault, *, topology_name="mesh",
 
 
 class TestConvergenceAcceptance:
+    def test_fingerprint_decodes_each_event_once(self):
+        federation = Federation(mesh(["left", "right"]),
+                                clock=SimulatedClock(PAPER_NOW))
+        seed(federation, "left", 0, 3, PAPER_NOW)
+        federation.run_round()
+        store = federation.node("right").misp.store
+        before = store.payloads_deserialized
+        federation.node("right").fingerprint()
+        assert store.payloads_deserialized - before == store.event_count()
+
     def test_mesh_partition_converges_byte_identically(self):
         baseline = drive_partition_scenario(False)
         faulted = drive_partition_scenario(True)

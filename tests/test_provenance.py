@@ -29,6 +29,7 @@ from repro.obs import (
     origin_path,
     render_lineage,
     share_context,
+    share_contexts,
     stitch_lineage,
     trace_id_for,
 )
@@ -133,6 +134,23 @@ class TestOriginPath:
         context = share_context(store, EVENT_UUID.format(0), "org-a")
         assert context == {"trace_id": trace_id_for(EVENT_UUID.format(0)),
                            "path": ["org-a"]}
+
+    def test_batched_share_contexts_match_one_by_one(self):
+        store = MispStore()
+        recorder = ProvenanceRecorder(store=store, clock=SimulatedClock(),
+                                      org="org-b")
+        recorder.record("synced-from", EVENT_UUID.format(0), actor="sync",
+                        detail='{"path": ["org-a"]}')
+        recorder.record("synced-from", EVENT_UUID.format(0), actor="sync",
+                        detail='{"path": ["org-c", "org-d"]}')
+        recorder.flush()
+        uuids = [EVENT_UUID.format(index) for index in (1, 0)]
+        before = store.sql_statements
+        batched = share_contexts(store, uuids, "org-b")
+        assert store.sql_statements - before == 1
+        assert batched == {uuid: share_context(store, uuid, "org-b")
+                           for uuid in uuids}
+        assert batched[uuids[1]]["path"] == ["org-c", "org-d", "org-b"]
 
 
 class TestPlatformLineage:

@@ -11,7 +11,9 @@ probing a store.
 
 import datetime as dt
 import json
+import math
 import sqlite3
+from collections import Counter
 
 import pytest
 
@@ -31,6 +33,7 @@ from repro.misp.storage import (
     shard_path,
 )
 from repro.misp.storage.sqlite import CountingConnection
+from repro.sharing.sync import event_digest
 
 TS = dt.datetime(2026, 1, 1, tzinfo=dt.timezone.utc)
 
@@ -97,6 +100,12 @@ class TestConformanceCrud:
         assert loaded is not None
         assert loaded.to_dict() == event.to_dict()
         assert store.get_event("missing") is None
+        statements, decoded = store.sql_statements, store.payloads_deserialized
+        assert store.event_digests([event.uuid, "ghost"]) == {
+            event.uuid: (int(TS.timestamp()), event_digest(loaded)),
+            "ghost": None}
+        assert store.sql_statements - statements <= store.shard_count
+        assert store.payloads_deserialized == decoded
 
     def test_replace_semantics(self, store):
         event = make_event()
@@ -222,6 +231,9 @@ class TestConformanceCrud:
         assert [r["kind"] for r in store.provenance_for_trace("t1")] == \
             ["collected", "composed"]
         assert [r["seq"] for r in store.provenance_for_event("e2")] == [2, 3]
+        assert store.provenance_for_events(["e2", "ghost", "e1"]) == {
+            "e2": store.provenance_for_event("e2"), "ghost": [],
+            "e1": store.provenance_for_event("e1")}
         assert store.latest_traced_event() == "e2"
 
 
@@ -278,6 +290,17 @@ class TestChunkBudget:
         assert fetched["ghost"] is None
         assert all(fetched[e.uuid] is not None for e in corpus)
         assert store.existing_events(uuids) == set(uuids[:-1])
+        statements, decoded = store.sql_statements, store.payloads_deserialized
+        stamps = store.event_digests(uuids)
+        per_shard = Counter(shard_of(uuid, store.shard_count) for uuid in uuids)
+        assert store.sql_statements - statements <= sum(
+            math.ceil(count / chunk_size()) for count in per_shard.values())
+        assert store.payloads_deserialized == decoded
+        assert list(stamps) == uuids
+        assert stamps["ghost"] is None
+        assert all(stamps[e.uuid] == (int(TS.timestamp()),
+                                      event_digest(fetched[e.uuid]))
+                   for e in corpus)
         assert store.events_with_tag("tlp:green", uuids) == set()
         batched = store.correlations_for_events(uuids)
         assert len(batched) == 1101
