@@ -17,11 +17,14 @@ periodic ingest waves of short-lived scored events, and guards:
    event payloads.
 2. **Cadence** — compaction runs exactly on its configured cycle cadence,
    never in between.
-3. **Correctness** — the final full-store fingerprint
+3. **Compaction cost** — compaction reads its summary rollup, so each run
+   decodes at most the events saved since the previous run (a count, so
+   it cannot flake).
+4. **Correctness** — the final full-store fingerprint
    (``federation.fingerprint``) is byte-identical to a full-rescan
-   baseline that swept + purged on *every* cycle, and every maintained
-   rollup answers identically to a from-scratch rebuild over the final
-   store.
+   baseline that swept the decoded store and purged on *every* cycle, and
+   every maintained rollup answers identically to a from-scratch rebuild
+   over the final store.
 """
 
 import datetime as dt
@@ -126,7 +129,21 @@ def run_incremental():
     max_payloads = 0
     compaction_runs = 0
     compaction_cycles = []
+    #: (decodes, events saved since the previous run) per compaction run.
+    compaction_decodes = []
+    saved = 0
     purged = 0
+
+    def compact(run, cycle):
+        nonlocal saved
+        decoded = store.payloads_deserialized
+        outcome = run(cycle)
+        if outcome.ran:
+            compaction_decodes.append(
+                (store.payloads_deserialized - decoded, saved))
+            saved = 0
+        return outcome
+
     started = time.perf_counter()
     for cycle in range(1, CYCLES + 1):
         clock.advance(CYCLE_STEP)
@@ -135,7 +152,8 @@ def run_incremental():
         decoded = store.payloads_deserialized
         if busy:
             ingest_wave(store, cycle, clock.now())
-        outcome = compaction.maybe_run(cycle)
+            saved += WAVE_SIZE
+        outcome = compact(compaction.maybe_run, cycle)
         if outcome.ran:
             compaction_runs += 1
             compaction_cycles.append(cycle)
@@ -146,10 +164,10 @@ def run_incremental():
             max_sql = max(max_sql, store.sql_statements - statements)
             max_payloads = max(
                 max_payloads, store.payloads_deserialized - decoded)
-    # Terminal full pass at the final instant so deferred purges land
+    # Terminal run at the final instant so deferred purges land
     # regardless of whether CYCLES is a cadence multiple; the baseline
     # gets the identical terminal pass.
-    final = compaction.run(CYCLES)
+    final = compact(compaction.run, CYCLES)
     purged += final.purged
     group.refresh()
     elapsed = time.perf_counter() - started
@@ -158,9 +176,18 @@ def run_incremental():
         "keywords": keywords, "geo": geo, "report": report,
         "quiet": quiet, "max_sql": max_sql, "max_payloads": max_payloads,
         "compaction_runs": compaction_runs,
-        "compaction_cycles": compaction_cycles, "purged": purged,
+        "compaction_cycles": compaction_cycles,
+        "compaction_decodes": compaction_decodes, "purged": purged,
         "seconds": elapsed,
     }
+
+
+def full_pass(store, decay):
+    """Sweep every decoded stored event, then purge the expired ones in
+    ``list_events()`` order."""
+    _live, expired = decay.sweep(store)
+    for event_uuid in expired:
+        store.delete_event(event_uuid)
 
 
 def run_baseline():
@@ -168,15 +195,14 @@ def run_baseline():
     cycle.  Same clock schedule, same ingest waves, same event uuids."""
     clock = SimulatedClock(start=START)
     store = MispStore(":memory:", clock=clock)
-    stage = CompactionStage(store, decay=ScoreDecayEngine(clock=clock),
-                            clock=clock, every_cycles=1)
+    decay = ScoreDecayEngine(clock=clock)
     started = time.perf_counter()
     for cycle in range(1, CYCLES + 1):
         clock.advance(CYCLE_STEP)
         if cycle % INGEST_EVERY == 0:
             ingest_wave(store, cycle, clock.now())
-        stage.maybe_run(cycle)
-    stage.run(CYCLES)
+        full_pass(store, decay)
+    full_pass(store, decay)
     elapsed = time.perf_counter() - started
     return {"store": store, "seconds": elapsed}
 
@@ -212,6 +238,18 @@ def test_compaction_runs_on_cadence_only():
     assert soak["compaction_cycles"] == expected
     assert soak["compaction_runs"] == len(expected)
     assert soak["purged"] > 0, "the soak never exercised a purge"
+
+
+def test_compaction_decodes_only_what_changed():
+    soak = results()["incremental"]
+    runs = soak["compaction_decodes"]
+    assert len(runs) == soak["compaction_runs"] + 1   # + the terminal run
+    over = [(index, decoded, saved)
+            for index, (decoded, saved) in enumerate(runs)
+            if decoded > saved]
+    assert not over, (
+        "compaction runs (index, decoded, saved since previous run) that "
+        f"decoded more than what changed: {over}")
 
 
 def test_final_store_matches_full_rescan_baseline():
@@ -250,6 +288,9 @@ def test_report_table():
         "  (budget 0)",
         f"{'compaction runs':<28} {soak['compaction_runs']:>10}"
         f"  (every {COMPACT_EVERY} cycles)",
+        f"{'max decodes / compaction':<28} "
+        f"{max(d for d, _ in soak['compaction_decodes']):>10}"
+        f"  (budget: events saved since the previous run)",
         f"{'events purged':<28} {soak['purged']:>10}",
         f"{'events remaining':<28} {soak['store'].event_count():>10}",
         f"{'incremental soak seconds':<28} {soak['seconds']:>10.2f}",

@@ -469,18 +469,16 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 
 def _cmd_purge(args: argparse.Namespace) -> int:
-    from .core import ScoreDecayEngine
+    from .core.compaction import CompactionStage
     from .misp import MispStore
 
     store = MispStore(args.store)
-    engine = ScoreDecayEngine()
-    live, expired = engine.sweep(store)
-    print(f"store: {args.store} — {len(live)} live scored events, "
-          f"{len(expired)} expired")
+    report = CompactionStage(store, purge=args.apply).run()
+    print(f"store: {args.store} — {report.live} live scored events, "
+          f"{report.expired} expired")
     if args.apply:
-        removed = engine.purge_expired(store)
-        print(f"purged {removed} expired events")
-    elif expired:
+        print(f"purged {report.purged} expired events")
+    elif report.expired:
         print("re-run with --apply to delete them")
     return 0
 
@@ -561,8 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--store", default=None,
                      help="persist the MISP store to this SQLite file")
     run.add_argument("--compact-every", type=int, default=25,
-                     help="run the decay compaction full pass every N "
-                          "cycles (<= 0 disables it)")
+                     help="run decay compaction every N cycles "
+                          "(<= 0 disables it)")
     run.add_argument("--store-shards", type=int, default=1,
                      help="hash-shard the MISP store across N SQLite files"
                           " (default 1 = single file)")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..clock import Clock, SimulatedClock, ensure_utc
 from ..errors import ValidationError
@@ -76,6 +76,14 @@ CATEGORY_MODELS = {
 
 DEFAULT_MODEL = DecayModel()
 
+_EPOCH = _dt.datetime(1970, 1, 1, tzinfo=_dt.timezone.utc)
+_SECOND = _dt.timedelta(seconds=1)
+
+
+def model_for_category(category: Optional[str]) -> DecayModel:
+    """The decay model of a threat category (the default when unknown)."""
+    return CATEGORY_MODELS.get(category, DEFAULT_MODEL)
+
 
 @dataclass(frozen=True)
 class DecayedScore:
@@ -97,10 +105,7 @@ class ScoreDecayEngine:
     def model_for(self, event: MispEvent) -> DecayModel:
         """Select the decay model for an event's category."""
         from .compose import tags_to_category
-        category = tags_to_category(event)
-        if category is not None and category in CATEGORY_MODELS:
-            return CATEGORY_MODELS[category]
-        return DEFAULT_MODEL
+        return model_for_category(tags_to_category(event))
 
     def evaluate(self, event: MispEvent) -> Optional[DecayedScore]:
         """Decayed score of one eIoC; None when it carries no score."""
@@ -128,10 +133,7 @@ class ScoreDecayEngine:
         without deserializing anything.
         """
         age = self._clock.now() - ensure_utc(timestamp)
-        model = CATEGORY_MODELS.get(category) \
-            if category is not None else None
-        if model is None:
-            model = DEFAULT_MODEL
+        model = model_for_category(category)
         return DecayedScore(
             event_uuid=event_uuid,
             base_score=base_score,
@@ -153,17 +155,39 @@ class ScoreDecayEngine:
                 live.append(decayed)
         return live, expired
 
-    def purge_expired(self, store: MispStore) -> int:
-        """Delete expired eIoCs from the store; returns how many were removed.
+    def sweep_summaries(self, summaries: Mapping[str, Mapping[str, Any]]
+                        ) -> Tuple[int, List[str]]:
+        """:meth:`sweep` over report summaries instead of stored events.
 
-        Store maintenance MISP deployments run periodically: indicators past
-        their lifetime add noise to correlation and search without evidence
-        value.  Only *scored* events are candidates — raw cIoCs and
-        infrastructure events are never aged out.
+        ``summaries`` maps event uuids to
+        :func:`~repro.core.report.summarize_event` output, whose epoch
+        ``ts``, ``category`` and ``base`` are all expiry needs: an event
+        expires once its age reaches its category's lifetime, so each
+        category has one cutoff per call and nothing is decoded.  Returns
+        ``(live count, expired uuids)``, the uuids in :meth:`sweep` order
+        (``timestamp DESC, uuid``).  Unscored events never expire.
         """
-        _live, expired = self.sweep(store)
-        removed = 0
-        for event_uuid in expired:
-            if store.delete_event(event_uuid):
-                removed += 1
-        return removed
+        now = self._clock.now()
+        cutoffs: Dict[Optional[str], int] = {}
+        live = 0
+        expired: List[Tuple[int, str]] = []
+        for uuid, summary in summaries.items():
+            base = summary["base"]
+            if base is None:
+                continue
+            if not 0.0 <= base <= 5.0:
+                raise ValidationError(f"base score out of range: {base}")
+            category = summary["category"]
+            cutoff = cutoffs.get(category)
+            if cutoff is None:
+                # Stored timestamps are whole seconds, so flooring the
+                # cutoff keeps ``ts <= cutoff`` exact.
+                lifetime = model_for_category(category).lifetime
+                cutoff = (now - lifetime - _EPOCH) // _SECOND
+                cutoffs[category] = cutoff
+            if summary["ts"] <= cutoff:
+                expired.append((-summary["ts"], uuid))
+            else:
+                live += 1
+        expired.sort()
+        return live, [uuid for _ts, uuid in expired]

@@ -16,6 +16,9 @@ consumes it instead of re-scanning stored state every cycle:
 - :class:`StoreRollup` — base class for incrementally-maintained
   materialized views: ``refresh()`` reads the feed once, batch-loads only
   the changed events, and hands them to the subclass's ``apply_delta``.
+  A persistent rollup checkpoints into per-key ``rollup_rows`` and
+  remembers which keys its deltas touched, so a checkpoint writes only
+  the rows that changed since the previous one.
 - :class:`RollupGroup` — several rollups over one store sharing a single
   feed read and a single event fetch per cycle when their cursors align
   (the common case after the first cycle).
@@ -23,15 +26,15 @@ consumes it instead of re-scanning stored state every cycle:
 Cost model (docs/PERFORMANCE.md): a quiet cycle is one ``changes_since``
 query returning nothing — no event payload is fetched or deserialized and
 no rollup write happens.  Rollup state is persisted only at explicit
-``save()`` checkpoints, not per refresh, so hot cycles never pay the
-serialization either.
+``save()`` checkpoints, not per refresh, and a checkpoint costs the rows
+touched since the previous one, not the size of the store.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..misp.model import MispEvent
 from ..misp.store import MispStore, StoreChange
@@ -106,10 +109,11 @@ class DeltaCursor:
     """A named, optionally persisted position in the store's change feed.
 
     Reads never advance the cursor implicitly (consume-then-advance keeps
-    crash semantics at-least-once), and ``save()`` persists position + an
-    opaque state blob to ``rollup_state`` only when something actually
-    moved.  Unlike a sharing watermark, which holds at the first failed
-    share, a rollup cursor always advances to the end of what it read.
+    crash semantics at-least-once), and ``save()`` persists position, an
+    opaque state string and any changed ``rollup_rows`` only when
+    something actually moved.  Unlike a sharing watermark, which holds at
+    the first failed share, a rollup cursor always advances to the end of
+    what it read.
     """
 
     def __init__(self, store: MispStore, name: str,
@@ -141,26 +145,39 @@ class DeltaCursor:
             self.position = seq
             self._dirty = True
 
-    def save(self, state: str = "") -> bool:
-        """Persist position + state if this cursor is persistent and moved."""
+    def save(self, state: str = "",
+             rows: Optional[Mapping[str, Optional[str]]] = None) -> bool:
+        """Persist position + state (+ ``rows``, one transaction) if this
+        cursor is persistent and something moved; a ``None`` row value
+        deletes that row."""
         if not self.persistent:
             return False
-        if not self._dirty and state == self._saved_state:
+        if not self._dirty and state == self._saved_state and not rows:
             return False
-        self.store.set_rollup(self.name, self.position, state)
+        self.store.set_rollup(self.name, self.position, state, rows=rows)
         self._saved_state = state
         self._dirty = False
         return True
 
 
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _encode_row(value: Any) -> Optional[str]:
+    return None if value is None else _ROW_ENCODER.encode(value)
+
+
 class StoreRollup:
     """Base class for a materialized view maintained from the change feed.
 
-    Subclasses implement :meth:`apply_delta` (and, when persistent,
-    :meth:`state_dict` / :meth:`restore_state` for the JSON checkpoint).
-    A persistent rollup constructed over a store with saved state resumes
-    from its checkpoint — no rescan — and its first ``refresh()`` after a
-    quiet reopen consumes zero deltas.
+    Subclasses implement :meth:`apply_delta`.  Persistent ones also keep
+    their state as per-key rows: :meth:`row` / :meth:`restore_row` map one
+    key to and from a JSON value, and :meth:`touch` marks a key whose row
+    a delta changed.  :meth:`save` writes the touched rows and the
+    position in one transaction; construction over a store with saved
+    rows restores them — no rescan — and the first ``refresh()`` after a
+    quiet reopen consumes zero deltas.  Non-persistent rollups track no
+    keys at all.
     """
 
     def __init__(self, store: MispStore, name: str,
@@ -168,8 +185,19 @@ class StoreRollup:
         self.store = store
         self.name = name
         self.cursor = DeltaCursor(store, name, persistent=persistent)
-        if persistent and self.cursor.saved_state:
-            self.restore_state(json.loads(self.cursor.saved_state))
+        #: Keys whose rows changed since the last save (None: untracked).
+        self._touched: Optional[Set[str]] = set() if persistent else None
+        if self.cursor.position or self.cursor.saved_state:
+            rows = store.rollup_rows(name)
+            if self.cursor.saved_state:
+                # A whole-state blob from before per-key rows: rebuild off
+                # the feed (the audit log is never truncated); the next
+                # save clears the blob and any stale row.
+                self.cursor.position = 0
+                self._touched.update(key for key, _value in rows)
+            else:
+                for key, value in rows:
+                    self.restore_row(key, json.loads(value))
 
     @property
     def position(self) -> int:
@@ -191,11 +219,20 @@ class StoreRollup:
         self.apply_delta(events, deleted)
         self.cursor.advance(batch.last_seq)
 
+    def touch(self, key: str) -> None:
+        """Mark ``key``'s row as changed since the last save."""
+        if self._touched is not None:
+            self._touched.add(key)
+
     def save(self) -> bool:
-        """Checkpoint position + state (persistent rollups only)."""
-        state = json.dumps(self.state_dict(), sort_keys=True) \
-            if self.cursor.persistent else ""
-        return self.cursor.save(state)
+        """Checkpoint position + touched rows (persistent rollups only)."""
+        if self._touched is None:
+            return False
+        rows = {key: _encode_row(self.row(key))
+                for key in sorted(self._touched)}
+        saved = self.cursor.save(rows=rows)
+        self._touched.clear()
+        return saved
 
     # -- subclass hooks -------------------------------------------------------
 
@@ -204,12 +241,12 @@ class StoreRollup:
         """Fold changed events in / retire deleted uuids (idempotently)."""
         raise NotImplementedError
 
-    def state_dict(self) -> Dict[str, Any]:
-        """JSON-serializable checkpoint of the materialized state."""
-        return {}
+    def row(self, key: str) -> Any:
+        """JSON-serializable checkpoint row of ``key`` (None: no row)."""
+        return None
 
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Rebuild materialized state from :meth:`state_dict` output."""
+    def restore_row(self, key: str, value: Any) -> None:
+        """Fold one checkpointed :meth:`row` back in."""
 
 
 class RollupGroup:

@@ -86,8 +86,9 @@ class CycleReport:
     shares_sent: int = 0
     share_failures: int = 0
     scores: List[float] = field(default_factory=list)
-    #: Change-feed rows the rollup stage consumed this cycle (0 when the
-    #: store didn't change — the steady-state signature).
+    #: Change-feed rows the rollups consumed this cycle, in the compact and
+    #: rollup stages together (0 when the store didn't change — the
+    #: steady-state signature).
     deltas_consumed: int = 0
     #: Whether the rate-limited decay compaction ran this cycle, and how
     #: many expired events it purged.
@@ -190,8 +191,8 @@ class PlatformConfig:
     #: Optional scripted fault injector threaded through transport, store,
     #: parse and broker seams (chaos testing; see docs/RESILIENCE.md).
     fault_injector: Optional[FaultInjector] = None
-    #: Run the decay-compaction full pass every N cycles (<= 0 disables the
-    #: compact stage entirely; see docs/PERFORMANCE.md).
+    #: Run decay compaction every N cycles (<= 0 disables the compact stage
+    #: entirely; see docs/PERFORMANCE.md).
     compaction_every_cycles: int = 25
     #: Simulated fan-out subscribers attached to the rIoC room at build
     #: time (``caop run --subscribers``); pumped once per cycle.
@@ -267,10 +268,6 @@ class ContextAwareOSINTPlatform:
         self.tracer = tracer or Tracer(metrics=self.metrics)
         self.sightings = SightingProcessor(misp, heuristics, clock=clock)
         self.decay = ScoreDecayEngine(clock=clock)
-        #: Rate-limited decay full pass (the ``compact`` cycle stage).
-        self.compaction = CompactionStage(
-            misp.store, decay=self.decay, clock=clock,
-            every_cycles=compaction_every_cycles, metrics=self.metrics)
         #: Incrementally-maintained materialized views over the store's
         #: change feed, brought current once per cycle (``rollup`` stage)
         #: and checkpointed at :meth:`checkpoint`.
@@ -285,6 +282,12 @@ class ContextAwareOSINTPlatform:
             misp.store, clock=clock, decay=self.decay,
             incremental=True, persistent=True)
         self.rollups.add(self.report_builder.rollup)
+        #: Rate-limited decay compaction (the ``compact`` cycle stage); it
+        #: reads the report rollup's summaries instead of the store.
+        self.compaction = CompactionStage(
+            misp.store, decay=self.decay, clock=clock,
+            every_cycles=compaction_every_cycles, metrics=self.metrics,
+            summaries=self.report_builder.rollup)
         #: Simulated protocol-driving subscribers on the rIoC fan-out room
         #: (``caop run --subscribers``), pumped once per fanout stage.
         self.fanout_clients = dashboard.attach_subscribers(fanout_subscribers)
@@ -508,9 +511,14 @@ class ContextAwareOSINTPlatform:
         cycle.report.share_failures = shared.failed + shared.breaker_skipped
 
     def _compact(self, cycle: _Cycle) -> None:
-        # The rate-limited decay full pass (usually a skip).  Runs *before*
-        # the rollup stage so any purge lands in the change feed the
-        # rollups consume this same cycle.
+        # Rate-limited decay compaction (usually a skip).  When due, the
+        # whole rollup group first folds this cycle's writes in: the
+        # summaries compaction reads are then current, the four rollups
+        # stay aligned and the cycle decodes its changes once.  Runs
+        # *before* the rollup stage so any purge lands in the change feed
+        # the rollups consume this same cycle.
+        if self.compaction.due(cycle.number):
+            cycle.report.deltas_consumed += self.rollups.refresh()
         compaction = self.compaction.maybe_run(cycle.number)
         cycle.report.compacted = compaction.ran
         cycle.report.events_purged = compaction.purged
@@ -518,7 +526,7 @@ class ContextAwareOSINTPlatform:
     def _rollup(self, cycle: _Cycle) -> None:
         # Bring the materialized dashboard and report views current off the
         # change feed; on a quiet cycle a single empty changes_since query.
-        cycle.report.deltas_consumed = self.rollups.refresh()
+        cycle.report.deltas_consumed += self.rollups.refresh()
         if cycle.report.compacted:
             # Compaction cadence doubles as the checkpoint cadence: persist
             # rollup state while the store is already paying a write burst.
@@ -667,7 +675,7 @@ class ContextAwareOSINTPlatform:
         return PlatformHealth(components=components)
 
     def checkpoint(self) -> int:
-        """Persist every rollup's position + state to ``rollup_state``.
+        """Persist every rollup's position and changed rows.
 
         Call before shutting down a platform built over a file-backed
         store: a reopened platform then resumes its rollups from the

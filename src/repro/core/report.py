@@ -104,7 +104,11 @@ def summarize_event(event: MispEvent) -> Dict[str, Any]:
 
 
 class IntelSummaryRollup(StoreRollup):
-    """Materialized per-event report summaries fed by the change feed."""
+    """Materialized per-event report summaries fed by the change feed.
+
+    Also what compaction reads to find expired events (one row per event
+    uuid when persistent).
+    """
 
     def __init__(self, store: MispStore, name: str = "rollup:intel-report",
                  persistent: bool = False) -> None:
@@ -115,15 +119,16 @@ class IntelSummaryRollup(StoreRollup):
                     deleted: Sequence[str]) -> None:
         for uuid in deleted:
             self.summaries.pop(uuid, None)
+            self.touch(uuid)
         for event in events:
             self.summaries[event.uuid] = summarize_event(event)
+            self.touch(event.uuid)
 
-    def state_dict(self) -> Dict[str, Any]:
-        return {"events": self.summaries}
+    def row(self, key: str) -> Optional[Dict[str, Any]]:
+        return self.summaries.get(key)
 
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self.summaries = {uuid: dict(summary)
-                          for uuid, summary in state.get("events", {}).items()}
+    def restore_row(self, key: str, value: Dict[str, Any]) -> None:
+        self.summaries[key] = value
 
 
 class IntelReportBuilder:

@@ -96,7 +96,8 @@ class GeoStoreRollup(StoreRollup):
 
     Keeps each event's hits separately so updates replace and deletes
     retire that event's mentions — the aggregate always matches what a
-    fresh scan of the store would find.
+    fresh scan of the store would find.  A persistent rollup checkpoints
+    one row per located event.
     """
 
     def __init__(self, store: MispStore, gazetteer: GazetteerExtractor,
@@ -114,26 +115,32 @@ class GeoStoreRollup(StoreRollup):
                     deleted: Sequence[str]) -> None:
         self.last_delta_hits = 0
         for uuid in deleted:
-            self._event_hits.pop(uuid, None)
+            self._retire(uuid)
         for event in events:
             hits = locate_event(event, self._gazetteer, self._index)
             self.last_delta_hits += len(hits)
             if hits:
                 self._event_hits[event.uuid] = hits
+                self.touch(event.uuid)
             else:
-                self._event_hits.pop(event.uuid, None)
+                self._retire(event.uuid)
 
-    def state_dict(self) -> Dict[str, Any]:
-        return {"events": {
-            uuid: [[h.location, h.region, h.latitude, h.longitude]
-                   for h in hits]
-            for uuid, hits in self._event_hits.items()}}
+    def _retire(self, uuid: str) -> None:
+        # Only located events have a row to write or delete.
+        if self._event_hits.pop(uuid, None) is not None:
+            self.touch(uuid)
 
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._event_hits = {
-            uuid: [GeoHit(location=row[0], region=row[1], latitude=row[2],
-                          longitude=row[3], event_uuid=uuid) for row in rows]
-            for uuid, rows in state.get("events", {}).items()}
+    def row(self, key: str) -> Optional[List[List[Any]]]:
+        hits = self._event_hits.get(key)
+        if not hits:
+            return None
+        return [[h.location, h.region, h.latitude, h.longitude]
+                for h in hits]
+
+    def restore_row(self, key: str, value: List[List[Any]]) -> None:
+        self._event_hits[key] = [
+            GeoHit(location=row[0], region=row[1], latitude=row[2],
+                   longitude=row[3], event_uuid=key) for row in value]
 
     @property
     def hits(self) -> List[GeoHit]:

@@ -8,7 +8,8 @@ Three such models over the platform's live data:
 - :class:`TimelineView` — *temporal*: alarms/rIoCs bucketed over time with
   an ASCII sparkline (streaming-friendly: ingest as events arrive);
 - :class:`CorrelationGraphView` — *relational*: the MISP correlation graph
-  between events, with connected-component analysis;
+  between events, with connected-component analysis (the cluster count is
+  kept by union-find as edges arrive);
 - :class:`KeywordSummaryView` — *textual*: threat-category keyword
   frequencies across stored intelligence, as a bar summary;
 - :class:`EventJourneyView` — *provenance*: one IoC's recorded journey
@@ -19,8 +20,9 @@ The store-backed views are :class:`~repro.core.deltas.StoreRollup`
 materializations: they consume the store's change feed on read (or via the
 platform's rollup stage) instead of re-scanning every stored event, so a
 render after a quiet cycle costs one empty feed query.  Construct them with
-``persistent=True`` to checkpoint their state into the store's
-``rollup_state`` table and resume without rescans after a reopen.
+``persistent=True`` to checkpoint their state as per-key rows (one per
+event uuid) into the store's ``rollup_rows`` table — a checkpoint rewrites
+only the rows that changed — and resume without rescans after a reopen.
 """
 
 from __future__ import annotations
@@ -125,6 +127,49 @@ class TimelineView:
         return "\n".join(lines)
 
 
+class ClusterCount:
+    """Union-find over a graph: how many components have > 1 node.
+
+    Starts from the graph's connected components and unions each edge
+    added later.  Edges can only be added; a caller that removes one drops
+    the structure and builds a new one from the graph.
+    """
+
+    def __init__(self, graph: nx.Graph) -> None:
+        self._parent: Dict[str, str] = {}
+        self._size: Dict[str, int] = {}
+        #: Components with more than one node.
+        self.clusters = 0
+        for component in nx.connected_components(graph):
+            if len(component) > 1:
+                root = next(iter(component))
+                self._parent.update(dict.fromkeys(component, root))
+                self._size[root] = len(component)
+                self.clusters += 1
+
+    def _find(self, node: str) -> str:
+        parent = self._parent
+        root = parent.setdefault(node, node)
+        while root != parent[root]:
+            root = parent[root]
+        while node != root:
+            parent[node], node = root, parent[node]
+        return root
+
+    def union(self, a: str, b: str) -> None:
+        """Record the edge ``a``–``b``."""
+        root_a, root_b = self._find(a), self._find(b)
+        if root_a == root_b:
+            return
+        size_a = self._size.get(root_a, 1)
+        size_b = self._size.get(root_b, 1)
+        if size_a < size_b:
+            root_a, root_b = root_b, root_a
+        self._parent[root_b] = root_a
+        self._size[root_a] = size_a + size_b
+        self.clusters += 1 - (size_a > 1) - (size_b > 1)
+
+
 class CorrelationGraphView(StoreRollup):
     """Relational view: the event-correlation graph inside the MISP store.
 
@@ -134,6 +179,10 @@ class CorrelationGraphView(StoreRollup):
     that still appears in a live event's correlation rows stays in the
     graph as an attribute-less node, while a deleted event with no live
     correlation partner vanishes.
+
+    A persistent view checkpoints one row per node: its ``info`` (null for
+    a ghost) and its edges to larger uuids, so adding an edge touches one
+    row.
     """
 
     def __init__(self, store: MispStore,
@@ -143,6 +192,9 @@ class CorrelationGraphView(StoreRollup):
         #: Events currently stored (nodes carrying an ``info`` attribute);
         #: nodes outside this set are ghosts kept alive by live partners.
         self._live: set = set()
+        #: Cluster count kept as edges arrive; None until the next
+        #: :meth:`summary` builds it (at first use and after a retire).
+        self._clusters: Optional[ClusterCount] = None
         super().__init__(store, name, persistent=persistent)
 
     def apply_delta(self, events: Sequence[MispEvent],
@@ -155,50 +207,65 @@ class CorrelationGraphView(StoreRollup):
         for event in events:
             self._live.add(event.uuid)
             self._graph.add_node(event.uuid, info=event.info)
+            self.touch(event.uuid)
         rows = self.store.correlations_for_events(
             [event.uuid for event in events])
         for event in events:
-            for correlation in rows[event.uuid]:
-                self._graph.add_edge(
-                    correlation["source_event"], correlation["target_event"],
-                    value=correlation["value"])
+            uuid = event.uuid
+            for correlation in rows[uuid]:
+                a = correlation["source_event"]
+                b = correlation["target_event"]
+                self._graph.add_edge(a, b, value=correlation["value"])
+                # An edge lives in its smaller endpoint's row; the event's
+                # own row is already touched.
+                other = b if a == uuid else a
+                if other < uuid:
+                    self.touch(other)
+                if self._clusters is not None:
+                    self._clusters.union(a, b)
 
     def _retire(self, uuid: str) -> None:
         self._live.discard(uuid)
         if uuid not in self._graph:
             return
+        self.touch(uuid)
+        self._clusters = None
         # Full-rescan equivalence: edges only exist while at least one
         # endpoint is live (rescans walk correlations via live events).
         self._graph.nodes[uuid].pop("info", None)
         for neighbor in list(self._graph.neighbors(uuid)):
             if neighbor not in self._live:
                 self._graph.remove_edge(uuid, neighbor)
+                self.touch(neighbor)
                 if self._graph.degree[neighbor] == 0:
                     self._graph.remove_node(neighbor)
         if uuid in self._graph and self._graph.degree[uuid] == 0:
             self._graph.remove_node(uuid)
 
-    def state_dict(self) -> Dict[str, Any]:
-        return {
-            "nodes": {uuid: (attrs.get("info") if uuid in self._live
-                             else None)
-                      for uuid, attrs in self._graph.nodes(data=True)},
-            "edges": sorted(
-                [sorted((a, b)) + [attrs["value"]]
-                 for a, b, attrs in self._graph.edges(data=True)]),
-        }
+    def row(self, key: str) -> Optional[List[Any]]:
+        if key not in self._graph:
+            return None
+        info = self._graph.nodes[key].get("info") \
+            if key in self._live else None
+        neighbors = self._graph.adj[key]
+        edges = sorted([other, neighbors[other]["value"]]
+                       for other in neighbors if other > key)
+        return [info, edges]
 
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._graph = nx.Graph()
-        self._live = set()
-        for uuid, info in state.get("nodes", {}).items():
-            if info is None:
-                self._graph.add_node(uuid)
-            else:
-                self._graph.add_node(uuid, info=info)
-                self._live.add(uuid)
-        for a, b, value in state.get("edges", []):
-            self._graph.add_edge(a, b, value=value)
+    def restore_row(self, key: str, value: List[Any]) -> None:
+        info, edges = value
+        if info is None:
+            self._graph.add_node(key)
+        else:
+            self._graph.add_node(key, info=info)
+            self._live.add(key)
+        for other, correlation in edges:
+            self._graph.add_edge(key, other, value=correlation)
+
+    def _cluster_count(self) -> int:
+        if self._clusters is None:
+            self._clusters = ClusterCount(self._graph)
+        return self._clusters.clusters
 
     def graph(self) -> nx.Graph:
         """Events as nodes, value-correlations as labelled edges."""
@@ -221,22 +288,20 @@ class CorrelationGraphView(StoreRollup):
     def summary(self) -> Dict[str, int]:
         """Headline graph stats, JSON-ready (the fan-out ``graph`` room)."""
         self.refresh()
-        clusters = [c for c in self.components() if len(c) > 1]
         return {
             "events": self._graph.number_of_nodes(),
             "correlations": self._graph.number_of_edges(),
-            "clusters": len(clusters),
+            "clusters": self._cluster_count(),
         }
 
     def render(self, top: int = 5) -> str:
         """Render this view as printable text."""
         self.refresh()
-        clusters = [c for c in self.components() if len(c) > 1]
         lines = [
             "Correlation graph",
             f"  events:        {self._graph.number_of_nodes()}",
             f"  correlations:  {self._graph.number_of_edges()}",
-            f"  clusters (>1): {len(clusters)}",
+            f"  clusters (>1): {self._cluster_count()}",
         ]
         for uuid, degree in self.hubs(top):
             info = self._graph.nodes[uuid].get("info", "")[:50]
@@ -275,26 +340,26 @@ class KeywordSummaryView(StoreRollup):
                       for category, keywords in self._tagger.tag(text).items()}
             if counts:
                 self._contrib[event.uuid] = counts
+                self.touch(event.uuid)
                 for category, count in counts.items():
                     self._totals[category] += count
 
     def _retire(self, uuid: str) -> None:
+        # Only events with keywords have a row to write or delete.
         old = self._contrib.pop(uuid, None)
         if old:
+            self.touch(uuid)
             for category, count in old.items():
                 self._totals[category] -= count
                 if self._totals[category] <= 0:
                     del self._totals[category]
 
-    def state_dict(self) -> Dict[str, Any]:
-        return {"contrib": self._contrib}
+    def row(self, key: str) -> Optional[Dict[str, int]]:
+        return self._contrib.get(key)
 
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._contrib = {uuid: dict(counts)
-                         for uuid, counts in state.get("contrib", {}).items()}
-        self._totals = Counter()
-        for counts in self._contrib.values():
-            self._totals.update(counts)
+    def restore_row(self, key: str, value: Dict[str, int]) -> None:
+        self._contrib[key] = value
+        self._totals.update(value)
 
     def frequencies(self) -> Dict[str, int]:
         """Threat-category keyword counts across the store.

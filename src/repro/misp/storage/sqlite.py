@@ -10,9 +10,9 @@
   — touches ``1/N`` of the corpus;
 - *catalog* tables for everything that must stay globally ordered: the
   ``audit_log`` (the store's monotonic change feed), ``provenance``,
-  ``sync_state``/``sync_digests``, ``rollup_state``, the O(1) ``counters``
-  and ``store_meta``, which records the shard count so a reopen can detect
-  the layout.
+  ``sync_state``/``sync_digests``, ``rollup_state``/``rollup_rows``, the
+  O(1) ``counters`` and ``store_meta``, which records the shard count so a
+  reopen can detect the layout.
 
 A one-shard store is one file: the catalog connection doubles as shard 0,
 and value probes (value search, correlation candidates) read its
@@ -141,6 +141,12 @@ CREATE TABLE IF NOT EXISTS rollup_state (
     position INTEGER NOT NULL,
     state TEXT NOT NULL DEFAULT '',
     updated_at INTEGER NOT NULL
+);
+CREATE TABLE IF NOT EXISTS rollup_rows (
+    name TEXT NOT NULL,
+    key TEXT NOT NULL,
+    value TEXT NOT NULL,
+    PRIMARY KEY (name, key)
 );
 CREATE TABLE IF NOT EXISTS store_meta (
     key TEXT PRIMARY KEY,
@@ -653,12 +659,35 @@ class SQLiteBackend:
         return (int(row[0]), row[1]) if row is not None else None
 
     def set_rollup(self, name: str, position: int, state: str = "",
-                   logged_at: int = 0) -> None:
+                   logged_at: int = 0,
+                   rows: Optional[Mapping[str, Optional[str]]] = None
+                   ) -> None:
+        """Cursor row plus changed ``rollup_rows`` (``None`` deletes) in
+        one transaction; at most three statements however many rows."""
+        rows = rows or {}
+        upserts = [(name, key, value) for key, value in rows.items()
+                   if value is not None]
+        dropped = [(name, key) for key, value in rows.items()
+                   if value is None]
         with self._transaction():
+            if upserts:
+                self._cat.executemany(
+                    "INSERT OR REPLACE INTO rollup_rows (name, key, value)"
+                    " VALUES (?,?,?)", upserts)
+            if dropped:
+                self._cat.executemany(
+                    "DELETE FROM rollup_rows WHERE name = ? AND key = ?",
+                    dropped)
             self._cat.execute(
                 "INSERT OR REPLACE INTO rollup_state (name, position,"
                 " state, updated_at) VALUES (?,?,?,?)",
                 (name, int(position), state, int(logged_at)))
+
+    def rollup_rows(self, name: str) -> List[Tuple[str, str]]:
+        """``(key, value)`` rows of one rollup, ordered by key."""
+        return self._cat.execute(
+            "SELECT key, value FROM rollup_rows WHERE name = ? ORDER BY key",
+            (name,)).fetchall()
 
     def rollup_names(self) -> List[str]:
         rows = self._cat.execute(

@@ -403,16 +403,26 @@ class MispStore:
         """``(position, state)`` of one persisted rollup cursor, or None."""
         return self.backend.get_rollup(name)
 
-    def set_rollup(self, name: str, position: int, state: str = "") -> None:
+    def set_rollup(self, name: str, position: int, state: str = "",
+                   rows: Optional[Mapping[str, Optional[str]]] = None
+                   ) -> None:
         """Persist a rollup cursor (stamped on the store clock).
 
-        Lives in the ``rollup_state`` table, deliberately outside the sync
-        ledger: federation fingerprints fold ``sync_watermarks()``, and how
-        far local view maintenance has read must not perturb them.
+        ``rows`` maps the rollup's changed keys to their new JSON values
+        (``None`` deletes the key's row); they are written in the same
+        transaction as the position.  Lives in the ``rollup_state`` and
+        ``rollup_rows`` tables, deliberately outside the sync ledger:
+        federation fingerprints fold ``sync_watermarks()``, and how far
+        local view maintenance has read must not perturb them.
         """
         logged_at = int(self._clock.now().timestamp()) \
             if self._clock is not None else 0
-        self.backend.set_rollup(name, position, state, logged_at=logged_at)
+        self.backend.set_rollup(name, position, state, logged_at=logged_at,
+                                rows=rows)
+
+    def rollup_rows(self, name: str) -> List[Tuple[str, str]]:
+        """``(key, JSON value)`` checkpoint rows of one rollup, by key."""
+        return self.backend.rollup_rows(name)
 
     def rollup_names(self) -> List[str]:
         """Names of every persisted rollup cursor, sorted."""

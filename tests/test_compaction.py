@@ -1,20 +1,26 @@
-"""Rate-limited decay compaction (PR 9).
+"""Rate-limited decay compaction over the report summaries.
 
-The decay full pass is the one stage that legitimately touches every
-stored event (scores drift with nothing but time passing).  These tests
-pin its budget: it runs only on its cycle/interval cadence, its metrics
-meter the cost, purges reach rollups through the ordinary change feed,
-and deferring purges to the cadence converges onto the byte-identical
-store state an every-cycle full pass produces.
+Expiry drifts with nothing but time passing, so compaction is the one
+stage that considers every stored event; it reads the summary rollup
+instead of decoding the store.  These tests pin its budget: it runs only
+on its cycle/interval cadence, its metrics meter the cost, it decodes only
+what changed, purges reach rollups through the ordinary change feed, it
+agrees with a sweep of the decoded store (a Hypothesis differential
+test), and deferring purges to the cadence converges onto the
+byte-identical store state an every-cycle full pass produces.
 """
 
 import datetime as dt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import ContextAwareOSINTPlatform, PlatformConfig
 from repro.clock import SimulatedClock
 from repro.core.compaction import CompactionStage
-from repro.core.decay import ScoreDecayEngine
+from repro.core.decay import CATEGORY_MODELS, DEFAULT_MODEL, ScoreDecayEngine
+from repro.core.deltas import collapse_changes
 from repro.core.ioc import TAG_EIOC, THREAT_SCORE_COMMENT
 from repro.federation.fingerprint import store_fingerprint
 from repro.ids import content_uuid
@@ -187,3 +193,165 @@ class TestDeferredPurgeConvergence:
         assert store_fingerprint(cadenced) == store_fingerprint(baseline)
         # Every wave except the terminal one (age zero) has aged out.
         assert cadenced.event_count() == 3
+
+
+# -- compaction == sweep of the decoded store ---------------------------------
+
+#: Categories with a model, one without, and no category tag at all.
+CATEGORIES = sorted(CATEGORY_MODELS) + ["not-a-category", None]
+
+
+def lifetime_of(category):
+    return CATEGORY_MODELS.get(category, DEFAULT_MODEL).lifetime
+
+
+def drawn_event(index, category, score, age, now):
+    """Event ``index`` (content uuids), ``age`` old at ``now``; ``score``
+    None leaves it unscored, a non-number stores an unreadable score."""
+    timestamp = now - age
+    event = MispEvent(info=f"event {index}", published=True,
+                      timestamp=timestamp)
+    event.uuid = content_uuid("compaction-prop", str(index))
+    attributes = [MispAttribute(type="domain", value=f"d{index}.example",
+                                timestamp=timestamp)]
+    if score is not None:
+        attributes.append(MispAttribute(
+            type="float", value=score, comment=THREAT_SCORE_COMMENT,
+            timestamp=timestamp))
+        event.add_tag(TAG_EIOC)
+    for number, attribute in enumerate(attributes):
+        attribute.uuid = content_uuid("compaction-prop-attr", event.uuid,
+                                      str(number))
+        event.add_attribute(attribute)
+    if category is not None:
+        event.add_tag(f'caop:category="{category}"')
+    return event
+
+
+@st.composite
+def ages(draw, category):
+    """Ages at and around the category's lifetime, plus arbitrary ones."""
+    lifetime = lifetime_of(category)
+    return draw(st.one_of(
+        st.sampled_from([lifetime, lifetime - dt.timedelta(seconds=1),
+                         lifetime + dt.timedelta(seconds=1)]),
+        st.integers(0, 1200 * 86400).map(
+            lambda seconds: dt.timedelta(seconds=seconds))))
+
+
+@st.composite
+def save_ops(draw):
+    category = draw(st.sampled_from(CATEGORIES))
+    return ("save", draw(st.integers(0, 11)), category,
+            draw(st.sampled_from([None, "0.0", "1.5", "4.25", "5.0",
+                                  "n/a"])),
+            draw(ages(category)))
+
+
+COMPACTION_OPS = st.lists(st.one_of(
+    save_ops(),
+    st.tuples(st.just("delete"), st.integers(0, 11)),
+    st.tuples(st.just("advance"), st.one_of(
+        st.integers(1, 90 * 86400).map(
+            lambda seconds: dt.timedelta(seconds=seconds)),
+        st.integers(1, 10 ** 6).map(
+            lambda micros: dt.timedelta(microseconds=micros)))),
+    st.tuples(st.just("run")),
+), max_size=30)
+
+
+def reference_pass(store, decay, purge):
+    """Sweep every decoded stored event, then delete in list order."""
+    live, expired = decay.sweep(store)
+    purged = sum(1 for uuid in expired if store.delete_event(uuid)) \
+        if purge else 0
+    return len(live), expired, purged
+
+
+def deleted_rows(store):
+    return [(change.seq, change.event_uuid)
+            for change in store.changes_since(0)
+            if change.action == "deleted"]
+
+
+@given(ops=COMPACTION_OPS, purge=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_run_matches_a_sweep_of_the_decoded_store(ops, purge):
+    clock = SimulatedClock(start=TS)
+    stores = [MispStore(":memory:", clock=clock) for _ in range(2)]
+    stage = CompactionStage(stores[0], clock=clock, purge=purge)
+    decay = ScoreDecayEngine(clock=clock)
+    for op in ops + [("run",)]:
+        if op[0] == "save":
+            _kind, index, category, score, age = op
+            for store in stores:
+                store.save_event(drawn_event(index, category, score, age,
+                                             clock.now()))
+        elif op[0] == "delete":
+            uuid = content_uuid("compaction-prop", str(op[1]))
+            for store in stores:
+                store.delete_event(uuid)
+        elif op[0] == "advance":
+            clock.advance(op[1])
+        else:
+            live, expired, purged = reference_pass(stores[1], decay, purge)
+            report = stage.run()
+            assert (report.live, report.expired, report.purged) == (
+                live, len(expired), purged)
+            if not purge:
+                # Nothing was deleted: the summaries still hold exactly
+                # what the sweep saw, and a second run agrees.
+                assert stage.decay.sweep_summaries(
+                    stage.summaries.summaries) == (live, expired)
+                again = stage.run()
+                assert (again.live, again.expired) == (live, len(expired))
+    assert deleted_rows(stores[0]) == deleted_rows(stores[1])
+    assert store_fingerprint(stores[0]) == store_fingerprint(stores[1])
+
+
+class TestDecodes:
+    def test_standalone_runs_decode_only_what_changed(self):
+        clock = SimulatedClock(start=TS)
+        store, fresh, _stale, _unscored = build_store(clock)
+        stage = CompactionStage(store, clock=clock, purge=False)
+        decoded = store.payloads_deserialized
+        stage.run()          # first run: the store once
+        assert store.payloads_deserialized - decoded == 3
+        decoded = store.payloads_deserialized
+        stage.run()          # nothing changed
+        assert store.payloads_deserialized == decoded
+        fresh.info = "renamed"
+        store.save_event(fresh)
+        stage.run()
+        assert store.payloads_deserialized - decoded == 1
+
+    def test_platform_compaction_cycle_decodes_each_change_once(self):
+        platform = ContextAwareOSINTPlatform.build_default(PlatformConfig(
+            seed=7, feed_entries=20, compaction_every_cycles=2))
+        store = platform.misp.store
+        platform.run_cycle()
+        decodes = {"maybe_run": [], "refresh": []}
+
+        def counted(owner, name):
+            method = getattr(owner, name)
+
+            def wrapper(*args):
+                before = store.payloads_deserialized
+                result = method(*args)
+                decodes[name].append(store.payloads_deserialized - before)
+                return result
+            setattr(owner, name, wrapper)
+
+        counted(platform.compaction, "maybe_run")
+        counted(platform.rollups, "refresh")
+        position = store.max_audit_seq()
+        report = platform.run_cycle()
+        assert report.compacted
+        changes = store.changes_since(position)
+        changed = collapse_changes(changes).upserts
+        assert changed
+        # The compact stage's group refresh decodes the cycle's changes;
+        # the run itself and the rollup stage decode nothing.
+        assert decodes == {"maybe_run": [0], "refresh": [len(changed), 0]}
+        # Both refreshes count toward the cycle's consumed deltas.
+        assert report.deltas_consumed == len(changes)

@@ -2,7 +2,10 @@
 
 import datetime as dt
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clock import PAPER_NOW
 from repro.core.ioc import ReducedIoc
@@ -13,6 +16,7 @@ from repro.dashboard import (
     sparkline,
 )
 from repro.errors import ValidationError
+from repro.ids import content_uuid
 from repro.infra import Alarm, Severity
 from repro.misp import MispAttribute, MispEvent, MispInstance, MispStore
 
@@ -114,6 +118,86 @@ class TestCorrelationGraphView:
         rendered = CorrelationGraphView(store).render()
         assert "events:        3" in rendered
         assert "correlations:  1" in rendered
+
+
+#: Few values over few events, so clusters form, merge and split.
+GRAPH_VALUES = [f"v{index}.example" for index in range(6)]
+
+GRAPH_OPS = st.lists(st.one_of(
+    st.tuples(st.just("save"), st.integers(0, 9),
+              st.lists(st.sampled_from(GRAPH_VALUES), min_size=1,
+                       max_size=3, unique=True),
+              st.sampled_from(["first", "second"])),
+    st.tuples(st.just("delete"), st.integers(0, 9)),
+    st.tuples(st.just("checkpoint")),
+), max_size=25)
+
+
+def graph_event(index, values, info):
+    event = MispEvent(info=f"{info} {index}", timestamp=PAPER_NOW)
+    event.uuid = content_uuid("graph-prop", str(index))
+    for value in values:
+        attribute = MispAttribute(type="domain", value=value,
+                                  timestamp=PAPER_NOW)
+        attribute.uuid = content_uuid("graph-prop-attr", event.uuid, value)
+        event.add_attribute(attribute)
+    return event
+
+
+def graph_state(graph):
+    return (sorted(graph.nodes(data="info")),
+            sorted((min(a, b), max(a, b), value)
+                   for a, b, value in graph.edges(data="value")))
+
+
+@given(GRAPH_OPS)
+@settings(max_examples=100, deadline=None)
+def test_cluster_count_matches_connected_components(ops):
+    """The union-find cluster count equals networkx's component count,
+    through adds, updates, deletes and checkpoint + reopen."""
+    misp = MispInstance(store=MispStore(":memory:"))
+    store = misp.store
+    view = CorrelationGraphView(store, persistent=True)
+    for op in ops:
+        if op[0] == "save":
+            misp.add_events([graph_event(*op[1:])], publish_feed=False)
+        elif op[0] == "delete":
+            store.delete_event(content_uuid("graph-prop", str(op[1])))
+        else:
+            before = graph_state(view.graph())
+            view.save()
+            view = CorrelationGraphView(store, persistent=True)
+            assert graph_state(view.graph()) == before
+        summary = view.summary()
+        clusters = [component for component
+                    in nx.connected_components(view.graph())
+                    if len(component) > 1]
+        assert summary["clusters"] == len(clusters)
+        fresh = CorrelationGraphView(store, name="fresh:graph")
+        assert fresh.summary() == summary
+        assert fresh.render() == view.render()
+
+
+def test_checkpoint_rows_follow_edges_and_retires():
+    """An edge lives in its smaller endpoint's row: a later event that
+    correlates with a stored smaller one rewrites that row, and when a
+    ghost's last live partner goes, its cluster and its row go too."""
+    misp = MispInstance(store=MispStore(":memory:"))
+    store = misp.store
+    view = CorrelationGraphView(store, persistent=True)
+    low, high = sorted((graph_event(index, ["v0.example"], "first")
+                        for index in range(2)), key=lambda e: e.uuid)
+    steps = ((lambda: misp.add_events([low], publish_feed=False), 0),
+             (lambda: misp.add_events([high], publish_feed=False), 1),
+             (lambda: store.delete_event(low.uuid), 1),
+             (lambda: store.delete_event(high.uuid), 0))
+    for step, clusters in steps:
+        step()
+        assert view.summary()["clusters"] == clusters
+        view.save()
+        reopened = CorrelationGraphView(store, persistent=True)
+        assert graph_state(reopened.graph()) == graph_state(view.graph())
+    assert store.rollup_rows(view.name) == []
 
 
 class TestKeywordSummaryView:

@@ -107,9 +107,13 @@ class TestScoreDecayEngine:
 
 
 class TestPurgeExpired:
+    """Store maintenance through :meth:`CompactionStage.run`: only scored
+    events past their lifetime are purged."""
+
     def test_purge_removes_only_expired(self):
         import datetime as dt
         from repro.clock import PAPER_NOW, SimulatedClock
+        from repro.core.compaction import CompactionStage
         scenario_clock = SimulatedClock(PAPER_NOW)
         scenario = rce_use_case()
         scenario.heuristics.process_pending()
@@ -117,13 +121,13 @@ class TestPurgeExpired:
         before = store.event_count()
 
         # Fresh: nothing purged.
-        engine = ScoreDecayEngine(clock=scenario_clock)
-        assert engine.purge_expired(store) == 0
+        stage = CompactionStage(store, clock=scenario_clock)
+        assert stage.run().purged == 0
         assert store.event_count() == before
 
         # A decade later the scored eIoC expires; unscored events survive.
         scenario_clock.advance(dt.timedelta(days=3650))
-        removed = engine.purge_expired(store)
+        removed = stage.run().purged
         assert removed == 1
         assert store.event_count() == before - 1
         assert not store.has_event(scenario.cioc.uuid)
@@ -131,9 +135,10 @@ class TestPurgeExpired:
     def test_purge_is_idempotent(self):
         import datetime as dt
         from repro.clock import PAPER_NOW, SimulatedClock
+        from repro.core.compaction import CompactionStage
         clock = SimulatedClock(PAPER_NOW + dt.timedelta(days=3650))
         scenario = rce_use_case()
         scenario.heuristics.process_pending()
-        engine = ScoreDecayEngine(clock=clock)
-        assert engine.purge_expired(scenario.misp.store) == 1
-        assert engine.purge_expired(scenario.misp.store) == 0
+        stage = CompactionStage(scenario.misp.store, clock=clock)
+        assert stage.run().purged == 1
+        assert stage.run().purged == 0

@@ -9,13 +9,18 @@ Three layers under test:
   fingerprints;
 - ``core.deltas``: collapse semantics, consume-then-advance cursors,
   rollup refresh, and the RollupGroup single-read fast path;
+- checkpoints: a persistent rollup writes only the rows its deltas
+  touched, so a checkpoint's cost does not grow with the store;
 - the platform: incremental views equal their full-rescan reference
   (updates and deletes included), quiet cycles are flagged ``idle`` at a
-  one-SQL-statement / zero-deserialization budget, and a close→reopen
-  platform resumes its rollups from checkpoints instead of rescanning.
+  one-SQL-statement / zero-deserialization budget, a close→reopen
+  platform resumes its rollups from checkpoints instead of rescanning,
+  and a whole-state blob written before per-key rows is rebuilt from the
+  feed.
 """
 
 import datetime as dt
+import json
 
 import pytest
 
@@ -28,10 +33,12 @@ from repro.core.deltas import (
     load_delta_events,
 )
 from repro.core.ioc import TAG_EIOC, THREAT_SCORE_COMMENT
-from repro.core.report import IntelReportBuilder
+from repro.core.report import IntelReportBuilder, IntelSummaryRollup
+from repro.dashboard.geo import GeoSummaryView
 from repro.dashboard.views import CorrelationGraphView, KeywordSummaryView
 from repro.federation.fingerprint import store_fingerprint
-from repro.misp import MispAttribute, MispEvent, MispStore
+from repro.ids import content_uuid
+from repro.misp import MispAttribute, MispEvent, MispInstance, MispStore
 
 TS = dt.datetime(2026, 1, 1, tzinfo=dt.timezone.utc)
 
@@ -237,7 +244,11 @@ class TestDeltaCursor:
 
 
 class CountingRollup(StoreRollup):
-    """Minimal rollup: tracks which uuids it saw upserted / deleted."""
+    """Minimal rollup: tracks which uuids it saw upserted / deleted.
+
+    Checkpoint rows are keyed ``<list>:<index>`` (zero-padded, so key
+    order is list order) and hold the uuid at that position.
+    """
 
     def __init__(self, store, name, persistent=False):
         self.seen = []
@@ -245,15 +256,19 @@ class CountingRollup(StoreRollup):
         super().__init__(store, name, persistent=persistent)
 
     def apply_delta(self, events, deleted):
-        self.retired.extend(deleted)
-        self.seen.extend(event.uuid for event in events)
+        for kind, uuids in (("retired", deleted),
+                            ("seen", [event.uuid for event in events])):
+            entries = getattr(self, kind)
+            for uuid in uuids:
+                self.touch(f"{kind}:{len(entries):08d}")
+                entries.append(uuid)
 
-    def state_dict(self):
-        return {"seen": self.seen, "retired": self.retired}
+    def row(self, key):
+        kind, index = key.split(":")
+        return getattr(self, kind)[int(index)]
 
-    def restore_state(self, state):
-        self.seen = list(state.get("seen", []))
-        self.retired = list(state.get("retired", []))
+    def restore_row(self, key, value):
+        getattr(self, key.split(":")[0]).append(value)
 
 
 class TestStoreRollupAndGroup:
@@ -471,3 +486,145 @@ class TestCloseReopenResume:
             store, clock=reopened.clock, decay=reopened.decay)
         assert (reopened.report_builder.build().to_markdown()
                 == rescan.build().to_markdown())
+
+
+def checkpoint_event(prefix, index, info):
+    """A scored event whose value is shared by groups of four events."""
+    event = scored_event(info=f"{info} {prefix}{index}")
+    event.uuid = content_uuid("checkpoint", prefix, str(index))
+    event.attributes[0].value = f"{prefix}-{index // 4}.example"
+    for number, attribute in enumerate(event.attributes):
+        attribute.uuid = content_uuid("checkpoint-attr", event.uuid,
+                                      str(number))
+    return event
+
+
+class TestCheckpointRows:
+    def checkpoint_after_changes(self, size, changed=10):
+        """What the checkpoint after the same ``changed`` updates and
+        ``changed`` new events writes over a ``size``-event store."""
+        misp = MispInstance(store=MispStore(":memory:"))
+        store = misp.store
+        misp.add_events([checkpoint_event("old", index,
+                                          "archived ransomware in spain")
+                         for index in range(size)], publish_feed=False)
+        group = RollupGroup(store)
+        group.add(CorrelationGraphView(store, persistent=True))
+        group.add(KeywordSummaryView(store, persistent=True))
+        group.add(GeoSummaryView().store_rollup(store, persistent=True))
+        group.add(IntelSummaryRollup(store, persistent=True))
+        group.refresh()
+        assert group.save_all() == 4        # the first one writes every key
+        misp.add_events(
+            [checkpoint_event("old", index, "phishing lure in china")
+             for index in range(changed)]
+            + [checkpoint_event("new", index, "botnet seen in brazil")
+               for index in range(changed)], publish_feed=False)
+        group.refresh()
+        written = []
+        set_rollup = store.set_rollup
+
+        def recording(name, position, state="", rows=None):
+            written.append((name, state, dict(rows or {})))
+            set_rollup(name, position, state, rows=rows)
+
+        store.set_rollup = recording
+        statements = store.sql_statements
+        assert group.save_all() == 4
+        cost = store.sql_statements - statements
+        assert group.save_all() == 0        # nothing touched since
+        return sorted(written), cost
+
+    def test_checkpoint_cost_does_not_grow_with_the_store(self):
+        small = self.checkpoint_after_changes(200)
+        large = self.checkpoint_after_changes(2000)
+        assert small == large
+        written, statements = small
+        assert statements == 2 * len(written)    # rows + position each
+        for _name, state, rows in written:
+            assert state == "" and 0 < len(rows) <= 40
+
+    def test_deletes_drop_rows(self):
+        store = MispStore(":memory:")
+        events = [scored_event(info=f"ransomware {index}")
+                  for index in range(3)]
+        store.save_events(events)
+        rollup = IntelSummaryRollup(store, persistent=True)
+        rollup.refresh()
+        rollup.save()
+        store.delete_event(events[0].uuid)
+        rollup.refresh()
+        rollup.save()
+        assert [key for key, _value in store.rollup_rows(rollup.name)] \
+            == sorted(event.uuid for event in events[1:])
+        resumed = IntelSummaryRollup(store, persistent=True)
+        assert resumed.summaries == rollup.summaries
+
+
+def whole_state_blobs(platform):
+    """The whole-state blobs the previous checkpoint format wrote."""
+    graph_view = platform.graph_view
+    geo = platform.geo_view.store_rollup(platform.misp.store)
+    return {
+        graph_view.name: {
+            "nodes": {uuid: (info if uuid in graph_view._live else None)
+                      for uuid, info in graph_view._graph.nodes(data="info")},
+            "edges": sorted(sorted((a, b)) + [value] for a, b, value
+                            in graph_view._graph.edges(data="value"))},
+        platform.keyword_view.name: {
+            "contrib": platform.keyword_view._contrib},
+        geo.name: {"events": {
+            uuid: [[hit.location, hit.region, hit.latitude, hit.longitude]
+                   for hit in hits]
+            for uuid, hits in geo._event_hits.items()}},
+        platform.report_builder.rollup.name: {
+            "events": platform.report_builder.rollup.summaries},
+    }
+
+
+def renders(platform):
+    return (platform.graph_view.render(), platform.keyword_view.render(),
+            platform.geo_view.render())
+
+
+def test_whole_state_blob_is_rebuilt_from_the_feed(tmp_path):
+    path = str(tmp_path / "store.sqlite")
+    platform = ContextAwareOSINTPlatform.build_default(PlatformConfig(
+        seed=11, feed_entries=25, store_path=path))
+    platform.run_cycle()
+    platform.run_cycle()
+    store = platform.misp.store
+    top = store.max_audit_seq()
+    blobs = whole_state_blobs(platform)
+    for name, state in blobs.items():
+        store.set_rollup(name, top, json.dumps(state, sort_keys=True))
+    store.close()
+
+    config = PlatformConfig(seed=11, store_path=path, **QUIET)
+    reopened = ContextAwareOSINTPlatform.build_default(config)
+    store = reopened.misp.store
+    # Every rollup restarts from position 0 and refolds the whole feed.
+    report = reopened.run_cycle()
+    assert report.deltas_consumed == len(store.changes_since(0))
+    fresh_geo = GeoSummaryView()
+    fresh_geo.store_rollup(store, name="fresh:geo").refresh()
+    assert renders(reopened) == (
+        CorrelationGraphView(store, name="fresh:graph").render(),
+        KeywordSummaryView(store, name="fresh:keywords").render(),
+        fresh_geo.render())
+    rescan = IntelReportBuilder(store, clock=reopened.clock,
+                                decay=reopened.decay)
+    assert (reopened.report_builder.build().to_markdown()
+            == rescan.build().to_markdown())
+    # The next checkpoint replaces each blob with rows ...
+    assert reopened.checkpoint() == 4
+    for name in blobs:
+        assert store.get_rollup(name) == (top, "")
+        assert store.rollup_rows(name)
+    expected = renders(reopened)
+    store.close()
+    # ... which the next reopen resumes from without a rescan.
+    again = ContextAwareOSINTPlatform.build_default(config)
+    assert again.run_cycle().deltas_consumed == 0
+    assert renders(again) == expected
+    again.misp.store.close()
