@@ -30,6 +30,7 @@ from typing import (
     Any,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -110,7 +111,7 @@ class EnrichmentContextCache:
 
     The cache is a *snapshot*: after mutating the store (e.g. committing an
     enrichment cycle, or storing sighting evidence), call
-    :meth:`invalidate` for the touched events — or simply build a fresh
+    :meth:`invalidate_many` for the touched events — or simply build a fresh
     cache — so a later enrichment of the same event does not reuse stale
     correlations.  CVE lookups are thread-safe (workers share the cache);
     the store-backed accessors must stay on the coordinating thread, like
@@ -229,21 +230,27 @@ class EnrichmentContextCache:
     # -- lifecycle ------------------------------------------------------------
 
     def invalidate(self, uuid: str) -> None:
-        """Drop every cached fact about one event.
+        """Drop every cached fact about one event (see :meth:`invalidate_many`)."""
+        self.invalidate_many([uuid])
 
-        Also drops correlation snapshots of events linked *to* it, since a
-        new correlation edge appears on both sides.
+    def invalidate_many(self, uuids: Iterable[str]) -> None:
+        """Drop every cached fact about these events, in one pass.
+
+        Also drops correlation snapshots of events linked *to* any of them,
+        since a new correlation edge appears on both sides.
         """
-        self._events.pop(uuid, None)
-        self._infra_flags.pop(uuid, None)
-        self._correlations.pop(uuid, None)
+        touched = set(uuids)
+        for uuid in touched:
+            self._events.pop(uuid, None)
+            self._infra_flags.pop(uuid, None)
+            self._correlations.pop(uuid, None)
         stale = [
             other for other, rows in self._correlations.items()
-            if any(uuid in (row["source_event"], row["target_event"])
-                   for row in rows)
+            if any(row["source_event"] in touched
+                   or row["target_event"] in touched for row in rows)
         ]
         for other in stale:
-            self._correlations.pop(other, None)
+            del self._correlations[other]
 
     def clear(self) -> None:
         """Forget everything (next access re-reads the store)."""
@@ -398,8 +405,7 @@ class HeuristicComponent:
             plans.append(event)
         if plans:
             self._misp.apply_enrichments(plans)
-            for event in plans:
-                cache.invalidate(event.uuid)
+            cache.invalidate_many(event.uuid for event in plans)
             self._record_enrichment_lineage(results)
         return results
 

@@ -193,11 +193,8 @@ def pattern(context: EvaluationContext) -> Tuple[Optional[int], str]:
     text = context.stix_object.get("pattern")
     if not text:
         return None, "no_info"
-    from ...stix.pattern import parse_pattern
-    from ...errors import PatternError
-    try:
-        parse_pattern(text)
-    except PatternError:
+    from ...stix.pattern import is_valid_pattern
+    if not is_valid_pattern(text):
         return PATTERN_SCORES["invalid_pattern"], "invalid_pattern"
     return PATTERN_SCORES["valid_pattern"], "valid_pattern"
 

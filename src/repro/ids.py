@@ -3,13 +3,15 @@
 Two id styles coexist in the platform:
 
 - *random-looking* ids for freshly created objects (STIX ids, MISP event
-  uuids).  These are drawn from a seeded RNG so runs are reproducible.
+  uuids).  A seeded generator makes them reproducible; an unseeded one
+  draws them from the operating system.
 - *content-derived* ids (uuid5) for normalized events, so the deduplicator
   can recognize the same security event arriving from two different feeds.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 import uuid
 from typing import Optional
@@ -18,12 +20,23 @@ from typing import Optional
 #: canonical content always maps to the same id across processes.
 CONTENT_NAMESPACE = uuid.UUID("6ba7b810-9dad-11d1-80b4-00c04fd430c8")
 
+_NAMESPACE_BYTES = CONTENT_NAMESPACE.bytes
+
+#: Backs every unseeded generator.  It keeps no state of its own (each
+#: draw reads ``os.urandom``), so sharing it is thread- and fork-safe and
+#: spares seeding a fresh Mersenne Twister per id.
+_SYSTEM_RANDOM = random.SystemRandom()
+
 
 class IdGenerator:
-    """Deterministic uuid4-shaped id factory backed by a seeded RNG."""
+    """uuid4-shaped id factory.
+
+    With a ``seed`` the ids come from a private seeded RNG and repeat run
+    to run; without one they are random, drawn from the operating system.
+    """
 
     def __init__(self, seed: Optional[int] = None) -> None:
-        self._rng = random.Random(seed)
+        self._rng = _SYSTEM_RANDOM if seed is None else random.Random(seed)
 
     def uuid(self) -> str:
         """Return a new RFC-4122 version-4 uuid string."""
@@ -38,10 +51,15 @@ def content_uuid(*parts: str) -> str:
     """Derive a stable uuid from canonical content parts.
 
     The parts are joined with an unambiguous separator so that
-    ``("ab", "c")`` and ``("a", "bc")`` never collide.
+    ``("ab", "c")`` and ``("a", "bc")`` never collide.  The result is
+    ``str(uuid.uuid5(CONTENT_NAMESPACE, joined))``, computed straight from
+    the sha1 digest: the version nibble becomes 5 and the variant bits 10.
     """
-    blob = "\x1f".join(parts)
-    return str(uuid.uuid5(CONTENT_NAMESPACE, blob))
+    digest = hashlib.sha1(
+        _NAMESPACE_BYTES + "\x1f".join(parts).encode("utf-8")).hexdigest()
+    variant = "89ab"[int(digest[16], 16) & 3]
+    return (f"{digest[:8]}-{digest[8:12]}-5{digest[13:16]}-"
+            f"{variant}{digest[17:20]}-{digest[20:32]}")
 
 
 def content_stix_id(object_type: str, *parts: str) -> str:

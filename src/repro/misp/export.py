@@ -27,10 +27,12 @@ from ..stix import (
     Bundle,
     ExternalReference,
     Indicator,
+    Relationship,
     StixObject,
     Vulnerability,
     equals_pattern,
 )
+from ..stix.markings import marking_ref_for, strictest_tlp
 from .model import MispAttribute, MispEvent
 
 #: MISP attribute type -> STIX cyber-observable object path.
@@ -95,8 +97,13 @@ def _event_reference_attributes(event: MispEvent) -> List[ExternalReference]:
     return references
 
 
-def attribute_to_stix(attribute: MispAttribute, event: MispEvent) -> Optional[StixObject]:
-    """Convert one MISP attribute to its STIX 2.0 object, if representable."""
+def attribute_to_stix(attribute: MispAttribute, event: MispEvent,
+                      **extra: Any) -> Optional[StixObject]:
+    """Convert one MISP attribute to its STIX 2.0 object, if representable.
+
+    ``extra`` properties (``x_*`` customs, ``object_marking_refs``) are
+    validated with the rest, in the object's one construction.
+    """
     created = format_timestamp(attribute.timestamp)
     labels = [tag.name for tag in attribute.tags] or ["malicious-activity"]
     if attribute.type == "vulnerability":
@@ -110,6 +117,7 @@ def attribute_to_stix(attribute: MispAttribute, event: MispEvent) -> Optional[St
             external_references=references,
             created=created,
             modified=created,
+            **extra,
         )
     object_path = _TYPE_TO_OBJECT_PATH.get(attribute.type)
     if object_path is None:
@@ -123,6 +131,7 @@ def attribute_to_stix(attribute: MispAttribute, event: MispEvent) -> Optional[St
         labels=labels,
         created=created,
         modified=created,
+        **extra,
     )
 
 
@@ -131,57 +140,42 @@ def to_stix2_bundle(event: MispEvent) -> Bundle:
 
     Custom event context (threat score, category tags) rides on each object
     as ``x_caop_*`` properties so the heuristic component can read it
-    without a side channel.  A ``tlp:*`` tag on the event becomes the
-    spec-fixed TLP marking-definition reference on every exported object.
+    without a side channel.  The event's strictest ``tlp:*`` tag becomes
+    the spec-fixed TLP marking-definition reference on every exported
+    object, the level the sharing gate refuses by.
     """
-    from ..stix.markings import TLP_MARKING_IDS, marking_ref_for
-
     bundle = Bundle(bundle_id=f"bundle--{event.uuid}")
     customs: Dict[str, Any] = {
         "x_caop_event_uuid": event.uuid,
         "x_caop_event_info": event.info,
         "x_caop_tags": [tag.name for tag in event.tags],
     }
-    marking_refs: List[str] = []
-    for tag in event.tags:
-        if tag.name.startswith("tlp:"):
-            level = tag.name[4:].lower()
-            if level in TLP_MARKING_IDS:
-                marking_refs = [marking_ref_for(level)]
-                break
+    level = strictest_tlp(tag.name for tag in event.tags)
+    markings = {"object_marking_refs": [marking_ref_for(level)]} if level else {}
     for attribute in event.all_attributes():
-        obj = attribute_to_stix(attribute, event)
-        if obj is None:
-            continue
-        data = obj.to_dict()
-        data.update(customs)
-        data["x_caop_attribute_uuid"] = attribute.uuid
-        if marking_refs:
-            data["object_marking_refs"] = marking_refs
-        bundle.add(type(obj)(**data))
+        obj = attribute_to_stix(attribute, event, **markings, **customs,
+                                x_caop_attribute_uuid=attribute.uuid)
+        if obj is not None:
+            bundle.add(obj)
     # Knit the graph: every indicator in the event relates to the event's
     # vulnerability objects, so STIX consumers see one connected story
     # instead of loose objects.
-    from ..stix import Relationship
-
     vulnerabilities = bundle.by_type("vulnerability")
     indicators = bundle.by_type("indicator")
     for vulnerability in vulnerabilities:
         for indicator in indicators:
-            created = indicator["created"]
-            rel_data = {
-                "id": content_stix_id("relationship", indicator["id"],
-                                      vulnerability["id"]),
-                "relationship_type": "related-to",
-                "source_ref": indicator["id"],
-                "target_ref": vulnerability["id"],
-                "created": format_timestamp(created),
-                "modified": format_timestamp(created),
+            created = format_timestamp(indicator["created"])
+            bundle.add(Relationship(
+                id=content_stix_id("relationship", indicator["id"],
+                                   vulnerability["id"]),
+                relationship_type="related-to",
+                source_ref=indicator["id"],
+                target_ref=vulnerability["id"],
+                created=created,
+                modified=created,
+                **markings,
                 **customs,
-            }
-            if marking_refs:
-                rel_data["object_marking_refs"] = marking_refs
-            bundle.add(Relationship(**rel_data))
+            ))
     return bundle
 
 

@@ -9,6 +9,7 @@ type.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 #: category -> language -> keywords (lowercase; multi-word phrases allowed).
@@ -113,13 +114,22 @@ class ThreatTagger:
     def __init__(self, languages: Iterable[str] = SUPPORTED_LANGUAGES) -> None:
         self._keyword_to_category = all_keywords(languages)
         self._ordered = sorted(self._keyword_to_category, key=len, reverse=True)
+        self._first_runs = [_first_run(keyword) for keyword in self._ordered]
 
     def tag(self, text: str) -> Dict[str, List[str]]:
         """Return category -> matched keywords for ``text``."""
         lowered = text.lower()
+        # A word-bounded hit puts the keyword's first alphanumeric run at a
+        # whole run of the text, so a keyword whose first run is not among
+        # the text's runs cannot match and is not searched for.  "" stands
+        # for keywords without a run, which are always searched.
+        runs = set(_ALNUM_RUN.findall(lowered))
+        runs.add("")
         consumed: Set[Tuple[int, int]] = set()
         hits: Dict[str, List[str]] = {}
-        for keyword in self._ordered:
+        for keyword, first_run in zip(self._ordered, self._first_runs):
+            if first_run not in runs:
+                continue
             start = 0
             while True:
                 index = lowered.find(keyword, start)
@@ -144,6 +154,17 @@ class ThreatTagger:
     def is_threat_related(self, text: str) -> bool:
         """Whether any threat keyword matches the text."""
         return bool(self.tag(text))
+
+
+#: A maximal run of characters for which ``str.isalnum`` is true: ``\w``
+#: minus the underscore, the same test :func:`_word_bounded` applies.
+_ALNUM_RUN = re.compile(r"[^\W_]+")
+
+
+def _first_run(keyword: str) -> str:
+    """The keyword's first alphanumeric run ("" when it has none)."""
+    match = _ALNUM_RUN.search(keyword)
+    return match.group() if match else ""
 
 
 def _word_bounded(text: str, span: Tuple[int, int]) -> bool:

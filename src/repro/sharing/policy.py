@@ -22,6 +22,7 @@ from typing import Dict, Iterable, Optional
 
 from ..errors import SharingError, ValidationError
 from ..misp import MispEvent
+from ..stix.markings import strictest_tlp
 
 
 class Tlp:
@@ -69,13 +70,7 @@ DEFAULT_TLP = Tlp.AMBER
 
 def tlp_of(event: MispEvent) -> str:
     """Read the event's TLP marking (most restrictive tag wins)."""
-    found = [
-        level for level in (Tlp.from_tag(tag.name) for tag in event.tags)
-        if level is not None
-    ]
-    if not found:
-        return DEFAULT_TLP
-    return min(found, key=lambda level: Tlp._ORDER[level])
+    return strictest_tlp(tag.name for tag in event.tags) or DEFAULT_TLP
 
 
 def mark_tlp(event: MispEvent, level: str) -> MispEvent:
@@ -114,13 +109,8 @@ class SharingPolicy:
         Tagged events keep their most restrictive tag; untagged events
         fall back to the policy's configured ``default_marking``.
         """
-        found = [
-            level for level in (Tlp.from_tag(tag.name) for tag in event.tags)
-            if level is not None
-        ]
-        if not found:
-            return self._default_marking
-        return min(found, key=lambda level: Tlp._ORDER[level])
+        return (strictest_tlp(tag.name for tag in event.tags)
+                or self._default_marking)
 
     def set_clearance(self, entity_name: str, ceiling: str) -> None:
         """Clear an entity up to (and including) the given marking."""

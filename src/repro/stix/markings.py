@@ -8,7 +8,7 @@ references the *same* objects.  Exports attach these via
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 #: Spec-fixed marking-definition ids (STIX 2.0 Part 1 §4.1.4.1).
 TLP_MARKING_IDS: Mapping[str, str] = {
@@ -17,6 +17,9 @@ TLP_MARKING_IDS: Mapping[str, str] = {
     "amber": "marking-definition--f88d31f6-486f-44da-b317-01333bde0b82",
     "red": "marking-definition--5e57c739-391a-4eb3-b6be-7d15ca92d5ed",
 }
+
+#: TLP levels from most to least restrictive.
+_STRICTEST_FIRST = ("red", "amber", "green", "white")
 
 #: Reverse lookup: marking id -> TLP level.
 TLP_LEVEL_BY_ID: Mapping[str, str] = {v: k for k, v in TLP_MARKING_IDS.items()}
@@ -53,3 +56,15 @@ def tlp_from_marking_refs(refs: Optional[List[str]]) -> Optional[str]:
         if level is not None:
             return level
     return None
+
+
+def strictest_tlp(tag_names: Iterable[str]) -> Optional[str]:
+    """The most restrictive TLP level named by ``tlp:<level>`` tags.
+
+    The level is matched case-insensitively; other tags and unknown levels
+    are ignored.  None when no tag names a known level.  The STIX export
+    marks an event with this level and the sharing gate refuses by it, so
+    what leaves the platform is never marked looser than it was gated.
+    """
+    levels = {name[4:].lower() for name in tag_names if name.startswith("tlp:")}
+    return next((level for level in _STRICTEST_FIRST if level in levels), None)

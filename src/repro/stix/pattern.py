@@ -35,11 +35,14 @@ from ..errors import PatternError
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+#: A quoted string literal; backslash escapes the next character.
+_STRING = r"'(?:[^'\\]|\\.)*'"
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<WS>\s+)
   | (?P<TIMESTAMP>t'[^']*')
-  | (?P<STRING>'(?:[^'\\]|\\.)*')
+  | (?P<STRING>{_STRING})
   | (?P<FLOAT>-?\d+\.\d+)
   | (?P<INT>-?\d+)
   | (?P<LBRACKET>\[) | (?P<RBRACKET>\])
@@ -662,3 +665,30 @@ def equals_pattern(object_path: str, value: str) -> str:
     """Build the canonical single-equality pattern (``[path = 'value']``)."""
     escaped = value.replace("\\", "\\\\").replace("'", "\\'")
     return f"[{object_path} = '{escaped}']"
+
+
+#: The shape :func:`equals_pattern` builds: one ``[path = 'string']``
+#: observation over a plain object path (``type:name`` with dotted
+#: ``name`` or quoted ``'KEY'`` components, as in ``file:hashes.'SHA-1'``)
+#: and the tokenizer's STRING literal.  Every string this matches
+#: tokenizes and parses as that one equality, so it needs no parse to be
+#: known valid.
+_PATH_COMPONENT = r"(?:[A-Za-z_][A-Za-z0-9_]*|'[A-Za-z0-9-]+')"
+_POINT_EQUALITY_RE = re.compile(
+    rf"\[[a-z][a-z0-9-]*:{_PATH_COMPONENT}(?:\.{_PATH_COMPONENT})* = {_STRING}\]")
+
+
+def is_valid_pattern(text: str) -> bool:
+    """Whether ``text`` parses as a STIX pattern.
+
+    A point equality in :func:`equals_pattern`'s shape is accepted by one
+    regular-expression match; every other string goes to
+    :func:`parse_pattern`.
+    """
+    if _POINT_EQUALITY_RE.fullmatch(text):
+        return True
+    try:
+        parse_pattern(text)
+    except PatternError:
+        return False
+    return True

@@ -1,5 +1,7 @@
 """Tests for the other five heuristics and the registry."""
 
+from unittest import mock
+
 import pytest
 
 from repro.clock import PAPER_NOW, SimulatedClock
@@ -16,6 +18,8 @@ from repro.core.heuristics import (
 )
 from repro.errors import ConfigurationError
 from repro.infra import AlarmManager, Inventory, Node, paper_inventory
+from repro.misp import MispAttribute, MispEvent, to_stix2_bundle
+from repro.misp.export import _TYPE_TO_OBJECT_PATH
 from repro.stix import (
     AttackPattern,
     ExternalReference,
@@ -165,6 +169,19 @@ class TestIndicator:
         broken = self.make(pattern="[not a pattern")
         result = build_indicator_heuristic().evaluate(make_context(broken))
         assert result.feature("pattern").value == 1
+
+    def test_exporter_patterns_score_without_parsing(self):
+        event = MispEvent(info="x")
+        for kind in _TYPE_TO_OBJECT_PATH:
+            event.add_attribute(MispAttribute(type=kind, value="it's a \\ b"))
+        indicators = to_stix2_bundle(event).by_type("indicator")
+        assert len(indicators) == len(_TYPE_TO_OBJECT_PATH)
+        heuristic = build_indicator_heuristic()
+        with mock.patch("repro.stix.pattern.parse_pattern") as parser:
+            results = [heuristic.evaluate(make_context(indicator))
+                       for indicator in indicators]
+        assert parser.call_count == 0
+        assert {result.feature("pattern").value for result in results} == {5}
 
     def test_recommended_label(self):
         result = build_indicator_heuristic().evaluate(make_context(self.make()))

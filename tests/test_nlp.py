@@ -1,6 +1,8 @@
 """Tests for the NLP substrate: lexicon, classifier, extraction."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.nlp import (
@@ -76,6 +78,61 @@ class TestThreatTagger:
         tagger = ThreatTagger()
         assert tagger.is_threat_related("phishing campaign detected")
         assert not tagger.is_threat_related("bake sale on friday")
+
+
+def longest_first_tag(text, languages=SUPPORTED_LANGUAGES):
+    """The reference tagger: search every keyword, longest first."""
+    keyword_to_category = all_keywords(languages)
+    lowered = text.lower()
+    consumed = set()
+    hits = {}
+    for keyword in sorted(keyword_to_category, key=len, reverse=True):
+        start = 0
+        while True:
+            index = lowered.find(keyword, start)
+            if index == -1:
+                break
+            end = index + len(keyword)
+            start = index + 1
+            if any(s < end and index < e for s, e in consumed):
+                continue
+            if index > 0 and lowered[index - 1].isalnum():
+                continue
+            if end < len(lowered) and lowered[end].isalnum():
+                continue
+            consumed.add((index, end))
+            hits.setdefault(keyword_to_category[keyword], []).append(keyword)
+    return hits
+
+
+KEYWORDS = sorted(all_keywords())
+#: Keywords whole, upper-cased and cut, with separators and characters
+#: whose case mapping is unusual (``"\u0130".lower()`` is two characters).
+TEXT_PIECES = st.one_of(
+    st.sampled_from(KEYWORDS),
+    st.sampled_from(KEYWORDS).map(str.upper),
+    st.sampled_from(KEYWORDS).flatmap(
+        lambda keyword: st.integers(1, len(keyword)).flatmap(
+            lambda cut: st.sampled_from([keyword[:cut], keyword[cut:]]))),
+    st.sampled_from([" ", "  ", "-", "_", "0", "42", ".", ",", "!", "'", "(",
+                     "\n", "\u00e9", "\u00df", "\u1e9e", "\u0130", "\u03a3",
+                     "\u00fc", "x", "\u00aa", "\u2460", "\u0301"]),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.lists(TEXT_PIECES, max_size=14).map("".join),
+       st.sampled_from([SUPPORTED_LANGUAGES, ("en",), ("fr", "de")]))
+@example("a zero-day exploit, then BRUTE-FORCE", SUPPORTED_LANGUAGES)
+@example("e-mail fraudulento; attaque par D\u00c9NI de service", SUPPORTED_LANGUAGES)
+@example("ddos_botnet leak2 c2 server 0day", SUPPORTED_LANGUAGES)
+@example("\u0130 ransomware \u00fcberlastungsangriff!", ("fr", "de"))
+def test_tagger_matches_the_longest_first_scan(text, languages):
+    hits = ThreatTagger(languages).tag(text)
+    expected = longest_first_tag(text, languages)
+    assert hits == expected
+    assert list(hits) == list(expected)
 
 
 class TestNaiveBayes:

@@ -1,6 +1,7 @@
 """Parallel enrichment: determinism, context cache, batched write-back."""
 
 import json
+from unittest import mock
 
 import pytest
 
@@ -159,6 +160,45 @@ class TestContextCache:
         baseline = cache.misses
         cache.correlations_for(a.uuid)
         assert cache.misses == baseline + 1
+
+        # A batch drops each event, its snapshot (even an empty one) and
+        # every snapshot that links to one of them, in one pass, whichever
+        # side of the correlation row it sits on; the rest stay cached.
+        c, d, e, f = (MispEvent(info=info) for info in "cdef")
+        c.add_attribute(MispAttribute(type="domain", value="other.example"))
+        d.add_attribute(MispAttribute(type="domain", value="other.example"))
+        e.add_attribute(MispAttribute(type="domain", value="lone.example"))
+        f.add_attribute(MispAttribute(type="domain", value="alone.example"))
+        for event in (c, d, e, f):
+            misp.add_event(event)  # d correlates with the earlier c
+        cache.prefetch([a.uuid, c.uuid, d.uuid, e.uuid, f.uuid])
+        cache.invalidate_many([c.uuid, e.uuid])
+        baseline = cache.misses
+        for uuid in (a.uuid, f.uuid):
+            cache.get_event(uuid)
+            cache.correlations_for(uuid)
+        assert cache.misses == baseline
+        for uuid in (c.uuid, e.uuid):
+            cache.get_event(uuid)
+            cache.correlations_for(uuid)
+        cache.correlations_for(d.uuid)
+        assert cache.misses == baseline + 5
+
+    def test_batch_commit_invalidates_a_shared_cache_once(
+            self, misp, inventory, clock):
+        component = HeuristicComponent(misp, inventory=inventory, clock=clock)
+        uuids = build_workload(misp)
+        cache = EnrichmentContextCache(misp.store)
+        with mock.patch.object(cache, "invalidate_many",
+                               wraps=cache.invalidate_many) as invalidate:
+            results = component.enrich_many(uuids, cache=cache)
+        assert invalidate.call_count == 1
+        enriched = [result.event_uuid for result in results]
+        assert enriched
+        baseline = cache.misses
+        for uuid in enriched:
+            cache.get_event(uuid)
+        assert cache.misses == baseline + len(enriched)
 
     def test_reenrichment_sees_fresh_correlations(self, misp, inventory, clock):
         # Enrich, then land an infrastructure sighting of the same value,

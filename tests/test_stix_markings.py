@@ -3,13 +3,14 @@
 import pytest
 
 from repro.misp import MispAttribute, MispEvent, from_stix2_bundle, to_stix2_bundle
-from repro.sharing import Tlp, mark_tlp, tlp_of
+from repro.sharing import SharingPolicy, Tlp, mark_tlp, tlp_of
 from repro.stix import (
     TLP_MARKING_IDS,
     marking_ref_for,
     tlp_from_marking_refs,
     tlp_marking_definition,
 )
+from repro.stix.markings import strictest_tlp
 
 
 def make_event(tlp=None):
@@ -39,6 +40,16 @@ class TestMarkingDefinitions:
         with pytest.raises(KeyError):
             marking_ref_for("purple")
 
+    @pytest.mark.parametrize("names, expected", [
+        ([], None),
+        (["osint", "tlp:purple", "TLP:red"], None),
+        (["tlp:green", "tlp:amber"], "amber"),
+        (["tlp:white", "tlp:RED", "tlp:green"], "red"),
+        (["tlp:white", "x", "tlp:green"], "green"),
+    ])
+    def test_strictest_tlp(self, names, expected):
+        assert strictest_tlp(names) == expected
+
     def test_reverse_lookup(self):
         assert tlp_from_marking_refs([TLP_MARKING_IDS["red"]]) == "red"
         assert tlp_from_marking_refs(["marking-definition--other"]) is None
@@ -54,6 +65,20 @@ class TestExportIntegration:
             assert obj["object_marking_refs"] == [TLP_MARKING_IDS[level]]
         revived = from_stix2_bundle(bundle)
         assert tlp_of(revived) == level
+
+    def test_export_marks_the_level_the_gate_refuses_by(self):
+        # Gated as amber (the strictest tag), so it must leave marked
+        # amber, not green, and arrive as amber at the partner.
+        event = make_event()
+        event.add_tag("tlp:green")
+        event.add_tag("tlp:amber")
+        assert tlp_of(event) == SharingPolicy().marking_of(event) == "amber"
+        bundle = to_stix2_bundle(event)
+        assert len(bundle) == 1
+        for obj in bundle:
+            assert obj["object_marking_refs"] == [TLP_MARKING_IDS["amber"]]
+        revived = from_stix2_bundle(bundle)
+        assert [tag.name for tag in revived.tags] == ["tlp:amber"]
 
     def test_unmarked_event_exports_without_refs(self):
         bundle = to_stix2_bundle(make_event())

@@ -1,14 +1,23 @@
 """Tests for the STIX patterning parser and evaluator."""
 
 import datetime as dt
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.clock import PAPER_NOW
+from repro.core.heuristics import EvaluationContext
+from repro.core.heuristics.standard import pattern as pattern_feature
 from repro.errors import PatternError
+from repro.misp.export import _TYPE_TO_OBJECT_PATH
+from repro.stix import Indicator
 from repro.stix.pattern import (
     CompiledPattern,
     Observation,
     equals_pattern,
+    is_valid_pattern,
     match,
     parse_pattern,
     tokenize,
@@ -183,3 +192,106 @@ class TestEqualsPattern:
         pattern = equals_pattern("domain-name:value", "it's")
         assert validate_pattern(pattern)
         assert match(pattern, [obs({"type": "domain-name", "value": "it's"})])
+
+
+#: Every object path the MISP exporter builds patterns over.
+EXPORTER_PATHS = sorted(set(_TYPE_TO_OBJECT_PATH.values()))
+#: Pieces that change how a pattern tokenizes, and anything else.
+PATTERN_PIECES = st.one_of(
+    st.sampled_from(["'", "\\", "\\'", "\\\\", "\\\n", "\n", "\t", " ", "[",
+                     "]", "(", "=", "!", ".", ":", "-", "_", "A", "a", "0",
+                     "\u00e9"]),
+    st.characters())
+PATTERN_VALUES = st.lists(PATTERN_PIECES, min_size=1, max_size=8).map("".join)
+#: Paths the fast path must leave to the parser, or that it may accept.
+OTHER_PATHS = [
+    "ipv6-addr:value", "file:hashes.SHA-256", "file:hashes.'SHA-256",
+    "file:hashes.'SHA 1'", "file:hashes.'SHA-1'.x", "a:b[*].c",
+    "network-traffic:src_ref.value", "Domain-name:value", "domain-name:",
+    ":value", "domain-name:value ", "domain-name:.value", "t:'x'",
+    "domain-name.value", "value", "domain-name::value", "url:value:x",
+    "file:hashes..MD5", "file:hashes.'MD5'x", "file:hashes.''",
+]
+#: Near misses of ``[path = 'value']``; ``{v}`` is filled unescaped.
+NEAR_MISS_SHAPES = [
+    "[{p} = '{v}']", "[{p}  = '{v}']", "[{p} != '{v}']", "[{p} = '{v}'] ",
+    " [{p} = '{v}']", "[{p} = '{v}']x", "[{p}='{v}']", "[ {p} = '{v}' ]",
+    "[{p} = {v}]", "[{p} = \"{v}\"]", "[{p} = '{v}'\n]",
+    "[{p} = '{v}' AND {p} = '{v}']", "[{p} = '{v}'] AND [{p} = '{v}']",
+    "[{p} = '{v}'] REPEATS 2 TIMES", "[{p} IN ('{v}')]",
+]
+NEAR_MISS_VALUES = ["x", "it's", "it\\'s", "a\\", "a\\\\", "a\\\nb", "a\nb",
+                    "a b", "]", "\u00e9"]
+
+
+@st.composite
+def near_misses(draw):
+    path = draw(st.one_of(
+        st.sampled_from(EXPORTER_PATHS + OTHER_PATHS),
+        st.from_regex(r"[a-zA-Z][\w-]*:[\w.'\[\]*\\-]+", fullmatch=True)))
+    value = draw(PATTERN_VALUES)
+    edit = draw(st.sampled_from(["shape", "insert", "replace", "delete"]))
+    if edit == "shape":
+        return draw(st.sampled_from(NEAR_MISS_SHAPES)).format(p=path, v=value)
+    text = equals_pattern(path, value)
+    index = draw(st.integers(0, len(text) - 1))
+    if edit == "delete":
+        return text[:index] + text[index + 1:]
+    char = draw(PATTERN_PIECES)
+    return text[:index] + char + text[index + (edit == "replace"):]
+
+
+def parses(text):
+    try:
+        parse_pattern(text)
+    except PatternError:
+        return False
+    return True
+
+
+def checked(text):
+    """``is_valid_pattern``'s answer, and whether it called the parser."""
+    with mock.patch("repro.stix.pattern.parse_pattern",
+                    wraps=parse_pattern) as parser:
+        valid = is_valid_pattern(text)
+    return valid, parser.called
+
+
+class TestPointEqualityFastPath:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(EXPORTER_PATHS), PATTERN_VALUES)
+    def test_accepts_every_exporter_pattern_without_parsing(self, path, value):
+        assert checked(equals_pattern(path, value)) == (True, False)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(near_misses(), st.text(max_size=24)))
+    def test_answers_as_the_parser_does(self, text):
+        valid, _ = checked(text)
+        assert valid == parses(text)
+
+    def test_near_miss_grid(self):
+        for path in EXPORTER_PATHS + OTHER_PATHS:
+            for shape in NEAR_MISS_SHAPES:
+                for value in NEAR_MISS_VALUES:
+                    text = shape.format(p=path, v=value)
+                    assert checked(text)[0] == parses(text), text
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.builds(equals_pattern, st.sampled_from(EXPORTER_PATHS),
+                  PATTERN_VALUES),
+        near_misses().filter(bool)))
+    def test_pattern_feature_label_matches_a_parse(self, text):
+        indicator = Indicator(pattern=text, valid_from=PAPER_NOW,
+                              created=PAPER_NOW, modified=PAPER_NOW)
+        _, label = pattern_feature(EvaluationContext(stix_object=indicator))
+        expected = "valid_pattern" if parses(text) else "invalid_pattern"
+        assert label == expected
+
+    @pytest.mark.parametrize("text", [
+        "[domain-name:value = 'it\\'s']",
+        "[file:hashes.'SHA-256' = 'a\\\\']",
+        "[url:value = 'line\nbreak']",
+    ])
+    def test_accepts_escapes_and_newlines(self, text):
+        assert checked(text) == (True, False)
