@@ -1,37 +1,43 @@
-"""X18: store-scaling guard — hash-sharded MispStore vs the single file.
+"""X18: correlation reads by index, at every shard count.
 
-The seed store keeps every correlation edge in one SQLite table with no
-index on its event columns, so ``correlations_for_event`` — the hot probe
-behind enrichment context and the dashboard's correlation graph — walks the
-whole table: O(C) per call however large the corpus grows.  The sharded
-backend bounds that walk to one shard (every edge is mirrored onto both
-endpoint shards), i.e. ~``C × (2 - 1/N) / N`` rows at N shards — 43.75% of
-the corpus at 4 shards, 12.1% at 16 — a structural win that needs no extra
-CPU cores (docs/PERFORMANCE.md).
+Every shard's ``correlations`` table is indexed by both endpoint events
+(``idx_correlations_source_event``, ``idx_correlations_target_event``), so
+``correlations_for_event`` — the read behind enrichment context and the
+dashboard's correlation graph — finds an event's rows with two index
+searches (SQLite plans it as ``MULTI-INDEX OR``): its cost follows the
+event's own edges, not the corpus.  The seed schema had no such index, and
+each call walked the whole table, O(C) however few rows it returned;
+sharding only shrank that walk to the ~``C × (2 - 1/N) / N`` rows of one
+shard (every edge is mirrored onto both endpoint shards).
 
 This bench builds an identical correlated corpus at shard counts {1, 4, 16}
 and guards two properties:
 
-1. **Throughput** — the correlation-probe phase must run ≥2× faster at
-   4 shards than at 1 shard.  The op phase is pure ``correlations_for_event``
-   deliberately: it is the only store op whose per-call cost grows with the
-   corpus (point lookups are index probes at any shard count and are covered
-   by the conformance suite).  Timing protocol: build each store once, warm
-   it, then interleave the three configurations for ``ATTEMPTS`` rounds and
-   keep the per-configuration minimum of ``time.process_time`` — paired
-   CPU-time minima cancel the box's wall-clock noise.
+1. **Throughput** — at every shard count, the correlation-probe phase must
+   run ≥2× faster through the indexes than the same phase forced through
+   the seed's walk (``FROM correlations NOT INDEXED``) on the same store,
+   and both must return the same rows.  The op phase is pure
+   ``correlations_for_event`` deliberately: it is the store op whose
+   per-call cost grew with the corpus (point lookups are index probes at
+   any shard count and are covered by the conformance suite).  Timing
+   protocol: build each store once, warm it, then interleave the six
+   (shard count, plan) configurations for ``ATTEMPTS`` rounds and keep the
+   per-configuration minimum of ``time.process_time`` — paired CPU-time
+   minima cancel the box's wall-clock noise.
 2. **Determinism** — audit history, correlation graphs, sync watermarks
    and digests must be byte-identical across all three shard counts.
 
-CI runs it scaled down via ``CAOP_X18_EVENTS`` (``make bench-store``).  At
-reduced corpus sizes the fixed per-call overhead (statement prep, row→dict
-conversion) dilutes the scan ratio, so the guard drops to a direction-proving
-floor; the full 2× target is enforced at the default corpus size.
+CI runs it scaled down via ``CAOP_X18_EVENTS`` (``make bench-store``).  A
+smaller corpus gives a shorter walk, above all at 16 shards, while the
+fixed per-call overhead (statement prep, row→dict conversion) stays, so
+the guard drops to a direction-proving floor; the full 2× target is
+enforced at the default corpus size.
 """
 
 import json
 import os
 import time
+from contextlib import contextmanager
 from datetime import date, datetime, timezone
 
 from repro.misp import MispStore
@@ -45,7 +51,10 @@ ATTRS_PER_EVENT = 3
 #: ~20 correlatable hits per value → a dense, realistic edge mesh.
 VALUE_POOL = max(10, EVENTS * ATTRS_PER_EVENT // 20)
 SHARD_COUNTS = (1, 4, 16)
-#: ≥2× at the default corpus; smaller (CI) corpora only prove the direction.
+#: The indexed reads, and the same SQL forced through a walk of the table.
+PLANS = ("indexed", "scan")
+#: ≥2× over the walk at the default corpus; smaller (CI) corpora only prove
+#: the direction.
 SPEEDUP_TARGET = 2.0 if EVENTS >= 8000 else 1.3
 SAMPLE_OPS = 100
 ATTEMPTS = 4
@@ -112,6 +121,31 @@ def op_phase(store, events):
     return time.process_time() - started, rows
 
 
+@contextmanager
+def forced_scan(store):
+    """Run ``store``'s correlation reads as the seed's schema planned them:
+    the same SQL with ``correlations NOT INDEXED``, a walk of the table."""
+    conns = store.backend._conns
+    for conn in conns:
+        conn.execute = lambda sql, params=(), run=conn.execute: run(
+            sql.replace("FROM correlations", "FROM correlations NOT INDEXED"),
+            params)
+    try:
+        yield
+    finally:
+        for conn in conns:
+            del conn.execute
+
+
+def timed(shards, plan):
+    """``op_phase`` on the ``shards`` store, through ``plan``."""
+    store, events, _inserted, _build = built(shards)
+    if plan == "indexed":
+        return op_phase(store, events)
+    with forced_scan(store):
+        return op_phase(store, events)
+
+
 def state_fingerprint(store, events):
     """Audit + correlation + sync state, canonicalised for comparison."""
     uuids = [event.uuid for event in events]
@@ -133,40 +167,41 @@ def state_fingerprint(store, events):
 
 
 def test_x18_store_scaling_and_determinism():
-    results = {}
-    for shards in SHARD_COUNTS:
-        store, events, inserted, build_seconds = built(shards)
-        op_phase(store, events)  # warm caches before timing
-        results[shards] = {"ops": None, "rows": None,
-                           "build": build_seconds, "edges": inserted}
+    configs = [(shards, plan) for shards in SHARD_COUNTS
+               for plan in PLANS]
+    results = {config: {"ops": None, "rows": None} for config in configs}
+    for config in configs:
+        timed(*config)  # build and warm caches before timing
     for attempt in range(ATTEMPTS):
         # Interleaved rounds: each configuration measured back to back so
         # per-configuration minima come from comparable machine states.
-        for shards in SHARD_COUNTS:
-            store, events, _inserted, _build = built(shards)
-            seconds, rows = op_phase(store, events)
-            entry = results[shards]
+        for config in configs:
+            seconds, rows = timed(*config)
+            entry = results[config]
             if entry["ops"] is None or seconds < entry["ops"]:
                 entry["ops"] = seconds
             entry["rows"] = rows
-        if attempt >= 1 and \
-                results[1]["ops"] / results[4]["ops"] >= SPEEDUP_TARGET:
+        speedup = {shards: results[shards, "scan"]["ops"]
+                   / results[shards, "indexed"]["ops"]
+                   for shards in SHARD_COUNTS}
+        if attempt >= 1 and min(speedup.values()) >= SPEEDUP_TARGET:
             break
 
-    speedup = {shards: results[1]["ops"] / results[shards]["ops"]
-               for shards in SHARD_COUNTS}
     print_table(
-        f"X18 store scaling ({EVENTS} events, {results[1]['edges']} edges, "
+        f"X18 correlation reads ({EVENTS} events, {built(1)[2]} edges, "
         f"{SAMPLE_OPS} probes/round)",
-        f"{'shards':>7}  {'build s':>8}  {'op-phase s':>10}  {'speedup':>8}",
-        [f"{shards:>7}  {results[shards]['build']:>8.2f}  "
-         f"{results[shards]['ops']:>10.3f}  {speedup[shards]:>7.2f}x"
+        f"{'shards':>7}  {'build s':>8}  {'scan s':>8}  {'indexed s':>9}  "
+        f"{'speedup':>8}",
+        [f"{shards:>7}  {built(shards)[3]:>8.2f}  "
+         f"{results[shards, 'scan']['ops']:>8.3f}  "
+         f"{results[shards, 'indexed']['ops']:>9.3f}  "
+         f"{speedup[shards]:>7.2f}x"
          for shards in SHARD_COUNTS])
 
     # Same workload, same answers: every configuration returned the same
     # correlation rows and left byte-identical observable state.
-    assert len({results[shards]["rows"] for shards in SHARD_COUNTS}) == 1
-    assert len({results[shards]["edges"] for shards in SHARD_COUNTS}) == 1
+    assert len({entry["rows"] for entry in results.values()}) == 1
+    assert len({built(shards)[2] for shards in SHARD_COUNTS}) == 1
     fingerprints = {shards: state_fingerprint(*built(shards)[:2])
                     for shards in SHARD_COUNTS}
     baseline = fingerprints[1]
@@ -174,11 +209,10 @@ def test_x18_store_scaling_and_determinism():
         assert fingerprints[shards] == baseline, \
             f"{shards}-shard state diverges from single-file"
 
-    assert speedup[4] >= SPEEDUP_TARGET, (
-        f"4-shard op phase only {speedup[4]:.2f}x faster "
-        f"(target {SPEEDUP_TARGET}x)")
-    # The curve must keep bending: 16 shards at least as fast as 4.
-    assert results[16]["ops"] <= results[4]["ops"] * 1.1
+    for shards in SHARD_COUNTS:
+        assert speedup[shards] >= SPEEDUP_TARGET, (
+            f"{shards}-shard indexed op phase only {speedup[shards]:.2f}x "
+            f"faster than the forced scan (target {SPEEDUP_TARGET}x)")
 
 
 def test_x18_shard_batch_distribution():

@@ -54,9 +54,12 @@ def content_uuid(*parts: str) -> str:
     ``("ab", "c")`` and ``("a", "bc")`` never collide.  The result is
     ``str(uuid.uuid5(CONTENT_NAMESPACE, joined))``, computed straight from
     the sha1 digest: the version nibble becomes 5 and the variant bits 10.
+    A lone surrogate (which ``json.loads`` makes of a ``"\\ud800"`` escape,
+    and which ``uuid5`` cannot encode) is hashed as its code unit, so every
+    string has an id.
     """
-    digest = hashlib.sha1(
-        _NAMESPACE_BYTES + "\x1f".join(parts).encode("utf-8")).hexdigest()
+    digest = hashlib.sha1(_NAMESPACE_BYTES + "\x1f".join(parts).encode(
+        "utf-8", "surrogatepass")).hexdigest()
     variant = "89ab"[int(digest[16], 16) & 3]
     return (f"{digest[:8]}-{digest[8:12]}-5{digest[13:16]}-"
             f"{variant}{digest[17:20]}-{digest[20:32]}")

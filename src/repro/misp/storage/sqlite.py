@@ -5,9 +5,10 @@
 - *shard* tables (``events``, ``attributes``, ``event_tags``,
   ``correlations``).  An event lives on shard
   :func:`~repro.misp.storage.base.shard_of` (a sha256 prefix of its uuid),
-  so per-event work — blob reads, tag probes and above all correlation-row
-  scans, which SQLite resolves by walking the whole ``correlations`` table
-  — touches ``1/N`` of the corpus;
+  so per-event work — blob reads, tag probes, correlation reads — runs on
+  one shard.  ``correlations`` is indexed by both endpoint events, so a
+  read of an event's rows searches two indexes instead of walking the
+  table;
 - *catalog* tables for everything that must stay globally ordered: the
   ``audit_log`` (the store's monotonic change feed), ``provenance``,
   ``sync_state``/``sync_digests``, ``rollup_state``/``rollup_rows``, the
@@ -96,6 +97,10 @@ CREATE TABLE IF NOT EXISTS correlations (
     value TEXT NOT NULL,
     UNIQUE(source_attribute, target_attribute)
 );
+CREATE INDEX IF NOT EXISTS idx_correlations_source_event
+    ON correlations(source_event);
+CREATE INDEX IF NOT EXISTS idx_correlations_target_event
+    ON correlations(target_event);
 """
 
 #: Tables only the *catalog* carries (global ordered logs + ledgers).
@@ -915,8 +920,8 @@ class SQLiteBackend:
         return inserted
 
     def correlations_for_event(self, event_uuid: str) -> List[Dict[str, str]]:
-        # Every edge touching an event is on that event's shard, so this
-        # scan walks ~1/N of the corpus.
+        # Every edge touching an event is on that event's shard; the two
+        # endpoint indexes find its rows there (a MULTI-INDEX OR plan).
         rows = self._conns[self._shard_for(event_uuid)].execute(
             f"SELECT {_CORRELATION_COLS} FROM correlations"
             " WHERE source_event = ? OR target_event = ? ORDER BY rowid",

@@ -11,12 +11,14 @@ metrics, applies fault-injection seams, and delegates all persistence to
 :class:`~repro.misp.storage.sqlite.SQLiteBackend`.  At one shard (the
 default, and the on-disk format of every pre-sharding store) a store is a
 single file; ``shards=N`` hash-shards the event rows over N files beside a
-catalog, which bounds per-event scans to ``1/N`` of the corpus
-(docs/PERFORMANCE.md).  ``MispStore(":memory:")`` keeps either layout in
-memory.  The conformance suite (tests/test_storage_backends.py) asserts
-byte-identical audit history, correlation graphs, sync ledgers and lineage
-at any shard count.  ``MispStore(path)`` re-opens an existing store with
-whatever layout it was created with (recorded in its ``store_meta`` table).
+catalog (docs/PERFORMANCE.md).  Per-event reads are index searches at any
+shard count; correlation rows are found through the endpoint-event
+indexes, which opening a store creates if it lacks them.
+``MispStore(":memory:")`` keeps either layout in memory.  The conformance
+suite (tests/test_storage_backends.py) asserts byte-identical audit
+history, correlation graphs, sync ledgers and lineage at any shard count.
+``MispStore(path)`` re-opens an existing store with whatever layout it was
+created with (recorded in its ``store_meta`` table).
 
 Persistence is batch-aware: :meth:`MispStore.save_events` writes a whole
 collection cycle — audit rows, event rows, attribute rows, tag rows — in a

@@ -89,6 +89,15 @@ def tokenize(text: str) -> List[Token]:
     return tokens
 
 
+def _timestamp_value(token: Token) -> _dt.datetime:
+    """The instant a ``t'...'`` token names; raises PatternError if none."""
+    try:
+        return parse_timestamp(token.value[2:-1])
+    except ValueError:
+        raise PatternError(
+            f"invalid timestamp literal at {token.position}") from None
+
+
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
@@ -294,7 +303,7 @@ class _Parser:
         token = self._next()
         if token.kind != "TIMESTAMP":
             raise PatternError(f"expected timestamp literal at {token.position}")
-        return parse_timestamp(token.value[2:-1])
+        return _timestamp_value(token)
 
     # comparison level -------------------------------------------------------
 
@@ -367,7 +376,7 @@ class _Parser:
         if token.kind == "FLOAT":
             return float(token.value)
         if token.kind == "TIMESTAMP":
-            return parse_timestamp(token.value[2:-1])
+            return _timestamp_value(token)
         if token.kind in ("TRUE", "FALSE"):
             return token.kind == "TRUE"
         raise PatternError(f"expected literal at {token.position}, got {token.value!r}")

@@ -84,6 +84,7 @@ def test_content_uuid_is_uuid5_of_the_joined_parts(parts):
      "3e8e52ef-67b2-5ffe-8493-c94803883dc1"),
     (("text", "d\u00e9ni de service \u0130\n"),
      "b7c18bdb-f471-57e9-997f-89455d469f45"),
+    (("\ud800",), "d8ae7d2c-d48b-547e-98d2-aa63b0d95f83"),
 ])
 def test_content_uuid_fixed_vectors(parts, expected):
     assert content_uuid(*parts) == expected

@@ -88,6 +88,8 @@ class TestParser:
         "[a:b REPEATS 0 TIMES]",
         "[a:b = 'x'] REPEATS 0 TIMES",
         "[= 'x']",
+        "[a:b = t'\\\\']",
+        "[a:b = 'x'] START t'never' STOP t'2020-01-01T00:00:00Z'",
     ])
     def test_invalid_patterns_raise(self, pattern):
         with pytest.raises(PatternError):

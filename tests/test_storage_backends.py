@@ -6,16 +6,23 @@ equivalence tests asserting that shard counts {1, 4, 16}, on disk or in
 memory, produce byte-identical audit history, correlation graphs, sync
 ledgers and lineage for the same operation sequence, and engine tests
 pinning the two on-disk layouts and the statement cost of opening and
-probing a store.
+probing a store.  Correlation reads go through the endpoint-event indexes
+and must answer, row for row and in order, as the forced full-table scan
+(``correlations NOT INDEXED``) does.
 """
 
 import datetime as dt
+import itertools
 import json
 import math
+import re
 import sqlite3
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.deltas import collapse_changes
 from repro.errors import StorageError
@@ -75,6 +82,54 @@ def correlate(store, pool):
                 if a[0] != b[0] and a[1] < b[1]:
                     edges.append((a[1], b[1], a[0], b[0], value))
     return store.save_correlations(edges)
+
+
+#: The two endpoint-event indexes every shard's ``correlations`` carries.
+CORRELATION_INDEXES = ("idx_correlations_source_event",
+                       "idx_correlations_target_event")
+#: A full walk of the table in a query plan (SQLite before 3.36 printed
+#: ``SCAN TABLE correlations``).
+WALK = re.compile(r"\bSCAN (TABLE )?correlations\b")
+
+
+def forced_scan(sql):
+    """The same statement with the indexes off: the seed's full-table walk."""
+    return sql.replace("FROM correlations", "FROM correlations NOT INDEXED")
+
+
+@contextmanager
+def statement_log(store, rewrite=None):
+    """Log ``(connection, sql, params)`` for every statement ``store`` runs;
+    ``rewrite`` maps each SQL text before it runs."""
+    log = []
+    conns = store.backend._all
+    for conn in conns:
+        def execute(sql, params=(), conn=conn, run=conn.execute):
+            if rewrite is not None:
+                sql = rewrite(sql)
+            log.append((conn, sql, params))
+            return run(sql, params)
+        conn.execute = execute
+    try:
+        yield log
+    finally:
+        for conn in conns:
+            del conn.execute
+
+
+def correlation_reads(store, uuids):
+    """Every answer of the two correlation reads, order included."""
+    return (list(store.correlations_for_events(uuids).items()),
+            [store.correlations_for_event(uuid)
+             for uuid in dict.fromkeys(uuids)])
+
+
+def shard_indexes(store):
+    """Per shard connection, which correlation indexes exist."""
+    return [{row[0] for row in conn.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'index'"
+        " AND tbl_name = 'correlations'")} & set(CORRELATION_INDEXES)
+        for conn in store.backend._conns]
 
 
 BACKENDS = ["sqlite", "sharded", "memory"]
@@ -345,6 +400,108 @@ class TestQueryPlan:
         finally:
             built.close()
 
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_correlation_reads_use_endpoint_indexes(self, shards):
+        # The SQL the two reads really run, planned on the connection
+        # that ran it: both endpoint indexes, no walk of the table.
+        built = MispStore(":memory:", shards=shards)
+        try:
+            corpus, pool = make_corpus(count=12)
+            built.save_events(corpus)
+            correlate(built, pool)
+            uuids = [event.uuid for event in corpus]
+            with statement_log(built) as log:
+                correlation_reads(built, uuids)
+            reads = [(conn, sql, params) for conn, sql, params in log
+                     if "FROM correlations" in sql]
+            # One batched statement per shard holding a uuid, one per event.
+            assert len(reads) == len({shard_of(uuid, shards)
+                                      for uuid in uuids}) + len(uuids)
+            for conn, sql, params in reads:
+                plan = conn.query_plan(sql, params)
+                assert not WALK.search(plan), plan
+                assert all(name in plan for name in CORRELATION_INDEXES), plan
+                # The reference the property test compares against walks
+                # the table, as every read did before the indexes.
+                assert WALK.search(conn.query_plan(forced_scan(sql), params))
+        finally:
+            built.close()
+
+
+#: Uuids of one batched-read chunk (each binds twice).
+_CHUNK = chunk_size(per_item=2)
+#: Event uuids that land on shard 0 at 1, 4 and 16 shards alike (a hash
+#: that is 0 mod 16 is 0 mod 4), so a request holding all of them spans
+#: two chunks on one shard at every shard count.
+_CROWDED = list(itertools.islice(
+    (uuid for uuid in map("event-{:05d}".format, itertools.count())
+     if shard_of(uuid, 16) == 0), _CHUNK + 20))
+#: Events spread over every shard: their edges are mirrored at 4 and 16.
+_SPREAD = [f"spread-{k}" for k in range(16)]
+#: Edge endpoints: the first crowded events, the crowded events around the
+#: chunk border, and the spread ones.
+_HOT = _CROWDED[:4] + _CROWDED[_CHUNK - 4:_CHUNK + 4] + _SPREAD
+
+
+@st.composite
+def correlation_cases(draw):
+    """Edges saved in batches plus one read request.
+
+    Edges join two hot events (possibly the same pair through several
+    attribute pairs, possibly repeated); the request mixes hot events,
+    duplicates and unknown uuids, and may hold every crowded event, so
+    one request spans two chunks on one shard.
+    """
+    ends = st.integers(0, len(_HOT) - 1)
+    pairs = draw(st.lists(
+        st.tuples(ends, st.integers(0, 2), ends, st.integers(0, 2)),
+        max_size=50))
+    edges = [(f"{_HOT[i]}/{a}", f"{_HOT[j]}/{b}", _HOT[i], _HOT[j],
+              f"value-{i}-{j}") for i, a, j, b in pairs]
+    cut = draw(st.integers(0, len(edges)))
+    # A second batch repeats some edges of the first: the inserts ignore
+    # them and their rows keep their first position.
+    batches = [edges[:cut], edges[draw(st.integers(0, cut)):]]
+    picks = st.one_of(st.sampled_from(_HOT),
+                      st.sampled_from(["ghost", "ghost-2", _CROWDED[-1]]))
+    head = draw(st.lists(picks, max_size=12))
+    tail = draw(st.lists(picks, max_size=6))
+    crowd = _CROWDED if draw(st.booleans()) else []
+    return batches, head + crowd + tail
+
+
+def _edge(source, target, value):
+    return (f"{source}/0", f"{target}/0", source, target, value)
+
+
+#: Every kind at once: a row whose endpoints fall in the two chunks, a
+#: row mirrored across shards at 4 and at 16 (``spread-0`` and
+#: ``spread-2`` hash apart at both), and a duplicate and an unknown uuid.
+_EVERY_KIND = (
+    [[_edge(_CROWDED[0], _CROWDED[_CHUNK], "border"),
+      _edge(_SPREAD[0], _SPREAD[2], "mirrored"),
+      _edge(_SPREAD[2], _CROWDED[1], "mixed")], []],
+    [_SPREAD[2], "ghost", _SPREAD[2], *_CROWDED, _SPREAD[0]])
+
+
+@pytest.mark.parametrize("shards", [1, 4, 16])
+@settings(max_examples=40, deadline=None)
+@given(case=correlation_cases())
+@example(case=_EVERY_KIND)
+def test_indexed_reads_answer_as_the_forced_scan(shards, case):
+    batches, request = case
+    built = MispStore(":memory:", shards=shards)
+    try:
+        for batch in batches:
+            built.save_correlations(batch)
+        indexed = correlation_reads(built, request)
+        with statement_log(built, rewrite=forced_scan) as log:
+            scanned = correlation_reads(built, request)
+        assert all("NOT INDEXED" in sql for _conn, sql, _params in log)
+        assert indexed == scanned
+    finally:
+        built.close()
+
 
 #: One corpus template shared by every equivalence run, so all layouts
 #: see the same uuids and the fingerprints are comparable byte for byte.
@@ -506,6 +663,30 @@ class TestOnDiskLayout:
 
     def test_shard_path_layout(self):
         assert shard_path("/data/store.db", 3) == "/data/store.db.shard-03"
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_reopen_restores_correlation_indexes(self, tmp_path, shards):
+        # A store written before the endpoint indexes existed gains both
+        # the next time it is opened, and answers as it did.
+        path = str(tmp_path / "store.db")
+        built = MispStore(path, shards=shards)
+        corpus, _pool = run_scenario(built)
+        uuids = [event.uuid for event in corpus]
+        answers = correlation_reads(built, uuids)
+        for conn in built.backend._conns:
+            for name in CORRELATION_INDEXES:
+                conn.execute(f"DROP INDEX {name}")
+            conn.commit()
+        assert shard_indexes(built) == [set()] * shards
+        built.close()
+        reopened = MispStore(path)
+        try:
+            assert reopened.sql_statements <= 4
+            assert shard_indexes(reopened) == \
+                [set(CORRELATION_INDEXES)] * shards
+            assert correlation_reads(reopened, uuids) == answers
+        finally:
+            reopened.close()
 
 
 def table_names(path):
