@@ -44,7 +44,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # Built into the wiring (not rewired post-build) so the sharing
         # ledger and the provenance recorder land in the same file.
         store_path=args.store,
-        store_shards=args.store_shards,
         compaction_every_cycles=args.compact_every,
         fanout_subscribers=args.subscribers,
     )
@@ -561,9 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--compact-every", type=int, default=25,
                      help="run decay compaction every N cycles "
                           "(<= 0 disables it)")
-    run.add_argument("--store-shards", type=int, default=1,
-                     help="hash-shard the MISP store across N SQLite files"
-                          " (default 1 = single file)")
     run.add_argument("--feeds", default=None,
                      help="JSON feed-configuration file (see 'caop init-feeds')")
     run.add_argument("--subscribers", type=int, default=0,

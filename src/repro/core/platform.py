@@ -178,8 +178,9 @@ class PlatformConfig:
     #: Built here — not rewired post-build — so the sharing ledger and the
     #: provenance recorder point at the same persistent store.
     store_path: Optional[str] = None
-    #: Hash-shard count for the MISP store (``1`` = classic single file;
-    #: ``>= 2`` adds ``<path>.shard-NN`` files — see docs/PERFORMANCE.md).
+    #: Ignored: the store is one file at any value.  Kept only because the
+    #: committed ``large_store`` benchmark workload still passes
+    #: ``store_shards=4``; it goes once that workload stops passing it.
     store_shards: int = 1
     #: How retry backoff is applied: "virtual" advances the SimulatedClock,
     #: "real" sleeps wall-clock, "none" records without moving any clock.
@@ -396,15 +397,11 @@ class ContextAwareOSINTPlatform:
             breakers=breakers, sleeper=sleeper, tracer=tracer)
 
         store = None
-        if config.store_path is not None or config.store_shards > 1:
+        if config.store_path is not None:
             from ..misp.store import MispStore
-            # shards=None lets an existing file keep the layout it was
-            # created with; an explicit count >= 2 requests sharding.
-            store = MispStore(config.store_path or ":memory:",
-                              metrics=metrics, clock=clock,
-                              fault_injector=config.fault_injector,
-                              shards=config.store_shards
-                              if config.store_shards > 1 else None)
+            store = MispStore(config.store_path, metrics=metrics,
+                              clock=clock,
+                              fault_injector=config.fault_injector)
         misp = MispInstance(
             org=config.org, store=store, metrics=metrics, clock=clock,
             store_retry_policy=retry, sleeper=sleeper,

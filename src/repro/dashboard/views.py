@@ -174,11 +174,11 @@ class CorrelationGraphView(StoreRollup):
     """Relational view: the event-correlation graph inside the MISP store.
 
     Maintained incrementally: the graph is materialized once and then fed
-    deltas from the change feed.  Semantics match the historical full
-    rescan exactly, including its ghost-node behaviour — a deleted event
-    that still appears in a live event's correlation rows stays in the
-    graph as an attribute-less node, while a deleted event with no live
-    correlation partner vanishes.
+    deltas from the change feed.  Semantics match a full rescan exactly.
+    Deleting an event deletes its correlation rows, so a retired event
+    leaves the graph with every edge it had; an edge endpoint that was
+    never stored stays as an attribute-less "ghost" node while a live
+    event's rows still name it.
 
     A persistent view checkpoints one row per node: its ``info`` (null for
     a ghost) and its edges to larger uuids, so adding an edge touches one
@@ -190,7 +190,7 @@ class CorrelationGraphView(StoreRollup):
                  persistent: bool = False) -> None:
         self._graph = nx.Graph()
         #: Events currently stored (nodes carrying an ``info`` attribute);
-        #: nodes outside this set are ghosts kept alive by live partners.
+        #: nodes outside this set are ghosts named by live events' rows.
         self._live: set = set()
         #: Cluster count kept as edges arrive; None until the next
         #: :meth:`summary` builds it (at first use and after a retire).
@@ -230,17 +230,16 @@ class CorrelationGraphView(StoreRollup):
             return
         self.touch(uuid)
         self._clusters = None
-        # Full-rescan equivalence: edges only exist while at least one
-        # endpoint is live (rescans walk correlations via live events).
-        self._graph.nodes[uuid].pop("info", None)
-        for neighbor in list(self._graph.neighbors(uuid)):
-            if neighbor not in self._live:
-                self._graph.remove_edge(uuid, neighbor)
-                self.touch(neighbor)
-                if self._graph.degree[neighbor] == 0:
-                    self._graph.remove_node(neighbor)
-        if uuid in self._graph and self._graph.degree[uuid] == 0:
-            self._graph.remove_node(uuid)
+        # The store deleted the event's edges with it; a ghost left without
+        # edges goes too, as a rescan would never meet it.
+        neighbors = [other for other in self._graph.neighbors(uuid)
+                     if other != uuid]
+        self._graph.remove_node(uuid)
+        for neighbor in neighbors:
+            self.touch(neighbor)
+            if neighbor not in self._live \
+                    and self._graph.degree[neighbor] == 0:
+                self._graph.remove_node(neighbor)
 
     def row(self, key: str) -> Optional[List[Any]]:
         if key not in self._graph:

@@ -6,6 +6,12 @@ Each wire format has quirks copied from real OSINT feeds:
 - CSV: first row is a header; a ``value`` (or format-specific) column holds
   the indicator and remaining columns become ``fields``;
 - JSON: a list of objects, or an object with an ``entries`` list.
+
+Hostile input fails as :class:`~repro.errors.ParseError`, which the
+collector counts as a failed feed and quarantines: besides malformed
+bodies, that covers a document nested deeper than the recursion limit
+(any format) and a JSON string holding a lone surrogate, which no UTF-8
+store can bind.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ _IPV4_RE = re.compile(r"^(?:\d{1,3}\.){3}\d{1,3}$")
 _MD5_RE = re.compile(r"^[a-f0-9]{32}$", re.IGNORECASE)
 _SHA256_RE = re.compile(r"^[a-f0-9]{64}$", re.IGNORECASE)
 _CVE_RE = re.compile(r"^CVE-\d{4}-\d{4,}$", re.IGNORECASE)
+#: A surrogate, raw or as a JSON escape.  Only a prefilter: an escaped
+#: pair decodes to one valid character.
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]|\\u[dD][89a-fA-F]")
 
 
 def classify_indicator(value: str) -> str:
@@ -102,6 +111,23 @@ def parse_csv(document: FeedDocument, value_column: Optional[str] = None) -> Lis
     return records
 
 
+def load_json(document: FeedDocument) -> Any:
+    """Decode a JSON-based body; a string holding a lone surrogate is a
+    :class:`ParseError`, as malformed JSON is."""
+    try:
+        data = json.loads(document.body)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"feed {document.descriptor.name}: invalid JSON: {exc}") from exc
+    if _SURROGATE_RE.search(document.body):
+        try:
+            json.dumps(data, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"feed {document.descriptor.name}: JSON string"
+                             f" holds a lone surrogate: {exc}") from exc
+    return data
+
+
 def parse_json(document: FeedDocument) -> List[FeedRecord]:
     """A JSON list of entry objects (or ``{"entries": [...]}``).
 
@@ -110,10 +136,7 @@ def parse_json(document: FeedDocument) -> List[FeedRecord]:
     ``fields``.  Entries with neither an indicator nor a ``title``/``text``
     body are rejected.
     """
-    try:
-        data = json.loads(document.body)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"feed {document.descriptor.name}: invalid JSON: {exc}") from exc
+    data = load_json(document)
     if isinstance(data, Mapping):
         entries = data.get("entries")
         if not isinstance(entries, list):
@@ -174,10 +197,7 @@ def parse_misp_json(document: FeedDocument) -> List[FeedRecord]:
     """
     from ..misp.model import MispEvent
 
-    try:
-        data = json.loads(document.body)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"feed {document.descriptor.name}: invalid JSON: {exc}") from exc
+    data = load_json(document)
     if isinstance(data, Mapping):
         data = [data]
     if not isinstance(data, list):
@@ -215,7 +235,11 @@ def parse_stix2(document: FeedDocument) -> List[FeedRecord]:
     from ..stix.bundle import Bundle
     from ..stix.pattern import CompiledPattern
 
-    bundle = Bundle.from_json(document.body)
+    data = load_json(document)
+    if not isinstance(data, Mapping):
+        raise ParseError(
+            f"feed {document.descriptor.name}: STIX feed must be a bundle")
+    bundle = Bundle.from_dict(data)
     path_map = {
         "ipv4-addr:value": "ipv4",
         "domain-name:value": "domain",
@@ -271,4 +295,8 @@ def parse_document(document: FeedDocument) -> List[FeedRecord]:
     if parser is None:
         raise ParseError(
             f"no parser for feed format {document.descriptor.format!r}")
-    return parser(document)
+    try:
+        return parser(document)
+    except RecursionError as exc:
+        raise ParseError(f"feed {document.descriptor.name}: document nested"
+                         " deeper than the recursion limit") from exc

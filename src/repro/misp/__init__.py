@@ -33,7 +33,7 @@ from .model import (
     MispTag,
     ThreatLevel,
 )
-from .storage import SQLiteBackend, shard_of
+from .storage import SQLiteBackend
 from .store import MispStore, StoreChange
 from .warninglists import (
     Warninglist,
@@ -84,7 +84,6 @@ __all__ = [
     "MispStore",
     "SQLiteBackend",
     "StoreChange",
-    "shard_of",
     "Warninglist",
     "WarninglistHit",
     "WarninglistIndex",

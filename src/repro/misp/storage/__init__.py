@@ -1,9 +1,8 @@
 """The SQLite engine behind :class:`~repro.misp.store.MispStore`.
 
-:class:`SQLiteBackend` runs a store at any shard count: one file at one
-shard, a catalog plus ``<path>.shard-NN`` files at N.  See
-:mod:`repro.misp.storage.sqlite` for the two layouts and
-:mod:`repro.misp.storage.base` for the determinism contract.
+:class:`SQLiteBackend` keeps a store in one SQLite file (or one
+``:memory:`` database).  See :mod:`repro.misp.storage.sqlite` for the
+layout and :mod:`repro.misp.storage.base` for the shared helpers.
 """
 
 from .base import (
@@ -12,9 +11,8 @@ from .base import (
     PersistBatch,
     chunk_size,
     chunks,
-    shard_of,
 )
-from .sqlite import SQLiteBackend, detect_shard_count, shard_path
+from .sqlite import SQLiteBackend
 
 __all__ = [
     "MAX_BOUND_VARS",
@@ -23,7 +21,4 @@ __all__ = [
     "SQLiteBackend",
     "chunk_size",
     "chunks",
-    "detect_shard_count",
-    "shard_of",
-    "shard_path",
 ]

@@ -3,21 +3,16 @@
 :class:`~repro.misp.store.MispStore` is a thin facade: it turns
 :class:`~repro.misp.model.MispEvent` objects into plain rows
 (:class:`PersistBatch`), emits metrics, and hands every byte of persistence
-to :class:`~repro.misp.storage.sqlite.SQLiteBackend`, which runs one shard
-or N shards keyed by :func:`shard_of` plus a catalog for the audit log,
-sync ledger, provenance, counters and (at N shards) the value index.
+to :class:`~repro.misp.storage.sqlite.SQLiteBackend`, which keeps the whole
+store in one SQLite file.
 
-Determinism contract (docs/PERFORMANCE.md): for the same operation sequence,
-every shard count must produce identical audit sequences, correlation edge
-sets, sync watermarks/digests and provenance rows.  Ordered reads are fully
-specified (``timestamp DESC, uuid`` for event listings; insertion order for
-value probes and correlation rows) so no layout leans on accidental scan
-order.
+Ordered reads are fully specified (``timestamp DESC, uuid`` for event
+listings; insertion order for value probes and correlation rows) so no
+answer leans on accidental scan order.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
@@ -47,19 +42,6 @@ def chunks(items: Sequence, size: int) -> Iterable[Sequence]:
     """Yield ``items`` in slices of at most ``size``."""
     for start in range(0, len(items), size):
         yield items[start:start + size]
-
-
-def shard_of(event_uuid: str, shard_count: int) -> int:
-    """Deterministic, stable shard placement for one event uuid.
-
-    Uses a sha256 prefix rather than ``hash()`` so placement is identical
-    across processes, python versions and ``PYTHONHASHSEED`` values — the
-    same discipline the retry-jitter and worker-pool RNGs follow.
-    """
-    if shard_count <= 1:
-        return 0
-    digest = hashlib.sha256(event_uuid.encode("utf-8")).hexdigest()
-    return int(digest[:8], 16) % shard_count
 
 
 @dataclass

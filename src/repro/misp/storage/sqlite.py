@@ -1,36 +1,21 @@
-"""The MISP store's SQLite engine, for any shard count.
+"""The MISP store's SQLite engine: one file, or one ``:memory:`` database.
 
-:class:`SQLiteBackend` keeps two kinds of tables:
+:class:`SQLiteBackend` keeps every table on one connection:
 
-- *shard* tables (``events``, ``attributes``, ``event_tags``,
-  ``correlations``).  An event lives on shard
-  :func:`~repro.misp.storage.base.shard_of` (a sha256 prefix of its uuid),
-  so per-event work — blob reads, tag probes, correlation reads — runs on
-  one shard.  ``correlations`` is indexed by both endpoint events, so a
-  read of an event's rows searches two indexes instead of walking the
-  table;
-- *catalog* tables for everything that must stay globally ordered: the
-  ``audit_log`` (the store's monotonic change feed), ``provenance``,
+- the event tables (``events``, ``attributes``, ``event_tags``,
+  ``correlations``).  Value probes (value search, correlation candidates)
+  read ``attributes`` through the composite ``(value, type)`` index, and
+  ``correlations`` is indexed by both endpoint events, so a read of an
+  event's rows searches two indexes instead of walking the table;
+- the ``audit_log`` (the store's monotonic change feed), ``provenance``,
   ``sync_state``/``sync_digests``, ``rollup_state``/``rollup_rows``, the
-  O(1) ``counters`` and ``store_meta``, which records the shard count so a
-  reopen can detect the layout.
+  O(1) ``counters`` and ``store_meta``.
 
-A one-shard store is one file: the catalog connection doubles as shard 0,
-and value probes (value search, correlation candidates) read its
-``attributes`` table through the composite ``(value, type)`` index.  An
-N-shard store keeps its catalog at ``path`` and its shards beside it as
-``<path>.shard-NN``; there value probes read a catalog ``value_index``
-(``value → (shard, event, attribute)``) so they never touch a shard.  That
-table choice, made once from the recorded shard count, is the only place
-the two layouts differ.
-
-Write protocol (the determinism contract of docs/PERFORMANCE.md): a batch's
-rows are split by shard in batch order and committed serially — shards
-ascending, catalog last — and catalog rows follow batch order exactly, so
-any shard count produces the same audit seqs, the same correlation graph in
-the same row order, and the same sync ledgers.  A correlation edge is
-written to both endpoint shards (one copy when both hash together); the
-catalog counter tracks logical edges.
+Every write method is one transaction, so readers never see half a batch.
+``store_meta`` records the layout as ``shards = 1``.  Earlier releases could
+hash-shard a store over a catalog plus ``<path>.shard-NN`` files; opening a
+file whose ``store_meta`` records more than one shard raises
+:class:`~repro.errors.StorageError` before any table is created.
 
 Chunked queries derive their chunk size from the shared
 :data:`~repro.misp.storage.base.MAX_BOUND_VARS` budget, so no query can
@@ -55,10 +40,10 @@ from typing import (
 )
 
 from ...errors import StorageError
-from .base import PersistBatch, chunk_size, chunks, shard_of
+from .base import PersistBatch, chunk_size, chunks
 
-#: Tables every *shard* carries (relational event data).
-SHARD_SCHEMA = """
+#: Every table and index of a store.
+SCHEMA = """
 CREATE TABLE IF NOT EXISTS events (
     uuid TEXT PRIMARY KEY,
     info TEXT NOT NULL,
@@ -101,10 +86,6 @@ CREATE INDEX IF NOT EXISTS idx_correlations_source_event
     ON correlations(source_event);
 CREATE INDEX IF NOT EXISTS idx_correlations_target_event
     ON correlations(target_event);
-"""
-
-#: Tables only the *catalog* carries (global ordered logs + ledgers).
-CATALOG_SCHEMA = """
 CREATE TABLE IF NOT EXISTS audit_log (
     seq INTEGER PRIMARY KEY AUTOINCREMENT,
     event_uuid TEXT NOT NULL,
@@ -159,23 +140,6 @@ CREATE TABLE IF NOT EXISTS store_meta (
 );
 """
 
-#: The catalog's cross-shard value index, kept only at N >= 2 shards.
-VALUE_INDEX_SCHEMA = """
-CREATE TABLE IF NOT EXISTS value_index (
-    event_uuid TEXT NOT NULL,
-    attribute_uuid TEXT NOT NULL,
-    value TEXT NOT NULL,
-    type TEXT NOT NULL,
-    correlatable INTEGER NOT NULL,
-    shard INTEGER NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_value_index_value_type
-    ON value_index(value, type);
-CREATE INDEX IF NOT EXISTS idx_value_index_value_corr
-    ON value_index(value, correlatable);
-CREATE INDEX IF NOT EXISTS idx_value_index_event ON value_index(event_uuid);
-"""
-
 _PROVENANCE_COLS = ("seq, trace_id, event_uuid, kind, actor, org,"
                     " detail, cycle, logged_at")
 
@@ -220,6 +184,13 @@ class CountingConnection:
             # NORMAL fsyncs at checkpoints instead of every commit.
             self.raw.execute("PRAGMA journal_mode = WAL")
             self.raw.execute("PRAGMA synchronous = NORMAL")
+            # Every write of the store lands in this one WAL: a cycle over
+            # a large store writes about 2,900 pages, which SQLite's
+            # default 1,000-page threshold would checkpoint three times.
+            # 10 MB of page cache holds more of a cycle's index pages
+            # (docs/PERFORMANCE.md, "One-file storage").
+            self.raw.execute("PRAGMA wal_autocheckpoint = 10000")
+            self.raw.execute("PRAGMA cache_size = -10000")
 
     def execute(self, sql: str, params: Sequence = ()) -> sqlite3.Cursor:
         self.statements += 1
@@ -252,19 +223,18 @@ class CountingConnection:
         return "\n".join(str(row[-1]) for row in rows)
 
 
-def init_meta(conn: CountingConnection, shards: int) -> None:
-    """Record (or validate) the store's shard layout in ``store_meta``."""
+def recorded_shards(conn: CountingConnection) -> Optional[int]:
+    """The shard count ``store_meta`` records; None for a new store.
+
+    Reads only: a store must be checked before its schema is created.
+    """
+    if conn.execute(
+            "SELECT 1 FROM sqlite_master WHERE type = 'table'"
+            " AND name = 'store_meta'").fetchone() is None:
+        return None
     row = conn.execute(
         "SELECT value FROM store_meta WHERE key = 'shards'").fetchone()
-    if row is None:
-        conn.execute(
-            "INSERT INTO store_meta (key, value) VALUES ('shards', ?)",
-            (str(int(shards)),))
-        conn.commit()
-    elif int(row[0]) != shards:
-        raise StorageError(
-            f"store at {conn.path!r} was created with {row[0]} shard(s); "
-            f"refusing to open it with {shards}")
+    return int(row[0]) if row is not None else None
 
 
 def init_counters(conn: CountingConnection,
@@ -299,216 +269,115 @@ def read_counter(conn: CountingConnection, name: str) -> int:
     return int(row[0]) if row is not None else 0
 
 
-def detect_shard_count(path: str) -> Optional[int]:
-    """The shard count recorded in an existing store file (None if absent).
-
-    Lets ``MispStore(path)`` open a sharded store the way it was created
-    without the caller re-supplying ``--store-shards``.
-    """
-    import os
-
-    if path == ":memory:" or not os.path.exists(path):
-        return None
-    try:
-        conn = sqlite3.connect(path)
-        try:
-            row = conn.execute(
-                "SELECT value FROM store_meta WHERE key = 'shards'"
-            ).fetchone()
-        finally:
-            conn.close()
-    except sqlite3.Error:
-        return None
-    return int(row[0]) if row is not None else None
-
-
-def shard_path(path: str, shard: int) -> str:
-    """Filesystem path of one shard database of an N-shard store."""
-    return f"{path}.shard-{shard:02d}"
-
-
 class SQLiteBackend:
-    """The store's one engine: ``shards`` shard databases plus a catalog.
+    """The store's one engine: every table in one SQLite database.
 
-    ``path`` names the catalog (the whole store at one shard);
-    ``path=":memory:"`` gives every database its own private in-memory
-    connection.  Refuses ``shards`` below 1, and a ``shards`` that differs
-    from the count an existing store recorded.
-
-    Every write method is atomic per call; a write that spans shards
-    commits them serially, shards ascending, catalog last, so readers
-    never observe catalog state ahead of shard state.
+    ``path`` names the file; ``path=":memory:"`` keeps the store in a
+    private in-memory database.  Refuses a file whose ``store_meta``
+    records more than one shard (an earlier release's hash-sharded layout).
+    Every write method is atomic per call.
     """
 
-    def __init__(self, path: str = ":memory:", shards: int = 1) -> None:
-        if shards < 1:
-            raise StorageError(f"a store needs at least 1 shard, not {shards}")
-        #: How many shard databases hold the event rows.
-        self.shard_count = int(shards)
-        self._cat = CountingConnection(path)
-        self._cat.executescript(CATALOG_SCHEMA)
-        try:
-            init_meta(self._cat, self.shard_count)
-        except StorageError:
-            self._cat.close()
-            raise
-        if self.shard_count == 1:
-            self._conns = [self._cat]
-            #: ``(table, attribute-uuid column)`` that value probes read.
-            self._probe = ("attributes", "uuid")
-        else:
-            self._cat.executescript(VALUE_INDEX_SCHEMA)
-            self._conns = [
-                CountingConnection(
-                    path if path == ":memory:" else shard_path(path, shard))
-                for shard in range(self.shard_count)]
-            self._probe = ("value_index", "attribute_uuid")
-        for conn in self._conns:
-            conn.executescript(SHARD_SCHEMA)
-        #: Every connection once, in commit order: shards, then catalog.
-        self._all = list(dict.fromkeys([*self._conns, self._cat]))
-        init_counters(self._cat, {
+    def __init__(self, path: str = ":memory:") -> None:
+        self._conn = CountingConnection(path)
+        shards = recorded_shards(self._conn)
+        if shards is not None and shards != 1:
+            self._conn.close()
+            raise StorageError(
+                f"store at {path!r} is hash-sharded over {shards} files;"
+                " only one-file stores can be opened")
+        self._conn.executescript(SCHEMA)
+        if shards is None:
+            self._conn.execute(
+                "INSERT INTO store_meta (key, value) VALUES ('shards', '1')")
+            self._conn.commit()
+        init_counters(self._conn, {
             "events": lambda: self._count("events"),
             "attributes": lambda: self._count("attributes"),
-            "correlations": self._count_logical_correlations,
+            "correlations": lambda: self._count("correlations"),
         })
 
     def _count(self, table: str) -> int:
-        return sum(conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-                   for conn in self._conns)
-
-    def _count_logical_correlations(self) -> int:
-        # Mirrored rows mean a raw sum double-counts cross-shard edges; an
-        # edge's primary copy is the one on its *source* event's shard.
-        total = 0
-        for shard, conn in enumerate(self._conns):
-            rows = conn.execute(
-                "SELECT source_event FROM correlations").fetchall()
-            total += sum(1 for (source_event,) in rows
-                         if self._shard_for(source_event) == shard)
-        return total
-
-    def _shard_for(self, event_uuid: str) -> int:
-        return shard_of(event_uuid, self.shard_count)
-
-    def _split(self, items: Sequence, key: Optional[int] = None
-               ) -> Dict[int, List]:
-        """``shard → items`` in input order; ``item[key]`` is the event
-        uuid (the item itself when ``key`` is None)."""
-        split: Dict[int, List] = {}
-        for item in items:
-            uuid = item if key is None else item[key]
-            split.setdefault(self._shard_for(uuid), []).append(item)
-        return split
-
-    def _shard_chunks(self, uuids: Sequence[str], size: int
-                      ) -> Iterator[Tuple[int, Sequence[str]]]:
-        """``(shard, chunk)`` pairs covering ``uuids``, shards ascending."""
-        for shard, members in sorted(self._split(uuids).items()):
-            for chunk in chunks(members, size):
-                yield shard, chunk
+        return self._conn.execute(
+            f"SELECT COUNT(*) FROM {table}").fetchone()[0]
 
     @contextmanager
     def _transaction(self) -> Iterator[None]:
-        """Roll every connection back on error, else commit them in order."""
+        """Roll back on error, else commit."""
         try:
             yield
         except BaseException:
-            for conn in self._all:
-                conn.rollback()
+            self._conn.rollback()
             raise
-        for conn in self._all:
-            conn.commit()
+        self._conn.commit()
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        for conn in self._all:
-            conn.close()
+        self._conn.close()
 
     @property
     def sql_statements(self) -> int:
-        """Python→SQLite round trips issued so far, over every connection."""
-        return sum(conn.statements for conn in self._all)
+        """Python→SQLite round trips issued so far."""
+        return self._conn.statements
 
     def query_plan(self, sql: str, params: Sequence = ()) -> str:
-        """The catalog planner's choice (value probes run there)."""
-        return self._cat.query_plan(sql, params)
+        """The planner's choice for one statement."""
+        return self._conn.query_plan(sql, params)
 
     # -- events -------------------------------------------------------------
 
     def existing_events(self, uuids: Sequence[str]) -> Set[str]:
         """Which of ``uuids`` are already stored."""
         existing: Set[str] = set()
-        for shard, chunk in self._shard_chunks(uuids, chunk_size()):
-            rows = self._conns[shard].execute(
+        for chunk in chunks(list(uuids), chunk_size()):
+            rows = self._conn.execute(
                 f"SELECT uuid FROM events WHERE uuid IN ({_marks(chunk)})",
                 chunk).fetchall()
             existing.update(row[0] for row in rows)
         return existing
 
-    def persist_batch(self, batch: PersistBatch) -> Dict[int, int]:
-        """Apply one save cycle atomically; returns events-per-shard."""
-        shard_uuids = self._split(batch.uuids)
-        events = self._split(batch.event_rows, 0)
-        attributes = self._split(batch.attribute_rows, 1)
-        tags = self._split(batch.tag_rows, 0)
-        replaced = 0
+    def persist_batch(self, batch: PersistBatch) -> None:
+        """Apply one save cycle atomically."""
+        conn = self._conn
+        deletes = [(uuid,) for uuid in batch.uuids]
         with self._transaction():
-            for shard, uuids in sorted(shard_uuids.items()):
-                conn = self._conns[shard]
-                deletes = [(uuid,) for uuid in uuids]
-                # Delete replaced attribute rows before the events upsert,
-                # whose REPLACE would cascade them away uncounted.
-                before = conn.total_changes
+            # Delete replaced attribute rows before the events upsert, whose
+            # REPLACE would cascade them away uncounted.
+            before = conn.total_changes
+            conn.executemany(
+                "DELETE FROM attributes WHERE event_uuid = ?", deletes)
+            replaced = conn.total_changes - before
+            conn.executemany(
+                "INSERT OR REPLACE INTO events "
+                "(uuid, info, date, org, threat_level_id, analysis,"
+                " distribution, published, timestamp, blob)"
+                " VALUES (?,?,?,?,?,?,?,?,?,?)", batch.event_rows)
+            conn.executemany(
+                "DELETE FROM event_tags WHERE event_uuid = ?", deletes)
+            conn.executemany(
+                "INSERT OR REPLACE INTO attributes "
+                "(uuid, event_uuid, type, category, value, to_ids,"
+                " correlatable, timestamp) VALUES (?,?,?,?,?,?,?,?)",
+                batch.attribute_rows)
+            if batch.tag_rows:
                 conn.executemany(
-                    "DELETE FROM attributes WHERE event_uuid = ?", deletes)
-                replaced += conn.total_changes - before
-                conn.executemany(
-                    "INSERT OR REPLACE INTO events "
-                    "(uuid, info, date, org, threat_level_id, analysis,"
-                    " distribution, published, timestamp, blob)"
-                    " VALUES (?,?,?,?,?,?,?,?,?,?)", events.get(shard, []))
-                conn.executemany(
-                    "DELETE FROM event_tags WHERE event_uuid = ?", deletes)
-                conn.executemany(
-                    "INSERT OR REPLACE INTO attributes "
-                    "(uuid, event_uuid, type, category, value, to_ids,"
-                    " correlatable, timestamp) VALUES (?,?,?,?,?,?,?,?)",
-                    attributes.get(shard, []))
-                if shard in tags:
-                    conn.executemany(
-                        "INSERT OR IGNORE INTO event_tags (event_uuid, name)"
-                        " VALUES (?,?)", tags[shard])
-            # Catalog rows follow batch order exactly, so audit seqs and
-            # value_index rowids are the same at any shard count.
-            cat = self._cat
-            cat.executemany(
+                    "INSERT OR IGNORE INTO event_tags (event_uuid, name)"
+                    " VALUES (?,?)", batch.tag_rows)
+            conn.executemany(
                 "INSERT INTO audit_log (event_uuid, action, detail,"
                 " logged_at) VALUES (?,?,?,?)", batch.audit_rows)
-            if self.shard_count > 1:
-                cat.executemany(
-                    "DELETE FROM value_index WHERE event_uuid = ?",
-                    [(uuid,) for uuid in batch.uuids])
-                cat.executemany(
-                    "INSERT INTO value_index (event_uuid, attribute_uuid,"
-                    " value, type, correlatable, shard)"
-                    " VALUES (?,?,?,?,?,?)",
-                    [(row[1], row[0], row[4], row[2], row[6],
-                      self._shard_for(row[1]))
-                     for row in batch.attribute_rows])
-            bump_counter(cat, "events", batch.new_events)
-            bump_counter(cat, "attributes",
+            bump_counter(conn, "events", batch.new_events)
+            bump_counter(conn, "attributes",
                          len(batch.attribute_rows) - replaced)
-        return {shard: len(uuids) for shard, uuids in shard_uuids.items()}
 
     def has_event(self, uuid: str) -> bool:
-        row = self._conns[self._shard_for(uuid)].execute(
+        row = self._conn.execute(
             "SELECT 1 FROM events WHERE uuid = ?", (uuid,)).fetchone()
         return row is not None
 
     def get_event_blob(self, uuid: str) -> Optional[str]:
-        row = self._conns[self._shard_for(uuid)].execute(
+        row = self._conn.execute(
             "SELECT blob FROM events WHERE uuid = ?", (uuid,)).fetchone()
         return row[0] if row is not None else None
 
@@ -516,8 +385,8 @@ class SQLiteBackend:
                         ) -> Dict[str, Optional[str]]:
         """Batch blob fetch preserving request order; absent uuids → None."""
         result: Dict[str, Optional[str]] = {uuid: None for uuid in uuids}
-        for shard, chunk in self._shard_chunks(list(result), chunk_size()):
-            rows = self._conns[shard].execute(
+        for chunk in chunks(list(result), chunk_size()):
+            rows = self._conn.execute(
                 f"SELECT uuid, blob FROM events WHERE uuid IN"
                 f" ({_marks(chunk)})", chunk).fetchall()
             result.update(rows)
@@ -529,8 +398,8 @@ class SQLiteBackend:
         :meth:`get_event_blobs`; absent uuids → None."""
         result: Dict[str, Optional[Tuple[int, str]]] = {
             uuid: None for uuid in uuids}
-        for shard, chunk in self._shard_chunks(list(result), chunk_size()):
-            rows = self._conns[shard].execute(
+        for chunk in chunks(list(result), chunk_size()):
+            rows = self._conn.execute(
                 f"SELECT uuid, timestamp, blob FROM events WHERE uuid IN"
                 f" ({_marks(chunk)})", chunk).fetchall()
             result.update((uuid, (int(ts), blob)) for uuid, ts, blob in rows)
@@ -538,9 +407,9 @@ class SQLiteBackend:
 
     def events_with_tag(self, tag: str, uuids: Sequence[str]) -> Set[str]:
         found: Set[str] = set()
-        for shard, chunk in self._shard_chunks(
-                list(dict.fromkeys(uuids)), chunk_size(reserved=1)):
-            rows = self._conns[shard].execute(
+        for chunk in chunks(list(dict.fromkeys(uuids)),
+                            chunk_size(reserved=1)):
+            rows = self._conn.execute(
                 "SELECT DISTINCT event_uuid FROM event_tags"
                 f" WHERE name = ? AND event_uuid IN ({_marks(chunk)})",
                 [tag, *chunk]).fetchall()
@@ -549,43 +418,37 @@ class SQLiteBackend:
 
     def delete_event(self, uuid: str,
                      logged_at: Optional[int] = None) -> bool:
-        """Delete an event; ``logged_at`` stamps the audit row (falls back
-        to the deleted event's own timestamp)."""
-        conn = self._conns[self._shard_for(uuid)]
-        cat = self._cat
+        """Delete an event with its attributes and correlation edges;
+        ``logged_at`` stamps the audit row (falls back to the deleted
+        event's own timestamp)."""
+        conn = self._conn
         with self._transaction():
             row = conn.execute(
                 "SELECT timestamp FROM events WHERE uuid = ?",
                 (uuid,)).fetchone()
+            if row is None:
+                return False
             attributes = conn.execute(
                 "DELETE FROM attributes WHERE event_uuid = ?",
                 (uuid,)).rowcount
-            deleted = conn.execute(
-                "DELETE FROM events WHERE uuid = ?", (uuid,)).rowcount > 0
-            if deleted:
-                cat.execute(
-                    "INSERT INTO audit_log (event_uuid, action, detail,"
-                    " logged_at) VALUES (?,?,?,?)",
-                    (uuid, "deleted", "",
-                     int(row[0]) if logged_at is None else logged_at))
-                if self.shard_count > 1:
-                    cat.execute(
-                        "DELETE FROM value_index WHERE event_uuid = ?",
-                        (uuid,))
-                bump_counter(cat, "events", -1)
-                bump_counter(cat, "attributes", -attributes)
-        return deleted
+            edges = conn.execute(
+                "DELETE FROM correlations"
+                " WHERE source_event = ? OR target_event = ?",
+                (uuid, uuid)).rowcount
+            conn.execute("DELETE FROM events WHERE uuid = ?", (uuid,))
+            conn.execute(
+                "INSERT INTO audit_log (event_uuid, action, detail,"
+                " logged_at) VALUES (?,?,?,?)",
+                (uuid, "deleted", "",
+                 int(row[0]) if logged_at is None else logged_at))
+            bump_counter(conn, "events", -1)
+            bump_counter(conn, "attributes", -attributes)
+            bump_counter(conn, "correlations", -edges)
+        return True
 
-    def _merged_blobs(self, query: str, params: Sequence) -> List[str]:
-        """Run a ``blob, timestamp, uuid`` query on every shard and merge
-        the rows on ``timestamp DESC, uuid`` (fully deterministic)."""
-        merged: List[Tuple[int, str, str]] = []
-        for conn in self._conns:
-            merged.extend(
-                (-int(timestamp), uuid, blob) for blob, timestamp, uuid
-                in conn.execute(query, params).fetchall())
-        merged.sort(key=lambda row: (row[0], row[1]))
-        return [row[2] for row in merged]
+    def _blobs(self, query: str, params: Sequence) -> List[str]:
+        """The first column of every row, in query order."""
+        return [row[0] for row in self._conn.execute(query, params)]
 
     def list_event_blobs(self, limit: Optional[int] = None,
                          published_only: bool = False,
@@ -594,9 +457,8 @@ class SQLiteBackend:
 
         ``since_ts`` keeps only events whose integer epoch timestamp is
         ``>= since_ts`` — a storage-side prefilter for time-windowed reads.
-        Each shard pre-sorts and pre-limits its slice.
         """
-        query = "SELECT blob, timestamp, uuid FROM events"
+        query = "SELECT blob FROM events"
         params: List[Any] = []
         clauses: List[str] = []
         if published_only:
@@ -610,32 +472,31 @@ class SQLiteBackend:
         if limit is not None:
             query += " LIMIT ?"
             params.append(int(limit))
-        blobs = self._merged_blobs(query, params)
-        return blobs[:int(limit)] if limit is not None else blobs
+        return self._blobs(query, params)
 
     def event_count(self) -> int:
         """O(1): maintained counter, not ``COUNT(*)``."""
-        return read_counter(self._cat, "events")
+        return read_counter(self._conn, "events")
 
     def attribute_count(self) -> int:
         """O(1): maintained counter, not ``COUNT(*)``."""
-        return read_counter(self._cat, "attributes")
+        return read_counter(self._conn, "attributes")
 
     # -- audit --------------------------------------------------------------
 
     def event_history(self, uuid: str) -> List[Dict[str, Any]]:
-        rows = self._cat.execute(
+        rows = self._conn.execute(
             "SELECT seq, action, detail, logged_at FROM audit_log"
             " WHERE event_uuid = ? ORDER BY seq", (uuid,)).fetchall()
         return [{"seq": r[0], "action": r[1], "detail": r[2],
                  "logged_at": r[3]} for r in rows]
 
     def audit_count(self) -> int:
-        return self._cat.execute(
+        return self._conn.execute(
             "SELECT COUNT(*) FROM audit_log").fetchone()[0]
 
     def max_audit_seq(self) -> int:
-        row = self._cat.execute(
+        row = self._conn.execute(
             "SELECT MAX(seq) FROM audit_log").fetchone()
         return int(row[0]) if row and row[0] is not None else 0
 
@@ -652,13 +513,13 @@ class SQLiteBackend:
             query += " AND seq <= ?"
             params.append(int(until_seq))
         query += " ORDER BY seq"
-        rows = self._cat.execute(query, params).fetchall()
+        rows = self._conn.execute(query, params).fetchall()
         return [(int(r[0]), r[1], r[2], int(r[3])) for r in rows]
 
     # -- rollup cursors -------------------------------------------------------
 
     def get_rollup(self, name: str) -> Optional[Tuple[int, str]]:
-        row = self._cat.execute(
+        row = self._conn.execute(
             "SELECT position, state FROM rollup_state WHERE name = ?",
             (name,)).fetchone()
         return (int(row[0]), row[1]) if row is not None else None
@@ -676,26 +537,26 @@ class SQLiteBackend:
                    if value is None]
         with self._transaction():
             if upserts:
-                self._cat.executemany(
+                self._conn.executemany(
                     "INSERT OR REPLACE INTO rollup_rows (name, key, value)"
                     " VALUES (?,?,?)", upserts)
             if dropped:
-                self._cat.executemany(
+                self._conn.executemany(
                     "DELETE FROM rollup_rows WHERE name = ? AND key = ?",
                     dropped)
-            self._cat.execute(
+            self._conn.execute(
                 "INSERT OR REPLACE INTO rollup_state (name, position,"
                 " state, updated_at) VALUES (?,?,?,?)",
                 (name, int(position), state, int(logged_at)))
 
     def rollup_rows(self, name: str) -> List[Tuple[str, str]]:
         """``(key, value)`` rows of one rollup, ordered by key."""
-        return self._cat.execute(
+        return self._conn.execute(
             "SELECT key, value FROM rollup_rows WHERE name = ? ORDER BY key",
             (name,)).fetchall()
 
     def rollup_names(self) -> List[str]:
-        rows = self._cat.execute(
+        rows = self._conn.execute(
             "SELECT name FROM rollup_state ORDER BY name").fetchall()
         return [row[0] for row in rows]
 
@@ -708,14 +569,14 @@ class SQLiteBackend:
         if not rows:
             return 0
         with self._transaction():
-            self._cat.executemany(
+            self._conn.executemany(
                 "INSERT INTO provenance (trace_id, event_uuid, kind, actor,"
                 " org, detail, cycle, logged_at) VALUES (?,?,?,?,?,?,?,?)",
                 rows)
         return len(rows)
 
     def provenance_for_event(self, event_uuid: str) -> List[Dict[str, Any]]:
-        rows = self._cat.execute(
+        rows = self._conn.execute(
             f"SELECT {_PROVENANCE_COLS} FROM provenance"
             " WHERE event_uuid = ? ORDER BY seq", (event_uuid,)).fetchall()
         return [provenance_row(row) for row in rows]
@@ -726,7 +587,7 @@ class SQLiteBackend:
         result: Dict[str, List[Dict[str, Any]]] = {
             uuid: [] for uuid in event_uuids}
         for chunk in chunks(list(result), chunk_size()):
-            rows = self._cat.execute(
+            rows = self._conn.execute(
                 f"SELECT {_PROVENANCE_COLS} FROM provenance WHERE event_uuid"
                 f" IN ({_marks(chunk)}) ORDER BY seq", chunk).fetchall()
             for row in rows:
@@ -734,17 +595,17 @@ class SQLiteBackend:
         return result
 
     def provenance_for_trace(self, trace_id: str) -> List[Dict[str, Any]]:
-        rows = self._cat.execute(
+        rows = self._conn.execute(
             f"SELECT {_PROVENANCE_COLS} FROM provenance"
             " WHERE trace_id = ? ORDER BY seq", (trace_id,)).fetchall()
         return [provenance_row(row) for row in rows]
 
     def provenance_count(self) -> int:
-        return self._cat.execute(
+        return self._conn.execute(
             "SELECT COUNT(*) FROM provenance").fetchone()[0]
 
     def latest_traced_event(self) -> Optional[str]:
-        row = self._cat.execute(
+        row = self._conn.execute(
             "SELECT event_uuid FROM provenance"
             " ORDER BY seq DESC LIMIT 1").fetchone()
         return row[0] if row is not None else None
@@ -752,7 +613,7 @@ class SQLiteBackend:
     # -- delta-sync ledger ---------------------------------------------------
 
     def get_sync_watermark(self, entity: str) -> int:
-        row = self._cat.execute(
+        row = self._conn.execute(
             "SELECT watermark FROM sync_state WHERE entity = ?",
             (entity,)).fetchone()
         return int(row[0]) if row is not None else 0
@@ -760,13 +621,13 @@ class SQLiteBackend:
     def set_sync_watermark(self, entity: str, watermark: int,
                            logged_at: int = 0) -> None:
         with self._transaction():
-            self._cat.execute(
+            self._conn.execute(
                 "INSERT OR REPLACE INTO sync_state (entity, watermark,"
                 " updated_at) VALUES (?,?,?)",
                 (entity, int(watermark), int(logged_at)))
 
     def sync_watermarks(self) -> Dict[str, int]:
-        rows = self._cat.execute(
+        rows = self._conn.execute(
             "SELECT entity, watermark FROM sync_state ORDER BY entity"
         ).fetchall()
         return {row[0]: int(row[1]) for row in rows}
@@ -776,7 +637,7 @@ class SQLiteBackend:
         found: Dict[str, str] = {}
         for chunk in chunks(list(dict.fromkeys(uuids)),
                             chunk_size(reserved=1)):
-            rows = self._cat.execute(
+            rows = self._conn.execute(
                 "SELECT event_uuid, digest FROM sync_digests"
                 f" WHERE entity = ? AND event_uuid IN ({_marks(chunk)})",
                 [entity, *chunk]).fetchall()
@@ -788,7 +649,7 @@ class SQLiteBackend:
         if not digests:
             return
         with self._transaction():
-            self._cat.executemany(
+            self._conn.executemany(
                 "INSERT OR REPLACE INTO sync_digests"
                 " (entity, event_uuid, digest) VALUES (?,?,?)",
                 [(entity, uuid, digest)
@@ -796,15 +657,15 @@ class SQLiteBackend:
 
     def sync_digest_count(self, entity: Optional[str] = None) -> int:
         if entity is None:
-            return self._cat.execute(
+            return self._conn.execute(
                 "SELECT COUNT(*) FROM sync_digests").fetchone()[0]
-        return self._cat.execute(
+        return self._conn.execute(
             "SELECT COUNT(*) FROM sync_digests WHERE entity = ?",
             (entity,)).fetchone()[0]
 
     def sync_digest_rows(self) -> List[Tuple[str, str, str]]:
         """Every ledger row as ``(entity, event_uuid, digest)``, sorted."""
-        rows = self._cat.execute(
+        rows = self._conn.execute(
             "SELECT entity, event_uuid, digest FROM sync_digests"
             " ORDER BY entity, event_uuid").fetchall()
         return [(row[0], row[1], row[2]) for row in rows]
@@ -813,9 +674,8 @@ class SQLiteBackend:
 
     def search_value(self, value: str) -> List[Tuple[str, str]]:
         """(event_uuid, attribute_uuid) pairs in attribute insertion order."""
-        table, attribute = self._probe
-        rows = self._cat.execute(
-            f"SELECT event_uuid, {attribute} FROM {table}"
+        rows = self._conn.execute(
+            "SELECT event_uuid, uuid FROM attributes"
             " WHERE value = ? ORDER BY rowid", (value,)).fetchall()
         return [(r[0], r[1]) for r in rows]
 
@@ -844,13 +704,13 @@ class SQLiteBackend:
             params.append(f"%{info_substring}%")
         if clauses:
             query += " WHERE " + " AND ".join(clauses)
-        return self._merged_blobs(query, params)
+        return self._blobs(query + " ORDER BY e.timestamp DESC, e.uuid",
+                           params)
 
     def correlatable_attributes(self, value: str,
                                 exclude_event: Optional[str] = None
                                 ) -> List[Tuple[str, str]]:
-        table, attribute = self._probe
-        query = (f"SELECT event_uuid, {attribute} FROM {table}"
+        query = ("SELECT event_uuid, uuid FROM attributes"
                  " WHERE value = ? AND correlatable = 1")
         params: List[Any] = [value]
         if exclude_event is not None:
@@ -858,17 +718,16 @@ class SQLiteBackend:
             params.append(exclude_event)
         query += " ORDER BY rowid"
         return [(r[0], r[1])
-                for r in self._cat.execute(query, params).fetchall()]
+                for r in self._conn.execute(query, params).fetchall()]
 
     def correlatable_attributes_many(
             self, values: Sequence[str]
     ) -> Dict[str, List[Tuple[str, str]]]:
-        table, attribute = self._probe
         result: Dict[str, List[Tuple[str, str]]] = {
             value: [] for value in values}
         for chunk in chunks(list(result), chunk_size()):
-            rows = self._cat.execute(
-                f"SELECT value, event_uuid, {attribute} FROM {table}"
+            rows = self._conn.execute(
+                "SELECT value, event_uuid, uuid FROM attributes"
                 f" WHERE correlatable = 1 AND value IN ({_marks(chunk)})"
                 " ORDER BY rowid", chunk).fetchall()
             for value, event_uuid, attribute_uuid in rows:
@@ -883,46 +742,20 @@ class SQLiteBackend:
         edges = list(edges)
         if not edges:
             return 0
-        # An edge goes to its source event's shard and is mirrored onto its
-        # target's at the same position in edge order, so each shard's
-        # rowid order is the one-shard store's per-event row order.
-        shard_rows: Dict[int, List[Tuple]] = {}
-        mirrored: Dict[int, List[Tuple[str, str]]] = {}
-        for edge in edges:
-            source = self._shard_for(edge[2])
-            target = self._shard_for(edge[3])
-            shard_rows.setdefault(source, []).append(edge)
-            if target != source:
-                shard_rows.setdefault(target, []).append(edge)
-                mirrored.setdefault(source, []).append((edge[0], edge[1]))
-        # A new mirrored edge inserts two rows; find which mirrored keys are
-        # new on their source shard so each logical edge counts once.
-        new_mirrors: Set[Tuple[str, str]] = set()
-        for shard, keys in sorted(mirrored.items()):
-            existing: Set[Tuple[str, str]] = set()
-            sources = list(dict.fromkeys(key[0] for key in keys))
-            for chunk in chunks(sources, chunk_size()):
-                existing.update(self._conns[shard].execute(
-                    "SELECT source_attribute, target_attribute"
-                    " FROM correlations WHERE source_attribute IN"
-                    f" ({_marks(chunk)})", chunk).fetchall())
-            new_mirrors.update(key for key in keys if key not in existing)
-        inserted = -len(new_mirrors)
+        conn = self._conn
         with self._transaction():
-            for shard, rows in sorted(shard_rows.items()):
-                conn = self._conns[shard]
-                before = conn.total_changes
-                conn.executemany(
-                    "INSERT OR IGNORE INTO correlations VALUES (?,?,?,?,?)",
-                    rows)
-                inserted += conn.total_changes - before
-            bump_counter(self._cat, "correlations", inserted)
+            before = conn.total_changes
+            conn.executemany(
+                "INSERT OR IGNORE INTO correlations VALUES (?,?,?,?,?)",
+                edges)
+            inserted = conn.total_changes - before
+            bump_counter(conn, "correlations", inserted)
         return inserted
 
     def correlations_for_event(self, event_uuid: str) -> List[Dict[str, str]]:
-        # Every edge touching an event is on that event's shard; the two
-        # endpoint indexes find its rows there (a MULTI-INDEX OR plan).
-        rows = self._conns[self._shard_for(event_uuid)].execute(
+        # The two endpoint indexes find the event's rows (a MULTI-INDEX OR
+        # plan), so the read's cost follows the event's own edges.
+        rows = self._conn.execute(
             f"SELECT {_CORRELATION_COLS} FROM correlations"
             " WHERE source_event = ? OR target_event = ? ORDER BY rowid",
             (event_uuid, event_uuid)).fetchall()
@@ -933,11 +766,10 @@ class SQLiteBackend:
         result: Dict[str, List[Dict[str, str]]] = {uuid: [] for uuid in uuids}
         # Each uuid binds twice (source IN + target IN), so the chunk size
         # halves to stay inside the bound-variable budget.
-        for shard, chunk in self._shard_chunks(list(result),
-                                               chunk_size(per_item=2)):
+        for chunk in chunks(list(result), chunk_size(per_item=2)):
             members = set(chunk)
             marks = _marks(chunk)
-            rows = self._conns[shard].execute(
+            rows = self._conn.execute(
                 f"SELECT {_CORRELATION_COLS} FROM correlations"
                 f" WHERE source_event IN ({marks})"
                 f" OR target_event IN ({marks}) ORDER BY rowid",
@@ -945,8 +777,7 @@ class SQLiteBackend:
             for r in rows:
                 row = correlation_row(r)
                 # Attach only to this chunk's members: a row whose two sides
-                # land in different chunks (or, mirrored, on different
-                # shards) is returned by both scans.
+                # land in different chunks is returned by both queries.
                 for side in {r[2], r[3]}:
                     if side in members:
                         result[side].append(row)
@@ -954,4 +785,4 @@ class SQLiteBackend:
 
     def correlation_count(self) -> int:
         """O(1): maintained counter, not ``COUNT(*)``."""
-        return read_counter(self._cat, "correlations")
+        return read_counter(self._conn, "correlations")

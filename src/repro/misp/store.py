@@ -8,17 +8,14 @@ correlation) and as their canonical MISP JSON blob (for lossless export).
 :class:`MispStore` is a facade: it converts
 :class:`~repro.misp.model.MispEvent` objects to and from plain rows, emits
 metrics, applies fault-injection seams, and delegates all persistence to
-:class:`~repro.misp.storage.sqlite.SQLiteBackend`.  At one shard (the
-default, and the on-disk format of every pre-sharding store) a store is a
-single file; ``shards=N`` hash-shards the event rows over N files beside a
-catalog (docs/PERFORMANCE.md).  Per-event reads are index searches at any
-shard count; correlation rows are found through the endpoint-event
-indexes, which opening a store creates if it lacks them.
-``MispStore(":memory:")`` keeps either layout in memory.  The conformance
-suite (tests/test_storage_backends.py) asserts byte-identical audit
-history, correlation graphs, sync ledgers and lineage at any shard count.
-``MispStore(path)`` re-opens an existing store with whatever layout it was
-created with (recorded in its ``store_meta`` table).
+:class:`~repro.misp.storage.sqlite.SQLiteBackend`, which keeps the store in
+one SQLite file (docs/PERFORMANCE.md, "One-file storage");
+``MispStore(":memory:")`` keeps it in memory.  Per-event reads are index
+searches; correlation rows are found through the endpoint-event indexes,
+which opening a store creates if it lacks them.  The conformance suite
+(tests/test_storage_backends.py) asserts that a file store and an
+in-memory one leave byte-identical audit history, correlation graphs, sync
+ledgers and lineage.
 
 Persistence is batch-aware: :meth:`MispStore.save_events` writes a whole
 collection cycle — audit rows, event rows, attribute rows, tag rows — in a
@@ -49,7 +46,7 @@ from ..errors import StorageError
 from ..obs import MetricsRegistry, NULL_REGISTRY
 from .export import canonical_json
 from .model import MispEvent
-from .storage import PersistBatch, SQLiteBackend, detect_shard_count
+from .storage import PersistBatch, SQLiteBackend
 
 #: Batch-size histogram buckets: one cycle's cIoC count lands here.
 BATCH_SIZE_BUCKETS: Tuple[float, ...] = (
@@ -80,27 +77,22 @@ class MispStore:
     ``clock`` (optional) stamps audit rows for destructive operations; when
     absent, deletes fall back to the deleted event's own timestamp.
 
-    ``shards`` is the number of hash shards (``>= 1``); ``None`` means
-    "whatever the file at ``path`` was created with, else 1".  A count that
-    differs from the one recorded in an existing store raises
-    :class:`~repro.errors.StorageError`.
+    A file that an earlier release hash-sharded over N files raises
+    :class:`~repro.errors.StorageError` instead of opening.
     """
 
     def __init__(self, path: str = ":memory:",
                  metrics: Optional[MetricsRegistry] = None,
                  clock: Optional[Clock] = None,
-                 fault_injector=None,
-                 shards: Optional[int] = None) -> None:
+                 fault_injector=None) -> None:
         self._clock = clock
         #: Optional :class:`~repro.resilience.FaultInjector` consulted at
         #: the top of every :meth:`save_events` (component ``store``, key
         #: ``save_events``), before the transaction starts.
         self.fault_injector = fault_injector
-        if shards is None:
-            shards = detect_shard_count(path) or 1
         #: The :class:`~repro.misp.storage.sqlite.SQLiteBackend` doing the
         #: actual persistence.
-        self.backend = SQLiteBackend(path, shards=shards)
+        self.backend = SQLiteBackend(path)
         #: JSON blob → MispEvent decodes performed so far.  The idle-cost
         #: bench asserts quiet cycles keep this flat (0 per quiet cycle).
         self._payloads_deserialized = 0
@@ -119,13 +111,6 @@ class MispStore:
             "caop_enrich_batch_size",
             "Events written back per apply_enrichments call",
             buckets=BATCH_SIZE_BUCKETS)
-        self._m_shard_batch_size = metrics.histogram(
-            "caop_store_shard_batch_size",
-            "Events persisted per shard per save_events call",
-            buckets=BATCH_SIZE_BUCKETS)
-        metrics.gauge(
-            "caop_store_shards",
-            "Shard count of the MISP store backend").set(self.shard_count)
 
     def close(self) -> None:
         """Release the underlying resources."""
@@ -150,13 +135,8 @@ class MispStore:
         self._payloads_deserialized += 1
         return MispEvent.from_dict(json.loads(blob))
 
-    @property
-    def shard_count(self) -> int:
-        """How many shards back this store (1 for a single-file store)."""
-        return self.backend.shard_count
-
     def query_plan(self, sql: str, params: Sequence = ()) -> str:
-        """``EXPLAIN QUERY PLAN`` output (the catalog's, when sharded)."""
+        """``EXPLAIN QUERY PLAN`` output for one statement."""
         return self.backend.query_plan(sql, params)
 
     # -- events ----------------------------------------------------------------
@@ -258,7 +238,7 @@ class MispStore:
             for tag in event.tags:
                 tag_rows.append((event.uuid, tag.name))
 
-        per_shard = self.backend.persist_batch(PersistBatch(
+        self.backend.persist_batch(PersistBatch(
             uuids=uuids, audit_rows=audit_rows, event_rows=event_rows,
             attribute_rows=attribute_rows, tag_rows=tag_rows,
             new_events=created))
@@ -271,8 +251,6 @@ class MispStore:
                 self._m_events.inc(updated, action="updated")
         self._m_attributes.inc(len(attribute_rows))
         self._m_batch_size.observe(len(events))
-        for shard, count in sorted(per_shard.items()):
-            self._m_shard_batch_size.observe(count, shard=str(shard))
 
     def has_event(self, uuid: str) -> bool:
         """Whether an event uuid is stored."""
@@ -307,7 +285,7 @@ class MispStore:
         The digest is the sha256 of the stored blob, which holds the
         event's :func:`~repro.misp.export.canonical_json` bytes, so it
         equals :func:`~repro.sharing.sync.event_digest` of the decoded
-        event.  One chunked ``SELECT`` per shard, request order kept,
+        event.  Chunked ``SELECT`` statements, request order kept,
         absent uuids map to ``None``; ``payloads_deserialized`` does not
         move.  The anti-entropy receiver probes an offer with it.
         """
@@ -320,7 +298,8 @@ class MispStore:
         return self.backend.events_with_tag(tag, uuids)
 
     def delete_event(self, uuid: str) -> bool:
-        """Delete an event (cascades to attributes)."""
+        """Delete an event with its attributes, tags and correlation edges
+        in one transaction."""
         logged_at = int(self._clock.now().timestamp()) \
             if self._clock is not None else None
         return self.backend.delete_event(uuid, logged_at=logged_at)

@@ -4,9 +4,8 @@ Three layers under test:
 
 - the storage conformance surface: ``changes_since`` (the raw audit feed,
   deletes included) and the ``rollup_state`` cursor table behave
-  identically on a single-file SQLite store on disk or in memory and on
-  hash-sharded SQLite, and cursor persistence never perturbs federation
-  fingerprints;
+  identically on a SQLite store on disk and in memory, and cursor
+  persistence never perturbs federation fingerprints;
 - ``core.deltas``: collapse semantics, consume-then-advance cursors,
   rollup refresh, and the RollupGroup single-read fast path;
 - checkpoints: a persistent rollup writes only the rows its deltas
@@ -63,15 +62,13 @@ def scored_event(info="eioc", score=4.0, category="malware-domains",
     return event
 
 
-BACKENDS = ["sqlite", "sharded", "memory"]
+BACKENDS = ["sqlite", "memory"]
 
 
 @pytest.fixture(params=BACKENDS)
 def store(request, tmp_path):
     if request.param == "sqlite":
         built = MispStore(str(tmp_path / "store.db"))
-    elif request.param == "sharded":
-        built = MispStore(":memory:", shards=4)
     else:
         built = MispStore(":memory:")
     yield built
@@ -136,16 +133,14 @@ class TestRollupStateConformance:
         assert store_fingerprint(store) == before
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_rollup_state_survives_reopen(tmp_path, shards):
+def test_rollup_state_survives_reopen(tmp_path):
     path = str(tmp_path / "store.sqlite")
-    store = MispStore(path, shards=shards)
+    store = MispStore(path)
     store.save_events([make_event(info=f"e{i}") for i in range(4)])
     top = store.max_audit_seq()
     store.set_rollup("rollup:r", top, '{"n": 4}')
     store.close()
     reopened = MispStore(path)
-    assert reopened.shard_count == shards
     assert reopened.get_rollup("rollup:r") == (top, '{"n": 4}')
     assert reopened.changes_since(top) == []
     reopened.close()
@@ -445,14 +440,13 @@ class TestPlatformIdleCycles:
         assert not report.idle
 
 
-@pytest.mark.parametrize("shards", [1, 4])
 class TestCloseReopenResume:
     """Satellite: cursors are persisted, not rebuilt by rescan."""
 
-    def test_reopened_platform_resumes_without_rescan(self, tmp_path, shards):
+    def test_reopened_platform_resumes_without_rescan(self, tmp_path):
         path = str(tmp_path / "store.sqlite")
         platform = ContextAwareOSINTPlatform.build_default(PlatformConfig(
-            seed=11, feed_entries=25, store_path=path, store_shards=shards))
+            seed=11, feed_entries=25, store_path=path))
         platform.run_cycle()
         platform.run_cycle()
         renders = (platform.graph_view.render(),
@@ -463,7 +457,7 @@ class TestCloseReopenResume:
         platform.misp.store.close()
 
         reopened = ContextAwareOSINTPlatform.build_default(PlatformConfig(
-            seed=11, store_path=path, store_shards=shards, **QUIET))
+            seed=11, store_path=path, **QUIET))
         store = reopened.misp.store
         # Cursors restored from rollup_state, already at the feed's head.
         for name in store.rollup_names():

@@ -1,23 +1,20 @@
 """Conformance suite for the MISP store's SQLite engine.
 
-One set of behavioural tests runs against every layout — a single-file
-store on disk, a 4-shard store and a single-file store in memory — plus
-equivalence tests asserting that shard counts {1, 4, 16}, on disk or in
-memory, produce byte-identical audit history, correlation graphs, sync
-ledgers and lineage for the same operation sequence, and engine tests
-pinning the two on-disk layouts and the statement cost of opening and
-probing a store.  Correlation reads go through the endpoint-event indexes
-and must answer, row for row and in order, as the forced full-table scan
-(``correlations NOT INDEXED``) does.
+One set of behavioural tests runs against a store file on disk and a store
+in memory, plus an equivalence test asserting that the two produce
+byte-identical audit history, correlation graphs, sync ledgers and lineage
+for the same operation sequence, and engine tests pinning the on-disk
+layout, the refusal of a hash-sharded store, and the statement cost of
+opening and probing a store.  Correlation reads go through the
+endpoint-event indexes and must answer, row for row and in order, as the
+forced full-table scan (``correlations NOT INDEXED``) does.
 """
 
 import datetime as dt
-import itertools
 import json
 import math
 import re
 import sqlite3
-from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -26,19 +23,8 @@ from hypothesis import strategies as st
 
 from repro.core.deltas import collapse_changes
 from repro.errors import StorageError
-from repro.misp import (
-    MispAttribute,
-    MispEvent,
-    MispStore,
-    shard_of,
-)
-from repro.misp.storage import (
-    MAX_BOUND_VARS,
-    VAR_BUDGET,
-    chunk_size,
-    detect_shard_count,
-    shard_path,
-)
+from repro.misp import MispAttribute, MispEvent, MispStore
+from repro.misp.storage import MAX_BOUND_VARS, VAR_BUDGET, chunk_size
 from repro.misp.storage.sqlite import CountingConnection
 from repro.sharing.sync import event_digest
 
@@ -84,7 +70,7 @@ def correlate(store, pool):
     return store.save_correlations(edges)
 
 
-#: The two endpoint-event indexes every shard's ``correlations`` carries.
+#: The two endpoint-event indexes ``correlations`` carries.
 CORRELATION_INDEXES = ("idx_correlations_source_event",
                        "idx_correlations_target_event")
 #: A full walk of the table in a query plan (SQLite before 3.36 printed
@@ -99,22 +85,23 @@ def forced_scan(sql):
 
 @contextmanager
 def statement_log(store, rewrite=None):
-    """Log ``(connection, sql, params)`` for every statement ``store`` runs;
+    """Log ``(sql, params)`` for every statement ``store`` runs;
     ``rewrite`` maps each SQL text before it runs."""
     log = []
-    conns = store.backend._all
-    for conn in conns:
-        def execute(sql, params=(), conn=conn, run=conn.execute):
-            if rewrite is not None:
-                sql = rewrite(sql)
-            log.append((conn, sql, params))
-            return run(sql, params)
-        conn.execute = execute
+    conn = store.backend._conn
+    run = conn.execute
+
+    def execute(sql, params=()):
+        if rewrite is not None:
+            sql = rewrite(sql)
+        log.append((sql, params))
+        return run(sql, params)
+
+    conn.execute = execute
     try:
         yield log
     finally:
-        for conn in conns:
-            del conn.execute
+        del conn.execute
 
 
 def correlation_reads(store, uuids):
@@ -124,23 +111,20 @@ def correlation_reads(store, uuids):
              for uuid in dict.fromkeys(uuids)])
 
 
-def shard_indexes(store):
-    """Per shard connection, which correlation indexes exist."""
-    return [{row[0] for row in conn.execute(
+def correlation_indexes(store):
+    """Which of the correlation indexes exist."""
+    return {row[0] for row in store.backend._conn.execute(
         "SELECT name FROM sqlite_master WHERE type = 'index'"
         " AND tbl_name = 'correlations'")} & set(CORRELATION_INDEXES)
-        for conn in store.backend._conns]
 
 
-BACKENDS = ["sqlite", "sharded", "memory"]
+BACKENDS = ["sqlite", "memory"]
 
 
 @pytest.fixture(params=BACKENDS)
 def store(request, tmp_path):
     if request.param == "sqlite":
         built = MispStore(str(tmp_path / "store.db"))
-    elif request.param == "sharded":
-        built = MispStore(":memory:", shards=4)
     else:
         built = MispStore(":memory:")
     yield built
@@ -159,7 +143,7 @@ class TestConformanceCrud:
         assert store.event_digests([event.uuid, "ghost"]) == {
             event.uuid: (int(TS.timestamp()), event_digest(loaded)),
             "ghost": None}
-        assert store.sql_statements - statements <= store.shard_count
+        assert store.sql_statements - statements == 1
         assert store.payloads_deserialized == decoded
 
     def test_replace_semantics(self, store):
@@ -312,18 +296,33 @@ class TestCounters:
         store.delete_event(corpus[1].uuid)
         assert store.event_count() == 9
         assert store.attribute_count() == 25
-        # Replaying the same correlation probe changes nothing.
+        # The delete took the event's edges with it; replaying the same
+        # correlation probe changes nothing.
+        remaining = store.correlation_count()
+        assert remaining < before_corr
         correlate(store, pool)
-        assert store.correlation_count() == before_corr
+        assert store.correlation_count() == remaining
 
     def test_counts_match_full_scan(self, store):
         corpus, pool = make_corpus(count=15)
         store.save_events(corpus)
         correlate(store, pool)
-        store.delete_event(corpus[0].uuid)
-        assert store.event_count() == len(store.list_events())
+        gone = corpus[0].uuid
+        assert store.correlations_for_event(gone)
+        store.delete_event(gone)
+        survivors = store.list_events()
+        assert store.event_count() == len(survivors)
         assert store.attribute_count() == sum(
-            len(e.all_attributes()) for e in store.list_events())
+            len(e.all_attributes()) for e in survivors)
+        # The delete took the event's correlation edges with it.
+        rows = store.correlations_for_events(
+            [e.uuid for e in survivors] + [gone])
+        edges = {(row["source_attribute"], row["target_attribute"])
+                 for found in rows.values() for row in found}
+        assert store.correlation_count() == len(edges) > 0
+        assert rows[gone] == []
+        assert all(gone not in (row["source_event"], row["target_event"])
+                   for found in rows.values() for row in found)
 
 
 class TestChunkBudget:
@@ -347,9 +346,8 @@ class TestChunkBudget:
         assert store.existing_events(uuids) == set(uuids[:-1])
         statements, decoded = store.sql_statements, store.payloads_deserialized
         stamps = store.event_digests(uuids)
-        per_shard = Counter(shard_of(uuid, store.shard_count) for uuid in uuids)
-        assert store.sql_statements - statements <= sum(
-            math.ceil(count / chunk_size()) for count in per_shard.values())
+        assert store.sql_statements - statements == \
+            math.ceil(len(uuids) / chunk_size())
         assert store.payloads_deserialized == decoded
         assert list(stamps) == uuids
         assert stamps["ghost"] is None
@@ -371,40 +369,25 @@ class TestChunkBudget:
 class TestQueryPlan:
     """The index satellite: value probes must hit the (value, type) index."""
 
-    VALUE_QUERIES = {
-        "sqlite": [
-            "SELECT event_uuid, uuid FROM attributes WHERE value = ?",
-            "SELECT event_uuid, uuid FROM attributes"
-            " WHERE value = ? AND type = ?",
-        ],
-        "sharded": [
-            "SELECT event_uuid, attribute_uuid FROM value_index"
-            " WHERE value = ?",
-            "SELECT event_uuid, attribute_uuid FROM value_index"
-            " WHERE value = ? AND type = ?",
-        ],
-    }
+    VALUE_QUERIES = [
+        "SELECT event_uuid, uuid FROM attributes WHERE value = ?",
+        "SELECT event_uuid, uuid FROM attributes"
+        " WHERE value = ? AND type = ?",
+    ]
 
-    @pytest.mark.parametrize("kind", ["sqlite", "sharded"])
-    def test_value_probe_uses_index(self, kind):
-        built = MispStore(":memory:",
-                          shards=4 if kind == "sharded" else 1)
-        try:
-            built.save_events([make_event()])
-            for query in self.VALUE_QUERIES[kind]:
-                params = ("a.example",) if query.count("?") == 1 \
-                    else ("a.example", "domain")
-                plan = built.query_plan(query, params)
-                assert "USING INDEX" in plan and "value" in plan, plan
-                assert "SCAN" not in plan.split("USING INDEX")[0], plan
-        finally:
-            built.close()
+    def test_value_probe_uses_index(self, store):
+        store.save_events([make_event()])
+        for query in self.VALUE_QUERIES:
+            params = ("a.example",) if query.count("?") == 1 \
+                else ("a.example", "domain")
+            plan = store.query_plan(query, params)
+            assert "USING INDEX" in plan and "value" in plan, plan
+            assert "SCAN" not in plan.split("USING INDEX")[0], plan
 
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_correlation_reads_use_endpoint_indexes(self, shards):
-        # The SQL the two reads really run, planned on the connection
-        # that ran it: both endpoint indexes, no walk of the table.
-        built = MispStore(":memory:", shards=shards)
+    def test_correlation_reads_use_endpoint_indexes(self):
+        # The SQL the two reads really run: both endpoint indexes, no walk
+        # of the table.
+        built = MispStore(":memory:")
         try:
             corpus, pool = make_corpus(count=12)
             built.save_events(corpus)
@@ -412,35 +395,30 @@ class TestQueryPlan:
             uuids = [event.uuid for event in corpus]
             with statement_log(built) as log:
                 correlation_reads(built, uuids)
-            reads = [(conn, sql, params) for conn, sql, params in log
+            reads = [(sql, params) for sql, params in log
                      if "FROM correlations" in sql]
-            # One batched statement per shard holding a uuid, one per event.
-            assert len(reads) == len({shard_of(uuid, shards)
-                                      for uuid in uuids}) + len(uuids)
-            for conn, sql, params in reads:
-                plan = conn.query_plan(sql, params)
+            # One batched statement, then one per event.
+            assert len(reads) == 1 + len(uuids)
+            for sql, params in reads:
+                plan = built.query_plan(sql, params)
                 assert not WALK.search(plan), plan
                 assert all(name in plan for name in CORRELATION_INDEXES), plan
                 # The reference the property test compares against walks
                 # the table, as every read did before the indexes.
-                assert WALK.search(conn.query_plan(forced_scan(sql), params))
+                assert WALK.search(built.query_plan(forced_scan(sql), params))
         finally:
             built.close()
 
 
 #: Uuids of one batched-read chunk (each binds twice).
 _CHUNK = chunk_size(per_item=2)
-#: Event uuids that land on shard 0 at 1, 4 and 16 shards alike (a hash
-#: that is 0 mod 16 is 0 mod 4), so a request holding all of them spans
-#: two chunks on one shard at every shard count.
-_CROWDED = list(itertools.islice(
-    (uuid for uuid in map("event-{:05d}".format, itertools.count())
-     if shard_of(uuid, 16) == 0), _CHUNK + 20))
-#: Events spread over every shard: their edges are mirrored at 4 and 16.
-_SPREAD = [f"spread-{k}" for k in range(16)]
+#: A request holding all of these spans two chunks.
+_CROWDED = [f"event-{k:05d}" for k in range(_CHUNK + 20)]
+#: Events outside the crowded run.
+_OTHERS = [f"other-{k}" for k in range(16)]
 #: Edge endpoints: the first crowded events, the crowded events around the
-#: chunk border, and the spread ones.
-_HOT = _CROWDED[:4] + _CROWDED[_CHUNK - 4:_CHUNK + 4] + _SPREAD
+#: chunk border, and the others.
+_HOT = _CROWDED[:4] + _CROWDED[_CHUNK - 4:_CHUNK + 4] + _OTHERS
 
 
 @st.composite
@@ -450,7 +428,7 @@ def correlation_cases(draw):
     Edges join two hot events (possibly the same pair through several
     attribute pairs, possibly repeated); the request mixes hot events,
     duplicates and unknown uuids, and may hold every crowded event, so
-    one request spans two chunks on one shard.
+    one request spans two chunks.
     """
     ends = st.integers(0, len(_HOT) - 1)
     pairs = draw(st.lists(
@@ -475,36 +453,35 @@ def _edge(source, target, value):
 
 
 #: Every kind at once: a row whose endpoints fall in the two chunks, a
-#: row mirrored across shards at 4 and at 16 (``spread-0`` and
-#: ``spread-2`` hash apart at both), and a duplicate and an unknown uuid.
+#: row whose endpoints sit at both ends of the request, a row joining a
+#: crowded event, and a duplicate and an unknown uuid.
 _EVERY_KIND = (
     [[_edge(_CROWDED[0], _CROWDED[_CHUNK], "border"),
-      _edge(_SPREAD[0], _SPREAD[2], "mirrored"),
-      _edge(_SPREAD[2], _CROWDED[1], "mixed")], []],
-    [_SPREAD[2], "ghost", _SPREAD[2], *_CROWDED, _SPREAD[0]])
+      _edge(_OTHERS[0], _OTHERS[2], "ends"),
+      _edge(_OTHERS[2], _CROWDED[1], "mixed")], []],
+    [_OTHERS[2], "ghost", _OTHERS[2], *_CROWDED, _OTHERS[0]])
 
 
-@pytest.mark.parametrize("shards", [1, 4, 16])
 @settings(max_examples=40, deadline=None)
 @given(case=correlation_cases())
 @example(case=_EVERY_KIND)
-def test_indexed_reads_answer_as_the_forced_scan(shards, case):
+def test_indexed_reads_answer_as_the_forced_scan(case):
     batches, request = case
-    built = MispStore(":memory:", shards=shards)
+    built = MispStore(":memory:")
     try:
         for batch in batches:
             built.save_correlations(batch)
         indexed = correlation_reads(built, request)
         with statement_log(built, rewrite=forced_scan) as log:
             scanned = correlation_reads(built, request)
-        assert all("NOT INDEXED" in sql for _conn, sql, _params in log)
+        assert all("NOT INDEXED" in sql for sql, _params in log)
         assert indexed == scanned
     finally:
         built.close()
 
 
-#: One corpus template shared by every equivalence run, so all layouts
-#: see the same uuids and the fingerprints are comparable byte for byte.
+#: One corpus template shared by every equivalence run, so both stores see
+#: the same uuids and the fingerprints are comparable byte for byte.
 _SCENARIO_CORPUS, _SCENARIO_POOL = make_corpus(count=40)
 
 
@@ -570,65 +547,34 @@ def state_fingerprint(store, corpus, pool):
 
 
 class TestCrossBackendEquivalence:
-    """The determinism tentpole: every layout, byte-identical state."""
+    """The determinism tentpole: file and memory, byte-identical state."""
 
-    def test_shard_counts_and_backends_agree(self, tmp_path):
+    def test_memory_and_file_agree(self, tmp_path):
         fingerprints = {}
-        for label, path, shards in [
-                ("single", ":memory:", 1),
-                ("sharded-4", ":memory:", 4),
-                ("sharded-16", ":memory:", 16),
-                ("single-file", str(tmp_path / "single.db"), 1),
-                ("sharded-file", str(tmp_path / "sharded.db"), 4),
-        ]:
-            built = MispStore(path, shards=shards)
+        for label, path in [("memory", ":memory:"),
+                            ("file", str(tmp_path / "store.db"))]:
+            built = MispStore(path)
             corpus, pool = run_scenario(built)
             fingerprints[label] = state_fingerprint(built, corpus, pool)
             built.close()
-        baseline = fingerprints.pop("single")
-        for label, fingerprint in fingerprints.items():
-            assert fingerprint == baseline, f"{label} diverges from single"
-
-    def test_shard_placement_is_stable(self):
-        # sha256-based placement must not drift across processes/releases:
-        # these constants pin the mapping.
-        assert shard_of("00000000-0000-0000-0000-000000000000", 4) == 0
-        assert shard_of("ffffffff-ffff-ffff-ffff-ffffffffffff", 16) == 8
-        assert shard_of("anything", 1) == 0
-        for count in (2, 4, 16):
-            assert 0 <= shard_of("caop", count) < count
+        assert fingerprints["file"] == fingerprints["memory"]
 
 
 class TestOnDiskLayout:
-    def test_sharded_files_and_reopen(self, tmp_path):
-        path = str(tmp_path / "store.db")
-        built = MispStore(path, shards=4)
-        corpus, pool = run_scenario(built)
-        fingerprint = state_fingerprint(built, corpus, pool)
-        counts = (built.event_count(), built.attribute_count(),
-                  built.correlation_count())
-        built.close()
-        for shard in range(4):
-            assert (tmp_path / f"store.db.shard-{shard:02d}").exists()
-        assert detect_shard_count(path) == 4
-        # Reopen without declaring the shard count: layout auto-detected,
-        # counters and full state intact.
-        reopened = MispStore(path)
-        assert reopened.shard_count == 4
-        assert (reopened.event_count(), reopened.attribute_count(),
-                reopened.correlation_count()) == counts
-        assert state_fingerprint(reopened, corpus, pool) == fingerprint
-        reopened.close()
-
     def test_shard_count_mismatch_refused(self, tmp_path):
-        path = str(tmp_path / "store.db")
-        MispStore(path, shards=4).close()
-        with pytest.raises(StorageError):
-            MispStore(path, shards=8)
-        single = str(tmp_path / "single.db")
-        MispStore(single).close()
-        with pytest.raises(StorageError):
-            MispStore(single, shards=4)
+        # The catalog file of a store an earlier release hash-sharded over
+        # four files: refused before any table is created in it.
+        path = tmp_path / "store.db"
+        raw = sqlite3.connect(str(path))
+        raw.executescript(
+            "CREATE TABLE store_meta (key TEXT PRIMARY KEY,"
+            " value TEXT NOT NULL);"
+            "INSERT INTO store_meta VALUES ('shards', '4');"
+            "CREATE TABLE value_index (event_uuid TEXT NOT NULL);")
+        raw.close()
+        with pytest.raises(StorageError, match="4 files"):
+            MispStore(str(path))
+        assert table_names(path) == {"store_meta", "value_index"}
 
     def test_single_file_reopen_preserves_counters(self, tmp_path):
         path = str(tmp_path / "store.db")
@@ -637,7 +583,11 @@ class TestOnDiskLayout:
         counts = (built.event_count(), built.attribute_count(),
                   built.correlation_count())
         built.close()
-        assert detect_shard_count(path) == 1
+        # The layout stamp is the one every one-file store has carried.
+        raw = sqlite3.connect(path)
+        assert raw.execute("SELECT key, value FROM store_meta").fetchall() \
+            == [("shards", "1")]
+        raw.close()
         reopened = MispStore(path)
         assert (reopened.event_count(), reopened.attribute_count(),
                 reopened.correlation_count()) == counts
@@ -661,29 +611,24 @@ class TestOnDiskLayout:
         assert reopened.attribute_count() == 8
         reopened.close()
 
-    def test_shard_path_layout(self):
-        assert shard_path("/data/store.db", 3) == "/data/store.db.shard-03"
-
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_reopen_restores_correlation_indexes(self, tmp_path, shards):
+    def test_reopen_restores_correlation_indexes(self, tmp_path):
         # A store written before the endpoint indexes existed gains both
         # the next time it is opened, and answers as it did.
         path = str(tmp_path / "store.db")
-        built = MispStore(path, shards=shards)
+        built = MispStore(path)
         corpus, _pool = run_scenario(built)
         uuids = [event.uuid for event in corpus]
         answers = correlation_reads(built, uuids)
-        for conn in built.backend._conns:
-            for name in CORRELATION_INDEXES:
-                conn.execute(f"DROP INDEX {name}")
-            conn.commit()
-        assert shard_indexes(built) == [set()] * shards
+        conn = built.backend._conn
+        for name in CORRELATION_INDEXES:
+            conn.execute(f"DROP INDEX {name}")
+        conn.commit()
+        assert correlation_indexes(built) == set()
         built.close()
         reopened = MispStore(path)
         try:
             assert reopened.sql_statements <= 4
-            assert shard_indexes(reopened) == \
-                [set(CORRELATION_INDEXES)] * shards
+            assert correlation_indexes(reopened) == set(CORRELATION_INDEXES)
             assert correlation_reads(reopened, uuids) == answers
         finally:
             reopened.close()
@@ -699,13 +644,10 @@ def table_names(path):
 
 
 class TestEngine:
-    """One engine at every shard count: layouts, statement costs, refusals."""
+    """One engine, one file: layout and statement costs."""
 
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_has_event_costs_one_statement(self, shards):
-        # At one shard the catalog connection is shard 0: counting it
-        # twice would report two statements here.
-        built = MispStore(":memory:", shards=shards)
+    def test_has_event_costs_one_statement(self):
+        built = MispStore(":memory:")
         try:
             event = make_event()
             built.save_event(event)
@@ -716,8 +658,7 @@ class TestEngine:
         finally:
             built.close()
 
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_close_closes_each_connection_once(self, monkeypatch, shards):
+    def test_close_closes_each_connection_once(self, monkeypatch):
         closed = []
         original = CountingConnection.close
 
@@ -726,35 +667,24 @@ class TestEngine:
             original(conn)
 
         monkeypatch.setattr(CountingConnection, "close", spy)
-        MispStore(":memory:", shards=shards).close()
-        # One file at one shard; the catalog plus four shards at four.
-        assert len(closed) == len(set(map(id, closed))) == \
-            (1 if shards == 1 else shards + 1)
+        MispStore(":memory:").close()
+        assert len(closed) == 1
 
     def test_layouts_on_disk(self, tmp_path):
         single = tmp_path / "single.db"
         MispStore(str(single)).close()
+        assert {"events", "attributes", "correlations", "audit_log",
+                "store_meta"} <= table_names(single)
         assert "value_index" not in table_names(single)
-        assert "events" in table_names(single)
-        assert not list(tmp_path.glob("single.db.shard-*"))
-        sharded = tmp_path / "sharded.db"
-        MispStore(str(sharded), shards=4).close()
-        assert "value_index" in table_names(sharded)
-        assert "events" not in table_names(sharded)
-        assert sorted(p.name for p in tmp_path.glob("sharded.db.shard-*")) \
-            == [f"sharded.db.shard-{shard:02d}" for shard in range(4)]
+        assert [p.name for p in tmp_path.iterdir()
+                if p.name.startswith("single.db")
+                and not p.name.endswith(("-wal", "-shm"))] == ["single.db"]
 
-    def test_zero_shards_refused(self):
-        with pytest.raises(StorageError):
-            MispStore(":memory:", shards=0)
-
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_reopen_seeds_counters_lazily(self, tmp_path, shards):
+    def test_reopen_seeds_counters_lazily(self, tmp_path):
         # A store that has its counter rows opens without counting any
-        # table; one that lost them reseeds, counting each mirrored
-        # cross-shard edge once.
+        # table; one that lost them reseeds them from the tables.
         path = str(tmp_path / "store.db")
-        built = MispStore(path, shards=shards)
+        built = MispStore(path)
         run_scenario(built)
         counts = (built.event_count(), built.attribute_count(),
                   built.correlation_count())
