@@ -65,6 +65,12 @@ def scored_event(info="eioc", score=4.0, category="malware-domains",
 BACKENDS = ["sqlite", "memory"]
 
 
+def store_files(directory):
+    """The store files in ``directory``, leaving out SQLite's WAL files."""
+    return sorted(path.name for path in directory.iterdir()
+                  if not path.name.endswith(("-wal", "-shm")))
+
+
 @pytest.fixture(params=BACKENDS)
 def store(request, tmp_path):
     if request.param == "sqlite":
@@ -133,13 +139,19 @@ class TestRollupStateConformance:
         assert store_fingerprint(store) == before
 
 
-def test_rollup_state_survives_reopen(tmp_path):
+@pytest.mark.parametrize("store_shards", [1, 4])
+def test_rollup_state_survives_reopen(tmp_path, store_shards):
+    # The store a platform builds for ``store_path``; ``store_shards`` is
+    # ignored, so at 4 (as the ``large_store`` workload passes it) it is
+    # the same one file.
     path = str(tmp_path / "store.sqlite")
-    store = MispStore(path)
+    store = ContextAwareOSINTPlatform.build_default(PlatformConfig(
+        store_path=path, store_shards=store_shards, **QUIET)).misp.store
     store.save_events([make_event(info=f"e{i}") for i in range(4)])
     top = store.max_audit_seq()
     store.set_rollup("rollup:r", top, '{"n": 4}')
     store.close()
+    assert store_files(tmp_path) == ["store.sqlite"]
     reopened = MispStore(path)
     assert reopened.get_rollup("rollup:r") == (top, '{"n": 4}')
     assert reopened.changes_since(top) == []
@@ -440,13 +452,19 @@ class TestPlatformIdleCycles:
         assert not report.idle
 
 
+@pytest.mark.parametrize("store_shards", [1, 4])
 class TestCloseReopenResume:
-    """Satellite: cursors are persisted, not rebuilt by rescan."""
+    """Satellite: cursors are persisted, not rebuilt by rescan.
 
-    def test_reopened_platform_resumes_without_rescan(self, tmp_path):
+    ``store_shards`` is ignored: at 4 the platform keeps the same one file.
+    """
+
+    def test_reopened_platform_resumes_without_rescan(self, tmp_path,
+                                                      store_shards):
         path = str(tmp_path / "store.sqlite")
         platform = ContextAwareOSINTPlatform.build_default(PlatformConfig(
-            seed=11, feed_entries=25, store_path=path))
+            seed=11, feed_entries=25, store_path=path,
+            store_shards=store_shards))
         platform.run_cycle()
         platform.run_cycle()
         renders = (platform.graph_view.render(),
@@ -455,9 +473,10 @@ class TestCloseReopenResume:
         assert platform.checkpoint() > 0
         top = platform.misp.store.max_audit_seq()
         platform.misp.store.close()
+        assert store_files(tmp_path) == ["store.sqlite"]
 
         reopened = ContextAwareOSINTPlatform.build_default(PlatformConfig(
-            seed=11, store_path=path, **QUIET))
+            seed=11, store_path=path, store_shards=store_shards, **QUIET))
         store = reopened.misp.store
         # Cursors restored from rollup_state, already at the feed's head.
         for name in store.rollup_names():
