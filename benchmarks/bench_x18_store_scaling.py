@@ -103,7 +103,7 @@ def op_phase(store, events):
 def forced_scan(store):
     """Run ``store``'s correlation reads as the seed's schema planned them:
     the same SQL with ``correlations NOT INDEXED``, a walk of the table."""
-    conn = store.backend._conn
+    conn = store._conn
     run = conn.execute
     conn.execute = lambda sql, params=(): run(
         sql.replace("FROM correlations", "FROM correlations NOT INDEXED"),

@@ -25,7 +25,7 @@ class PatternError(ParseError):
 
 
 class StorageError(ReproError):
-    """A storage backend rejected an operation (duplicate key, missing row...)."""
+    """The store rejected an operation (duplicate key, missing row...)."""
 
 
 class TransientStorageError(StorageError):
@@ -57,3 +57,11 @@ class SharingError(ReproError):
 
 class ConfigurationError(ReproError):
     """A component was wired with an invalid or incomplete configuration."""
+
+
+#: What decoding a wrong-shaped document raises besides a ParseError: a
+#: model's own :class:`ReproError`, or a builtin error from a value of the
+#: wrong type or range (``{"Event": 5}``, ``"timestamp": "abc"``).  The
+#: parse seams turn each into a :class:`ParseError`.
+MALFORMED_ERRORS = (ReproError, ValueError, TypeError, AttributeError,
+                    KeyError, IndexError, OverflowError)

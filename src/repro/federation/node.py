@@ -31,10 +31,10 @@ from typing import Any, Dict, List, Optional
 from ..clock import Clock, PAPER_NOW, SimulatedClock
 from ..core.enrich import HeuristicComponent
 from ..core.sightings import RescoreOutcome, SightingProcessor
-from ..errors import SharingError
+from ..errors import ParseError, SharingError
 from ..infra import paper_inventory
-from ..misp import MispEvent, MispInstance
-from ..misp.export import canonical_json
+from ..misp import MispInstance
+from ..misp.export import canonical_json, from_misp_json
 from ..misp.sharing_groups import SharingGroup
 from ..obs import MetricsRegistry, ProvenanceRecorder
 from ..resilience import CircuitBreakerBoard, DeadLetterQueue, RetryPolicy
@@ -139,9 +139,12 @@ class FederationNode:
 
     def _handle_event(self, src: str,
                       payload: Dict[str, Any]) -> Dict[str, Any]:
-        import json as _json
-
-        event = MispEvent.from_dict(_json.loads(payload["document"]))
+        try:
+            event = from_misp_json(payload["document"])
+        except ParseError:
+            # A document this org cannot decode or store is refused like a
+            # policy refusal, so the sender records it and moves on.
+            return {"accepted": False, "reason": "malformed document"}
         group_raw = payload.get("sharing_group")
         if group_raw:
             group = SharingGroup.from_dict(group_raw)

@@ -10,29 +10,27 @@ Each wire format has quirks copied from real OSINT feeds:
 Hostile input fails as :class:`~repro.errors.ParseError`, which the
 collector counts as a failed feed and quarantines: besides malformed
 bodies, that covers a document nested deeper than the recursion limit
-(any format) and a JSON string holding a lone surrogate, which no UTF-8
-store can bind.
+(any format), a JSON string holding a lone surrogate, which no UTF-8
+store can bind, and a document of the wrong shape that makes a format
+parser raise one of :data:`~repro.errors.MALFORMED_ERRORS`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from ..clock import parse_timestamp
-from ..errors import ParseError
+from ..errors import MALFORMED_ERRORS, ParseError
+from ..misp.export import decode_json
 from .model import FeedDocument, FeedFormat, FeedRecord
 
 _IPV4_RE = re.compile(r"^(?:\d{1,3}\.){3}\d{1,3}$")
 _MD5_RE = re.compile(r"^[a-f0-9]{32}$", re.IGNORECASE)
 _SHA256_RE = re.compile(r"^[a-f0-9]{64}$", re.IGNORECASE)
 _CVE_RE = re.compile(r"^CVE-\d{4}-\d{4,}$", re.IGNORECASE)
-#: A surrogate, raw or as a JSON escape.  Only a prefilter: an escaped
-#: pair decodes to one valid character.
-_SURROGATE_RE = re.compile(r"[\ud800-\udfff]|\\u[dD][89a-fA-F]")
 
 
 def classify_indicator(value: str) -> str:
@@ -112,20 +110,10 @@ def parse_csv(document: FeedDocument, value_column: Optional[str] = None) -> Lis
 
 
 def load_json(document: FeedDocument) -> Any:
-    """Decode a JSON-based body; a string holding a lone surrogate is a
-    :class:`ParseError`, as malformed JSON is."""
-    try:
-        data = json.loads(document.body)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"feed {document.descriptor.name}: invalid JSON: {exc}") from exc
-    if _SURROGATE_RE.search(document.body):
-        try:
-            json.dumps(data, ensure_ascii=False).encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise ParseError(f"feed {document.descriptor.name}: JSON string"
-                             f" holds a lone surrogate: {exc}") from exc
-    return data
+    """Decode a JSON-based body with :func:`~repro.misp.export.decode_json`:
+    malformed JSON, nesting past the recursion limit and a string holding a
+    lone surrogate are each a :class:`ParseError`."""
+    return decode_json(document.body, f"feed {document.descriptor.name}")
 
 
 def parse_json(document: FeedDocument) -> List[FeedRecord]:
@@ -290,13 +278,24 @@ _PARSERS = {
 
 
 def parse_document(document: FeedDocument) -> List[FeedRecord]:
-    """Dispatch on the descriptor's format."""
+    """Dispatch on the descriptor's format.
+
+    What a format parser raises on malformed content, as listed in
+    :data:`~repro.errors.MALFORMED_ERRORS`, and a recursion past the
+    limit are raised as :class:`ParseError`, so the collector quarantines
+    the document instead of failing the stage or the cycle.
+    """
     parser = _PARSERS.get(document.descriptor.format)
     if parser is None:
         raise ParseError(
             f"no parser for feed format {document.descriptor.format!r}")
     try:
         return parser(document)
+    except ParseError:
+        raise
     except RecursionError as exc:
         raise ParseError(f"feed {document.descriptor.name}: document nested"
                          " deeper than the recursion limit") from exc
+    except MALFORMED_ERRORS as exc:
+        raise ParseError(f"feed {document.descriptor.name}: malformed"
+                         f" document: {exc!r}") from exc

@@ -33,7 +33,6 @@ from .model import (
     MispTag,
     ThreatLevel,
 )
-from .storage import SQLiteBackend
 from .store import MispStore, StoreChange
 from .warninglists import (
     Warninglist,
@@ -82,7 +81,6 @@ __all__ = [
     "MispTag",
     "ThreatLevel",
     "MispStore",
-    "SQLiteBackend",
     "StoreChange",
     "Warninglist",
     "WarninglistHit",

@@ -38,7 +38,7 @@ from repro.federation import (
 )
 from repro.misp import Distribution, MispAttribute, MispEvent, SharingGroup
 from repro.misp.export import to_misp_json
-from repro.misp.storage import VAR_BUDGET
+from repro.misp.store import VAR_BUDGET
 from repro.obs import MetricsRegistry
 from repro.resilience import FaultInjector, FaultPlan, FaultRule, link_key
 from repro.sharing import SharingPolicy, Tlp, event_digest, mark_tlp
@@ -419,6 +419,22 @@ class TestInboundEvents:
         older = make_intel(0, PAPER_NOW - dt.timedelta(hours=1))
         assert relay(older, reconcile=True) == \
             ({"accepted": False, "reason": "stale"}, 1)
+
+    @pytest.mark.parametrize("body", [
+        pytest.param('{"Event": {"info": "x", "Attribute": [{"type": "domain",'
+                     ' "value": "a\\ud800.example"}]}}', id="lone-surrogate"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000"),
+        pytest.param("{", id="invalid-json"),
+        pytest.param("[]", id="list"),
+        pytest.param('{"Event": 5}', id="event-int"),
+    ])
+    def test_malformed_document_is_refused(self, body):
+        federation = Federation(mesh(["left", "right"]),
+                                clock=SimulatedClock(PAPER_NOW))
+        reply = federation.backbone.transmit(
+            "left", "right", KIND_EVENT, {"document": body})
+        assert reply == {"accepted": False, "reason": "malformed document"}
+        assert federation.node("right").misp.store.event_count() == 0
 
 
 class TestSightingsLoop:

@@ -6,6 +6,11 @@ deep, and one whose indicator holds the JSON escape of a lone surrogate
 store could bind it.  Either must fail as a ``ParseError``: the collector
 counts the feed as failed and quarantines the document, and a platform
 cycle fetching it completes without a stage error.
+
+Valid JSON of the wrong shape (an event that is not an object, a
+timestamp that is not a number, a bundle object that is not a valid
+indicator) is quarantined the same way, and the good feed fetched beside
+it is stored in the same cycle.
 """
 
 import json
@@ -84,3 +89,46 @@ def test_hostile_json_is_quarantined(case, fmt):
     assert report.collection.feeds_fetched == 0
     assert report.collection.documents_quarantined == 1
     assert len(platform.deadletters) == 1
+
+
+#: Valid JSON that a format parser cannot read as its format.
+WRONG_SHAPE = [
+    pytest.param(FeedFormat.MISP_JSON, '[{"Event": 5}]', id="misp-event-int"),
+    pytest.param(FeedFormat.MISP_JSON,
+                 '[{"Event": {"info": "x", "timestamp": "abc"}}]',
+                 id="misp-timestamp-text"),
+    pytest.param(FeedFormat.MISP_JSON,
+                 '[{"Event": {"info": "x", "timestamp": 1e30}}]',
+                 id="misp-timestamp-out-of-range"),
+    pytest.param(FeedFormat.STIX2, '{"type": "bundle", "objects": [1]}',
+                 id="stix-object-int"),
+    pytest.param(FeedFormat.STIX2,
+                 '{"type": "bundle", "objects": [{"type": "indicator"}]}',
+                 id="stix-indicator-without-pattern"),
+]
+#: The good feed's indicators.
+GOOD_VALUES = ("login-paypa1.com", "203.0.113.77")
+
+
+@pytest.mark.parametrize("fmt, body", WRONG_SHAPE)
+def test_wrong_shape_is_quarantined_beside_a_good_feed(fmt, body):
+    bad = FeedDescriptor(name="hostile", url="https://feeds.example/hostile",
+                         format=fmt, category="phishing")
+    good = FeedDescriptor(name="good", url="https://feeds.example/good",
+                          format=FeedFormat.PLAINTEXT, category="phishing")
+    clock = SimulatedClock()
+    transport = SimulatedTransport(clock=clock, seed=0)
+    transport.register(bad.url, lambda now: body)
+    transport.register(good.url, lambda now: "\n".join(GOOD_VALUES))
+    platform = ContextAwareOSINTPlatform.build_with_feeds(
+        [bad, good], transport, clock=clock)
+    report = platform.run_cycle()
+    assert report.stage_errors == {}
+    assert report.collection.feeds_failed == 1
+    assert report.collection.documents_quarantined == 1
+    [entry] = platform.deadletters.entries()
+    assert entry.source == "hostile"
+    assert entry.reason.startswith("parse:")
+    assert report.collection.ciocs_created == len(GOOD_VALUES)
+    assert all(platform.misp.store.search_value(value)
+               for value in GOOD_VALUES)

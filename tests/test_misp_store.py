@@ -127,32 +127,25 @@ class TestSearch:
         store.save_event(make_event(info="draft"))
         assert len(store.list_events(limit=2, published_only=True)) == 2
 
-    def test_correlatable_attributes_excludes_event(self, store):
-        first = make_event()
-        second = make_event(info="second")
-        store.save_event(first)
-        store.save_event(second)
-        hits = store.correlatable_attributes("a.example", exclude_event=first.uuid)
-        assert [h[0] for h in hits] == [second.uuid]
-
     def test_non_correlatable_types_ignored(self, store):
         event = MispEvent(info="x")
         event.add_attribute(MispAttribute(type="text", value="freeform"))
         store.save_event(event)
-        assert store.correlatable_attributes("freeform") == []
+        assert store.correlatable_attributes_many(["freeform"]) == {
+            "freeform": []}
 
 
 class TestCorrelations:
     def test_save_and_query(self, store):
-        store.save_correlation("a1", "a2", "e1", "e2", "value")
+        store.save_correlations([("a1", "a2", "e1", "e2", "value")])
         assert store.correlation_count() == 1
         found = store.correlations_for_event("e1")
         assert found[0]["target_event"] == "e2"
         assert store.correlations_for_event("e2")  # symmetric query
 
     def test_duplicate_correlations_ignored(self, store):
-        store.save_correlation("a1", "a2", "e1", "e2", "v")
-        store.save_correlation("a1", "a2", "e1", "e2", "v")
+        store.save_correlations([("a1", "a2", "e1", "e2", "v")])
+        store.save_correlations([("a1", "a2", "e1", "e2", "v")])
         assert store.correlation_count() == 1
 
 

@@ -1,18 +1,20 @@
-"""Conformance suite for the MISP store's SQLite engine.
+"""Conformance suite for the MISP store's SQLite database.
 
 One set of behavioural tests runs against a store file on disk and a store
 in memory, plus an equivalence test asserting that the two produce
 byte-identical audit history, correlation graphs, sync ledgers and lineage
 for the same operation sequence, and engine tests pinning the on-disk
-layout, the refusal of a hash-sharded store, and the statement cost of
-opening and probing a store.  Correlation reads go through the
-endpoint-event indexes and must answer, row for row and in order, as the
-forced full-table scan (``correlations NOT INDEXED``) does.
+layout (every ``sqlite_master`` row against ``golden/store_schema.txt``,
+and the connection settings), the refusal of a hash-sharded store, and
+the statement cost of opening and probing a store.  Correlation reads go
+through the endpoint-event indexes and must answer, row for row and in
+order, as the forced full-table scan (``correlations NOT INDEXED``) does.
 """
 
 import datetime as dt
 import json
 import math
+import os
 import re
 import sqlite3
 from contextlib import contextmanager
@@ -24,8 +26,12 @@ from hypothesis import strategies as st
 from repro.core.deltas import collapse_changes
 from repro.errors import StorageError
 from repro.misp import MispAttribute, MispEvent, MispStore
-from repro.misp.storage import MAX_BOUND_VARS, VAR_BUDGET, chunk_size
-from repro.misp.storage.sqlite import CountingConnection
+from repro.misp.store import (
+    MAX_BOUND_VARS,
+    VAR_BUDGET,
+    CountingConnection,
+    chunk_size,
+)
 from repro.sharing.sync import event_digest
 
 TS = dt.datetime(2026, 1, 1, tzinfo=dt.timezone.utc)
@@ -88,7 +94,7 @@ def statement_log(store, rewrite=None):
     """Log ``(sql, params)`` for every statement ``store`` runs;
     ``rewrite`` maps each SQL text before it runs."""
     log = []
-    conn = store.backend._conn
+    conn = store._conn
     run = conn.execute
 
     def execute(sql, params=()):
@@ -113,7 +119,7 @@ def correlation_reads(store, uuids):
 
 def correlation_indexes(store):
     """Which of the correlation indexes exist."""
-    return {row[0] for row in store.backend._conn.execute(
+    return {row[0] for row in store._conn.execute(
         "SELECT name FROM sqlite_master WHERE type = 'index'"
         " AND tbl_name = 'correlations'")} & set(CORRELATION_INDEXES)
 
@@ -619,7 +625,7 @@ class TestOnDiskLayout:
         corpus, _pool = run_scenario(built)
         uuids = [event.uuid for event in corpus]
         answers = correlation_reads(built, uuids)
-        conn = built.backend._conn
+        conn = built._conn
         for name in CORRELATION_INDEXES:
             conn.execute(f"DROP INDEX {name}")
         conn.commit()
@@ -641,6 +647,26 @@ def table_names(path):
             "SELECT name FROM sqlite_master WHERE type = 'table'")}
     finally:
         raw.close()
+
+
+#: The golden ``sqlite_master`` of a new file store.
+STORE_SCHEMA = os.path.join(os.path.dirname(__file__), "golden",
+                            "store_schema.txt")
+#: The connection settings of a file store, as read back.
+PRAGMAS = {"journal_mode": "wal", "wal_autocheckpoint": 10000,
+           "cache_size": -10000, "foreign_keys": 1}
+
+
+def render_schema(path):
+    """Every ``sqlite_master`` row of a store file, sorted, as text."""
+    raw = sqlite3.connect(str(path))
+    try:
+        rows = sorted(raw.execute(
+            "SELECT type, name, tbl_name, sql FROM sqlite_master"))
+    finally:
+        raw.close()
+    return "\n".join(f"{kind} {name} on {table}\n{sql or '(automatic)'}\n"
+                     for kind, name, table, sql in rows)
 
 
 class TestEngine:
@@ -672,7 +698,19 @@ class TestEngine:
 
     def test_layouts_on_disk(self, tmp_path):
         single = tmp_path / "single.db"
-        MispStore(str(single)).close()
+        built = MispStore(str(single))
+        try:
+            settings = {name: built._conn.execute(
+                f"PRAGMA {name}").fetchone()[0] for name in PRAGMAS}
+        finally:
+            built.close()
+        assert settings == PRAGMAS
+        schema = render_schema(single)
+        if os.environ.get("CAOP_REGEN_GOLDEN"):
+            with open(STORE_SCHEMA, "w") as handle:
+                handle.write(schema)
+        with open(STORE_SCHEMA) as handle:
+            assert schema == handle.read()
         assert {"events", "attributes", "correlations", "audit_log",
                 "store_meta"} <= table_names(single)
         assert "value_index" not in table_names(single)
