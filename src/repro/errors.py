@@ -3,9 +3,18 @@
 All library errors derive from :class:`ReproError` so callers can catch one
 base type at an integration boundary while still discriminating on the
 specific failure when they need to.
+
+The parse seams' shared pieces live here too, below every package that
+decodes outside input: :data:`MALFORMED_ERRORS` and :func:`decode_json`,
+the one text-level JSON decoder of the feed parsers, the MISP JSON import
+(and so the federation receiver) and the STIX bundle import.
 """
 
 from __future__ import annotations
+
+import json
+import re
+from typing import Any
 
 
 class ReproError(Exception):
@@ -65,3 +74,39 @@ class ConfigurationError(ReproError):
 #: parse seams turn each into a :class:`ParseError`.
 MALFORMED_ERRORS = (ReproError, ValueError, TypeError, AttributeError,
                     KeyError, IndexError, OverflowError)
+
+
+#: A surrogate, raw or as a JSON escape.  Only a prefilter: an escaped
+#: pair decodes to one valid character.
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]|\\u[dD][89a-fA-F]")
+
+
+def decode_json(text: str, source: str) -> Any:
+    """Decode JSON text that must be storable, or raise :class:`ParseError`.
+
+    Besides invalid JSON and a value that is not text, that refuses text
+    nested deeper than the recursion limit and a string holding a lone
+    surrogate, which decodes fine but which no UTF-8 store can bind.
+    ``source`` names the text in the message (``feed <name>``,
+    ``MISP JSON``).
+
+    Only non-ASCII text or text holding a ``\\u`` escape can decode to a
+    surrogate, so only such text is searched for one.
+    """
+    if not isinstance(text, str):
+        raise ParseError(f"{source}: not JSON text but"
+                         f" {type(text).__name__}")
+    try:
+        data = json.loads(text)
+        if (not text.isascii() or "\\u" in text) and \
+                _SURROGATE_RE.search(text):
+            json.dumps(data, ensure_ascii=False).encode("utf-8")
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{source}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{source}: document nested deeper than the"
+                         " recursion limit") from exc
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"{source}: JSON string holds a lone surrogate:"
+                         f" {exc}") from exc
+    return data

@@ -31,10 +31,12 @@ the previous one.
 
 - The sender keeps one in-memory :class:`OfferIndex` per node, a rollup on
   the store's change feed holding each event's release-gate inputs, epoch
-  timestamp and wire-copy digest.  Building an offer refreshes it, which
-  decodes only events whose audit rows are newer than its position, then
-  runs the live release gate and TLP check on every entry — so a
-  clearance or sharing-group change takes effect at the next pass.
+  timestamp and wire-copy digest: the stored blob's digest, except for a
+  connected-communities event, whose downgraded copy is encoded.  Building
+  an offer refreshes it, which decodes only events whose audit rows are
+  newer than its position, then runs the live release gate and TLP check
+  on every entry — so a clearance or sharing-group change takes effect at
+  the next pass.
 - The receiver probes the offer with
   :meth:`~repro.misp.MispStore.event_digests`: stored timestamps and
   sha256 digests of the stored blobs, no decoding.
@@ -61,7 +63,6 @@ from typing import (
 
 from ..core.deltas import StoreRollup
 from ..misp import (
-    Distribution,
     MispEvent,
     MispInstance,
     MispStore,
@@ -116,17 +117,19 @@ class OfferIndex(StoreRollup):
                     deleted: Sequence[str]) -> None:
         for uuid in deleted:
             self.entries.pop(uuid, None)
-        for event in events:
-            # Only the hop downgrade makes the wire copy differ from the
-            # stored event.
-            copy = (MispInstance.release_copy(event)
-                    if event.distribution == Distribution.CONNECTED_COMMUNITIES
-                    else event)
+        copies = [(event, MispInstance.wire_form(event)) for event in events]
+        # An event sent as stored has its stored blob's digest, read
+        # without re-encoding the event.
+        stamps = self.store.event_digests(
+            [event.uuid for event, copy in copies if copy is event])
+        for event, copy in copies:
             tags = self._tags.setdefault(
                 tuple(tag.name for tag in event.tags), tuple(event.tags))
+            digest = (stamps[event.uuid][1] if copy is event
+                      else event_digest(copy))
             self.entries[event.uuid] = OfferEntry(
                 event.distribution, event.sharing_group_id, tags,
-                _epoch(event.timestamp), event_digest(copy))
+                _epoch(event.timestamp), digest)
 
 
 def _cleared(node: "FederationNode", item: Union[MispEvent, OfferEntry],
@@ -202,7 +205,7 @@ def reconcile(node: "FederationNode", dst: str) -> Dict[str, int]:
             if not ok:
                 continue
             message: Dict[str, Any] = {
-                "document": to_misp_json(node.misp.release_copy(event)),
+                "document": to_misp_json(MispInstance.wire_form(event)),
                 "reconcile": True,
             }
             if group is not None:

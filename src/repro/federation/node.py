@@ -26,12 +26,12 @@ fingerprints) onto the fault-free baseline.
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..clock import Clock, PAPER_NOW, SimulatedClock
 from ..core.enrich import HeuristicComponent
 from ..core.sightings import RescoreOutcome, SightingProcessor
-from ..errors import ParseError, SharingError
+from ..errors import ParseError, SharingError, ValidationError
 from ..infra import paper_inventory
 from ..misp import MispInstance
 from ..misp.export import canonical_json, from_misp_json
@@ -49,6 +49,36 @@ from .topology import Topology
 
 def _epoch(stamp: Optional[_dt.datetime]) -> int:
     return int(stamp.timestamp()) if stamp is not None else 0
+
+
+def _strings(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str)
+                                           for item in value)
+
+
+def _side_fields(payload: Dict[str, Any]
+                 ) -> Tuple[Optional[SharingGroup], Optional[Dict[str, Any]]]:
+    """The sharing group and trace context beside an event's document.
+
+    Both are optional.  Raises :class:`ValidationError` unless a group is a
+    definition (``uuid`` and ``name`` strings, an ``organisations`` list of
+    strings, a name and at least one organisation) and a trace is a
+    ``{"trace_id": str, "path": [str, ...]}`` mapping, each key optional.
+    """
+    raw_group, trace = payload.get("sharing_group"), payload.get("trace")
+    if trace is not None and not (
+            isinstance(trace, dict)
+            and isinstance(trace.get("trace_id", ""), str)
+            and _strings(trace.get("path", []))):
+        raise ValidationError("trace is not a trace context")
+    if raw_group is None:
+        return None, trace
+    if not (isinstance(raw_group, dict)
+            and isinstance(raw_group.get("uuid"), str)
+            and isinstance(raw_group.get("name"), str)
+            and _strings(raw_group.get("organisations"))):
+        raise ValidationError("sharing_group is not a group definition")
+    return SharingGroup.from_dict(raw_group), trace
 
 
 def prefers_incoming(incoming_ts: int, incoming_digest: str,
@@ -139,15 +169,18 @@ class FederationNode:
 
     def _handle_event(self, src: str,
                       payload: Dict[str, Any]) -> Dict[str, Any]:
+        # The whole message is checked before anything is written.  A
+        # message this org cannot decode or store is refused like a policy
+        # refusal, so the sender records it and moves on.
         try:
-            event = from_misp_json(payload["document"])
+            event = from_misp_json(payload.get("document"))
         except ParseError:
-            # A document this org cannot decode or store is refused like a
-            # policy refusal, so the sender records it and moves on.
             return {"accepted": False, "reason": "malformed document"}
-        group_raw = payload.get("sharing_group")
-        if group_raw:
-            group = SharingGroup.from_dict(group_raw)
+        try:
+            group, trace = _side_fields(payload)
+        except ValidationError:
+            return {"accepted": False, "reason": "malformed message"}
+        if group is not None:
             self.misp.sharing_groups.setdefault(group.uuid, group)
         # Inbound trust boundary: refuse markings more restrictive than
         # this org's acceptance ceiling (unmarked events fall back to the
@@ -155,19 +188,20 @@ class FederationNode:
         marking = self.policy.marking_of(event)
         if not Tlp.at_most(marking, self.accept_ceiling):
             return {"accepted": False, "reason": f"tlp:{marking} refused"}
-        stored = self.misp.store.get_event(event.uuid)
-        if stored is not None:
-            incoming_ts, held_ts = _epoch(event.timestamp), \
-                _epoch(stored.timestamp)
+        # The held copy's timestamp and digest come from its stored row,
+        # so it is never decoded.
+        held = self.misp.store.event_digests([event.uuid])[event.uuid]
+        if held is not None:
+            held_ts, held_digest = held
+            incoming_ts = _epoch(event.timestamp)
             if payload.get("reconcile"):
                 if not prefers_incoming(incoming_ts, event_digest(event),
-                                        held_ts, event_digest(stored)):
+                                        held_ts, held_digest):
                     return {"accepted": False, "reason": "stale"}
             elif held_ts >= incoming_ts:
                 return {"accepted": False, "reason": "duplicate"}
-        trace = payload.get("trace")
         self.misp.receive_event(event, trace_context=trace)
-        path = list((trace or {}).get("path") or [])
+        path = (trace or {}).get("path")
         self.origins[event.uuid] = path[0] if path else src
         return {"accepted": True}
 

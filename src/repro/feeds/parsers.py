@@ -23,8 +23,7 @@ import re
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from ..clock import parse_timestamp
-from ..errors import MALFORMED_ERRORS, ParseError
-from ..misp.export import decode_json
+from ..errors import MALFORMED_ERRORS, ParseError, decode_json
 from .model import FeedDocument, FeedFormat, FeedRecord
 
 _IPV4_RE = re.compile(r"^(?:\d{1,3}\.){3}\d{1,3}$")
@@ -110,7 +109,7 @@ def parse_csv(document: FeedDocument, value_column: Optional[str] = None) -> Lis
 
 
 def load_json(document: FeedDocument) -> Any:
-    """Decode a JSON-based body with :func:`~repro.misp.export.decode_json`:
+    """Decode a JSON-based body with :func:`~repro.errors.decode_json`:
     malformed JSON, nesting past the recursion limit and a string holding a
     lone surrogate are each a :class:`ParseError`."""
     return decode_json(document.body, f"feed {document.descriptor.name}")

@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Mapping, Optional
 from xml.sax.saxutils import escape
 
 from ..clock import format_timestamp
-from ..errors import MALFORMED_ERRORS, ParseError
+from ..errors import MALFORMED_ERRORS, ParseError, decode_json
 from ..ids import content_stix_id
 from ..stix import (
     Bundle,
@@ -34,10 +34,6 @@ from ..stix import (
 )
 from ..stix.markings import marking_ref_for, strictest_tlp
 from .model import MispAttribute, MispEvent
-
-#: A surrogate, raw or as a JSON escape.  Only a prefilter: an escaped
-#: pair decodes to one valid character.
-_SURROGATE_RE = re.compile(r"[\ud800-\udfff]|\\u[dD][89a-fA-F]")
 
 #: MISP attribute type -> STIX cyber-observable object path.
 _TYPE_TO_OBJECT_PATH: Mapping[str, str] = {
@@ -69,35 +65,13 @@ def canonical_json(event: MispEvent) -> str:
     return json.dumps(event.to_dict(), sort_keys=True)
 
 
-def decode_json(text: str, source: str) -> Any:
-    """Decode JSON text that must be storable, or raise :class:`ParseError`.
-
-    Besides invalid JSON, that refuses text nested deeper than the
-    recursion limit and a string holding a lone surrogate, which decodes
-    fine but which no UTF-8 store can bind.  ``source`` names the text in
-    the message (``feed <name>``, ``MISP JSON``).
-    """
-    try:
-        data = json.loads(text)
-        if _SURROGATE_RE.search(text):
-            json.dumps(data, ensure_ascii=False).encode("utf-8")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{source}: invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ParseError(f"{source}: document nested deeper than the"
-                         " recursion limit") from exc
-    except UnicodeEncodeError as exc:
-        raise ParseError(f"{source}: JSON string holds a lone surrogate:"
-                         f" {exc}") from exc
-    return data
-
-
 def from_misp_json(text: str) -> MispEvent:
     """Parse a MISP JSON document into an event.
 
     Raises :class:`ParseError` for any document that is not a storable
-    event: what :func:`decode_json` refuses, and JSON of the wrong shape
-    (``[]``, ``{"Event": 5}``, a timestamp that is not a number).
+    event: what :func:`~repro.errors.decode_json` refuses, and JSON of the
+    wrong shape (``[]``, ``{"Event": 5}``, a timestamp that is not a
+    number).
     """
     data = decode_json(text, "MISP JSON")
     try:

@@ -321,6 +321,19 @@ class MispInstance:
             copy.distribution = Distribution.COMMUNITY_ONLY
         return copy
 
+    @staticmethod
+    def wire_form(event: MispEvent) -> MispEvent:
+        """The event as a peer receives it, copying only when that differs.
+
+        The hop downgrade is the one change :meth:`release_copy` makes, so
+        only a connected-communities event is copied; any other stored
+        event is returned as is, and its wire document and digest are those
+        of the stored form.
+        """
+        if event.distribution == Distribution.CONNECTED_COMMUNITIES:
+            return MispInstance.release_copy(event)
+        return event
+
     def push_event(self, event: MispEvent, peer: "MispInstance",
                    trace_context: Optional[Dict[str, Any]] = None) -> bool:
         """Push one event to a peer honouring MISP distribution semantics.

@@ -49,6 +49,7 @@ from ..obs import (
     StructuredLog,
     Tracer,
     share_context,
+    share_contexts,
 )
 from ..parallel import ordered_map, pool_width
 from ..resilience.breaker import BreakerState, CircuitBreakerBoard
@@ -285,8 +286,7 @@ class SharingGateway:
         Reads the local provenance table, so it must run on the coordinating
         thread (plan time), never inside a fan-out worker.
         """
-        if entity.transport not in ("misp", "backbone") or \
-                not self._provenance.enabled:
+        if not self._carries_trace(entity):
             return None
         if cache is not None and event_uuid in cache:
             return cache[event_uuid]
@@ -294,6 +294,12 @@ class SharingGateway:
         if cache is not None:
             cache[event_uuid] = context
         return context
+
+    def _carries_trace(self, entity: ExternalEntity) -> bool:
+        """Whether shares to ``entity`` carry a trace context: lineage is
+        on and its transport speaks MISP."""
+        return self._provenance.enabled and \
+            entity.transport in ("misp", "backbone")
 
     def _share_one(self, event: MispEvent, digest: str,
                    entity: ExternalEntity,
@@ -347,18 +353,16 @@ class SharingGateway:
             return False, "skipped (distribution/duplicate)", 0
         if entity.transport == "backbone":
             # The entity name is the destination org on the federation
-            # fabric.  The same MISP release gate and hop downgrade as a
-            # point-to-point push apply before anything is transmitted;
-            # the wire document is the downgraded copy, so the receiver
-            # stores exactly what a direct peer push would have stored.
+            # fabric.  The same MISP release gate as a point-to-point push
+            # applies before anything is transmitted; the rendered payload
+            # is already the downgraded wire copy, so the receiver stores
+            # exactly what a direct peer push would have stored.
             with self._transport_lock:
                 ok, group, reason = self._misp.release_gate(
                     event, entity.name)
                 if not ok:
                     return False, f"skipped ({reason})", 0
-                copy = self._misp.release_copy(event)
-                from ..misp.export import to_misp_json
-                message: Dict[str, Any] = {"document": to_misp_json(copy)}
+                message: Dict[str, Any] = {"document": payload.text}
                 if group is not None:
                     message["sharing_group"] = group.to_dict()
                 if trace is not None:
@@ -366,7 +370,7 @@ class SharingGateway:
                 response = entity.backbone.transmit(
                     self._misp.org, entity.name, "event", message)
             if response.get("accepted"):
-                return True, "", len(message["document"])
+                return True, "", payload.size
             detail = response.get("reason", "rejected")
             return False, f"skipped ({detail})", 0
         if entity.transport == "taxii":
@@ -391,7 +395,9 @@ class SharingGateway:
         is above its own watermark, in ``(last seq, uuid)`` order; digest-
         unchanged candidates are dropped, the sharing policy is applied,
         and each needed payload is rendered once through the returned
-        :class:`RenderCache`.
+        :class:`RenderCache`.  Digests are those of the stored blobs
+        (:meth:`~repro.misp.MispStore.event_digests`), and the trace
+        contexts of every planned share come from one batched lineage read.
         """
         store = self._misp.store
         target_seq = store.max_audit_seq()
@@ -401,10 +407,9 @@ class SharingGateway:
             min(watermarks.values(), default=target_seq),
             until_seq=target_seq))
         events = store.get_events(batch.upserts)
-        digests = {uuid: event_digest(event)
-                   for uuid, event in events.items() if event is not None}
+        stamps = store.event_digests(batch.upserts)
         plans: List[EntityCycle] = []
-        trace_cache: Dict[str, Optional[Dict[str, Any]]] = {}
+        traced: List[PlannedShare] = []
         for entity in self._entities:
             plan = EntityCycle(entity=entity,
                                watermark=watermarks[entity.name],
@@ -417,7 +422,7 @@ class SharingGateway:
                 if event is None:
                     continue
                 seq = batch.last_seqs[uuid]
-                digest = digests[uuid]
+                digest = stamps[uuid][1]
                 if digest_matches(known.get(uuid), digest):
                     plan.unchanged += 1
                     continue
@@ -428,13 +433,19 @@ class SharingGateway:
                         detail=f"refused by TLP policy (marking: "
                                f"{self._policy.marking_of(event)})"))
                     continue
-                payload = cache.get_or_render(event, digest,
-                                              entity.render_format)
-                plan.items.append(PlannedShare(
+                item = PlannedShare(
                     kind="share", event=event, seq=seq, digest=digest,
-                    payload=payload,
-                    trace=self._share_trace(entity, uuid, trace_cache)))
+                    payload=cache.get_or_render(event, digest,
+                                                entity.render_format))
+                plan.items.append(item)
+                if self._carries_trace(entity):
+                    traced.append(item)
             plans.append(plan)
+        if traced:
+            contexts = share_contexts(
+                store, [item.event.uuid for item in traced], self._misp.org)
+            for item in traced:
+                item.trace = contexts[item.event.uuid]
         return plans, cache
 
     def sync_cycle(self) -> ShareCycleReport:

@@ -18,7 +18,10 @@ the same shape over the local store:
   steady-state cycle shares (and renders) nothing;
 - :class:`RenderCache` — per-cycle payload cache keyed on ``(digest,
   format)``: a STIX bundle or MISP JSON document is serialized once per
-  cycle no matter how many entities receive it;
+  cycle no matter how many entities receive it.  The MISP JSON render is
+  the wire copy a peer receives (:meth:`~repro.misp.MispInstance.wire_form`,
+  the hop downgrade applied), so the ``backbone`` transport sends it as is
+  and the ``misp`` transport reports its size;
 - :class:`ShareCycleReport` — what one ``sync_cycle`` accomplished.
 
 Determinism contract (docs/SHARING.md): candidates are ordered by their last
@@ -35,7 +38,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..misp import MispEvent, to_stix2_bundle
+from ..misp import MispEvent, MispInstance, to_stix2_bundle
 from ..misp.export import canonical_json, to_misp_json
 from ..obs import MetricsRegistry, NULL_REGISTRY
 
@@ -132,8 +135,9 @@ class RenderCache:
     @staticmethod
     def _render(event: MispEvent, render_format: str) -> RenderedPayload:
         if render_format == FORMAT_MISP_JSON:
-            return RenderedPayload(format=render_format,
-                                   text=to_misp_json(event))
+            return RenderedPayload(
+                format=render_format,
+                text=to_misp_json(MispInstance.wire_form(event)))
         bundle = to_stix2_bundle(event)
         return RenderedPayload(
             format=FORMAT_STIX,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional
 
-from ..errors import ParseError, ValidationError
+from ..errors import MALFORMED_ERRORS, ParseError, ValidationError, decode_json
 from ..ids import IdGenerator
 from .base import StixObject
 from .sdo import SDO_CLASSES, StixDomainObject
@@ -85,9 +85,17 @@ class Bundle:
 
     @classmethod
     def from_json(cls, text: str, allow_custom: bool = True) -> "Bundle":
-        """Parse an instance from a JSON string."""
+        """Parse an instance from a JSON string.
+
+        Raises :class:`ParseError` for any text that is not a bundle: what
+        :func:`~repro.errors.decode_json` refuses, and JSON of the wrong
+        shape (``[]``, an ``objects`` entry that is not a JSON object), as
+        :func:`~repro.misp.export.from_misp_json` does.
+        """
+        data = decode_json(text, "bundle JSON")
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid bundle JSON: {exc}") from exc
-        return cls.from_dict(data, allow_custom=allow_custom)
+            return cls.from_dict(data, allow_custom=allow_custom)
+        except ParseError:
+            raise
+        except MALFORMED_ERRORS as exc:
+            raise ParseError(f"bundle JSON: not a bundle: {exc!r}") from exc

@@ -10,12 +10,15 @@ provenance lineage) equals the fault-free baseline's.
 Unit layers covered on the way there: topology routing, backbone delivery
 and accounting, the fault injector's ``link`` seam
 (``partition``/``heal``/``lossy``), the anti-entropy preference rule and
-repair protocol, the sightings feedback loop, and the TLP trust boundary
-at the backbone edge.
+repair protocol, the sightings feedback loop, the TLP trust boundary
+at the backbone edge, the receiver's refusal of malformed messages, and
+the wire document of a hop (the release copy, encoded once per event per
+cycle).
 """
 
 import datetime as dt
 import math
+import sys
 
 import pytest
 
@@ -36,8 +39,15 @@ from repro.federation import (
     prefers_incoming,
     store_state,
 )
-from repro.misp import Distribution, MispAttribute, MispEvent, SharingGroup
-from repro.misp.export import to_misp_json
+from repro.misp import (
+    Distribution,
+    MispAttribute,
+    MispEvent,
+    MispInstance,
+    MispObject,
+    SharingGroup,
+)
+from repro.misp.export import from_misp_json, to_misp_json
 from repro.misp.store import VAR_BUDGET
 from repro.obs import MetricsRegistry
 from repro.resilience import FaultInjector, FaultPlan, FaultRule, link_key
@@ -399,6 +409,10 @@ class TestAntiEntropy:
         assert response["want"] == sorted(set(offer) - {older.uuid})
 
 
+#: A valid TLP:GREEN event document.
+GREEN = to_misp_json(make_intel(0, PAPER_NOW))
+
+
 class TestInboundEvents:
     def test_refused_copies_cost_one_receiver_statement(self):
         federation = Federation(mesh(["left", "right"]),
@@ -408,17 +422,19 @@ class TestInboundEvents:
         store = receiver.misp.store
 
         def relay(event, **extra):
-            before = store.sql_statements
+            before = store.sql_statements, store.payloads_deserialized
             reply = federation.node("left").backbone.transmit(
                 "left", "right", KIND_EVENT,
                 {"document": to_misp_json(event), **extra})
-            return reply, store.sql_statements - before
+            return (reply, store.sql_statements - before[0],
+                    store.payloads_deserialized - before[1])
 
+        # One statement each, and the held copy is never decoded.
         assert relay(make_intel(0, PAPER_NOW)) == \
-            ({"accepted": False, "reason": "duplicate"}, 1)
+            ({"accepted": False, "reason": "duplicate"}, 1, 0)
         older = make_intel(0, PAPER_NOW - dt.timedelta(hours=1))
         assert relay(older, reconcile=True) == \
-            ({"accepted": False, "reason": "stale"}, 1)
+            ({"accepted": False, "reason": "stale"}, 1, 0)
 
     @pytest.mark.parametrize("body", [
         pytest.param('{"Event": {"info": "x", "Attribute": [{"type": "domain",'
@@ -435,6 +451,132 @@ class TestInboundEvents:
             "left", "right", KIND_EVENT, {"document": body})
         assert reply == {"accepted": False, "reason": "malformed document"}
         assert federation.node("right").misp.store.event_count() == 0
+
+    @pytest.mark.parametrize("message, reason", [
+        pytest.param({"document": GREEN, "sharing_group": 5},
+                     "malformed message", id="group-int"),
+        pytest.param({"document": GREEN, "sharing_group": {"uuid": 1}},
+                     "malformed message", id="group-uuid-int"),
+        pytest.param({}, "malformed document", id="no-document"),
+        pytest.param({"document": 5}, "malformed document",
+                     id="document-int"),
+        pytest.param({"document": GREEN, "trace": 5}, "malformed message",
+                     id="trace-int"),
+        pytest.param({"document": GREEN, "trace": {"path": 5}},
+                     "malformed message", id="trace-path-int"),
+    ])
+    def test_malformed_message_is_refused_before_any_write(self, message,
+                                                           reason):
+        federation = Federation(mesh(["left", "right"]),
+                                clock=SimulatedClock(PAPER_NOW))
+        reply = federation.backbone.transmit(
+            "left", "right", KIND_EVENT, message)
+        assert reply == {"accepted": False, "reason": reason}
+        receiver = federation.node("right")
+        assert receiver.misp.store.event_count() == 0
+        assert receiver.misp.store.provenance_count() == 0
+        assert receiver.misp.sharing_groups == {}
+        assert receiver.origins == {}
+
+
+def shaped_events(group):
+    """An all-communities, a connected-communities, a sharing-group and an
+    object-bearing event, all TLP:GREEN."""
+    everyone, connected, grouped, with_object = (
+        make_intel(index, PAPER_NOW) for index in range(4))
+    connected.distribution = Distribution.CONNECTED_COMMUNITIES
+    grouped.distribution = Distribution.SHARING_GROUP
+    grouped.sharing_group_id = group.uuid
+    grouped.info = "intel 2, caf\u00e9 \u2603"
+    sample = MispObject(name="file",
+                        uuid="33333333-3333-4333-8333-000000000003")
+    sample.add_attribute(MispAttribute(
+        type="sha256", value="ab" * 32,
+        uuid="44444444-4444-4444-8444-000000000003", timestamp=PAPER_NOW),
+        "sha256")
+    with_object.objects.append(sample)
+    return [everyone, connected, grouped, with_object]
+
+
+def wire_encodes(monkeypatch):
+    """Record every ``to_misp_json`` call made through a ``repro`` module."""
+    calls = []
+
+    def counting(event, *args, **kwargs):
+        calls.append(event.uuid)
+        return to_misp_json(event, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "repro" and \
+                getattr(module, "to_misp_json", None) is to_misp_json:
+            monkeypatch.setattr(module, "to_misp_json", counting)
+    return calls
+
+
+class TestWireDocument:
+    """What crosses a hop: the release copy, encoded once per cycle."""
+
+    def pair_with_shapes(self):
+        federation = Federation(mesh(["left", "right"]),
+                                clock=SimulatedClock(PAPER_NOW))
+        left = federation.node("left")
+        group = left.misp.create_sharing_group("pair", ["left", "right"])
+        events = shaped_events(group)
+        left.misp.add_events(events)
+        left.heuristics.process_pending()
+        return federation, events
+
+    @pytest.mark.parametrize("deliver", ["sync", "reconcile"])
+    def test_every_document_is_the_release_copy(self, deliver):
+        federation, events = self.pair_with_shapes()
+        sent = []
+        transmit = federation.backbone.transmit
+
+        def recording(src, dst, kind, payload):
+            if kind == KIND_EVENT:
+                sent.append((src, payload["document"]))
+            return transmit(src, dst, kind, payload)
+
+        federation.backbone.transmit = recording
+        if deliver == "sync":
+            federation.run_round()
+        else:
+            federation.reconcile()
+        uuids = set()
+        for src, document in sent:
+            uuid = from_misp_json(document).uuid
+            stored = federation.node(src).misp.store.get_event(uuid)
+            assert document == to_misp_json(MispInstance.release_copy(stored))
+            if src == "left":
+                uuids.add(uuid)
+        assert uuids == {event.uuid for event in events}
+
+    def test_planned_digests_are_event_digests(self):
+        federation, events = self.pair_with_shapes()
+        red = make_intel(4, PAPER_NOW)
+        mark_tlp(red, "red")
+        federation.node("left").misp.add_event(red)
+        plans, _cache = federation.node("left").gateway.plan_cycle()
+        items = [item for plan in plans for item in plan.items]
+        assert sorted(item.kind for item in items) == \
+            ["refused"] + ["share"] * len(events)
+        for item in items:
+            assert item.digest == event_digest(item.event)
+
+    @pytest.mark.parametrize("spokes", [2, 8])
+    def test_hub_encodes_a_relayed_event_once_per_cycle(self, spokes,
+                                                       monkeypatch):
+        names = [f"spoke-{index}" for index in range(spokes)]
+        federation = Federation(hub_and_spoke("hub", names),
+                                clock=SimulatedClock(PAPER_NOW))
+        seed(federation, names[0], 0, 1, PAPER_NOW)
+        assert federation.node(names[0]).gateway.sync_cycle().shared == 1
+        encodes = wire_encodes(monkeypatch)
+        report = federation.node("hub").gateway.sync_cycle()
+        # The origin spoke already holds it and refuses the copy.
+        assert (report.shared, report.skipped) == (spokes - 1, 1)
+        assert encodes == [make_intel(0, PAPER_NOW).uuid]
+        assert (report.renders, report.render_hits) == (1, spokes - 1)
 
 
 class TestSightingsLoop:

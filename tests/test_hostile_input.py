@@ -11,15 +11,23 @@ Valid JSON of the wrong shape (an event that is not an object, a
 timestamp that is not a number, a bundle object that is not a valid
 indicator) is quarantined the same way, and the good feed fetched beside
 it is stored in the same cycle.
+
+The shared decoder searches for a surrogate only in text that can hold
+one; a property test shows it decides every text as a search of every
+text does.
 """
 
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.clock import SimulatedClock
 from repro.core import ContextAwareOSINTPlatform
 from repro.core.collector import OsintDataCollector
+from repro.errors import ParseError, decode_json
 from repro.feeds import FeedDescriptor, FeedFetcher, SimulatedTransport
 from repro.feeds.model import FeedDocument, FeedFormat
 from repro.misp import MispInstance
@@ -132,3 +140,63 @@ def test_wrong_shape_is_quarantined_beside_a_good_feed(fmt, body):
     assert report.collection.ciocs_created == len(GOOD_VALUES)
     assert all(platform.misp.store.search_value(value)
                for value in GOOD_VALUES)
+
+
+#: A surrogate, raw or as a JSON escape, searched for in every text.
+ANY_SURROGATE = re.compile(r"[\ud800-\udfff]|\\u[dD][89a-fA-F]")
+REFUSED = object()
+
+
+def decode_searching_every_text(text):
+    """The decoder's decision with the surrogate search run unconditionally.
+
+    ``JSONDecodeError`` and ``UnicodeEncodeError`` are both ``ValueError``.
+    """
+    try:
+        data = json.loads(text)
+        if ANY_SURROGATE.search(text):
+            json.dumps(data, ensure_ascii=False).encode("utf-8")
+    except (ValueError, RecursionError):
+        return REFUSED
+    return data
+
+
+#: Pieces of a JSON string body: ASCII and non-ASCII text, raw and escaped
+#: surrogates (lone, and an escaped pair that decodes to one character),
+#: escaped backslashes (also one before ``ud800``) and other escapes.
+PIECES = st.sampled_from([
+    "a", "u", "d8", "00", "\\u00e9", "é", "☃", "\U0001F600",
+    "\ud800", "\udfff",
+    "\\ud800", "\\uDBFF", "\\udc00", "\\ud83d\\ude00",
+    "\\\\", "\\\\ud800", "\\u0041", "\\n", '\\"',
+])
+JSON_STRINGS = st.lists(PIECES, max_size=12).map(
+    lambda pieces: '"' + "".join(pieces) + '"')
+DOCUMENTS = st.one_of(
+    JSON_STRINGS,
+    JSON_STRINGS.map(lambda text: '{"value": [' + text + ', 1]}'),
+    st.text(st.characters(exclude_categories=())).map(
+        lambda text: json.dumps({"value": text})),
+    st.text(st.characters(exclude_categories=())).map(
+        lambda text: json.dumps([text], ensure_ascii=False)),
+    st.text(st.characters(exclude_categories=())),
+)
+
+
+@given(DOCUMENTS)
+@example('"\\ud800"')
+@example('"\\ud83d\\ude00"')
+@example('"\\\\ud800"')
+@example('"\ud800"')
+@example('"caf\u00e9"')
+@example('"caf\\u00e9"')
+@settings(max_examples=300, deadline=None)
+def test_surrogate_prefilter_keeps_every_decision(text):
+    expected = decode_searching_every_text(text)
+    try:
+        decoded = decode_json(text, "property")
+    except ParseError:
+        assert expected is REFUSED
+    else:
+        assert expected is not REFUSED
+        assert repr(decoded) == repr(expected)  # text "NaN" decodes to nan

@@ -176,5 +176,15 @@ class TestBundle:
         with pytest.raises(ParseError):
             Bundle.from_json("{not json")
 
+    @pytest.mark.parametrize("body", [
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000"),
+        pytest.param("[]", id="list"),
+        pytest.param('{"type": "bundle", "objects": [1]}', id="object-int"),
+        pytest.param('"\\ud800"', id="lone-surrogate"),
+    ])
+    def test_from_json_refuses_what_it_cannot_decode(self, body):
+        with pytest.raises(ParseError):
+            Bundle.from_json(body)
+
     def test_spec_version_in_wire_format(self):
         assert Bundle().to_dict()["spec_version"] == "2.0"
