@@ -14,9 +14,12 @@ Two guards, one scale table:
 
 - 10-org **mesh** and **hub-and-spoke** under a 6/4 partition: fingerprint
   equality, sighting re-score at the origin, per-org cost ceiling;
-- hub-and-spoke at 10/20/50 orgs (and mesh at 10): rounds to converge and
-  bytes per org, printing the hub-vs-mesh transport-cost gap the topology
-  choice buys.
+- hub-and-spoke at 10/20/50 orgs (and mesh at 10): rounds to converge,
+  bytes per org, and event messages sent, accepted and refused as
+  ``duplicate``, printing the hub-vs-mesh transport-cost gap the topology
+  choice buys.  A fault-free hub-and-spoke run sends no copy its receiver
+  refuses as a duplicate: no receiver sends a version back to the org it
+  got it from, and a hub relays each version once to each spoke.
 
 CI runs the guards as a regression gate (``make bench-federation``).
 """
@@ -25,6 +28,7 @@ import datetime as dt
 
 from repro.clock import PAPER_NOW, SimulatedClock
 from repro.federation import (
+    KIND_EVENT,
     Federation,
     SimulatedNetworkBackbone,
     hub_and_spoke,
@@ -73,6 +77,23 @@ def build(topology):
         topology, backbone=SimulatedNetworkBackbone(injector),
         clock=SimulatedClock(PAPER_NOW))
     return federation, injector
+
+
+def count_event_replies(federation):
+    """Count every event message's reply, by reason (``accepted`` if taken)."""
+    replies = {}
+    transmit = federation.backbone.transmit
+
+    def counting(src, dst, kind, payload):
+        response = transmit(src, dst, kind, payload)
+        if kind == KIND_EVENT:
+            reply = ("accepted" if response.get("accepted")
+                     else response.get("reason", "rejected"))
+            replies[reply] = replies.get(reply, 0) + 1
+        return response
+
+    federation.backbone.transmit = counting
+    return replies
 
 
 def scripted_run(topology_name, orgs, fault):
@@ -158,6 +179,7 @@ def test_x23_topology_scale_table():
             shapes.insert(0, ("mesh", mesh(orgs)))
         for name, topology in shapes:
             federation, _ = build(topology)
+            replies = count_event_replies(federation)
             # Seed at a *spoke*: the hub topology pays one relay round for
             # its linear transport cost, the mesh converges immediately.
             seed(federation, orgs[1], EVENTS, PAPER_NOW)
@@ -171,11 +193,19 @@ def test_x23_topology_scale_table():
             total = sum(federation.bytes_by_org().values())
             rows.append([name, size, len(topology.links), rounds,
                          round(total / 1024, 1),
-                         round(total / size / 1024, 2)])
+                         round(total / size / 1024, 2),
+                         sum(replies.values()), replies.get("accepted", 0),
+                         replies.get("duplicate", 0)])
     print_table(
         "X23 federation scale — rounds and bytes to full propagation",
-        ["topology", "orgs", "links", "rounds", "total KiB", "KiB/org"],
+        ["topology", "orgs", "links", "rounds", "total KiB", "KiB/org",
+         "event msgs", "accepted", "duplicates"],
         rows)
+    for row in rows:
+        if row[0] == "hub":
+            assert row[8] == 0, \
+                f"hub/{row[1]}: {row[8]} event messages were refused " \
+                f"as duplicates"
     # Hub-and-spoke total cost grows linearly with org count; a mesh of
     # the same 10 orgs pays quadratically more for its extra resilience.
     mesh_row = next(r for r in rows if r[0] == "mesh")

@@ -26,20 +26,25 @@ The protocol over one directed link ``src`` → ``dst``:
 A healthy link offers everything and repairs nothing: the exchange is a
 pure read (one offer message) and leaves no new state behind.
 
-Cost model (docs/FEDERATION.md): a pass decodes only what changed since
-the previous one.
+Cost model (docs/FEDERATION.md): a pass decodes only the
+connected-communities and sharing-group events that changed since the
+previous one, and the receiver answers an offer from its own index.
 
-- The sender keeps one in-memory :class:`OfferIndex` per node, a rollup on
-  the store's change feed holding each event's release-gate inputs, epoch
-  timestamp and wire-copy digest: the stored blob's digest, except for a
-  connected-communities event, whose downgraded copy is encoded.  Building
-  an offer refreshes it, which decodes only events whose audit rows are
-  newer than its position, then runs the live release gate and TLP check
-  on every entry — so a clearance or sharing-group change takes effect at
-  the next pass.
-- The receiver probes the offer with
-  :meth:`~repro.misp.MispStore.event_digests`: stored timestamps and
-  sha256 digests of the stored blobs, no decoding.
+- Each node keeps one in-memory :class:`OfferIndex` on the store's change
+  feed, holding each event's release-gate inputs, epoch timestamp, stored
+  blob digest and wire-copy digest.  A refresh reads the changed events'
+  columns, tag rows and blob digests with
+  :meth:`~repro.misp.MispStore.release_fields`, and decodes only a
+  connected-communities event (whose downgraded wire copy is encoded for
+  its digest) and a sharing-group event (for its group id).
+- The sender refreshes its index, then runs the live release gate and TLP
+  check once per link for each distinct set of gate inputs (distribution,
+  group id, tag names) — so a clearance or sharing-group change takes
+  effect at the next pass.
+- The receiver refreshes its own index (one feed read when it is current)
+  and answers each offered entry from it: the held copy's timestamp and
+  stored blob digest, the same pair
+  :meth:`~repro.misp.MispStore.event_digests` reads.
 - The sender fetches the wanted events and their trace contexts in
   batched reads, and writes its ledger rows and lineage rows once per
   link pass — also when the link fails mid-pass, so the ledger records
@@ -48,21 +53,20 @@ the previous one.
 
 from __future__ import annotations
 
-import datetime as _dt
 from typing import (
     Any,
     Dict,
     List,
     NamedTuple,
     Optional,
-    Sequence,
     Tuple,
     TYPE_CHECKING,
     Union,
 )
 
-from ..core.deltas import StoreRollup
+from ..core.deltas import DeltaCursor, collapse_changes
 from ..misp import (
+    Distribution,
     MispEvent,
     MispInstance,
     MispStore,
@@ -79,17 +83,22 @@ if TYPE_CHECKING:  # pragma: no cover
     from .node import FederationNode
 
 
-def _epoch(stamp: Optional[_dt.datetime]) -> int:
-    return int(stamp.timestamp()) if stamp is not None else 0
+#: The distributions whose offer entry needs the decoded event: the wire
+#: copy of a connected-communities event differs from its stored form, and
+#: a sharing-group event's group id is not a column.
+_DECODED = (Distribution.CONNECTED_COMMUNITIES, Distribution.SHARING_GROUP)
 
 
 class OfferEntry(NamedTuple):
     """What an offer needs of one stored event, without the event.
 
-    ``distribution``, ``sharing_group_id`` and ``tags`` are the fields
+    ``distribution``, ``sharing_group_id`` (None unless the event is a
+    sharing-group event) and ``tags`` are the fields
     :meth:`~repro.misp.MispInstance.release_gate` and
     :meth:`~repro.sharing.SharingPolicy.marking_of` read, so both gates run
-    on the entry itself; ``ts`` and ``digest`` describe the wire copy.
+    on the entry itself.  ``ts`` and ``digest`` describe the wire copy a
+    sender offers; ``ts`` and ``blob_digest`` the stored copy a receiver
+    holds.  Only a connected-communities event has two digests.
     """
 
     distribution: int
@@ -97,39 +106,57 @@ class OfferEntry(NamedTuple):
     tags: Tuple[MispTag, ...]
     ts: int
     digest: str
+    blob_digest: str
 
 
-class OfferIndex(StoreRollup):
-    """One node's offer inputs, kept current from the store's change feed.
+class OfferIndex:
+    """One node's offer entries, kept current from the store's change feed.
 
-    In memory only (nothing is persisted, so a restarted node decodes its
-    store once on its first pass).  Entries with the same tag names share
-    one tag tuple, which keeps the index near 0.4 KB per event.
+    In memory only (nothing is persisted, so a restarted node reads its
+    store's columns once on its first pass).  Entries with the same tag
+    names share one tag tuple, which keeps the index near 0.4 KB per event.
     """
 
     def __init__(self, store: MispStore) -> None:
-        super().__init__(store, "anti-entropy-offers")
+        self.store = store
+        self.cursor = DeltaCursor(store, "anti-entropy-offers")
         #: event uuid -> :class:`OfferEntry`.
         self.entries: Dict[str, OfferEntry] = {}
         self._tags: Dict[Tuple[str, ...], Tuple[MispTag, ...]] = {}
 
-    def apply_delta(self, events: Sequence[MispEvent],
-                    deleted: Sequence[str]) -> None:
-        for uuid in deleted:
+    def refresh(self) -> int:
+        """Consume everything past the cursor; returns feed rows consumed."""
+        changes = self.cursor.read()
+        if not changes:
+            return 0
+        batch = collapse_changes(changes)
+        for uuid in batch.deleted:
             self.entries.pop(uuid, None)
-        copies = [(event, MispInstance.wire_form(event)) for event in events]
-        # An event sent as stored has its stored blob's digest, read
-        # without re-encoding the event.
-        stamps = self.store.event_digests(
-            [event.uuid for event, copy in copies if copy is event])
-        for event, copy in copies:
-            tags = self._tags.setdefault(
-                tuple(tag.name for tag in event.tags), tuple(event.tags))
-            digest = (stamps[event.uuid][1] if copy is event
-                      else event_digest(copy))
-            self.entries[event.uuid] = OfferEntry(
-                event.distribution, event.sharing_group_id, tags,
-                _epoch(event.timestamp), digest)
+        fields = self.store.release_fields(batch.upserts)
+        events = self.store.get_events(
+            [uuid for uuid, row in fields.items()
+             if row is not None and row[0] in _DECODED])
+        for uuid, row in fields.items():
+            if row is None:  # deleted after the feed window closed
+                self.entries.pop(uuid, None)
+                continue
+            distribution, ts, blob_digest, names = row
+            tags = self._tags.get(names)
+            if tags is None:
+                tags = self._tags[names] = tuple(MispTag(name)
+                                                 for name in names)
+            event = events.get(uuid)
+            self.entries[uuid] = OfferEntry(
+                distribution,
+                event.sharing_group_id
+                if distribution == Distribution.SHARING_GROUP else None,
+                tags, ts,
+                event_digest(MispInstance.release_copy(event))
+                if distribution == Distribution.CONNECTED_COMMUNITIES
+                else blob_digest,
+                blob_digest)
+        self.cursor.advance(batch.last_seq)
+        return len(changes)
 
 
 def _cleared(node: "FederationNode", item: Union[MispEvent, OfferEntry],
@@ -154,26 +181,50 @@ def build_offer(node: "FederationNode", dst: str) -> Dict[str, Dict[str, Any]]:
     """The digest offer ``src`` advertises to ``dst``, uuid-sorted."""
     index = node.offer_index
     index.refresh()
+    # Entries with the same gate inputs share one decision.  Entries with
+    # the same tag names share one tag tuple, so its id stands for them.
+    decisions: Dict[Tuple[int, Optional[str], int], bool] = {}
     offer: Dict[str, Dict[str, Any]] = {}
     for uuid in sorted(index.entries):
         entry = index.entries[uuid]
-        if _cleared(node, entry, dst)[0]:
+        key = (entry.distribution, entry.sharing_group_id, id(entry.tags))
+        cleared = decisions.get(key)
+        if cleared is None:
+            cleared = decisions[key] = _cleared(node, entry, dst)[0]
+        if cleared:
             offer[uuid] = {"digest": entry.digest, "ts": entry.ts}
     return offer
 
 
+def _is_offer(offer: Any) -> bool:
+    """Whether ``offer`` is a ``{uuid: {"digest": str, "ts": int}}`` map."""
+    return isinstance(offer, dict) and all(
+        isinstance(uuid, str) and isinstance(meta, dict)
+        and isinstance(meta.get("digest"), str)
+        and type(meta.get("ts")) is int
+        for uuid, meta in offer.items())
+
+
 def handle_offer(node: "FederationNode", src: str,
                  payload: Dict[str, Any]) -> Dict[str, Any]:
-    """The receiver half: decide which offered uuids to request."""
+    """The receiver half: decide which offered uuids to request.
+
+    Answered from the receiver's own :class:`OfferIndex`.  An offer that
+    is not a map of digest entries is refused before anything is read.
+    """
     from .node import prefers_incoming
 
-    offer = payload.get("offer", {})
-    held = node.misp.store.event_digests(sorted(offer))
+    offer = payload.get("offer")
+    if not _is_offer(offer):
+        return {"accepted": False, "reason": "malformed message"}
+    index = node.offer_index
+    index.refresh()
     want: List[str] = []
-    for uuid, stamp in held.items():
+    for uuid in sorted(offer):
+        held = index.entries.get(uuid)
         meta = offer[uuid]
-        if stamp is None or prefers_incoming(
-                int(meta["ts"]), meta["digest"], *stamp):
+        if held is None or prefers_incoming(
+                meta["ts"], meta["digest"], held.ts, held.blob_digest):
             want.append(uuid)
     return {"want": want}
 

@@ -26,7 +26,7 @@ fingerprints) onto the fault-free baseline.
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..clock import Clock, PAPER_NOW, SimulatedClock
 from ..core.enrich import HeuristicComponent
@@ -79,6 +79,43 @@ def _side_fields(payload: Dict[str, Any]
             and _strings(raw_group.get("organisations"))):
         raise ValidationError("sharing_group is not a group definition")
     return SharingGroup.from_dict(raw_group), trace
+
+
+def _text(value: Any) -> bool:
+    """A non-empty string that encodes as UTF-8 (no lone surrogate)."""
+    if not isinstance(value, str) or not value:
+        return False
+    try:
+        value.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _sighting_record(payload: Dict[str, Any],
+                     orgs: Sequence[str]) -> Dict[str, Any]:
+    """The routed sighting record a message carries, checked whole.
+
+    Raises :class:`ValidationError` unless ``eioc_uuid``, ``value`` and
+    ``node`` are non-empty text, ``origin`` names a member org and
+    ``observed_at`` is an integer epoch second a datetime can hold.
+    """
+    record = {key: payload.get(key) for key in
+              ("eioc_uuid", "value", "node", "observed_at", "origin")}
+    if not (all(_text(record[key]) for key in ("eioc_uuid", "value", "node"))
+            and record["origin"] in orgs
+            and type(record["observed_at"]) is int):
+        raise ValidationError("not a sighting record")
+    try:
+        _observed_at(record)
+    except (OverflowError, OSError, ValueError) as exc:
+        raise ValidationError(f"observed_at out of range: {exc}") from exc
+    return record
+
+
+def _observed_at(record: Dict[str, Any]) -> _dt.datetime:
+    return _dt.datetime.fromtimestamp(record["observed_at"],
+                                      tz=_dt.timezone.utc)
 
 
 def prefers_incoming(incoming_ts: int, incoming_digest: str,
@@ -159,6 +196,8 @@ class FederationNode:
 
     def _handle(self, src: str, kind: str,
                 payload: Dict[str, Any]) -> Dict[str, Any]:
+        if not isinstance(payload, dict):
+            return {"accepted": False, "reason": "malformed message"}
         if kind == KIND_EVENT:
             return self._handle_event(src, payload)
         if kind == KIND_SIGHTING:
@@ -200,15 +239,25 @@ class FederationNode:
                     return {"accepted": False, "reason": "stale"}
             elif held_ts >= incoming_ts:
                 return {"accepted": False, "reason": "duplicate"}
-        self.misp.receive_event(event, trace_context=trace)
+        digest = self.misp.receive_event(event, trace_context=trace)
+        # src holds the version just stored, so the next sync sends it
+        # no copy back.
+        self.gateway.note_held(src, event.uuid, digest)
         path = (trace or {}).get("path")
         self.origins[event.uuid] = path[0] if path else src
         return {"accepted": True}
 
     def _handle_sighting(self, src: str,
                          payload: Dict[str, Any]) -> Dict[str, Any]:
-        record = dict(payload)
-        if record.get("origin") == self.name:
+        # Checked whole before it is applied or queued: a record that
+        # cannot be routed or applied is refused, never parked.
+        try:
+            record = _sighting_record(payload, self.topology.orgs)
+        except ValidationError:
+            return {"accepted": False, "reason": "malformed message"}
+        if record["origin"] == self.name:
+            if not self.misp.store.has_event(record["eioc_uuid"]):
+                return {"accepted": False, "reason": "unknown eioc"}
             self._apply_sighting(record)
             return {"accepted": True, "processed": True}
         self.pending_sightings.append(record)
@@ -242,7 +291,11 @@ class FederationNode:
         return None
 
     def flush_sightings(self) -> int:
-        """Try to route every queued sighting one hop; returns deliveries."""
+        """Try to route every queued sighting one hop; returns deliveries.
+
+        A record the next hop refuses is dropped; one whose link is down
+        stays queued.
+        """
         still: List[Dict[str, Any]] = []
         delivered = 0
         for record in self.pending_sightings:
@@ -251,19 +304,20 @@ class FederationNode:
                 still.append(record)
                 continue
             try:
-                self.backbone.transmit(self.name, hop, KIND_SIGHTING, record)
-                delivered += 1
+                response = self.backbone.transmit(
+                    self.name, hop, KIND_SIGHTING, record)
             except SharingError:
                 still.append(record)
+                continue
+            if response.get("accepted"):
+                delivered += 1
         self.pending_sightings = still
         return delivered
 
     def _apply_sighting(self, record: Dict[str, Any]) -> RescoreOutcome:
-        observed_at = _dt.datetime.fromtimestamp(
-            int(record["observed_at"]), tz=_dt.timezone.utc)
         outcome = self.sightings.report(
             record["eioc_uuid"], record["value"], record["node"],
-            observed_at=observed_at)
+            observed_at=_observed_at(record))
         self.rescores.append(outcome)
         return outcome
 

@@ -21,7 +21,7 @@ from ..obs import MetricsRegistry, NULL_REGISTRY
 from .export import EXPORT_MODULES, to_stix2_bundle
 from .model import Distribution, MispAttribute, MispEvent, MispTag
 from .sharing_groups import SharingGroup
-from .store import MispStore
+from .store import MispStore, blob_digest
 
 #: zeroMQ topics mirroring MISP's real feed names.
 TOPIC_EVENT = "misp_json"
@@ -368,29 +368,36 @@ class MispInstance:
         return True
 
     def receive_event(self, event: MispEvent,
-                      trace_context: Optional[Dict[str, Any]] = None) -> None:
-        """Peer-facing ingestion endpoint (no re-publish on the zmq feed)."""
-        self.receive_events(
+                      trace_context: Optional[Dict[str, Any]] = None) -> str:
+        """Peer-facing ingestion endpoint (no re-publish on the zmq feed).
+
+        Returns the content digest of the stored blob.
+        """
+        return self.receive_events(
             [event],
-            trace_contexts={event.uuid: trace_context} if trace_context else None)
+            trace_contexts={event.uuid: trace_context} if trace_context
+            else None)[event.uuid]
 
     def receive_events(self, events: Sequence[MispEvent],
                        trace_contexts: Optional[
-                           Dict[str, Dict[str, Any]]] = None) -> None:
+                           Dict[str, Dict[str, Any]]] = None
+                       ) -> Dict[str, str]:
         """Batched peer-facing ingestion: one transaction, one correlation pass.
 
         ``trace_contexts`` maps event uuid to the sender's trace context;
         each present entry becomes one ``synced-from`` lineage row in this
-        instance's store, stitching the cross-org journey.
+        instance's store, stitching the cross-org journey.  Returns
+        ``uuid -> content digest`` of each stored blob.
         """
         events = list(events)
         if not events:
-            return
-        self.store.save_events(events)
+            return {}
+        blobs = self.store.save_events(events)
         self._correlate_batch(events)
         self.sync_stats.pulled_events += len(events)
         if trace_contexts:
             self._record_sync_receipts(events, trace_contexts)
+        return {uuid: blob_digest(blob) for uuid, blob in blobs.items()}
 
     def _record_sync_receipts(
             self, events: Sequence[MispEvent],

@@ -109,6 +109,16 @@ def chunks(items: Sequence, size: int) -> Iterable[Sequence]:
         yield items[start:start + size]
 
 
+def blob_digest(blob: str) -> str:
+    """The content digest of a stored event blob: its sha256, in hex.
+
+    A blob holds the event's :func:`~repro.misp.export.canonical_json`
+    bytes, so this equals :func:`~repro.sharing.sync.event_digest` of the
+    decoded event.
+    """
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 #: Every table and index of a store.
 SCHEMA = """
 CREATE TABLE IF NOT EXISTS events (
@@ -461,16 +471,18 @@ class MispStore:
         self.save_events([event], replace=replace)
 
     def save_events(self, events: Sequence[MispEvent],
-                    replace: bool = True) -> None:
+                    replace: bool = True) -> Dict[str, str]:
         """Persist a batch of events in one transaction.
 
         The batched write is behaviourally identical to saving each event in
         turn — same audit rows, same replace semantics — but issues a
         bounded number of SQL statements instead of O(events × attributes).
+        Returns ``uuid -> blob`` as stored (the last one for a uuid saved
+        twice), so a caller can digest what it stored without re-encoding.
         """
         events = list(events)
         if not events:
-            return
+            return {}
         if self.fault_injector is not None:
             self.fault_injector.check("store", "save_events")
         uuids = [event.uuid for event in events]
@@ -478,10 +490,12 @@ class MispStore:
             # Intra-batch uuid collisions need per-event replace semantics
             # (each later save replaces the earlier one's attribute rows);
             # fall back to the serial path for this rare shape.
+            blobs: Dict[str, str] = {}
             for event in events:
-                self._save_events_batch([event], replace=replace)
-            return
-        self._save_events_batch(events, replace=replace)
+                blobs.update(self._save_events_batch([event],
+                                                     replace=replace))
+            return blobs
+        return self._save_events_batch(events, replace=replace)
 
     def apply_enrichments(self, events: Sequence[MispEvent]) -> None:
         """Write one enrichment cycle back in a single transaction.
@@ -508,7 +522,7 @@ class MispStore:
 
     def _save_events_batch(self, events: List[MispEvent],
                            replace: bool,
-                           action: Optional[str] = None) -> None:
+                           action: Optional[str] = None) -> Dict[str, str]:
         uuids = [event.uuid for event in events]
         existing = self.existing_events(uuids)
         if not replace:
@@ -589,6 +603,7 @@ class MispStore:
                 self._m_events.inc(updated, action="updated")
         self._m_attributes.inc(len(attribute_rows))
         self._m_batch_size.observe(len(events))
+        return {row[0]: row[-1] for row in event_rows}
 
     def has_event(self, uuid: str) -> bool:
         """Whether an event uuid is stored."""
@@ -645,9 +660,35 @@ class MispStore:
             rows = self._conn.execute(
                 f"SELECT uuid, timestamp, blob FROM events WHERE uuid IN"
                 f" ({_marks(chunk)})", chunk).fetchall()
+            result.update((uuid, (int(ts), blob_digest(blob)))
+                          for uuid, ts, blob in rows)
+        return result
+
+    def release_fields(self, uuids: Sequence[str]
+                       ) -> Dict[str, Optional[Tuple[int, int, str,
+                                                     Tuple[str, ...]]]]:
+        """``uuid -> (distribution, epoch timestamp, content digest, tag
+        names)`` without decoding.
+
+        What a release decision reads of an event, from its columns and
+        tag rows: the digest is :meth:`event_digests`' sha256 of the stored
+        blob, and the tag names come sorted.  Chunked ``SELECT`` statements
+        shaped like :meth:`event_digests`; ``payloads_deserialized`` does
+        not move.  The anti-entropy offer index is built from it.
+        """
+        result: Dict[str, Optional[Tuple[int, int, str, Tuple[str, ...]]]] = {
+            uuid: None for uuid in uuids}
+        for chunk in chunks(list(result), chunk_size()):
+            rows = self._conn.execute(
+                "SELECT uuid, distribution, timestamp, blob,"
+                " (SELECT json_group_array(name) FROM event_tags"
+                "  WHERE event_uuid = events.uuid)"
+                f" FROM events WHERE uuid IN ({_marks(chunk)})",
+                chunk).fetchall()
             result.update(
-                (uuid, (int(ts), hashlib.sha256(blob.encode()).hexdigest()))
-                for uuid, ts, blob in rows)
+                (uuid, (int(distribution), int(ts), blob_digest(blob),
+                        tuple(sorted(json.loads(names)))))
+                for uuid, distribution, ts, blob, names in rows)
         return result
 
     def events_with_tag(self, tag: str, uuids: Sequence[str]) -> Set[str]:

@@ -192,6 +192,9 @@ class SharingGateway:
         self.fault_injector = fault_injector
         self._realtime = realtime
         self.audit_log: List[SharingRecord] = []
+        #: (entity, event uuid) -> digest of the version that entity sent
+        #: this org; read and dropped by the next plan.
+        self._peer_held: Dict[Tuple[str, str], str] = {}
         #: Serializes every transport touch of the local instance and of
         #: shared remote endpoints (MISP peer stores are SQLite connections;
         #: safe across threads only when accesses never overlap).
@@ -251,6 +254,19 @@ class SharingGateway:
             if candidate.name == name:
                 return candidate
         raise SharingError(f"no such entity {name!r}")
+
+    def note_held(self, entity_name: str, event_uuid: str,
+                  digest: str) -> None:
+        """Note that a registered entity holds one version of an event.
+
+        A federation node calls this when it stores a version the entity
+        sent it; ``digest`` is that stored blob's.  While the event's
+        stored digest is still ``digest``, the next :meth:`plan_cycle`
+        plans it for the entity as a ``skipped`` item that needs no
+        transport.  A name that is not registered is ignored.
+        """
+        if any(entity.name == entity_name for entity in self._entities):
+            self._peer_held[(entity_name, event_uuid)] = digest
 
     # -- legacy one-event broadcast -------------------------------------------
 
@@ -394,7 +410,9 @@ class SharingGateway:
         upserts.  Each entity's candidates are the upserts whose last seq
         is above its own watermark, in ``(last seq, uuid)`` order; digest-
         unchanged candidates are dropped, the sharing policy is applied,
-        and each needed payload is rendered once through the returned
+        a version the entity sent this org (:meth:`note_held`) is skipped
+        without transport when the release gate would let it through, and
+        each needed payload is rendered once through the returned
         :class:`RenderCache`.  Digests are those of the stored blobs
         (:meth:`~repro.misp.MispStore.event_digests`), and the trace
         contexts of every planned share come from one batched lineage read.
@@ -419,6 +437,7 @@ class SharingGateway:
             known = store.get_sync_digests(entity.name, candidates)
             for uuid in candidates:
                 event = events[uuid]
+                held = self._peer_held.pop((entity.name, uuid), None)
                 if event is None:
                     continue
                 seq = batch.last_seqs[uuid]
@@ -429,9 +448,18 @@ class SharingGateway:
                 if self._policy is not None and \
                         not self._policy.allows(event, entity.name):
                     plan.items.append(PlannedShare(
-                        kind="refused", event=event, seq=seq, digest=digest,
+                        kind=OUTCOME_REFUSED, event=event, seq=seq,
+                        digest=digest,
                         detail=f"refused by TLP policy (marking: "
                                f"{self._policy.marking_of(event)})"))
+                    continue
+                if held == digest and \
+                        self._misp.release_gate(event, entity.name)[0]:
+                    # The entity sent this version: a copy would come back
+                    # refused as a duplicate.
+                    plan.items.append(PlannedShare(
+                        kind=OUTCOME_SKIPPED, event=event, seq=seq,
+                        digest=digest, detail="skipped (duplicate)"))
                     continue
                 item = PlannedShare(
                     kind="share", event=event, seq=seq, digest=digest,
@@ -534,19 +562,23 @@ class SharingGateway:
         entity = plan.entity
         breaker = self.breakers.breaker(entity.name)
         for item in plan.items:
-            if item.kind == "refused":
+            if item.kind != "share":
+                # Refused or skipped at plan time: the same record, ledger
+                # marker and count a transport answer would have produced.
                 outcome.records.append(SharingRecord(
                     entity=entity.name, transport=entity.transport,
                     event_uuid=item.event.uuid, payload_bytes=0, ok=False,
                     detail=item.detail))
                 outcome.digests[item.event.uuid] = terminal_digest(
-                    OUTCOME_REFUSED, item.digest)
-                outcome.count(OUTCOME_REFUSED)
+                    item.kind, item.digest)
+                outcome.count(item.kind)
                 if buffer is not None:
-                    buffer.emit("share", "share_result", level="warn",
+                    buffer.emit("share", "share_result",
+                                level="warn" if item.kind == OUTCOME_REFUSED
+                                else "info",
                                 entity=entity.name,
                                 event_uuid=item.event.uuid,
-                                outcome=OUTCOME_REFUSED)
+                                outcome=item.kind)
                 continue
             if not breaker.allow():
                 # Open breaker: leave the event pending (no record, no

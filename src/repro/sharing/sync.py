@@ -33,13 +33,13 @@ watermarks.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..misp import MispEvent, MispInstance, to_stix2_bundle
 from ..misp.export import canonical_json, to_misp_json
+from ..misp.store import blob_digest
 from ..obs import MetricsRegistry, NULL_REGISTRY
 
 #: Share outcome labels (the ``caop_share_outcomes_total`` counter values).
@@ -63,7 +63,7 @@ def event_digest(event: MispEvent) -> str:
     or construction order, and :meth:`~repro.misp.MispStore.event_digests`
     reads it without decoding.
     """
-    return hashlib.sha256(canonical_json(event).encode()).hexdigest()
+    return blob_digest(canonical_json(event))
 
 
 @dataclass
@@ -176,7 +176,9 @@ def digest_matches(ledger_entry: Optional[str], digest: str) -> bool:
 class PlannedShare:
     """One entity×event unit of a sync cycle, in candidate order."""
 
-    kind: str  # "share" (needs transport) | "refused" (policy, no transport)
+    #: "share" (needs transport), or an outcome decided at plan time with
+    #: no transport: "refused" (policy) or "skipped" (the entity holds it).
+    kind: str
     event: Any
     seq: int
     digest: str

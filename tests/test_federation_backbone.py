@@ -10,10 +10,11 @@ provenance lineage) equals the fault-free baseline's.
 Unit layers covered on the way there: topology routing, backbone delivery
 and accounting, the fault injector's ``link`` seam
 (``partition``/``heal``/``lossy``), the anti-entropy preference rule and
-repair protocol, the sightings feedback loop, the TLP trust boundary
-at the backbone edge, the receiver's refusal of malformed messages, and
-the wire document of a hop (the release copy, encoded once per event per
-cycle).
+repair protocol and the offer index, the sightings feedback loop, the TLP
+trust boundary at the backbone edge, the receiver's refusal of malformed
+messages, the wire document of a hop (the release copy, encoded once per
+event per cycle), and the echo a receiver no longer sends back to the org
+it got a version from.
 """
 
 import datetime as dt
@@ -28,7 +29,9 @@ from repro.errors import ConfigurationError, SharingError
 from repro.federation import (
     Federation,
     InMemoryBackbone,
+    KIND_DIGEST_OFFER,
     KIND_EVENT,
+    KIND_SIGHTING,
     SimulatedNetworkBackbone,
     Topology,
     build_offer,
@@ -39,19 +42,27 @@ from repro.federation import (
     prefers_incoming,
     store_state,
 )
+from repro.federation.antientropy import OfferEntry
 from repro.misp import (
     Distribution,
     MispAttribute,
     MispEvent,
     MispInstance,
     MispObject,
+    MispTag,
     SharingGroup,
 )
 from repro.misp.export import from_misp_json, to_misp_json
 from repro.misp.store import VAR_BUDGET
 from repro.obs import MetricsRegistry
 from repro.resilience import FaultInjector, FaultPlan, FaultRule, link_key
-from repro.sharing import SharingPolicy, Tlp, event_digest, mark_tlp
+from repro.sharing import (
+    SharingGateway,
+    SharingPolicy,
+    Tlp,
+    event_digest,
+    mark_tlp,
+)
 
 
 def make_intel(index, ts, distribution=Distribution.ALL_COMMUNITIES):
@@ -313,13 +324,36 @@ class TestAntiEntropy:
                                      "ts": int(copy.timestamp.timestamp())}
             return offer
 
-        def check():
+        def reference_entries():
+            # The index entry of every stored event, from a full decode.
+            entries = {}
+            for event in node.misp.store.list_events():
+                names = sorted({tag.name for tag in event.tags})
+                entries[event.uuid] = OfferEntry(
+                    event.distribution,
+                    event.sharing_group_id
+                    if event.distribution == Distribution.SHARING_GROUP
+                    else None,
+                    tuple(MispTag(name) for name in names),
+                    int(event.timestamp.timestamp()),
+                    event_digest(MispInstance.wire_form(event)),
+                    event_digest(event))
+            return entries
+
+        store = node.misp.store
+
+        def check(decodes):
+            before = store.payloads_deserialized
             built = {dst: build_offer(node, dst) for dst in ("right", "third")}
+            # Only connected-communities and sharing-group events that
+            # changed are decoded.
+            assert store.payloads_deserialized - before == decodes
+            assert node.offer_index.entries == reference_entries()
             assert built == {dst: reference_offer(dst)
                              for dst in ("right", "third")}
             return built
 
-        first = check()
+        first = check(decodes=5)
         # Connected communities reach a hop further only downgraded.
         assert first["right"][events[0].uuid]["digest"] != \
             event_digest(events[0])
@@ -328,12 +362,12 @@ class TestAntiEntropy:
         updated.timestamp = PAPER_NOW + dt.timedelta(minutes=5)
         node.misp.add_event(updated)
         node.misp.store.delete_event(events[0].uuid)
-        check()
+        check(decodes=0)
         # Gate inputs that live outside the store change after the index
         # is built; the next offer sees them.
         node.policy.set_clearance("right", Tlp.AMBER)
         node.misp.sharing_groups[learned.uuid] = learned
-        last = check()
+        last = check(decodes=0)
         assert set(first["right"]) - set(last["right"]) == {events[0].uuid}
         assert set(last["right"]) - set(first["right"]) == {
             events[index].uuid for index in (1, 3, 5, 8, 9)}
@@ -392,21 +426,77 @@ class TestAntiEntropy:
 
     def test_offer_is_probed_in_chunked_batches(self):
         federation = self.build_pair()
-        store = federation.node("right").misp.store
-        older, newer = make_intel(0, PAPER_NOW), make_intel(1, PAPER_NOW)
-        store.save_events([older, newer])
+        receiver = federation.node("right")
+        store = receiver.misp.store
+        held = [make_intel(index, PAPER_NOW) for index in range(1000)]
+        store.save_events(held)
+        older = held[0]
         later = int(PAPER_NOW.timestamp()) + 60
-        offer = {make_intel(i, PAPER_NOW).uuid: {"digest": "d", "ts": later}
-                 for i in range(1, 1000)}
+        offer = {make_intel(index, PAPER_NOW).uuid: {"digest": "d",
+                                                     "ts": later}
+                 for index in range(1, 1001)}
         offer[older.uuid] = {"digest": "d", "ts": 0}
-        before = store.sql_statements
-        response = handle_offer(federation.node("right"), "left",
-                                {"offer": offer})
-        assert store.sql_statements - before <= \
-            math.ceil(len(offer) / VAR_BUDGET)
-        # Unknown uuids and the newer offered copy are wanted; the held
-        # copy that is newer than the offer is not.
+        # The first answer brings the receiver's index current: one feed
+        # read, then its columns in chunked reads, and no decode.
+        before = store.sql_statements, store.payloads_deserialized
+        first = handle_offer(receiver, "left", {"offer": offer})
+        assert (store.sql_statements - before[0],
+                store.payloads_deserialized - before[1]) == \
+            (1 + math.ceil(len(held) / VAR_BUDGET), 0)
+        # Once it is current, a 1,000-uuid offer costs the feed read alone.
+        before = store.sql_statements, store.payloads_deserialized
+        response = handle_offer(receiver, "left", {"offer": offer})
+        assert (store.sql_statements - before[0],
+                store.payloads_deserialized - before[1]) == (1, 0)
+        assert response == first
+        # The unknown uuid and the newer offered copies are wanted; the
+        # held copy that is newer than the offer is not.
         assert response["want"] == sorted(set(offer) - {older.uuid})
+
+    def test_offer_answer_matches_a_probe_of_the_stored_blobs(self):
+        federation = self.build_pair()
+        receiver = federation.node("right")
+        store = receiver.misp.store
+        group = receiver.misp.create_sharing_group("pair", ["left", "right"])
+        held = [make_intel(index, PAPER_NOW) for index in range(5)]
+        held[1].distribution = Distribution.CONNECTED_COMMUNITIES
+        held[2].distribution = Distribution.SHARING_GROUP
+        held[2].sharing_group_id = group.uuid
+        held[3].timestamp = PAPER_NOW + dt.timedelta(minutes=1)
+        receiver.misp.add_events(held)
+        unknown = make_intel(9, PAPER_NOW).uuid
+        uuids = [event.uuid for event in held] + [unknown]
+
+        def offers():
+            # Each held copy offered equal, older and newer, and on each
+            # side of its digest at a timestamp tie.
+            stamps = store.event_digests(uuids)
+            base = int(PAPER_NOW.timestamp())
+            for shift in (-60, 0, 60):
+                for digest in (None, "0" * 64, "f" * 64):
+                    yield {uuid: {
+                        "ts": (stamp[0] if stamp else base) + shift,
+                        "digest": digest or (stamp[1] if stamp else "d")}
+                        for uuid, stamp in stamps.items()}
+
+        def check():
+            for offer in offers():
+                stamps = store.event_digests(sorted(offer))
+                expected = [uuid for uuid, stamp in stamps.items()
+                            if stamp is None or prefers_incoming(
+                                offer[uuid]["ts"], offer[uuid]["digest"],
+                                *stamp)]
+                assert handle_offer(receiver, "left",
+                                    {"offer": offer}) == {"want": expected}
+
+        check()
+        # A copy changed and a copy deleted after the index was refreshed.
+        changed = MispEvent.from_dict(held[0].to_dict())
+        changed.info = "intel 0, revised"
+        changed.timestamp = PAPER_NOW + dt.timedelta(minutes=5)
+        receiver.misp.add_event(changed)
+        store.delete_event(held[4].uuid)
+        check()
 
 
 #: A valid TLP:GREEN event document.
@@ -477,6 +567,90 @@ class TestInboundEvents:
         assert receiver.misp.store.provenance_count() == 0
         assert receiver.misp.sharing_groups == {}
         assert receiver.origins == {}
+
+
+#: A routed sighting record of ``make_intel(0)``'s indicator, origin left.
+SIGHTING = {"eioc_uuid": make_intel(0, PAPER_NOW).uuid,
+            "value": "203.0.113.1", "node": "edge-fw",
+            "observed_at": int(PAPER_NOW.timestamp()) + 60, "origin": "left"}
+
+
+class TestHostileMessages:
+    """Offers and sightings a peer cannot use are refused, never raised."""
+
+    HELD = make_intel(0, PAPER_NOW).uuid
+
+    @pytest.mark.parametrize("kind", [KIND_EVENT, KIND_SIGHTING,
+                                      KIND_DIGEST_OFFER])
+    def test_a_message_that_is_not_a_mapping_is_refused(self, kind):
+        federation = Federation(mesh(["left", "right"]),
+                                clock=SimulatedClock(PAPER_NOW))
+        assert federation.backbone.transmit("left", "right", kind, 5) == \
+            {"accepted": False, "reason": "malformed message"}
+
+    @pytest.mark.parametrize("payload", [
+        pytest.param({"offer": 5}, id="offer-int"),
+        pytest.param({"offer": [1, 2]}, id="offer-list"),
+        pytest.param({}, id="no-offer"),
+        pytest.param({"offer": {HELD: 5}}, id="entry-int"),
+        pytest.param({"offer": {HELD: {"ts": "x", "digest": "d"}}},
+                     id="ts-text"),
+        pytest.param({"offer": {HELD: {"digest": "d"}}}, id="no-ts"),
+        pytest.param({"offer": {HELD: {"ts": 0}}}, id="no-digest"),
+    ])
+    def test_malformed_offer_is_refused_before_any_read(self, payload):
+        federation = Federation(mesh(["left", "right"]),
+                                clock=SimulatedClock(PAPER_NOW))
+        store = federation.node("right").misp.store
+        store.save_event(make_intel(0, PAPER_NOW))
+        before = store.sql_statements
+        reply = federation.backbone.transmit(
+            "left", "right", KIND_DIGEST_OFFER, payload)
+        assert reply == {"accepted": False, "reason": "malformed message"}
+        assert store.sql_statements == before
+
+    @pytest.mark.parametrize("record", [
+        pytest.param({}, id="empty"),
+        pytest.param({**SIGHTING, "origin": 5}, id="origin-int"),
+        pytest.param({**SIGHTING, "origin": "ghost"}, id="origin-unknown"),
+        pytest.param({**SIGHTING, "eioc_uuid": None}, id="no-eioc"),
+        pytest.param({**SIGHTING, "value": ""}, id="value-empty"),
+        pytest.param({**SIGHTING, "value": "a\ud800.example"},
+                     id="value-lone-surrogate"),
+        pytest.param({**SIGHTING, "node": 5}, id="node-int"),
+        pytest.param({**SIGHTING, "observed_at": "x"}, id="observed-at-text"),
+        pytest.param({**SIGHTING, "observed_at": 10 ** 20},
+                     id="observed-at-out-of-range"),
+    ])
+    def test_malformed_sighting_is_refused_not_queued(self, record):
+        federation = Federation(mesh(["left", "right"]),
+                                clock=SimulatedClock(PAPER_NOW))
+        seed(federation, "left", 0, 1, PAPER_NOW)
+        reply = federation.backbone.transmit(
+            "left", "right", KIND_SIGHTING, record)
+        assert reply == {"accepted": False, "reason": "malformed message"}
+        assert federation.node("right").pending_sightings == []
+        federation.run(2)
+        assert federation.node("left").rescores == []
+
+    def test_sighting_of_an_unknown_eioc_is_refused_and_dropped(self):
+        federation = Federation(hub_and_spoke("hub", ["s1", "s2"]),
+                                clock=SimulatedClock(PAPER_NOW))
+        record = {**SIGHTING, "origin": "s1"}
+        # The origin refuses it ...
+        assert federation.backbone.transmit(
+            "hub", "s1", KIND_SIGHTING, record) == \
+            {"accepted": False, "reason": "unknown eioc"}
+        # ... and a hop that queued it drops it instead of raising.
+        s2 = federation.node("s2")
+        s2.origins[record["eioc_uuid"]] = "s1"
+        s2.observe(record["eioc_uuid"], record["value"], record["node"],
+                   observed_at=PAPER_NOW + dt.timedelta(seconds=60))
+        assert federation.node("hub").pending_sightings
+        federation.run(2)
+        assert all(node.pending_sightings == []
+                   for node in federation.nodes.values())
+        assert federation.node("s1").misp.store.event_count() == 0
 
 
 def shaped_events(group):
@@ -573,10 +747,155 @@ class TestWireDocument:
         assert federation.node(names[0]).gateway.sync_cycle().shared == 1
         encodes = wire_encodes(monkeypatch)
         report = federation.node("hub").gateway.sync_cycle()
-        # The origin spoke already holds it and refuses the copy.
+        # The origin spoke already holds it: its copy is skipped without
+        # being rendered, so only the other spokes look the payload up.
         assert (report.shared, report.skipped) == (spokes - 1, 1)
         assert encodes == [make_intel(0, PAPER_NOW).uuid]
-        assert (report.renders, report.render_hits) == (1, spokes - 1)
+        assert (report.renders, report.render_hits) == (1, spokes - 2)
+
+
+def spy_event_messages(federation):
+    """Record ``(src, dst, uuid, wire digest, response)`` per event message."""
+    sent = []
+    transmit = federation.backbone.transmit
+
+    def recording(src, dst, kind, payload):
+        response = transmit(src, dst, kind, payload)
+        if kind == KIND_EVENT:
+            event = from_misp_json(payload["document"])
+            sent.append((src, dst, event.uuid, event_digest(event),
+                         response))
+        return response
+
+    federation.backbone.transmit = recording
+    return sent
+
+
+def drive_echo_scenario(topology):
+    """Events at two orgs, a later version of one, rounds until quiet.
+
+    Returns every round's share counts, ledger rows and watermarks per
+    org, the event messages sent, and the federation.
+    """
+    federation = Federation(topology, clock=SimulatedClock(PAPER_NOW))
+    orgs = topology.orgs
+    sent = spy_event_messages(federation)
+    seed(federation, orgs[1], 0, 2, PAPER_NOW)
+    seed(federation, orgs[-1], 2, 1, PAPER_NOW)
+    rounds = [federation.run_round()]
+    revised = make_intel(0, PAPER_NOW + dt.timedelta(minutes=5))
+    revised.info = "intel 0, revised"
+    federation.node(orgs[1]).misp.add_event(revised)
+    rounds += federation.run(3)
+    states = []
+    for reports in rounds:
+        counts = [{key: value for key, value in report.to_dict().items()
+                   if key not in ("renders", "render_hits")}
+                  for report in reports]
+        states.append(counts)
+    ledgers = {org: (federation.node(org).misp.store.sync_digest_rows(),
+                     federation.node(org).misp.store.sync_watermarks())
+               for org in orgs}
+    return states, ledgers, sent, federation
+
+
+TOPOLOGIES = [
+    pytest.param(hub_and_spoke("hub", ["spoke-0", "spoke-1"]), id="hub-2"),
+    pytest.param(hub_and_spoke("hub", [f"spoke-{i}" for i in range(8)]),
+                 id="hub-8"),
+    pytest.param(mesh(["a", "b", "c"]), id="mesh-3"),
+]
+
+
+class TestEcho:
+    """A receiver sends no copy back to the org it got a version from."""
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_no_copy_goes_back_to_its_sender(self, topology, monkeypatch):
+        states, ledgers, sent, federation = drive_echo_scenario(topology)
+        accepted = [(src, dst, uuid, digest)
+                    for src, dst, uuid, digest, response in sent
+                    if response.get("accepted")]
+        assert accepted
+        echoes = {(dst, src, uuid, digest)
+                  for src, dst, uuid, digest in accepted}
+        assert not [message for message in sent
+                    if message[:4] in echoes]
+        # While a receiver still stores the version it accepted, its
+        # ledger row for the sender is the skip marker of that digest.
+        checked = 0
+        for src, dst, uuid, digest in accepted:
+            store = federation.node(dst).misp.store
+            if store.event_digests([uuid])[uuid][1] == digest:
+                assert store.get_sync_digests(src, [uuid]) == \
+                    {uuid: f"skipped:{digest}"}
+                checked += 1
+        assert checked >= len(topology.orgs) - 1
+        # Every round's share counts, ledger rows and watermarks equal the
+        # ones a round that sends the copy, refused as a duplicate, writes.
+        monkeypatch.setattr(SharingGateway, "note_held",
+                            lambda *args: None)
+        base_states, base_ledgers, base_sent, base = \
+            drive_echo_scenario(topology)
+        assert states == base_states
+        assert ledgers == base_ledgers
+        assert federation.fingerprints() == base.fingerprints()
+        removed = [message for message in base_sent
+                   if message[:4] in echoes]
+        assert removed and all(
+            message[4] == {"accepted": False, "reason": "duplicate"}
+            for message in removed)
+        assert len(sent) == len(base_sent) - len(removed)
+        if topology.orgs[0] == "hub":
+            assert all(message[4].get("accepted") for message in sent)
+
+    def test_a_version_changed_after_receipt_is_still_sent(self):
+        federation = Federation(hub_and_spoke("hub", ["s1", "s2"]),
+                                clock=SimulatedClock(PAPER_NOW))
+        sent = spy_event_messages(federation)
+        seed(federation, "s1", 0, 1, PAPER_NOW)
+        federation.node("s1").gateway.sync_cycle()
+        hub = federation.node("hub")
+        revised = make_intel(0, PAPER_NOW + dt.timedelta(minutes=5))
+        revised.info = "intel 0, revised at the hub"
+        hub.misp.add_event(revised)
+        report = hub.gateway.sync_cycle()
+        assert (report.shared, report.skipped) == (2, 0)
+        assert [(src, dst, response) for src, dst, _uuid, _digest, response
+                in sent if src == "hub"] == \
+            [("hub", "s1", {"accepted": True}),
+             ("hub", "s2", {"accepted": True})]
+        assert federation.node("s1").misp.store.get_event(
+            revised.uuid).info == revised.info
+
+    def test_a_version_refused_by_tlp_still_records_refused(self):
+        # s1 may send amber to the hub; the hub clears s1 for green only.
+        policy = SharingPolicy()
+        policy.set_clearance("hub", Tlp.AMBER)
+        federation = Federation(hub_and_spoke("hub", ["s1", "s2"]),
+                                clock=SimulatedClock(PAPER_NOW),
+                                node_options={"s1": {"policy": policy}})
+        amber = make_intel(0, PAPER_NOW)
+        mark_tlp(amber, "amber")
+        federation.node("s1").misp.add_event(amber)
+        assert federation.node("s1").gateway.sync_cycle().shared == 1
+        hub = federation.node("hub")
+        report = hub.gateway.sync_cycle()
+        assert (report.refused, report.skipped) == (2, 0)
+        stored = hub.misp.store.event_digests([amber.uuid])[amber.uuid][1]
+        assert hub.misp.store.get_sync_digests("s1", [amber.uuid]) == \
+            {amber.uuid: f"refused:{stored}"}
+
+    def test_a_receiver_with_no_link_back_keeps_no_note(self):
+        federation = Federation(chain(["a", "b", "c"]),
+                                clock=SimulatedClock(PAPER_NOW))
+        seed(federation, "a", 0, 1, PAPER_NOW)
+        federation.node("a").gateway.sync_cycle()
+        assert federation.node("b").misp.store.event_count() == 1
+        assert federation.node("b").gateway._peer_held == {}
+        federation.node("b").gateway.sync_cycle()
+        assert federation.node("c").gateway._peer_held == {}
+        assert federation.node("c").misp.store.event_count() == 1
 
 
 class TestSightingsLoop:

@@ -285,8 +285,12 @@ class TestBatchedCorrelation:
     def test_receive_events_batched(self):
         misp = MispInstance()
         events = make_events(3, values_per_event=2, value_pool=2)
-        misp.receive_events(events)
+        digests = misp.receive_events(events)
         assert misp.store.event_count() == 3
+        # The digest of each stored blob, without decoding or re-encoding.
+        assert digests == {uuid: stamp[1] for uuid, stamp in
+                           misp.store.event_digests(digests).items()}
+        assert list(digests) == [event.uuid for event in events]
         assert misp.sync_stats.pulled_events == 3
         # No zmq publish on the peer-facing path.
         assert misp.zmq.sent == 0

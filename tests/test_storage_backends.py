@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.core.deltas import collapse_changes
 from repro.errors import StorageError
 from repro.misp import MispAttribute, MispEvent, MispStore
+from repro.misp.export import canonical_json
 from repro.misp.store import (
     MAX_BOUND_VARS,
     VAR_BUDGET,
@@ -151,6 +152,30 @@ class TestConformanceCrud:
             "ghost": None}
         assert store.sql_statements - statements == 1
         assert store.payloads_deserialized == decoded
+
+    def test_release_fields_read_columns_and_tag_rows(self, store):
+        tagged = make_event(info="tagged")
+        for name in ("tlp:green", "caop:enriched", 'a:b="é\\n"'):
+            tagged.add_tag(name)
+        tagged.distribution = 2
+        plain = make_event(info="plain")
+        # A uuid saved twice in one batch keeps its last blob.
+        first = make_event(info="first")
+        plain.uuid = first.uuid
+        blobs = store.save_events([first, tagged, plain])
+        assert blobs == {event.uuid: canonical_json(event)
+                         for event in (tagged, plain)}
+        statements, decoded = store.sql_statements, store.payloads_deserialized
+        fields = store.release_fields([plain.uuid, "ghost", tagged.uuid])
+        assert store.sql_statements - statements == 1
+        assert store.payloads_deserialized == decoded
+        assert list(fields) == [plain.uuid, "ghost", tagged.uuid]
+        assert fields == {
+            plain.uuid: (plain.distribution, int(TS.timestamp()),
+                         event_digest(plain), ()),
+            "ghost": None,
+            tagged.uuid: (2, int(TS.timestamp()), event_digest(tagged),
+                          ('a:b="é\\n"', "caop:enriched", "tlp:green"))}
 
     def test_replace_semantics(self, store):
         event = make_event()
@@ -360,6 +385,13 @@ class TestChunkBudget:
         assert all(stamps[e.uuid] == (int(TS.timestamp()),
                                       event_digest(fetched[e.uuid]))
                    for e in corpus)
+        statements = store.sql_statements
+        fields = store.release_fields(uuids)
+        assert store.sql_statements - statements == \
+            math.ceil(len(uuids) / chunk_size())
+        assert store.payloads_deserialized == decoded
+        assert {uuid: row[1:3] if row else None
+                for uuid, row in fields.items()} == stamps
         assert store.events_with_tag("tlp:green", uuids) == set()
         batched = store.correlations_for_events(uuids)
         assert len(batched) == 1101
