@@ -2,8 +2,11 @@
 
 §III-C2 positions MISP JSON for MISP-to-MISP exchange and STIX 2.0 for
 everyone else.  This bench shares the same eIoC batch over all three
-transports and compares payload sizes and throughput.
+transports in one gateway sync cycle and compares payload sizes and
+throughput.
 """
+
+import itertools
 
 import pytest
 
@@ -15,31 +18,34 @@ from conftest import print_table
 
 
 def build():
+    """The platform's first 50 eIoCs, held alone by an instance of its org,
+    so that one sync cycle shares exactly that batch."""
     platform = ContextAwareOSINTPlatform.build_default(
         PlatformConfig(seed=51, feed_entries=60))
     platform.run_cycle()
     eiocs = [e for e in platform.misp.store.list_events() if is_eioc(e)][:50]
-    return platform, eiocs
+    source = MispInstance(org=platform.misp.org)
+    source.add_events(eiocs, publish_feed=False)
+    return source, eiocs
 
 
-def share_all(platform, eiocs):
+def share_all(source):
     peer = MispInstance(org="Peer")
     taxii = TaxiiServer()
     taxii.create_collection("indicators", "ind")
-    gateway = SharingGateway(platform.misp)
+    gateway = SharingGateway(source)
     gateway.register(ExternalEntity(name="misp", transport="misp",
                                     misp_instance=peer))
     gateway.register(ExternalEntity(name="taxii", transport="taxii",
                                     taxii_server=taxii))
     gateway.register(ExternalEntity(name="stix", transport="stix-download"))
-    for event in eiocs:
-        gateway.share_event(event.uuid)
+    gateway.sync_cycle()
     return gateway, peer, taxii
 
 
 def test_x6_transport_comparison():
-    platform, eiocs = build()
-    gateway, peer, taxii = share_all(platform, eiocs)
+    source, eiocs = build()
+    gateway, peer, taxii = share_all(source)
     per_transport = {}
     for record in gateway.audit_log:
         bucket = per_transport.setdefault(
@@ -64,31 +70,34 @@ def test_x6_transport_comparison():
 
 def test_x6_peer_received_scores():
     from repro.core import threat_score_of
-    platform, eiocs = build()
-    _gateway, peer, _taxii = share_all(platform, eiocs)
+    source, eiocs = build()
+    _gateway, peer, _taxii = share_all(source)
     sample = peer.store.get_event(eiocs[0].uuid)
     assert threat_score_of(sample) is not None
 
 
 def test_bench_x6_misp_sync(benchmark):
-    platform, eiocs = build()
+    source, eiocs = build()
+    names = itertools.count()
 
     def sync_batch():
-        peer = MispInstance(org="Peer")
-        pushed = 0
-        for event in eiocs:
-            pushed += int(platform.misp.push_event(event, peer))
-        return pushed
+        # A fresh peer under a new entity name starts at watermark 0, so
+        # every round shares the whole batch.
+        gateway = SharingGateway(source)
+        gateway.register(ExternalEntity(
+            name=f"peer-{next(names)}", transport="misp",
+            misp_instance=MispInstance(org="Peer")))
+        return gateway.sync_cycle().shared
 
-    pushed = benchmark(sync_batch)
-    assert pushed == len(eiocs)
+    shared = benchmark(sync_batch)
+    assert shared == len(eiocs)
 
 
 def test_bench_x6_stix_export(benchmark):
-    platform, eiocs = build()
+    source, eiocs = build()
 
     def export_batch():
-        return [platform.misp.export_event(e.uuid, "stix2") for e in eiocs]
+        return [source.export_event(e.uuid, "stix2") for e in eiocs]
 
     bundles = benchmark(export_batch)
     assert len(bundles) == len(eiocs)

@@ -4,9 +4,11 @@
 Demonstrates the Output Module's external-entity paths (§III-C2, §IV-A):
 
 1. the platform collects and enriches OSINT into eIoCs;
-2. eIoCs are shared with a partner MISP instance (MISP JSON sync with
-   distribution-level downgrade), a CERT's TAXII collection (STIX 2.0
-   bundles) and a legacy consumer (STIX 2.0 download);
+2. one sync cycle of the sharing gateway shares the eIoCs with a partner
+   MISP instance (MISP JSON sync with distribution-level downgrade), a
+   CERT's TAXII collection (STIX 2.0 bundles) and a legacy consumer
+   (STIX 2.0 download), while its TLP policy keeps red internal
+   telemetry home;
 3. a SIEM consumes the eIoCs as correlation rules and replays labelled
    telemetry, reporting detection / false-positive rates (§VI).
 
@@ -22,6 +24,7 @@ from repro.misp import Distribution, MispInstance
 from repro.sharing import (
     ExternalEntity,
     SharingGateway,
+    SharingPolicy,
     SiemConnector,
     TaxiiClient,
     TaxiiServer,
@@ -42,18 +45,15 @@ def main() -> None:
     taxii = TaxiiServer(title="National CERT TAXII")
     taxii.create_collection("indicators", "Shared indicators")
 
-    gateway = SharingGateway(platform.misp)
+    gateway = SharingGateway(platform.misp, policy=SharingPolicy())
     gateway.register(ExternalEntity(name="partner-misp", transport="misp",
                                     misp_instance=partner))
     gateway.register(ExternalEntity(name="cert-taxii", transport="taxii",
                                     taxii_server=taxii))
     gateway.register(ExternalEntity(name="legacy-siem", transport="stix-download"))
 
-    shared = 0
-    for event in eiocs:
-        # Events default to connected-communities: shareable one hop.
-        records = gateway.share_event(event.uuid)
-        shared += sum(1 for r in records if r.ok)
+    # Events default to connected-communities: shareable one hop.
+    gateway.sync_cycle()
     stats = gateway.stats()
     print(f"shared {stats['shared']} deliveries "
           f"({stats['bytes'] / 1024:.1f} KiB total payload), "

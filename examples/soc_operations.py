@@ -72,10 +72,9 @@ def main() -> None:
     gateway.register(ExternalEntity(name="partner", transport="misp",
                                     misp_instance=partner))
     shared = refused = 0
-    for event in platform.misp.store.list_events():
-        for record in gateway.share_event(event.uuid):
-            shared += int(record.ok)
-            refused += int(not record.ok and "TLP" in record.detail)
+    for record in gateway.sync_cycle().records:
+        shared += int(record.ok)
+        refused += int(not record.ok and "TLP" in record.detail)
     print("\nTLP-governed sharing")
     print(f"  shared with partner: {shared} events (green OSINT)")
     print(f"  refused by policy:   {refused} (red internal telemetry)")

@@ -23,6 +23,7 @@ topologies over N organisations, Threatbus-style:
 See ``docs/FEDERATION.md`` for the protocol and guarantees.
 """
 
+from ..misp.instance import prefers_incoming
 from .antientropy import build_offer, handle_offer, reconcile
 from .backbone import (
     Backbone,
@@ -34,7 +35,7 @@ from .backbone import (
     SimulatedNetworkBackbone,
 )
 from .fingerprint import event_blob, store_fingerprint, store_state
-from .node import Federation, FederationNode, prefers_incoming
+from .node import Federation, FederationNode
 from .topology import Topology, chain, hub_and_spoke, mesh
 
 __all__ = [

@@ -45,10 +45,11 @@ previous one, and the receiver answers an offer from its own index.
   and answers each offered entry from it: the held copy's timestamp and
   stored blob digest, the same pair
   :meth:`~repro.misp.MispStore.event_digests` reads.
-- The sender fetches the wanted events and their trace contexts in
-  batched reads, and writes its ledger rows and lineage rows once per
-  link pass — also when the link fails mid-pass, so the ledger records
-  exactly the repairs the receiver accepted.
+- The sender keeps the wanted uuids it offered, each once, and ignores
+  the rest of the answer.  It fetches those events and their trace
+  contexts in batched reads, and writes its ledger rows and lineage rows
+  once per link pass — also when the link fails mid-pass, so the ledger
+  records exactly the repairs the receiver accepted.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ from ..misp import (
     SharingGroup,
 )
 from ..misp.export import to_misp_json
+from ..misp.instance import prefers_incoming
 from ..obs import share_contexts
 from ..sharing.sync import event_digest
 from ..sharing.policy import Tlp
@@ -151,7 +153,7 @@ class OfferIndex:
                 event.sharing_group_id
                 if distribution == Distribution.SHARING_GROUP else None,
                 tags, ts,
-                event_digest(MispInstance.release_copy(event))
+                event_digest(MispInstance.wire_form(event))
                 if distribution == Distribution.CONNECTED_COMMUNITIES
                 else blob_digest,
                 blob_digest)
@@ -212,8 +214,6 @@ def handle_offer(node: "FederationNode", src: str,
     Answered from the receiver's own :class:`OfferIndex`.  An offer that
     is not a map of digest entries is refused before anything is read.
     """
-    from .node import prefers_incoming
-
     offer = payload.get("offer")
     if not _is_offer(offer):
         return {"accepted": False, "reason": "malformed message"}
@@ -229,6 +229,20 @@ def handle_offer(node: "FederationNode", src: str,
     return {"want": want}
 
 
+def _wanted(response: Any, offer: Dict[str, Any]) -> List[str]:
+    """The offered uuids a receiver's answer asks for, each once, in order.
+
+    The answer is the peer's, so it is not trusted: one that is not a
+    mapping, or whose ``want`` is not a list, wants nothing, and an entry
+    that is not a string or was not in this pass's offer is dropped.
+    """
+    want = response.get("want") if isinstance(response, dict) else None
+    if not isinstance(want, list):
+        return []
+    return list(dict.fromkeys(
+        uuid for uuid in want if isinstance(uuid, str) and uuid in offer))
+
+
 def reconcile(node: "FederationNode", dst: str) -> Dict[str, int]:
     """One full anti-entropy exchange over the ``node`` → ``dst`` link.
 
@@ -240,7 +254,7 @@ def reconcile(node: "FederationNode", dst: str) -> Dict[str, int]:
     offer = build_offer(node, dst)
     response = node.backbone.transmit(
         node.name, dst, KIND_DIGEST_OFFER, {"offer": offer})
-    wanted = list(response.get("want", ()))
+    wanted = _wanted(response, offer)
     store = node.misp.store
     events = store.get_events(wanted)
     traces = (share_contexts(store, wanted, node.name)

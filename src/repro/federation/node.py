@@ -26,21 +26,20 @@ fingerprints) onto the fault-free baseline.
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..clock import Clock, PAPER_NOW, SimulatedClock
 from ..core.enrich import HeuristicComponent
 from ..core.sightings import RescoreOutcome, SightingProcessor
-from ..errors import ParseError, SharingError, ValidationError
+from ..errors import SharingError, ValidationError
 from ..infra import paper_inventory
-from ..misp import MispInstance
-from ..misp.export import canonical_json, from_misp_json
-from ..misp.sharing_groups import SharingGroup
+from ..misp import MispEvent, MispInstance
+from ..misp.export import canonical_json
 from ..obs import MetricsRegistry, ProvenanceRecorder
 from ..resilience import CircuitBreakerBoard, DeadLetterQueue, RetryPolicy
 from ..resilience.retry import sleeper_for
 from ..sharing import ExternalEntity, SharingGateway, SharingPolicy, Tlp
-from ..sharing.sync import ShareCycleReport, event_digest
+from ..sharing.sync import ShareCycleReport
 from .antientropy import OfferIndex, handle_offer, reconcile
 from .backbone import Backbone, InMemoryBackbone, KIND_EVENT, KIND_SIGHTING
 from .fingerprint import event_blob, store_fingerprint
@@ -49,36 +48,6 @@ from .topology import Topology
 
 def _epoch(stamp: Optional[_dt.datetime]) -> int:
     return int(stamp.timestamp()) if stamp is not None else 0
-
-
-def _strings(value: Any) -> bool:
-    return isinstance(value, list) and all(isinstance(item, str)
-                                           for item in value)
-
-
-def _side_fields(payload: Dict[str, Any]
-                 ) -> Tuple[Optional[SharingGroup], Optional[Dict[str, Any]]]:
-    """The sharing group and trace context beside an event's document.
-
-    Both are optional.  Raises :class:`ValidationError` unless a group is a
-    definition (``uuid`` and ``name`` strings, an ``organisations`` list of
-    strings, a name and at least one organisation) and a trace is a
-    ``{"trace_id": str, "path": [str, ...]}`` mapping, each key optional.
-    """
-    raw_group, trace = payload.get("sharing_group"), payload.get("trace")
-    if trace is not None and not (
-            isinstance(trace, dict)
-            and isinstance(trace.get("trace_id", ""), str)
-            and _strings(trace.get("path", []))):
-        raise ValidationError("trace is not a trace context")
-    if raw_group is None:
-        return None, trace
-    if not (isinstance(raw_group, dict)
-            and isinstance(raw_group.get("uuid"), str)
-            and isinstance(raw_group.get("name"), str)
-            and _strings(raw_group.get("organisations"))):
-        raise ValidationError("sharing_group is not a group definition")
-    return SharingGroup.from_dict(raw_group), trace
 
 
 def _text(value: Any) -> bool:
@@ -116,21 +85,6 @@ def _sighting_record(payload: Dict[str, Any],
 def _observed_at(record: Dict[str, Any]) -> _dt.datetime:
     return _dt.datetime.fromtimestamp(record["observed_at"],
                                       tz=_dt.timezone.utc)
-
-
-def prefers_incoming(incoming_ts: int, incoming_digest: str,
-                     held_ts: int, held_digest: str) -> bool:
-    """Anti-entropy resolution: should the held copy be replaced?
-
-    Newer timestamp wins; on a timestamp tie with *different* content the
-    lexicographically larger digest wins — an arbitrary but symmetric
-    rule, so two divergent replicas always agree on the same survivor.
-    """
-    if incoming_digest == held_digest:
-        return False
-    if incoming_ts != held_ts:
-        return incoming_ts > held_ts
-    return incoming_digest > held_digest
 
 
 class FederationNode:
@@ -206,45 +160,29 @@ class FederationNode:
             return handle_offer(self, src, payload)
         raise SharingError(f"unknown backbone message kind {kind!r}")
 
-    def _handle_event(self, src: str,
-                      payload: Dict[str, Any]) -> Dict[str, Any]:
-        # The whole message is checked before anything is written.  A
-        # message this org cannot decode or store is refused like a policy
-        # refusal, so the sender records it and moves on.
-        try:
-            event = from_misp_json(payload.get("document"))
-        except ParseError:
-            return {"accepted": False, "reason": "malformed document"}
-        try:
-            group, trace = _side_fields(payload)
-        except ValidationError:
-            return {"accepted": False, "reason": "malformed message"}
-        if group is not None:
-            self.misp.sharing_groups.setdefault(group.uuid, group)
-        # Inbound trust boundary: refuse markings more restrictive than
-        # this org's acceptance ceiling (unmarked events fall back to the
-        # policy's default marking — never treated as unrestricted).
+    def _admit(self, event: MispEvent) -> Optional[str]:
+        """Inbound trust boundary: refuse markings more restrictive than
+        this org's acceptance ceiling (unmarked events fall back to the
+        policy's default marking — never treated as unrestricted)."""
         marking = self.policy.marking_of(event)
         if not Tlp.at_most(marking, self.accept_ceiling):
-            return {"accepted": False, "reason": f"tlp:{marking} refused"}
-        # The held copy's timestamp and digest come from its stored row,
-        # so it is never decoded.
-        held = self.misp.store.event_digests([event.uuid])[event.uuid]
-        if held is not None:
-            held_ts, held_digest = held
-            incoming_ts = _epoch(event.timestamp)
-            if payload.get("reconcile"):
-                if not prefers_incoming(incoming_ts, event_digest(event),
-                                        held_ts, held_digest):
-                    return {"accepted": False, "reason": "stale"}
-            elif held_ts >= incoming_ts:
-                return {"accepted": False, "reason": "duplicate"}
-        digest = self.misp.receive_event(event, trace_context=trace)
+            return f"tlp:{marking} refused"
+        return None
+
+    def _handle_event(self, src: str,
+                      payload: Dict[str, Any]) -> Dict[str, Any]:
+        # The instance's receiver checks the whole message before anything
+        # is written; a refusal goes back to the sender, which records it
+        # and moves on.
+        response = self.misp.receive_message(payload, admit=self._admit)
+        if not response["accepted"]:
+            return response
         # src holds the version just stored, so the next sync sends it
         # no copy back.
-        self.gateway.note_held(src, event.uuid, digest)
-        path = (trace or {}).get("path")
-        self.origins[event.uuid] = path[0] if path else src
+        uuid = response["uuid"]
+        self.gateway.note_held(src, uuid, response["digest"])
+        path = (response["trace"] or {}).get("path")
+        self.origins[uuid] = path[0] if path else src
         return {"accepted": True}
 
     def _handle_sighting(self, src: str,

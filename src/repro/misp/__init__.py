@@ -20,7 +20,7 @@ from .galaxy import (
     TOOL_GALAXY,
     clusters_of,
 )
-from .instance import TOPIC_ATTRIBUTE, TOPIC_EVENT, MispInstance, SyncStats
+from .instance import TOPIC_ATTRIBUTE, TOPIC_EVENT, MispInstance
 from .sharing_groups import SharingGroup
 from .model import (
     ATTRIBUTE_TYPES,
@@ -70,7 +70,6 @@ __all__ = [
     "TOOL_GALAXY",
     "clusters_of",
     "SharingGroup",
-    "SyncStats",
     "ATTRIBUTE_TYPES",
     "CORRELATABLE_TYPES",
     "Analysis",

@@ -54,7 +54,7 @@ class PyMispClient:
         return self._instance.tag_event(event_uuid, tag_name)
 
     def publish(self, event_uuid: str) -> MispEvent:
-        """Publish an event (triggering peer sync)."""
+        """Mark an event published."""
         return self._instance.publish_event(event_uuid)
 
     def search(self, value: Optional[str] = None, tag: Optional[str] = None,

@@ -3,23 +3,34 @@
 This is the operational module's hub (§III-B1): it ingests cIoCs, performs
 "basic automated correlation steps" against stored data, publishes incoming
 OSINT events on the zeroMQ feed for the heuristic component, accepts the
-threat score back as a new attribute (eIoC), and syncs published events to
-remote instances according to their distribution level.
+threat score back as a new attribute (eIoC), and receives the events a
+trusted peer shares with it (:meth:`MispInstance.receive_message`)
+according to their distribution level.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..bus import MessageBroker, ZmqPublisher
 from ..clock import Clock
-from ..errors import SharingError, StorageError, TransientStorageError
+from ..errors import (
+    ParseError,
+    SharingError,
+    StorageError,
+    TransientStorageError,
+    ValidationError,
+)
 from ..ids import IdGenerator
 from ..obs import MetricsRegistry, NULL_REGISTRY
-from .export import EXPORT_MODULES, to_stix2_bundle
-from .model import Distribution, MispAttribute, MispEvent, MispTag
+from .export import (
+    EXPORT_MODULES,
+    canonical_json,
+    from_misp_json,
+    to_stix2_bundle,
+)
+from .model import Distribution, MispAttribute, MispEvent
 from .sharing_groups import SharingGroup
 from .store import MispStore, blob_digest
 
@@ -28,17 +39,57 @@ TOPIC_EVENT = "misp_json"
 TOPIC_ATTRIBUTE = "misp_json_attribute"
 
 
-@dataclass
-class SyncStats:
-    """Counters describing instance-to-instance sync outcomes."""
-    pushed_events: int = 0
-    pulled_events: int = 0
-    skipped_distribution: int = 0
-    skipped_duplicates: int = 0
+def prefers_incoming(incoming_ts: int, incoming_digest: str,
+                     held_ts: int, held_digest: str) -> bool:
+    """Anti-entropy resolution: should the held copy be replaced?
+
+    Newer timestamp wins; on a timestamp tie with *different* content the
+    lexicographically larger digest wins — an arbitrary but symmetric
+    rule, so two divergent replicas always agree on the same survivor.
+    """
+    if incoming_digest == held_digest:
+        return False
+    if incoming_ts != held_ts:
+        return incoming_ts > held_ts
+    return incoming_digest > held_digest
+
+
+def _strings(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str)
+                                           for item in value)
+
+
+def _side_fields(message: Dict[str, Any]
+                 ) -> Tuple[Optional[SharingGroup], Optional[Dict[str, Any]]]:
+    """The sharing group and trace context beside an event's document.
+
+    Both are optional.  Raises :class:`ValidationError` unless a group is a
+    definition (``uuid`` and ``name`` strings, an ``organisations`` list of
+    strings, a name and at least one organisation) and a trace is a
+    ``{"trace_id": str, "path": [str, ...]}`` mapping, each key optional.
+    """
+    raw_group, trace = message.get("sharing_group"), message.get("trace")
+    if trace is not None and not (
+            isinstance(trace, dict)
+            and isinstance(trace.get("trace_id", ""), str)
+            and _strings(trace.get("path", []))):
+        raise ValidationError("trace is not a trace context")
+    if raw_group is None:
+        return None, trace
+    if not (isinstance(raw_group, dict)
+            and isinstance(raw_group.get("uuid"), str)
+            and isinstance(raw_group.get("name"), str)
+            and _strings(raw_group.get("organisations"))):
+        raise ValidationError("sharing_group is not a group definition")
+    return SharingGroup.from_dict(raw_group), trace
+
+
+def _refused(reason: str) -> Dict[str, Any]:
+    return {"accepted": False, "reason": reason}
 
 
 class MispInstance:
-    """One MISP deployment: local store, correlation, feed, sync peers."""
+    """One MISP deployment: local store, correlation, feed, peer receiver."""
 
     def __init__(self, org: str = "CAOP", store: Optional[MispStore] = None,
                  broker: Optional[MessageBroker] = None,
@@ -57,8 +108,6 @@ class MispInstance:
         if fault_injector is not None and self.broker.fault_injector is None:
             self.broker.fault_injector = fault_injector
         self.zmq = ZmqPublisher(self.broker)
-        self._peers: List["MispInstance"] = []
-        self.sync_stats = SyncStats()
         self._ids = id_generator or IdGenerator()
         self.sharing_groups: Dict[str, SharingGroup] = {}
         self._store_retry = store_retry_policy
@@ -190,7 +239,6 @@ class MispInstance:
             raise StorageError(f"no such event {event_uuid}")
         event.published = True
         self.store.save_event(event)
-        self._push_to_peers(event)
         return event
 
     # -- correlation --------------------------------------------------------------
@@ -265,22 +313,6 @@ class MispInstance:
 
     # -- instance-to-instance sync ---------------------------------------------------
 
-    def add_peer(self, peer: "MispInstance") -> None:
-        """Register a trusted remote instance (one-way push)."""
-        if peer is self:
-            raise SharingError("an instance cannot peer with itself")
-        if peer not in self._peers:
-            self._peers.append(peer)
-
-    @property
-    def peers(self) -> List["MispInstance"]:
-        """The registered sync peers."""
-        return list(self._peers)
-
-    def _push_to_peers(self, event: MispEvent) -> None:
-        for peer in self._peers:
-            self.push_event(event, peer)
-
     def create_sharing_group(self, name: str,
                              organisations: List[str]) -> SharingGroup:
         """Create (and register) a sharing group owned by this instance."""
@@ -293,8 +325,8 @@ class MispInstance:
         """May this event leave the instance toward ``dest_org``?
 
         Returns ``(ok, group, reason)``: the MISP distribution gate every
-        outbound path — point-to-point push, pull, or a federation
-        backbone link — must pass.  ``group`` is the
+        outbound path — the gateway's ``misp`` or ``backbone`` transport,
+        or an anti-entropy repair — must pass.  ``group`` is the
         :class:`SharingGroup` that authorized a sharing-group release
         (the caller propagates its definition to the receiver so the same
         boundary holds on any onward hop); ``reason`` names the refusal.
@@ -310,62 +342,74 @@ class MispInstance:
         return True, None, ""
 
     @staticmethod
-    def release_copy(event: MispEvent) -> MispEvent:
-        """The wire copy of an outbound event, with the hop downgrade applied.
+    def wire_form(event: MispEvent) -> MispEvent:
+        """The event as a peer receives it: the hop downgrade applied.
 
         CONNECTED_COMMUNITIES becomes COMMUNITY_ONLY at the receiver, so
-        events stop propagating one hop further, exactly like MISP.
+        events stop propagating one hop further, exactly like MISP.  Only
+        such an event is copied; any other is returned as is, and its wire
+        document and digest are those of the stored form.  A sharing-group
+        event is not downgraded: the group definition that travels with it
+        bounds further propagation.
         """
+        if event.distribution != Distribution.CONNECTED_COMMUNITIES:
+            return event
         copy = MispEvent.from_dict(event.to_dict())
-        if copy.distribution == Distribution.CONNECTED_COMMUNITIES:
-            copy.distribution = Distribution.COMMUNITY_ONLY
+        copy.distribution = Distribution.COMMUNITY_ONLY
         return copy
 
-    @staticmethod
-    def wire_form(event: MispEvent) -> MispEvent:
-        """The event as a peer receives it, copying only when that differs.
+    def receive_message(
+            self, message: Any,
+            admit: Optional[Callable[[MispEvent], Optional[str]]] = None
+            ) -> Dict[str, Any]:
+        """Store the event one wire message carries, unless it is refused.
 
-        The hop downgrade is the one change :meth:`release_copy` makes, so
-        only a connected-communities event is copied; any other stored
-        event is returned as is, and its wire document and digest are those
-        of the stored form.
+        The one receiver of every MISP-to-MISP hop.  ``message`` holds the
+        wire ``document`` (MISP JSON, hop downgrade applied) and optional
+        ``sharing_group``, ``trace`` and ``reconcile`` fields.  Nothing is
+        written before these checks pass, in order: a message that is not
+        a mapping (``malformed message``), a document
+        :func:`~repro.misp.export.from_misp_json` refuses (``malformed
+        document``), a side field a sender does not write (``malformed
+        message``), and the reason ``admit(event)`` names, if any (a
+        node's inbound TLP ceiling).  The sharing group is then registered
+        for onward hops, and the held copy's stored row, never decoded,
+        refuses an event no newer (``duplicate``) or, on ``reconcile``,
+        one :func:`prefers_incoming` does not prefer (``stale``).
+
+        Returns ``{"accepted": False, "reason": ...}``, or, once
+        :meth:`receive_event` has stored the event, ``{"accepted": True}``
+        with its ``uuid``, the stored blob's ``digest`` and the ``trace``.
         """
-        if event.distribution == Distribution.CONNECTED_COMMUNITIES:
-            return MispInstance.release_copy(event)
-        return event
-
-    def push_event(self, event: MispEvent, peer: "MispInstance",
-                   trace_context: Optional[Dict[str, Any]] = None) -> bool:
-        """Push one event to a peer honouring MISP distribution semantics.
-
-        The distribution gate and hop downgrade live in
-        :meth:`release_gate` / :meth:`release_copy` (shared with the
-        federation backbone).  Sharing-group events only reach peers whose
-        organisation is a group member (no downgrade: the group definition
-        itself bounds further propagation).
-
-        ``trace_context`` (:func:`repro.obs.provenance.share_context`)
-        rides alongside the payload — never inside the event content, so
-        digests and cross-store byte-equality are untouched — and lets the
-        receiving store record a ``synced-from`` lineage row carrying the
-        accumulated org path.
-        """
-        ok, group, _reason = self.release_gate(event, peer.org)
-        if not ok:
-            self.sync_stats.skipped_distribution += 1
-            return False
+        if not isinstance(message, dict):
+            return _refused("malformed message")
+        try:
+            event = from_misp_json(message.get("document"))
+        except ParseError:
+            return _refused("malformed document")
+        try:
+            group, trace = _side_fields(message)
+        except ValidationError:
+            return _refused("malformed message")
+        reason = admit(event) if admit is not None else None
+        if reason:
+            return _refused(reason)
         if group is not None:
-            # The receiving instance learns the group definition so it can
-            # enforce the same boundary on any onward push.
-            peer.sharing_groups.setdefault(group.uuid, group)
-        stored = peer.store.get_event(event.uuid)
-        if stored is not None and stored.timestamp >= event.timestamp:
-            self.sync_stats.skipped_duplicates += 1
-            return False
-        peer.receive_event(self.release_copy(event),
-                           trace_context=trace_context)
-        self.sync_stats.pushed_events += 1
-        return True
+            self.sharing_groups.setdefault(group.uuid, group)
+        held = self.store.event_digests([event.uuid])[event.uuid]
+        if held is not None:
+            held_ts, held_digest = held
+            incoming_ts = int(event.timestamp.timestamp())
+            if message.get("reconcile"):
+                if not prefers_incoming(
+                        incoming_ts, blob_digest(canonical_json(event)),
+                        held_ts, held_digest):
+                    return _refused("stale")
+            elif held_ts >= incoming_ts:
+                return _refused("duplicate")
+        digest = self.receive_event(event, trace_context=trace)
+        return {"accepted": True, "uuid": event.uuid, "digest": digest,
+                "trace": trace}
 
     def receive_event(self, event: MispEvent,
                       trace_context: Optional[Dict[str, Any]] = None) -> str:
@@ -394,7 +438,6 @@ class MispInstance:
             return {}
         blobs = self.store.save_events(events)
         self._correlate_batch(events)
-        self.sync_stats.pulled_events += len(events)
         if trace_contexts:
             self._record_sync_receipts(events, trace_contexts)
         return {uuid: blob_digest(blob) for uuid, blob in blobs.items()}
@@ -420,27 +463,3 @@ class MispInstance:
                 logged_at=logged_at))
         if rows:
             self.store.add_provenance(rows)
-
-    def pull_from(self, peer: "MispInstance") -> int:
-        """Pull every shareable published event from a peer.
-
-        Accepted events are persisted and correlated as one batch.
-        """
-        candidates: List[MispEvent] = []
-        for event in peer.store.list_events(published_only=True):
-            ok, group, _reason = peer.release_gate(event, self.org)
-            if not ok:
-                continue
-            if group is not None:
-                self.sharing_groups.setdefault(group.uuid, group)
-            candidates.append(event)
-        # One chunked existence probe instead of a has_event round trip
-        # per candidate.
-        known = self.store.existing_events(
-            [event.uuid for event in candidates])
-        copies = [self.release_copy(event) for event in candidates
-                  if event.uuid not in known]
-        if copies:
-            self.store.save_events(copies)
-            self._correlate_batch(copies)
-        return len(copies)

@@ -20,8 +20,7 @@ the same shape over the local store:
   format)``: a STIX bundle or MISP JSON document is serialized once per
   cycle no matter how many entities receive it.  The MISP JSON render is
   the wire copy a peer receives (:meth:`~repro.misp.MispInstance.wire_form`,
-  the hop downgrade applied), so the ``backbone`` transport sends it as is
-  and the ``misp`` transport reports its size;
+  the hop downgrade applied), which both MISP transports send as is;
 - :class:`ShareCycleReport` — what one ``sync_cycle`` accomplished.
 
 Determinism contract (docs/SHARING.md): candidates are ordered by their last

@@ -319,7 +319,7 @@ class TestAntiEntropy:
                 if not ok or marking == Tlp.RED or not Tlp.at_most(
                         marking, node.policy.clearance_of(dst)):
                     continue
-                copy = node.misp.release_copy(event)
+                copy = MispInstance.wire_form(event)
                 offer[event.uuid] = {"digest": event_digest(copy),
                                      "ts": int(copy.timestamp.timestamp())}
             return offer
@@ -576,9 +576,12 @@ SIGHTING = {"eioc_uuid": make_intel(0, PAPER_NOW).uuid,
 
 
 class TestHostileMessages:
-    """Offers and sightings a peer cannot use are refused, never raised."""
+    """Offers and sightings a peer cannot use are refused, and offer
+    answers it cannot use are trimmed; none of them raises."""
 
     HELD = make_intel(0, PAPER_NOW).uuid
+    #: Held by the sender but never offered: it is organisation-only.
+    UNOFFERED = make_intel(1, PAPER_NOW).uuid
 
     @pytest.mark.parametrize("kind", [KIND_EVENT, KIND_SIGHTING,
                                       KIND_DIGEST_OFFER])
@@ -608,6 +611,35 @@ class TestHostileMessages:
             "left", "right", KIND_DIGEST_OFFER, payload)
         assert reply == {"accepted": False, "reason": "malformed message"}
         assert store.sql_statements == before
+
+    @pytest.mark.parametrize("answer, wanted", [
+        pytest.param(5, 0, id="answer-int"),
+        pytest.param({"want": 5}, 0, id="want-int"),
+        pytest.param({"want": [7, None]}, 0, id="want-not-text"),
+        pytest.param({"want": "abc"}, 0, id="want-text"),
+        pytest.param({"want": [UNOFFERED]}, 0, id="want-unoffered"),
+        pytest.param({"want": [HELD, HELD]}, 1, id="want-twice"),
+    ])
+    def test_an_offer_answer_wants_only_what_was_offered(self, answer,
+                                                         wanted):
+        federation = Federation(mesh(["left", "right"]),
+                                clock=SimulatedClock(PAPER_NOW))
+        left = federation.node("left")
+        left.misp.add_events([
+            make_intel(0, PAPER_NOW),
+            make_intel(1, PAPER_NOW,
+                       distribution=Distribution.ORGANISATION_ONLY)])
+        transmit = federation.backbone.transmit
+
+        def answering(src, dst, kind, payload):
+            if kind == KIND_DIGEST_OFFER:
+                return answer
+            return transmit(src, dst, kind, payload)
+
+        federation.backbone.transmit = answering
+        assert left.reconcile_with("right") == \
+            {"offered": 1, "wanted": wanted, "repaired": wanted}
+        assert federation.node("right").misp.store.event_count() == wanted
 
     @pytest.mark.parametrize("record", [
         pytest.param({}, id="empty"),
@@ -720,7 +752,7 @@ class TestWireDocument:
         for src, document in sent:
             uuid = from_misp_json(document).uuid
             stored = federation.node(src).misp.store.get_event(uuid)
-            assert document == to_misp_json(MispInstance.release_copy(stored))
+            assert document == to_misp_json(MispInstance.wire_form(stored))
             if src == "left":
                 uuids.add(uuid)
         assert uuids == {event.uuid for event in events}
@@ -960,6 +992,31 @@ class TestTrustBoundary:
         strict_store = federation.node("strict").misp.store
         assert strict_store.has_event(green.uuid)
         assert not strict_store.has_event(unmarked.uuid)
+
+    def test_a_message_over_the_ceiling_writes_nothing(self):
+        # The ceiling refuses before the sharing group beside the document
+        # is registered, like any other refusal of the whole message.
+        federation = Federation(
+            mesh(["sender", "strict"]),
+            clock=SimulatedClock(PAPER_NOW),
+            node_options={"strict": {"accept_ceiling": Tlp.GREEN}})
+        group = federation.node("sender").misp.create_sharing_group(
+            "pair", ["sender", "strict"])
+        event = make_intel(0, PAPER_NOW)
+        event.distribution = Distribution.SHARING_GROUP
+        event.sharing_group_id = group.uuid
+        mark_tlp(event, "amber")
+        reply = federation.backbone.transmit(
+            "sender", "strict", KIND_EVENT,
+            {"document": to_misp_json(event),
+             "sharing_group": group.to_dict(),
+             "trace": {"trace_id": "t-1", "path": ["sender"]}})
+        assert reply == {"accepted": False, "reason": "tlp:amber refused"}
+        strict = federation.node("strict")
+        assert strict.misp.store.event_count() == 0
+        assert strict.misp.store.provenance_count() == 0
+        assert strict.misp.sharing_groups == {}
+        assert strict.origins == {}
 
     def test_outbound_policy_uses_default_marking(self):
         # A red default marking means unmarked events never leave at all.

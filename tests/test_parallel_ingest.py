@@ -20,7 +20,7 @@ from repro.feeds import (
     standard_feed_set,
 )
 from repro.ids import IdGenerator
-from repro.misp import Distribution, MispAttribute, MispEvent, MispInstance
+from repro.misp import MispAttribute, MispEvent, MispInstance
 from repro.obs import MetricsRegistry
 
 
@@ -268,20 +268,6 @@ class TestBatchedCorrelation:
         misp.add_events([event], publish_feed=False)
         assert misp.store.correlation_count() == 0
 
-    def test_pull_from_batches_and_correlates(self):
-        remote = MispInstance(org="remote")
-        events = make_events(4, values_per_event=2, value_pool=3)
-        for event in events:
-            event.distribution = Distribution.ALL_COMMUNITIES
-            remote.add_event(event, publish_feed=False)
-            remote.publish_event(event.uuid)
-        local = MispInstance(org="local")
-        pulled = local.pull_from(remote)
-        assert pulled == 4
-        assert local.store.event_count() == 4
-        assert local.store.correlation_count() == \
-            remote.store.correlation_count()
-
     def test_receive_events_batched(self):
         misp = MispInstance()
         events = make_events(3, values_per_event=2, value_pool=2)
@@ -291,6 +277,5 @@ class TestBatchedCorrelation:
         assert digests == {uuid: stamp[1] for uuid, stamp in
                            misp.store.event_digests(digests).items()}
         assert list(digests) == [event.uuid for event in events]
-        assert misp.sync_stats.pulled_events == 3
         # No zmq publish on the peer-facing path.
         assert misp.zmq.sent == 0

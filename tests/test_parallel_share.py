@@ -405,50 +405,6 @@ class TestDeadLetterReplay:
             UUID_BASE.format(0), UUID_BASE.format(1)}
 
 
-class TestLegacyShareEvent:
-    def test_refused_legacy_share_has_zero_payload_bytes(self):
-        local = MispInstance(org="Local")
-        event = make_events(1)[0]
-        mark_tlp(event, "red")
-        local.add_event(event)
-        policy = SharingPolicy()
-        policy.set_clearance("partner", "amber")
-        gateway = SharingGateway(local, policy)
-        gateway.register(ExternalEntity(name="partner",
-                                        transport="stix-download"))
-        records = gateway.share_event(event.uuid)
-        assert not records[0].ok
-        assert records[0].payload_bytes == 0
-
-    def test_skipped_misp_legacy_share_has_zero_payload_bytes(self):
-        local = MispInstance(org="Local")
-        peer = MispInstance(org="Peer")
-        event = MispEvent(info="org-only",
-                          distribution=Distribution.ORGANISATION_ONLY)
-        event.add_attribute(MispAttribute(type="ip-src", value="10.0.0.1"))
-        local.add_event(event)
-        gateway = SharingGateway(local)
-        gateway.register(ExternalEntity(name="peer", transport="misp",
-                                        misp_instance=peer))
-        records = gateway.share_event(event.uuid)
-        assert not records[0].ok
-        assert records[0].payload_bytes == 0
-
-    def test_legacy_share_marks_ledger(self):
-        local = MispInstance(org="Local")
-        event = make_events(1)[0]
-        local.add_event(event)
-        gateway = SharingGateway(local)
-        gateway.register(ExternalEntity(name="partner",
-                                        transport="stix-download"))
-        records = gateway.share_event(event.uuid)
-        assert records[0].ok and records[0].payload_bytes > 0
-        # sync_cycle sees the digest as already delivered.
-        report = gateway.sync_cycle()
-        assert report.shared == 0
-        assert report.unchanged == 1
-
-
 class TestPlatformIntegration:
     @pytest.fixture
     def platform(self):

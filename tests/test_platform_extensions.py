@@ -40,12 +40,11 @@ class TestTlpDefaults:
         gateway.register(ExternalEntity(name="peer", transport="misp",
                                         misp_instance=peer))
         shared = refused = 0
-        for event in platform.misp.store.list_events():
-            for record in gateway.share_event(event.uuid):
-                if record.ok:
-                    shared += 1
-                elif "TLP policy" in record.detail:
-                    refused += 1
+        for record in gateway.sync_cycle().records:
+            if record.ok:
+                shared += 1
+            elif "TLP policy" in record.detail:
+                refused += 1
         assert shared > 0
         assert refused > 0  # the red infrastructure events
         for event in peer.store.list_events():

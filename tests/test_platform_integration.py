@@ -89,11 +89,10 @@ class TestDownstreamIntegration:
         gateway.register(ExternalEntity(name="partner", transport="misp",
                                         misp_instance=peer))
         enriched = [e for e in platform.misp.store.list_events() if is_eioc(e)]
-        for event in enriched[:5]:
-            gateway.share_event(event.uuid)
+        gateway.sync_cycle()
         assert peer.store.event_count() > 0
         # Peer received the threat score attribute intact.
-        received = peer.store.get_event(peer.store.list_events()[0].uuid)
+        received = peer.store.get_event(enriched[0].uuid)
         assert threat_score_of(received) is not None
 
 

@@ -128,7 +128,7 @@ class TestSharingGateway:
         gateway.register(ExternalEntity(name="cert", transport="taxii",
                                         taxii_server=taxii))
         gateway.register(ExternalEntity(name="legacy", transport="stix-download"))
-        records = gateway.share_event(event.uuid)
+        records = gateway.sync_cycle().records
         assert all(r.ok for r in records)
         assert peer.store.has_event(event.uuid)
         assert taxii.get_objects("indicators")
@@ -143,7 +143,7 @@ class TestSharingGateway:
         gateway = SharingGateway(local)
         gateway.register(ExternalEntity(name="peer", transport="misp",
                                         misp_instance=peer))
-        records = gateway.share_event(event.uuid)
+        records = gateway.sync_cycle().records
         assert not records[0].ok
         assert not peer.store.has_event(event.uuid)
 
@@ -160,11 +160,6 @@ class TestSharingGateway:
         gateway.register(ExternalEntity(name="x", transport="stix-download"))
         with pytest.raises(SharingError):
             gateway.register(ExternalEntity(name="x", transport="stix-download"))
-
-    def test_share_missing_event(self):
-        gateway = SharingGateway(MispInstance())
-        with pytest.raises(SharingError):
-            gateway.share_event("missing")
 
 
 class TestSiemConnector:
@@ -306,7 +301,7 @@ class TestTransportRoundTrips:
         gateway = SharingGateway(local, permitting_policy("peer"))
         gateway.register(ExternalEntity(name="peer", transport="misp",
                                         misp_instance=peer))
-        records = gateway.share_event(event.uuid)
+        records = gateway.sync_cycle().records
         assert records[0].ok
         received = peer.store.get_event(event.uuid)
         # MISP-to-MISP sync is lossless: the peer holds the same content.
@@ -324,7 +319,7 @@ class TestTransportRoundTrips:
         gateway = SharingGateway(local, permitting_policy("cert"))
         gateway.register(ExternalEntity(name="cert", transport="taxii",
                                         taxii_server=server))
-        records = gateway.share_event(event.uuid)
+        records = gateway.sync_cycle().records
         assert records[0].ok
         bundle = Bundle([parse_object(obj)
                          for obj in server.get_objects("indicators")

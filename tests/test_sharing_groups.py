@@ -10,6 +10,7 @@ from repro.misp import (
     MispInstance,
     SharingGroup,
 )
+from repro.sharing import ExternalEntity, SharingGateway
 
 
 def make_group_event(group, info="sensitive intel"):
@@ -60,71 +61,69 @@ class TestSharingGroupModel:
         assert revived.distribution == Distribution.SHARING_GROUP
 
 
+def link(instance, *peers):
+    """A sharing gateway on ``instance`` with a ``misp`` entity per peer."""
+    gateway = SharingGateway(instance)
+    for peer in peers:
+        gateway.register(ExternalEntity(name=peer.org, transport="misp",
+                                        misp_instance=peer))
+    return gateway
+
+
 class TestSyncSemantics:
     def build(self):
         owner = MispInstance(org="Owner")
         member = MispInstance(org="Member")
         outsider = MispInstance(org="Outsider")
         group = owner.create_sharing_group("ops", ["Owner", "Member"])
-        owner.add_peer(member)
-        owner.add_peer(outsider)
         return owner, member, outsider, group
+
+    def share(self, owner, member, outsider, event):
+        owner.add_event(event)
+        return link(owner, member, outsider).sync_cycle()
 
     def test_push_reaches_members_only(self):
         owner, member, outsider, group = self.build()
         event = make_group_event(group)
-        owner.add_event(event)
-        owner.publish_event(event.uuid)
+        report = self.share(owner, member, outsider, event)
         assert member.store.has_event(event.uuid)
         assert not outsider.store.has_event(event.uuid)
-        assert owner.sync_stats.skipped_distribution == 1
+        assert report.skipped == 1
+        assert [record.detail for record in report.records
+                if record.entity == "Outsider"] == \
+            ["skipped (sharing group excludes destination)"]
 
     def test_group_distribution_not_downgraded(self):
-        owner, member, _outsider, group = self.build()
+        owner, member, outsider, group = self.build()
         event = make_group_event(group)
-        owner.add_event(event)
-        owner.publish_event(event.uuid)
+        self.share(owner, member, outsider, event)
         received = member.store.get_event(event.uuid)
         assert received.distribution == Distribution.SHARING_GROUP
         assert received.sharing_group_id == group.uuid
 
     def test_member_cannot_leak_onward(self):
-        owner, member, _outsider, group = self.build()
+        owner, member, outsider, group = self.build()
         leak_target = MispInstance(org="Leaky")
-        member.add_peer(leak_target)
         event = make_group_event(group)
-        owner.add_event(event)
-        owner.publish_event(event.uuid)
-        # The member re-publishes: the group definition travelled with the
-        # push, so the non-member target is still refused.
-        member.publish_event(event.uuid)
+        self.share(owner, member, outsider, event)
+        # The member syncs onward: the group definition travelled with the
+        # share, so the non-member target is still refused.
+        link(member, leak_target).sync_cycle()
         assert not leak_target.store.has_event(event.uuid)
 
     def test_member_can_push_to_other_member(self):
-        owner, member, _outsider, group = self.build()
-        other_member = MispInstance(org="Owner")  # same org as owner
-        member.add_peer(other_member)
-        event = make_group_event(group)
-        owner.add_event(event)
-        owner.publish_event(event.uuid)
-        member.publish_event(event.uuid)
-        assert other_member.store.has_event(event.uuid)
-
-    def test_pull_respects_membership(self):
         owner, member, outsider, group = self.build()
+        other_member = MispInstance(org="Owner")  # same org as owner
         event = make_group_event(group)
-        owner.add_event(event)
-        event.published = True
-        owner.store.save_event(event)
-        assert member.pull_from(owner) == 1
-        assert outsider.pull_from(owner) == 0
+        self.share(owner, member, outsider, event)
+        link(member, other_member).sync_cycle()
+        assert other_member.store.has_event(event.uuid)
 
     def test_unknown_group_id_never_shared(self):
         owner = MispInstance(org="Owner")
         peer = MispInstance(org="Peer")
-        owner.add_peer(peer)
         rogue_group = SharingGroup(name="rogue", organisations={"Peer"})
         event = make_group_event(rogue_group)  # group NOT registered on owner
         owner.add_event(event)
-        owner.publish_event(event.uuid)
+        link(owner, peer).sync_cycle()
         assert not peer.store.has_event(event.uuid)

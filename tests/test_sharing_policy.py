@@ -109,7 +109,7 @@ class TestGatewayIntegration:
         local, peer, gateway = self.build()
         event = make_event(Tlp.AMBER)
         local.add_event(event)
-        records = {r.entity: r for r in gateway.share_event(event.uuid)}
+        records = {r.entity: r for r in gateway.sync_cycle().records}
         assert records["amber-partner"].ok
         assert not records["green-partner"].ok
         assert "TLP policy" in records["green-partner"].detail
@@ -119,7 +119,7 @@ class TestGatewayIntegration:
         local, peer, gateway = self.build()
         event = make_event(Tlp.RED)
         local.add_event(event)
-        records = gateway.share_event(event.uuid)
+        records = gateway.sync_cycle().records
         assert all(not r.ok for r in records)
         assert not peer.store.has_event(event.uuid)
 
@@ -127,7 +127,7 @@ class TestGatewayIntegration:
         local, peer, gateway = self.build()
         event = make_event(Tlp.WHITE)
         local.add_event(event)
-        records = gateway.share_event(event.uuid)
+        records = gateway.sync_cycle().records
         assert all(r.ok for r in records)
 
     def test_gateway_without_policy_is_unrestricted(self):
@@ -136,7 +136,7 @@ class TestGatewayIntegration:
         gateway.register(ExternalEntity(name="x", transport="stix-download"))
         event = make_event(Tlp.RED)
         local.add_event(event)
-        assert gateway.share_event(event.uuid)[0].ok
+        assert gateway.sync_cycle().records[0].ok
 
 
 class TestDefaultMarking:
@@ -191,8 +191,7 @@ class TestDefaultMarking:
         white = make_event(Tlp.WHITE)
         local.add_event(unmarked)
         local.add_event(white)
-        records = {r.event_uuid: r for r in gateway.share_event(unmarked.uuid)
-                   + gateway.share_event(white.uuid)}
+        records = {r.event_uuid: r for r in gateway.sync_cycle().records}
         assert not records[unmarked.uuid].ok
         assert "TLP policy" in records[unmarked.uuid].detail
         assert records[white.uuid].ok

@@ -1,8 +1,9 @@
 """Model-based tests of MISP sync semantics across instance chains.
 
 Distribution levels bound how far intelligence travels; these tests build
-chains of instances, push events of every distribution through them (with
-re-publishing at every hop) and assert the reachability rules:
+chains of instances linked by sharing gateways over the ``misp`` transport,
+share events of every distribution through them (one sync cycle at every
+hop, in chain order) and assert the reachability rules:
 
 - ORGANISATION_ONLY / COMMUNITY_ONLY never leave the origin;
 - CONNECTED_COMMUNITIES travels exactly one hop (downgraded on arrival);
@@ -15,25 +16,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.misp import Distribution, MispAttribute, MispEvent, MispInstance
+from repro.sharing import ExternalEntity, SharingGateway
 
 
 def build_chain(length):
     instances = [MispInstance(org=f"Org{i}") for i in range(length)]
-    for upstream, downstream in zip(instances, instances[1:]):
-        upstream.add_peer(downstream)
-    return instances
+    gateways = [SharingGateway(instance) for instance in instances]
+    for gateway, downstream in zip(gateways, instances[1:]):
+        gateway.register(ExternalEntity(name=downstream.org, transport="misp",
+                                        misp_instance=downstream))
+    return instances, gateways
 
 
-def propagate(instances, event):
-    """Publish at the origin, then re-publish at every hop that has it."""
+def propagate(chain, event):
+    """Store at the origin, then run one sync cycle at every hop in order."""
+    instances, gateways = chain
     instances[0].add_event(event)
-    instances[0].publish_event(event.uuid)
-    for instance in instances[1:]:
-        if instance.store.has_event(event.uuid):
-            instance.publish_event(event.uuid)
+    for gateway in gateways:
+        gateway.sync_cycle()
 
 
-def reach(instances, uuid):
+def reach(chain, uuid):
+    instances, _gateways = chain
     return [i for i, inst in enumerate(instances)
             if inst.store.has_event(uuid)]
 
@@ -41,54 +45,55 @@ def reach(instances, uuid):
 @given(st.integers(min_value=2, max_value=6))
 @settings(max_examples=20, deadline=None)
 def test_org_only_never_leaves(length):
-    instances = build_chain(length)
+    chain = build_chain(length)
     event = MispEvent(info="internal",
                       distribution=Distribution.ORGANISATION_ONLY)
     event.add_attribute(MispAttribute(type="domain", value="x.example"))
-    propagate(instances, event)
-    assert reach(instances, event.uuid) == [0]
+    propagate(chain, event)
+    assert reach(chain, event.uuid) == [0]
 
 
 @given(st.integers(min_value=2, max_value=6))
 @settings(max_examples=20, deadline=None)
 def test_community_only_never_leaves(length):
-    instances = build_chain(length)
+    chain = build_chain(length)
     event = MispEvent(info="community",
                       distribution=Distribution.COMMUNITY_ONLY)
     event.add_attribute(MispAttribute(type="domain", value="x.example"))
-    propagate(instances, event)
-    assert reach(instances, event.uuid) == [0]
+    propagate(chain, event)
+    assert reach(chain, event.uuid) == [0]
 
 
 @given(st.integers(min_value=3, max_value=6))
 @settings(max_examples=20, deadline=None)
 def test_connected_communities_travels_exactly_one_hop(length):
-    instances = build_chain(length)
+    chain = build_chain(length)
     event = MispEvent(info="connected",
                       distribution=Distribution.CONNECTED_COMMUNITIES)
     event.add_attribute(MispAttribute(type="domain", value="x.example"))
-    propagate(instances, event)
-    assert reach(instances, event.uuid) == [0, 1]
-    received = instances[1].store.get_event(event.uuid)
+    propagate(chain, event)
+    assert reach(chain, event.uuid) == [0, 1]
+    received = chain[0][1].store.get_event(event.uuid)
     assert received.distribution == Distribution.COMMUNITY_ONLY
 
 
 @given(st.integers(min_value=2, max_value=6))
 @settings(max_examples=20, deadline=None)
 def test_all_communities_travels_everywhere(length):
-    instances = build_chain(length)
+    chain = build_chain(length)
     event = MispEvent(info="public",
                       distribution=Distribution.ALL_COMMUNITIES)
     event.add_attribute(MispAttribute(type="domain", value="x.example"))
-    propagate(instances, event)
-    assert reach(instances, event.uuid) == list(range(length))
+    propagate(chain, event)
+    assert reach(chain, event.uuid) == list(range(length))
 
 
 @given(st.integers(min_value=3, max_value=6),
        st.data())
 @settings(max_examples=25, deadline=None)
 def test_sharing_group_reaches_exactly_members(length, data):
-    instances = build_chain(length)
+    chain = build_chain(length)
+    instances = chain[0]
     # The origin is always a member; pick a random subset of the rest.
     member_indices = {0} | set(data.draw(st.lists(
         st.integers(min_value=1, max_value=length - 1), unique=True)))
@@ -98,8 +103,8 @@ def test_sharing_group_reaches_exactly_members(length, data):
                       distribution=Distribution.SHARING_GROUP,
                       sharing_group_id=group.uuid)
     event.add_attribute(MispAttribute(type="domain", value="x.example"))
-    propagate(instances, event)
-    reached = set(reach(instances, event.uuid))
+    propagate(chain, event)
+    reached = set(reach(chain, event.uuid))
     # Reachability along a chain stops at the first non-member: an event
     # can only reach a member if every intermediate hop is also a member.
     expected = {0}
