@@ -1,40 +1,18 @@
-"""X16: enrich-throughput guard — parallel scoring + batched write-back.
+"""X16: enrich-throughput guard — batched write-back.
 
-The score→enrich→publish hot path has two scaling wings
-(docs/PERFORMANCE.md):
+``HeuristicComponent`` scores a drain in order, then plans every mutation
+of the cycle (score/breakdown attributes, galaxy tags, the eIoC tag) in
+memory and lands it through ``MispStore.apply_enrichments``: one
+transaction, one correlation pass, O(1) SQL statements per cycle instead
+of ~6 per event (docs/PERFORMANCE.md).
 
-1. **Parallel scoring** — ``HeuristicComponent`` runs the pure scoring
-   phase (STIX export + heuristic evaluation) on a bounded worker pool.
-   Built-in extractors are in-memory, so the pool pays off when feature
-   extraction carries real latency — remote TI enrichment, CVE API
-   lookups.  The bench registers such a latency-bearing heuristic (the
-   sleep releases the GIL exactly like network wait does).
-2. **Batched write-back** — every mutation of the cycle (score/breakdown
-   attributes, galaxy tags, the eIoC tag) is planned in memory and lands
-   through ``MispStore.apply_enrichments``: one transaction, one
-   correlation pass, O(1) SQL statements per cycle instead of ~6 per
-   event.
-
-Guards: scoring with 4 workers must be ≥2× faster than serial on a
-500-cIoC drain, with byte-identical stored events; the write-back must
-average ≤2 SQL statements per enriched event.  CI runs it as a regression
-gate (``make bench-enrich``).
+Guard: the enrich path must average ≤2 SQL statements per enriched event
+on a 500-cIoC drain.  CI runs it as a regression gate
+(``make bench-enrich``).
 """
-
-import json
-import time
-
-import pytest
 
 from repro.clock import PAPER_NOW, SimulatedClock
 from repro.core import HeuristicComponent
-from repro.core.heuristics import (
-    CriteriaPoints,
-    FeatureDefinition,
-    Heuristic,
-    HeuristicRegistry,
-    default_registry,
-)
 from repro.ids import IdGenerator
 from repro.infra import paper_inventory
 from repro.misp import MispAttribute, MispEvent, MispInstance
@@ -43,39 +21,7 @@ from conftest import print_table
 
 SEED = 16
 EVENTS = 500
-PARALLEL_WORKERS = 4
-SPEEDUP_TARGET = 2.0
 SQL_PER_EVENT_TARGET = 2.0
-LOOKUP_LATENCY = 0.002  # simulated remote TI lookup per indicator
-ATTEMPTS = 3
-
-
-def latency_heuristic(latency: float = LOOKUP_LATENCY) -> Heuristic:
-    """An indicator heuristic whose extractor waits on a 'remote' lookup.
-
-    ``time.sleep`` releases the GIL the same way a socket read does, so the
-    bench measures the concurrency win without a network dependency.
-    """
-
-    def remote_reputation(context):
-        time.sleep(latency)
-        value = context.stix_object.get("name", "")
-        return (5 if "evil" in value.lower() else 2), "reputation_feed"
-
-    return Heuristic(
-        name="bench-indicator",
-        stix_type="indicator",
-        features=[
-            FeatureDefinition(
-                "reputation", "verdict from a (simulated) remote TI service",
-                remote_reputation, CriteriaPoints(5, 3, 1, 1)),
-        ])
-
-
-def bench_registry() -> HeuristicRegistry:
-    registry = default_registry()
-    registry.register(latency_heuristic(), replace=True)
-    return registry
 
 
 def synthetic_ciocs(events: int = EVENTS) -> list:
@@ -91,68 +37,20 @@ def synthetic_ciocs(events: int = EVENTS) -> list:
     return batch
 
 
-def build_rig(workers: int, events: int = EVENTS):
+def build_rig(events: int = EVENTS):
     misp = MispInstance(org="bench")
     component = HeuristicComponent(
         misp, inventory=paper_inventory(),
-        registry=bench_registry(),
-        clock=SimulatedClock(PAPER_NOW), workers=workers)
+        clock=SimulatedClock(PAPER_NOW))
     misp.add_events(synthetic_ciocs(events), publish_feed=True)
     return misp, component
 
 
-def timed_enrich(workers: int, events: int = EVENTS):
-    misp, component = build_rig(workers, events)
-    baseline = misp.store.sql_statements
-    start = time.perf_counter()
-    results = component.process_pending()
-    elapsed = time.perf_counter() - start
-    statements = misp.store.sql_statements - baseline
-    return elapsed, results, statements, misp
-
-
-def stored_state(misp: MispInstance):
-    """Sorted export blobs of every stored event."""
-    return sorted(
-        json.dumps(event.to_dict(), sort_keys=True)
-        for event in misp.store.list_events())
-
-
-def test_x16_parallel_enrich_speedup():
-    serial_time = parallel_time = None
-    for _attempt in range(ATTEMPTS):
-        serial_time, serial_results, serial_stmts, serial_misp = \
-            timed_enrich(1)
-        parallel_time, parallel_results, parallel_stmts, parallel_misp = \
-            timed_enrich(PARALLEL_WORKERS)
-        speedup = serial_time / parallel_time
-        if speedup >= SPEEDUP_TARGET:
-            break
-    print_table(
-        f"X16: enrich wall-clock, {EVENTS} cIoCs, "
-        f"{LOOKUP_LATENCY * 1000:.0f} ms simulated lookup latency",
-        "variant / wall time / speedup",
-        [
-            f"serial (1 worker)        {serial_time * 1000:8.1f} ms  1.00x",
-            f"parallel ({PARALLEL_WORKERS} workers)    "
-            f"{parallel_time * 1000:8.1f} ms  {speedup:.2f}x",
-        ])
-    # Determinism: worker count changes nothing about the stored events.
-    assert len(parallel_results) == len(serial_results) == EVENTS
-    assert [r.event_uuid for r in parallel_results] == \
-        [r.event_uuid for r in serial_results]
-    assert [r.score.score for r in parallel_results] == \
-        [r.score.score for r in serial_results]
-    assert stored_state(parallel_misp) == stored_state(serial_misp)
-    assert parallel_stmts == serial_stmts
-    assert speedup >= SPEEDUP_TARGET, (
-        f"parallel enrich only {speedup:.2f}x faster than serial "
-        f"(target {SPEEDUP_TARGET}x) across {ATTEMPTS} attempts")
-
-
 def test_x16_sql_statements_per_event():
-    _elapsed, results, statements, _misp = timed_enrich(
-        PARALLEL_WORKERS)
+    misp, component = build_rig()
+    baseline = misp.store.sql_statements
+    results = component.process_pending()
+    statements = misp.store.sql_statements - baseline
     per_event = statements / len(results)
     print_table(
         f"X16: write-back SQL round trips, {len(results)} events enriched",
@@ -164,10 +62,9 @@ def test_x16_sql_statements_per_event():
         f"(target <= {SQL_PER_EVENT_TARGET})")
 
 
-@pytest.mark.parametrize("workers", [1, PARALLEL_WORKERS])
-def test_bench_x16_enrich(benchmark, workers):
+def test_bench_x16_enrich(benchmark):
     def run():
-        _misp, component = build_rig(workers, events=100)
+        _misp, component = build_rig(events=100)
         return component.process_pending()
 
     results = benchmark.pedantic(run, rounds=3, iterations=1)

@@ -6,14 +6,14 @@ score back onto the stored event "as a new MISP attribute" (§IV-A), plus a
 JSON breakdown attribute so the per-criterion detail the paper's future work
 calls for is already available to the dashboard.
 
-The enrich hot path is parallel and batched (docs/PERFORMANCE.md):
+The enrich hot path is batched (docs/PERFORMANCE.md):
 
 1. **Drain** the feed into an ordered work list and batch-fetch the events
    plus their correlation context in a handful of chunked queries
    (:class:`EnrichmentContextCache`), instead of per-event round trips.
-2. **Score** on a bounded worker pool — scoring is pure (STIX export +
-   heuristic evaluation over prefetched context), so workers never touch
-   the store and any worker count produces identical scores.
+2. **Score** each eligible event in drain order on the calling thread:
+   STIX export + heuristic evaluation over the prefetched context.  Every
+   built-in extractor works in memory, so scoring is CPU-bound.
 3. **Write back** through a planner that builds each eIoC fully in memory
    (score/breakdown attributes, galaxy tags, the enriched tag) in drain
    order, then commits the whole cycle via
@@ -24,19 +24,8 @@ The enrich hot path is parallel and batched (docs/PERFORMANCE.md):
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..bus import ZmqSubscriber
 from ..clock import Clock, FixedClock, SimulatedClock
@@ -52,19 +41,11 @@ from ..obs import (
     NULL_REGISTRY,
     ProvenanceRecorder,
     StructuredLog,
-    Tracer,
     trace_id_for,
 )
-from ..parallel import ordered_map, pool_width
-from ..stix import StixObject
 from .compose import tags_to_feeds
 from .heuristics import EvaluationContext, HeuristicRegistry, default_registry
-from .ioc import (
-    TAG_CIOC,
-    TAG_EIOC,
-    THREAT_SCORE_COMMENT,
-    ThreatScoreResult,
-)
+from .ioc import TAG_EIOC, THREAT_SCORE_COMMENT, ThreatScoreResult
 
 BREAKDOWN_COMMENT = "caop threat score breakdown"
 
@@ -84,56 +65,28 @@ class EnrichmentResult:
     eioc: MispEvent
 
 
-class _CachedCveView:
-    """CveDatabase facade whose lookups memoize through the context cache."""
-
-    def __init__(self, cache: "EnrichmentContextCache") -> None:
-        self._cache = cache
-
-    def get(self, cve_id: str):
-        """Memoized :meth:`CveDatabase.get`."""
-        return self._cache.cve_record(cve_id)
-
-    def __contains__(self, cve_id: str) -> bool:
-        return self._cache.cve_record(cve_id) is not None
-
-
 class EnrichmentContextCache:
-    """Per-cycle memo of the store/CVE lookups enrichment context needs.
+    """Per-batch memo of the store lookups enrichment context needs.
 
     One drain cycle enriches N events; without the cache each event costs a
-    ``correlations_for_event`` probe, a ``get_event`` per correlation
-    partner (to test the infrastructure tag) and a CVE lookup per
-    vulnerability feature.  :meth:`prefetch` resolves all of that with a
-    constant number of chunked queries; the per-item accessors fall back to
-    single lookups on miss, so the cache is also correct for ad-hoc
-    single-event enrichment.
+    ``correlations_for_event`` probe and a ``get_event`` per correlation
+    partner (to test the infrastructure tag).  :meth:`prefetch` resolves all
+    of that with a constant number of chunked queries; the per-item
+    accessors fall back to single lookups on miss, so the cache is also
+    correct for ad-hoc single-event enrichment.
 
-    The cache is a *snapshot*: after mutating the store (e.g. committing an
-    enrichment cycle, or storing sighting evidence), call
-    :meth:`invalidate_many` for the touched events — or simply build a fresh
-    cache — so a later enrichment of the same event does not reuse stale
-    correlations.  CVE lookups are thread-safe (workers share the cache);
-    the store-backed accessors must stay on the coordinating thread, like
-    the store itself.
+    The cache is a *snapshot* of the store:
+    :meth:`HeuristicComponent.enrich_many` builds a fresh one per batch.
     """
 
-    def __init__(self, store: MispStore,
-                 cve_db: Optional[CveDatabase] = None) -> None:
+    def __init__(self, store: MispStore) -> None:
         self._store = store
-        self._cve_db = cve_db
-        self._lock = threading.Lock()
         self._events: Dict[str, Optional[MispEvent]] = {}
         self._correlations: Dict[str, List[Dict[str, str]]] = {}
         self._infra_flags: Dict[str, bool] = {}
-        self._cves: Dict[str, Any] = {}
         #: Lookups answered from memory vs sent to the store (observability).
         self.hits = 0
         self.misses = 0
-
-    def cve_view(self) -> _CachedCveView:
-        """A CveDatabase-shaped facade backed by this cache."""
-        return _CachedCveView(self)
 
     def prefetch(self, uuids: Sequence[str]) -> None:
         """Batch-resolve events, correlations and partner infra flags.
@@ -165,8 +118,6 @@ class EnrichmentContextCache:
             tagged = self._store.events_with_tag(INFRASTRUCTURE_TAG, partners)
             for other in partners:
                 self._infra_flags[other] = other in tagged
-
-    # -- store-backed accessors (coordinating thread only) --------------------
 
     def get_event(self, uuid: str) -> Optional[MispEvent]:
         """Memoized :meth:`MispStore.get_event`."""
@@ -212,65 +163,14 @@ class EnrichmentContextCache:
                 break
         return frozenset(kinds)
 
-    # -- CVE lookups (thread-safe; workers share the cache) -------------------
-
-    def cve_record(self, cve_id: str):
-        """Memoized :meth:`CveDatabase.get` (None-db and miss both cached)."""
-        key = cve_id.upper()
-        with self._lock:
-            if key in self._cves:
-                self.hits += 1
-                return self._cves[key]
-        record = self._cve_db.get(key) if self._cve_db is not None else None
-        with self._lock:
-            self.misses += 1
-            self._cves[key] = record
-        return record
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def invalidate(self, uuid: str) -> None:
-        """Drop every cached fact about one event (see :meth:`invalidate_many`)."""
-        self.invalidate_many([uuid])
-
-    def invalidate_many(self, uuids: Iterable[str]) -> None:
-        """Drop every cached fact about these events, in one pass.
-
-        Also drops correlation snapshots of events linked *to* any of them,
-        since a new correlation edge appears on both sides.
-        """
-        touched = set(uuids)
-        for uuid in touched:
-            self._events.pop(uuid, None)
-            self._infra_flags.pop(uuid, None)
-            self._correlations.pop(uuid, None)
-        stale = [
-            other for other, rows in self._correlations.items()
-            if any(row["source_event"] in touched
-                   or row["target_event"] in touched for row in rows)
-        ]
-        for other in stale:
-            del self._correlations[other]
-
-    def clear(self) -> None:
-        """Forget everything (next access re-reads the store)."""
-        self._events.clear()
-        self._correlations.clear()
-        self._infra_flags.clear()
-        self._cves.clear()
-
 
 class HeuristicComponent:
     """Subscribes to the MISP feed and enriches incoming cIoCs.
 
-    ``workers`` bounds the thread pool used for the scoring phase; 1 keeps
-    the historical serial behaviour.  Scoring is pure (the store is read
-    only through the prefetched :class:`EnrichmentContextCache` on the
-    coordinating thread, and each task sees a frozen clock snapshot taken
-    in drain order), so results are committed in drain order and are
-    byte-identical for any worker count.  Custom heuristics whose
-    extractors reach into ``context.store`` directly must run with
-    ``workers=1`` — the SQLite connection is single-threaded.
+    Each drain is enriched as one batch: the store is read through a fresh,
+    prefetched :class:`EnrichmentContextCache`, every eligible event is
+    scored in drain order against a frozen snapshot of the clock, and the
+    eIoCs are committed by one write-back.
     """
 
     def __init__(self, misp: MispInstance,
@@ -281,25 +181,20 @@ class HeuristicComponent:
                  clock: Optional[Clock] = None,
                  galaxy_matcher: Optional["GalaxyMatcher"] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 workers: int = 1,
-                 tracer: Optional[Tracer] = None,
                  provenance: Optional[ProvenanceRecorder] = None,
                  log: Optional[StructuredLog] = None) -> None:
         from ..misp.galaxy import GalaxyMatcher
 
-        if workers < 1:
-            raise ValueError("workers must be positive")
         self._misp = misp
         self._inventory = inventory
         self._alarm_manager = alarm_manager
-        self._cve_db = cve_db or CveDatabase()
-        self._registry = registry or default_registry()
+        # ``is None``, not ``or``: an empty database or registry is falsy.
+        self._cve_db = CveDatabase() if cve_db is None else cve_db
+        self._registry = default_registry() if registry is None else registry
         self._clock = clock or SimulatedClock()
         self._galaxies = galaxy_matcher or GalaxyMatcher()
         self._subscriber = ZmqSubscriber(misp.broker)
         self._subscriber.subscribe(TOPIC_EVENT)
-        self._workers = workers
-        self._tracer = tracer or Tracer(enabled=False)
         self._provenance = provenance or NULL_RECORDER
         self._log = log or NULL_LOG
         self.processed = 0
@@ -311,14 +206,6 @@ class HeuristicComponent:
             "caop_eiocs_total", "cIoCs enriched into eIoCs")
         self._m_skipped = registry.counter(
             "caop_enrich_skipped_total", "Events ineligible for enrichment")
-        self._m_pool = registry.gauge(
-            "caop_enrich_pool_workers",
-            "Worker threads used by the last enrichment cycle")
-
-    @property
-    def workers(self) -> int:
-        """The configured scoring-pool bound."""
-        return self._workers
 
     def process_pending(self) -> List[EnrichmentResult]:
         """Drain the zmq feed and enrich every eligible cIoC as one batch."""
@@ -332,37 +219,29 @@ class HeuristicComponent:
             uuids.append(uuid)
         return self.enrich_many(uuids)
 
-    def enrich(self, event_uuid: str,
-               cache: Optional[EnrichmentContextCache] = None
-               ) -> Optional[EnrichmentResult]:
-        """Enrich one stored event; returns None when not eligible.
-
-        Without an explicit ``cache`` a fresh snapshot is taken, so
-        re-enriching an event always sees its current correlations.
-        """
-        results = self.enrich_many([event_uuid], cache=cache)
+    def enrich(self, event_uuid: str) -> Optional[EnrichmentResult]:
+        """Enrich one stored event; returns None when not eligible."""
+        results = self.enrich_many([event_uuid])
         return results[0] if results else None
 
-    def enrich_many(self, event_uuids: Sequence[str],
-                    cache: Optional[EnrichmentContextCache] = None
+    def enrich_many(self, event_uuids: Sequence[str]
                     ) -> List[EnrichmentResult]:
         """Enrich a batch of stored events: prefetch, score, write back.
 
         Results come back in drain (input) order; later duplicates of a
         uuid are counted as skipped, matching the serial path where the
         first enrichment stamps the enriched tag and the second attempt
-        sees it.
+        sees it.  Each call reads the store through a fresh context cache,
+        so re-enriching an event sees its current correlations.
         """
         order = list(dict.fromkeys(event_uuids))
         duplicates = len(event_uuids) - len(order)
         if not order:
             return []
-        if cache is None:
-            cache = EnrichmentContextCache(
-                self._misp.store, cve_db=self._cve_db)
+        cache = EnrichmentContextCache(self._misp.store)
         cache.prefetch(order)
 
-        # Phase 1: eligibility (coordinating thread, batched context).
+        # Phase 1: eligibility over the batched context.
         eligible: List[MispEvent] = []
         for uuid in order:
             event = cache.get_event(uuid)
@@ -378,19 +257,14 @@ class HeuristicComponent:
             self.skipped += 1
             self._m_skipped.inc(reason="ineligible")
 
-        # Phase 2: pure scoring, possibly on a worker pool.  Context that
-        # needs the store (source types) and the per-event clock snapshot
-        # are resolved here, in drain order, before any worker runs.
-        tasks = [
-            (event, cache.source_types_for(event),
-             FixedClock(self._clock.now()))
+        # Phase 2: scoring, in drain order.  Each event sees a frozen clock
+        # snapshot, so stored timestamps do not depend on how long scoring
+        # takes.
+        scored = [
+            self.score_event(event, cache.source_types_for(event),
+                             FixedClock(self._clock.now()))
             for event in eligible
         ]
-        self._m_pool.set(pool_width(self._workers, len(tasks)))
-        scored = ordered_map(
-            lambda task: self.score_event(
-                task[0], source_types=task[1], clock=task[2], cache=cache),
-            tasks, self._workers, self._tracer, "score_event")
 
         # Phase 3: write-back planner — build each eIoC fully in memory, in
         # drain order, then commit the cycle as one batch.
@@ -405,7 +279,6 @@ class HeuristicComponent:
             plans.append(event)
         if plans:
             self._misp.apply_enrichments(plans)
-            cache.invalidate_many(event.uuid for event in plans)
             self._record_enrichment_lineage(results)
         return results
 
@@ -413,9 +286,7 @@ class HeuristicComponent:
             self, results: Sequence[EnrichmentResult]) -> None:
         """``enriched-by``/``scored`` lineage + per-event log, in drain order.
 
-        Runs on the coordinating thread after the batch commit, so the
-        recorded order (and the log stream) is identical for any worker
-        count.
+        Runs after the batch commit.
         """
         if not (self._provenance.enabled or self._log.enabled):
             return
@@ -477,23 +348,15 @@ class HeuristicComponent:
             eioc=event,
         )
 
-    def score_event(self, event: MispEvent,
-                    source_types: Optional[FrozenSet[str]] = None,
-                    clock: Optional[Clock] = None,
-                    cache: Optional[EnrichmentContextCache] = None,
-                    ) -> List[Tuple[str, ThreatScoreResult]]:
+    def score_event(self, event: MispEvent, source_types: FrozenSet[str],
+                    clock: Clock) -> List[Tuple[str, ThreatScoreResult]]:
         """Export the event to STIX 2.0 and score every supported object.
 
-        ``source_types``/``clock``/``cache`` are normally injected by
-        :meth:`enrich_many`; calling with defaults resolves them inline
-        (single-event, store-reading behaviour).
+        ``source_types`` comes from
+        :meth:`EnrichmentContextCache.source_types_for`, and ``clock`` is the
+        event's frozen snapshot; :meth:`enrich_many` supplies both.
         """
         bundle = to_stix2_bundle(event)
-        if cache is None:
-            cache = EnrichmentContextCache(
-                self._misp.store, cve_db=self._cve_db)
-        if source_types is None:
-            source_types = cache.source_types_for(event)
         osint_feeds = frozenset(tags_to_feeds(event))
         results: List[Tuple[str, ThreatScoreResult]] = []
         # Keyed by STIX object id — two distinct objects of the same type
@@ -512,9 +375,9 @@ class HeuristicComponent:
                     event=event,
                     inventory=self._inventory,
                     alarm_manager=self._alarm_manager,
-                    cve_db=cache.cve_view(),
+                    cve_db=self._cve_db,
                     store=self._misp.store,
-                    clock=clock or self._clock,
+                    clock=clock,
                     source_types=source_types,
                     osint_feeds=osint_feeds,
                 )

@@ -159,10 +159,11 @@ class PlatformConfig:
     #: per-request RNG keeps results identical to workers=1; see
     #: docs/PERFORMANCE.md.
     fetch_workers: int = 4
-    #: Worker threads for the heuristic scoring stage.  Scoring is pure and
-    #: the write-back is committed in drain order, so results are identical
-    #: to workers=1; see docs/PERFORMANCE.md.
-    enrich_workers: int = 4
+    #: Ignored: scoring runs in drain order on the cycle's thread at any
+    #: value.  Kept only because the benchmark smoke test
+    #: (``benchmarks/perf/test_smoke.py``) still passes ``enrich_workers=1``;
+    #: it goes, with ``store_shards``, once that test stops passing it.
+    enrich_workers: int = 1
     #: Worker threads for the sharing fan-out (one entity per worker slot).
     #: Payloads are pre-rendered and ledger writes are committed post-drain,
     #: so any count produces identical ledgers; see docs/SHARING.md.
@@ -368,7 +369,8 @@ class ContextAwareOSINTPlatform:
 
         config = config or PlatformConfig()
         clock = clock or SimulatedClock()
-        inventory = inventory or paper_inventory()
+        # ``is None``, not ``or``: an empty inventory is falsy.
+        inventory = paper_inventory() if inventory is None else inventory
         descriptors = list(descriptors)
         telemetry = config.metrics_enabled
         metrics = MetricsRegistry(enabled=telemetry)
@@ -425,8 +427,7 @@ class ContextAwareOSINTPlatform:
             misp, inventory=inventory,
             alarm_manager=sensors.alarm_manager,
             cve_db=CveDatabase(), clock=clock, metrics=metrics,
-            workers=config.enrich_workers,
-            tracer=tracer, provenance=provenance, log=log)
+            provenance=provenance, log=log)
         rioc_generator = RIocGenerator(inventory, clock=clock, metrics=metrics)
         dashboard = DashboardServer(inventory, metrics=metrics)
         if config.fault_injector is not None:

@@ -13,8 +13,8 @@ pools never emit directly.  Coordinating threads emit over drain-ordered
 results, and code that *must* log from inside a pool task writes into a
 per-task :class:`LogBuffer` that the coordinator flushes post-drain in
 registration order, assigning ``seq`` and ``ts`` at flush time.  The
-result: ``fetch_workers``/``enrich_workers``/``share_workers`` of 1 or 4
-produce byte-identical ``to_jsonl()`` output.
+result: ``fetch_workers``/``share_workers`` of 1 or 4 produce
+byte-identical ``to_jsonl()`` output.
 
 :data:`LOG_RECORD_SCHEMA` is a JSON-Schema subset describing every
 record; :func:`validate_record` checks it without external dependencies.

@@ -65,8 +65,8 @@ class Span:
         Spans on the coordinating thread report wall time under their own
         name, so none can exceed the root.  Work spans, and every span
         beneath one, report summed worker time under ``"<name>.work"``:
-        four pool threads scoring for 100 ms each give
-        ``score_event.work`` = 0.4 inside an ``enrich`` of about 0.1.
+        four pool threads fetching for 100 ms each give
+        ``fetch_feed.work`` = 0.4 inside a ``fetch`` of about 0.1.
         """
         totals: Dict[str, float] = {}
         stack = [(self, False)]

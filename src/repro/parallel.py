@@ -1,7 +1,7 @@
 """The one worker pool: ``ordered_map`` for the platform's parallel stages.
 
-Feed fetching, heuristic scoring and the sharing fan-out all have the same
-shape: a list of independent items, a bounded worker count, results needed
+Feed fetching and the sharing fan-out have the same shape: a list of
+independent items that wait on I/O, a bounded worker count, results needed
 in input order, and per-item spans that must nest under the stage that
 spawned the work.  :func:`ordered_map` is that shape, written once.
 

@@ -16,7 +16,9 @@ from repro.core import (
     is_eioc,
     threat_score_of,
 )
+from repro.core.heuristics import HeuristicRegistry
 from repro.core.ioc import ReducedIoc
+from repro.cvss import CveDatabase
 from repro.errors import ValidationError
 from repro.infra import INFRASTRUCTURE_TAG, AlarmManager
 from repro.misp import MispAttribute, MispEvent
@@ -49,6 +51,31 @@ class TestHeuristicComponent:
         # enrich() directly on the same uuid must now skip.
         assert scenario.heuristics.enrich(scenario.cioc.uuid) is None
         assert scenario.heuristics.skipped >= 1
+
+    @pytest.mark.parametrize("cve_db, expected", [
+        (None, 1.8529),             # the default database knows the CVE
+        (CveDatabase([]), 1.3529),  # an empty one is used, not replaced
+    ])
+    def test_given_cve_database_is_used(self, misp, inventory, clock,
+                                        cve_db, expected):
+        component = HeuristicComponent(
+            misp, inventory=inventory, clock=clock, cve_db=cve_db)
+        event = MispEvent(info="struts report")
+        event.add_attribute(MispAttribute(type="vulnerability",
+                                          value="CVE-2017-9805"))
+        misp.add_event(event)
+        result = component.enrich(event.uuid)
+        assert result.score.score == pytest.approx(expected, abs=1e-4)
+
+    def test_empty_registry_scores_nothing(self, misp, inventory, clock):
+        component = HeuristicComponent(
+            misp, inventory=inventory, clock=clock,
+            registry=HeuristicRegistry())
+        event = MispEvent(info="struts report")
+        event.add_attribute(MispAttribute(type="vulnerability",
+                                          value="CVE-2017-9805"))
+        misp.add_event(event)
+        assert component.enrich(event.uuid) is None
 
     def test_infrastructure_events_skipped(self, misp, inventory, clock):
         component = HeuristicComponent(misp, inventory=inventory, clock=clock)

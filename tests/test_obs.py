@@ -351,8 +351,7 @@ class TestWorkerPoolSpans:
     def build(self, workers):
         from repro import ContextAwareOSINTPlatform, PlatformConfig
         return ContextAwareOSINTPlatform.build_default(
-            PlatformConfig(seed=7, feed_entries=20, fetch_workers=workers,
-                           enrich_workers=workers))
+            PlatformConfig(seed=7, feed_entries=20, fetch_workers=workers))
 
     def test_pool_spans_nest_under_the_cycle_root(self):
         platform = self.build(workers=4)
@@ -361,7 +360,6 @@ class TestWorkerPoolSpans:
         assert roots == ["cycle"], f"orphan root traces: {roots}"
         cycle = platform.tracer.last_trace()
         assert cycle.find("fetch_feed") is not None
-        assert cycle.find("score_event") is not None
 
     def test_per_feed_spans_sit_under_the_fetch_stage(self):
         platform = self.build(workers=4)
@@ -409,8 +407,8 @@ class TestWorkerPoolSpans:
         # coordinating-thread wall time and so fits inside the cycle.
         platform = self.build(workers=4)
         timings = platform.run_cycle().timings
-        assert "score_event.work" in timings
-        assert "score_event" not in timings
+        assert "fetch_feed.work" in timings
+        assert "fetch_feed" not in timings
         for name, seconds in timings.items():
             if not name.endswith(".work"):
                 assert seconds <= timings["cycle"], name
@@ -423,7 +421,7 @@ class TestWorkerPoolSpans:
 
 
 class TestOrderedMap:
-    """The one worker pool behind fetch, enrich and share."""
+    """The one worker pool behind fetch and share."""
 
     def test_results_keep_input_order_under_reversed_completion(self):
         # Item i waits for item i+1, so the last item finishes first.

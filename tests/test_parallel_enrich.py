@@ -1,7 +1,6 @@
-"""Parallel enrichment: determinism, context cache, batched write-back."""
+"""Batched enrichment: drain order, context cache, batched write-back."""
 
 import json
-from unittest import mock
 
 import pytest
 
@@ -19,7 +18,6 @@ from repro.ids import IdGenerator
 from repro.infra import INFRASTRUCTURE_TAG, paper_inventory
 from repro.misp import MispAttribute, MispEvent, MispInstance
 
-WORKER_COUNTS = (1, 4, 8)
 WORKLOAD_EVENTS = 12
 
 
@@ -50,65 +48,39 @@ def build_workload(misp, seed=42, events=WORKLOAD_EVENTS):
     return uuids
 
 
-def enriched_state(workers, seed=42):
-    """Run the workload through a component with N workers; export state."""
+def enriched_exports():
+    """Run the workload through a component; export each enriched event."""
     misp = MispInstance(org="TestOrg")
     clock = SimulatedClock(PAPER_NOW)
     component = HeuristicComponent(
-        misp, inventory=paper_inventory(), clock=clock, workers=workers)
-    build_workload(misp, seed=seed)
-    results = component.process_pending()
-    exports = [
+        misp, inventory=paper_inventory(), clock=clock)
+    build_workload(misp)
+    return [
         json.dumps(misp.store.get_event(r.event_uuid).to_dict(),
                    sort_keys=True)
-        for r in results
+        for r in component.process_pending()
     ]
-    scores = [r.score.score for r in results]
-    return results, exports, scores
 
 
 class TestWorkerCountDeterminism:
-    def test_exports_byte_identical_across_worker_counts(self):
-        baseline_results, baseline_exports, baseline_scores = enriched_state(1)
-        assert baseline_results  # the workload must actually enrich
-        for workers in WORKER_COUNTS[1:]:
-            results, exports, scores = enriched_state(workers)
-            assert exports == baseline_exports
-            assert scores == baseline_scores
-
     def test_results_come_back_in_drain_order(self):
         misp = MispInstance(org="TestOrg")
         component = HeuristicComponent(
             misp, inventory=paper_inventory(),
-            clock=SimulatedClock(PAPER_NOW), workers=8)
+            clock=SimulatedClock(PAPER_NOW))
         uuids = build_workload(misp)
         results = component.process_pending()
         enriched = [r.event_uuid for r in results]
         assert enriched == [u for u in uuids if u in set(enriched)]
 
-    def test_pool_gauge_reflects_bounded_workers(self, misp, inventory, clock):
-        from repro.obs import MetricsRegistry
-        metrics = MetricsRegistry()
-        component = HeuristicComponent(
-            misp, inventory=inventory, clock=clock, metrics=metrics,
-            workers=8)
-        build_workload(misp, events=3)
-        component.process_pending()
-        # Three eligible events bound the pool below the configured 8.
-        assert metrics.gauge("caop_enrich_pool_workers").value() == 3
-
-    def test_rejects_non_positive_workers(self, misp):
-        with pytest.raises(ValueError):
-            HeuristicComponent(misp, workers=0)
-
     def test_galaxy_tags_survive_the_batched_path(self):
-        _results, exports, _scores = enriched_state(4)
+        exports = enriched_exports()
         tagged = [blob for blob in exports if "misp-galaxy:threat-actor" in blob]
         assert tagged  # the Sofacy comments must produce galaxy tags
 
     def test_duplicate_drain_entries_enrich_once(self, misp, inventory, clock):
         component = HeuristicComponent(
-            misp, inventory=inventory, clock=clock, workers=4)
+            misp, inventory=inventory, clock=clock)
         event = MispEvent(info="osint report")
         event.add_attribute(MispAttribute(type="domain", value="evil.example"))
         misp.add_event(event)
@@ -124,7 +96,7 @@ class TestWorkerCountDeterminism:
 class TestSqlBudget:
     def test_statements_per_event_bounded(self, misp, inventory, clock):
         component = HeuristicComponent(
-            misp, inventory=inventory, clock=clock, workers=4)
+            misp, inventory=inventory, clock=clock)
         build_workload(misp)
         baseline = misp.store.sql_statements
         results = component.process_pending()
@@ -145,68 +117,13 @@ class TestContextCache:
         assert misp.store.sql_statements == baseline
         assert cache.misses == 0
 
-    def test_invalidate_drops_event_and_linked_snapshots(self, misp):
-        a = MispEvent(info="a")
-        a.add_attribute(MispAttribute(type="domain", value="evil.example"))
-        misp.add_event(a)
-        b = MispEvent(info="b")
-        b.add_attribute(MispAttribute(type="domain", value="evil.example"))
-        misp.add_event(b)  # correlates with a
-        cache = EnrichmentContextCache(misp.store)
-        cache.prefetch([a.uuid, b.uuid])
-        assert cache.correlations_for(a.uuid)
-        cache.invalidate(b.uuid)
-        # b is gone, and a's correlation snapshot (which mentions b) too.
-        baseline = cache.misses
-        cache.correlations_for(a.uuid)
-        assert cache.misses == baseline + 1
-
-        # A batch drops each event, its snapshot (even an empty one) and
-        # every snapshot that links to one of them, in one pass, whichever
-        # side of the correlation row it sits on; the rest stay cached.
-        c, d, e, f = (MispEvent(info=info) for info in "cdef")
-        c.add_attribute(MispAttribute(type="domain", value="other.example"))
-        d.add_attribute(MispAttribute(type="domain", value="other.example"))
-        e.add_attribute(MispAttribute(type="domain", value="lone.example"))
-        f.add_attribute(MispAttribute(type="domain", value="alone.example"))
-        for event in (c, d, e, f):
-            misp.add_event(event)  # d correlates with the earlier c
-        cache.prefetch([a.uuid, c.uuid, d.uuid, e.uuid, f.uuid])
-        cache.invalidate_many([c.uuid, e.uuid])
-        baseline = cache.misses
-        for uuid in (a.uuid, f.uuid):
-            cache.get_event(uuid)
-            cache.correlations_for(uuid)
-        assert cache.misses == baseline
-        for uuid in (c.uuid, e.uuid):
-            cache.get_event(uuid)
-            cache.correlations_for(uuid)
-        cache.correlations_for(d.uuid)
-        assert cache.misses == baseline + 5
-
-    def test_batch_commit_invalidates_a_shared_cache_once(
-            self, misp, inventory, clock):
-        component = HeuristicComponent(misp, inventory=inventory, clock=clock)
-        uuids = build_workload(misp)
-        cache = EnrichmentContextCache(misp.store)
-        with mock.patch.object(cache, "invalidate_many",
-                               wraps=cache.invalidate_many) as invalidate:
-            results = component.enrich_many(uuids, cache=cache)
-        assert invalidate.call_count == 1
-        enriched = [result.event_uuid for result in results]
-        assert enriched
-        baseline = cache.misses
-        for uuid in enriched:
-            cache.get_event(uuid)
-        assert cache.misses == baseline + len(enriched)
-
     def test_reenrichment_sees_fresh_correlations(self, misp, inventory, clock):
         # Enrich, then land an infrastructure sighting of the same value,
         # strip the enrichment, and enrich again: the second pass must see
         # the new correlation (no stale cache snapshot) and lift the
         # source-diversity feature.
         component = HeuristicComponent(
-            misp, inventory=inventory, clock=clock, workers=4)
+            misp, inventory=inventory, clock=clock)
         cioc = MispEvent(info="osint report")
         cioc.add_attribute(MispAttribute(type="domain", value="evil.example"))
         misp.add_event(cioc)
@@ -228,16 +145,6 @@ class TestContextCache:
         second = component.enrich(cioc.uuid)
         labels = {f.feature: f.attribute_label for f in second.score.features}
         assert labels["source_type"] == "osint_and_infrastructure"
-
-    def test_cve_lookups_memoized(self, misp, cve_db):
-        cache = EnrichmentContextCache(misp.store, cve_db=cve_db)
-        view = cache.cve_view()
-        first = view.get("CVE-2017-9805")
-        assert first is not None
-        hits = cache.hits
-        assert view.get("cve-2017-9805") is first  # case-folded, cached
-        assert cache.hits == hits + 1
-
 
 class TestStoreBatchApi:
     def test_get_events_preserves_order_and_marks_missing(self, misp):
@@ -281,7 +188,7 @@ class TestStoreBatchApi:
         misp = MispInstance(org="TestOrg", metrics=metrics)
         component = HeuristicComponent(
             misp, inventory=paper_inventory(),
-            clock=SimulatedClock(PAPER_NOW), metrics=metrics, workers=4)
+            clock=SimulatedClock(PAPER_NOW), metrics=metrics)
         build_workload(misp, events=4)
         results = component.process_pending()
         histogram = metrics.histogram("caop_enrich_batch_size")
@@ -295,16 +202,15 @@ class TestFixedClock:
         assert frozen.now() == frozen.now() == PAPER_NOW
 
     def test_ticking_platform_clock_stays_deterministic(self):
-        # Even with a ticking clock, snapshots are taken in drain order on
-        # the coordinating thread, so worker count cannot change timestamps.
+        # Even with a ticking clock, each event's snapshot is taken in drain
+        # order, so two runs of one workload store the same timestamps.
         import datetime as dt
 
-        def run(workers):
+        def run():
             misp = MispInstance(org="TestOrg")
             clock = SimulatedClock(PAPER_NOW, tick=dt.timedelta(seconds=1))
             component = HeuristicComponent(
-                misp, inventory=paper_inventory(), clock=clock,
-                workers=workers)
+                misp, inventory=paper_inventory(), clock=clock)
             build_workload(misp, events=6)
             return [
                 json.dumps(misp.store.get_event(r.event_uuid).to_dict(),
@@ -312,4 +218,4 @@ class TestFixedClock:
                 for r in component.process_pending()
             ]
 
-        assert run(1) == run(8)
+        assert run() == run()

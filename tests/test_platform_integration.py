@@ -5,7 +5,7 @@ import pytest
 from repro.core import ContextAwareOSINTPlatform, PlatformConfig, is_eioc, threat_score_of
 from repro.dashboard import render_html, render_topology
 from repro.errors import ReproError
-from repro.infra import Severity
+from repro.infra import Inventory, Severity
 from repro.misp import MispInstance
 from repro.sharing import ExternalEntity, SharingGateway, SiemConnector
 
@@ -59,6 +59,18 @@ class TestFullCycle:
         # Same feeds re-fetched with a new RNG draw: substantial overlap
         # with the first cycle's pool samples.
         assert ratio > 0.2
+
+    @pytest.mark.parametrize("inventory, riocs, alarms", [
+        (None, [7, 7], [8, 10]),        # the paper inventory
+        (Inventory(), [0, 0], [0, 0]),  # an empty one is used, not replaced
+    ])
+    def test_given_inventory_is_used(self, inventory, riocs, alarms):
+        platform = ContextAwareOSINTPlatform.build_default(
+            PlatformConfig(feed_entries=10), inventory=inventory)
+        reports = platform.run(2)
+        assert [report.riocs_created for report in reports] == riocs
+        assert [report.new_alarms for report in reports] == alarms
+        assert not any(report.stage_errors for report in reports)
 
     def test_determinism_across_builds(self):
         a = ContextAwareOSINTPlatform.build_default(

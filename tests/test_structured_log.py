@@ -108,7 +108,7 @@ class TestSchemaValidation:
 
 def build_platform(workers):
     config = PlatformConfig(feed_entries=12, fetch_workers=workers,
-                            enrich_workers=workers, share_workers=workers)
+                            share_workers=workers)
     platform = ContextAwareOSINTPlatform.build_default(config)
     from repro.sharing import ExternalEntity, TaxiiServer
     server = TaxiiServer(clock=platform.clock)
