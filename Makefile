@@ -37,7 +37,7 @@ bench-fanout:
 	PYTHONPATH=src pytest benchmarks/bench_x20_fanout.py -s --benchmark-disable
 
 chaos:
-	PYTHONPATH=src pytest tests/test_resilience.py tests/test_chaos.py tests/test_federation.py tests/test_federation_backbone.py tests/test_sync_properties.py benchmarks/bench_x15_chaos_recovery.py benchmarks/bench_x23_federation.py -s --benchmark-disable
+	PYTHONPATH=src pytest tests/test_resilience.py tests/test_chaos.py tests/test_parallel_share.py tests/test_federation.py tests/test_federation_backbone.py tests/test_sync_properties.py benchmarks/bench_x15_chaos_recovery.py benchmarks/bench_x23_federation.py -s --benchmark-disable
 
 tables:
 	pytest benchmarks/ -s --benchmark-disable

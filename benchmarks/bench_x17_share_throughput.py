@@ -1,28 +1,14 @@
-"""X17: share-throughput guard — parallel fan-out + render cache.
+"""X17: share-throughput guard — render cache and steady-state delta sync.
 
-The share→sync hot path has two scaling wings (docs/SHARING.md):
+Payloads are serialized once per (content digest, format) per cycle, no
+matter how many entities consume them (docs/SHARING.md), so a 12-entity
+fan-out of STIX consumers renders each event once and serves 11 cache
+hits.  A second cycle over unchanged content shares and renders nothing.
 
-1. **Parallel fan-out** — ``SharingGateway.sync_cycle`` walks each
-   entity's delta on a bounded worker pool.  Transports carry real
-   latency (network round trips); the bench models that with a
-   per-entity ``latency_seconds`` slept in ``realtime`` mode (the sleep
-   releases the GIL exactly like a socket write does).
-2. **Render cache** — payloads are serialized once per (content digest,
-   format) per cycle, no matter how many entities consume them, so a
-   12-entity fan-out of STIX consumers renders each event once and
-   serves 11 cache hits.
-
-Guards: the fan-out with 4 workers must be ≥2× faster than serial over
-latency-bearing transports with byte-identical remote state, the
-first-cycle render-cache hit rate must be ≥90%, and a steady-state
-second cycle must perform zero renders.  CI runs it as a regression gate
-(``make bench-share``).
+Guards: the first-cycle render-cache hit rate must be ≥90%, and a
+steady-state second cycle must perform zero renders.  CI runs it as a
+regression gate (``make bench-share``).
 """
-
-import json
-import time
-
-import pytest
 
 from repro.clock import PAPER_NOW, SimulatedClock
 from repro.ids import IdGenerator
@@ -34,11 +20,7 @@ from conftest import print_table
 SEED = 17
 EVENTS = 40
 ENTITIES = 12
-PARALLEL_WORKERS = 4
-SPEEDUP_TARGET = 2.0
 HIT_RATE_TARGET = 0.90
-TRANSPORT_LATENCY = 0.002  # simulated per-share network round trip
-ATTEMPTS = 3
 
 
 def synthetic_eiocs(events: int = EVENTS) -> list:
@@ -57,78 +39,24 @@ def synthetic_eiocs(events: int = EVENTS) -> list:
     return batch
 
 
-def build_rig(workers: int, events: int = EVENTS,
-              latency: float = TRANSPORT_LATENCY):
-    """A gateway fanning out to ``ENTITIES`` latency-bearing TAXII peers."""
+def build_rig(events: int = EVENTS):
+    """A gateway fanning out to ``ENTITIES`` TAXII peers."""
     clock = SimulatedClock(PAPER_NOW)
     local = MispInstance(org="bench", clock=clock)
     local.add_events(synthetic_eiocs(events))
     server = TaxiiServer(clock=clock)
-    gateway = SharingGateway(local, workers=workers, clock=clock,
-                             realtime=latency > 0)
+    gateway = SharingGateway(local, clock=clock)
     for index in range(ENTITIES):
         name = f"partner-{index:02d}"
         server.create_collection(name, f"Partner {index}")
         gateway.register(ExternalEntity(
             name=name, transport="taxii", taxii_server=server,
-            taxii_collection=name, latency_seconds=latency))
+            taxii_collection=name))
     return gateway, server
 
 
-def timed_cycle(workers: int):
-    gateway, server = build_rig(workers)
-    start = time.perf_counter()
-    report = gateway.sync_cycle()
-    elapsed = time.perf_counter() - start
-    return elapsed, report, gateway, server
-
-
-def remote_state(server: TaxiiServer):
-    """Every collection's objects as sorted canonical blobs."""
-    return {
-        f"partner-{index:02d}": sorted(
-            json.dumps(obj, sort_keys=True)
-            for obj in server.get_objects(f"partner-{index:02d}"))
-        for index in range(ENTITIES)
-    }
-
-
-def record_state(gateway: SharingGateway):
-    return [(r.entity, r.event_uuid, r.payload_bytes, r.ok, r.detail)
-            for r in gateway.audit_log]
-
-
-def test_x17_parallel_share_speedup():
-    serial_time = parallel_time = None
-    for _attempt in range(ATTEMPTS):
-        serial_time, serial_report, serial_gateway, serial_server = \
-            timed_cycle(1)
-        parallel_time, parallel_report, parallel_gateway, parallel_server = \
-            timed_cycle(PARALLEL_WORKERS)
-        speedup = serial_time / parallel_time
-        if speedup >= SPEEDUP_TARGET:
-            break
-    print_table(
-        f"X17: share fan-out wall-clock, {EVENTS} eIoCs x {ENTITIES} "
-        f"entities, {TRANSPORT_LATENCY * 1000:.0f} ms transport latency",
-        "variant / wall time / speedup",
-        [
-            f"serial (1 worker)        {serial_time * 1000:8.1f} ms  1.00x",
-            f"parallel ({PARALLEL_WORKERS} workers)    "
-            f"{parallel_time * 1000:8.1f} ms  {speedup:.2f}x",
-        ])
-    # Determinism: worker count changes nothing observable.
-    assert serial_report.shared == parallel_report.shared == EVENTS * ENTITIES
-    assert record_state(parallel_gateway) == record_state(serial_gateway)
-    assert remote_state(parallel_server) == remote_state(serial_server)
-    assert parallel_gateway.watermarks() == serial_gateway.watermarks()
-    assert speedup >= SPEEDUP_TARGET, (
-        f"parallel share fan-out only {speedup:.2f}x faster than serial "
-        f"(target {SPEEDUP_TARGET}x) across {ATTEMPTS} attempts")
-
-
 def test_x17_render_cache_hit_rate():
-    gateway, _server = build_rig(PARALLEL_WORKERS, latency=0.0)
+    gateway, _server = build_rig()
     report = gateway.sync_cycle()
     print_table(
         f"X17: render cache, {EVENTS} eIoCs x {ENTITIES} STIX consumers",
@@ -144,7 +72,7 @@ def test_x17_render_cache_hit_rate():
 
 
 def test_x17_steady_state_renders_nothing():
-    gateway, _server = build_rig(PARALLEL_WORKERS, latency=0.0)
+    gateway, _server = build_rig()
     first = gateway.sync_cycle()
     second = gateway.sync_cycle()
     print_table(
@@ -162,10 +90,9 @@ def test_x17_steady_state_renders_nothing():
     assert second.renders == 0
 
 
-@pytest.mark.parametrize("workers", [1, PARALLEL_WORKERS])
-def test_bench_x17_share(benchmark, workers):
+def test_bench_x17_share(benchmark):
     def run():
-        gateway, _server = build_rig(workers, events=10, latency=0.001)
+        gateway, _server = build_rig(events=10)
         return gateway.sync_cycle()
 
     report = benchmark.pedantic(run, rounds=3, iterations=1)

@@ -39,7 +39,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         feed_entries=args.entries,
         drop_irrelevant_text=args.drop_irrelevant,
         fetch_workers=args.fetch_workers,
-        share_workers=args.share_workers,
         # Built into the wiring (not rewired post-build) so the sharing
         # ledger and the provenance recorder land in the same file.
         store_path=args.store,
@@ -138,8 +137,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from .core import ContextAwareOSINTPlatform, PlatformConfig
 
     config = PlatformConfig(seed=args.seed, feed_entries=args.entries,
-                            fetch_workers=args.fetch_workers,
-                            share_workers=args.share_workers)
+                            fetch_workers=args.fetch_workers)
     platform = ContextAwareOSINTPlatform.build_default(config)
     for cycle in range(1, args.cycles + 1):
         report = platform.run_cycle()
@@ -539,9 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     cycle_options.add_argument(
         "--fetch-workers", type=int, default=4,
         help="worker threads for the feed-fetch stage")
-    cycle_options.add_argument(
-        "--share-workers", type=int, default=4,
-        help="worker threads for the sharing fan-out")
 
     run = subparsers.add_parser("run", help="run platform cycles",
                                 parents=[cycle_options])

@@ -164,10 +164,10 @@ class PlatformConfig:
     #: (``benchmarks/perf/test_smoke.py``) still passes ``enrich_workers=1``;
     #: it goes, with ``store_shards``, once that test stops passing it.
     enrich_workers: int = 1
-    #: Worker threads for the sharing fan-out (one entity per worker slot).
-    #: Payloads are pre-rendered and ledger writes are committed post-drain,
-    #: so any count produces identical ledgers; see docs/SHARING.md.
-    share_workers: int = 4
+    #: Ignored: the sharing fan-out runs entity by entity on the cycle's
+    #: thread at any value.  Kept only because the benchmark smoke test
+    #: still passes ``share_workers=1``; it goes with ``enrich_workers``.
+    share_workers: int = 1
     org: str = "CAOP"
     #: Record metrics, per-stage spans, per-IoC lineage, structured log
     #: records and SLO burn rates (disable only to measure the telemetry
@@ -433,11 +433,11 @@ class ContextAwareOSINTPlatform:
         if config.fault_injector is not None:
             dashboard.sio.broker.fault_injector = config.fault_injector
         gateway = SharingGateway(
-            misp, workers=config.share_workers, retry_policy=retry,
+            misp, retry_policy=retry,
             breakers=breaker_board(), deadletters=deadletters,
             metrics=metrics, clock=clock, sleeper=sleeper,
             fault_injector=config.fault_injector,
-            tracer=tracer, provenance=provenance, log=log)
+            provenance=provenance, log=log)
         return cls(
             osint_collector=osint_collector, infra_collector=infra_collector,
             sensors=sensors, misp=misp, heuristics=heuristics,

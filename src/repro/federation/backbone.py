@@ -13,19 +13,19 @@ directed link's traffic (``caop_federation_*`` metrics plus
 
 Delivery is synchronous: ``transmit`` invokes the destination's handler and
 returns its response dict, raising :class:`~repro.errors.SharingError` when
-the link is down — the same retryable contract the sharing gateway's other
-transports follow, so per-link circuit breakers, retry backoff and
-dead-letter quarantine all compose unchanged.
+the link is down or the handler fails (its store faulted) — the same
+retryable contract the sharing gateway's other transports follow, so
+per-link circuit breakers, retry backoff and dead-letter quarantine all
+compose unchanged.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..errors import SharingError
+from ..errors import ReproError, SharingError
 from ..obs import MetricsRegistry, NULL_REGISTRY
 
 #: Message kinds a backbone carries.
@@ -51,7 +51,6 @@ class Backbone:
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self._handlers: "Dict[str, Handler]" = {}
-        self._lock = threading.Lock()
         #: (src, dst) -> LinkStats for every link that ever transmitted.
         self.stats: Dict[Tuple[str, str], LinkStats] = {}
         registry = metrics or NULL_REGISTRY
@@ -87,27 +86,31 @@ class Backbone:
         """Deliver one message; returns the destination handler's response.
 
         Raises :class:`SharingError` (retryable) when the destination is
-        unknown or the link is down; link failures are counted before the
-        raise so chaos runs can assert on injected drop totals.
+        unknown, the link is down, or the handler raises any other
+        :class:`~repro.errors.ReproError`.  Link failures are counted
+        before the raise so chaos runs can assert on injected drop totals;
+        a failed handler's message is not counted as delivered.
         """
         handler = self._handlers.get(dst)
         if handler is None:
             raise SharingError(f"no such federation org {dst!r}")
         size = len(json.dumps(payload, sort_keys=True, default=str))
-        with self._lock:
-            stats = self.stats.setdefault((src, dst), LinkStats())
+        stats = self.stats.setdefault((src, dst), LinkStats())
         try:
             self._check_link(src, dst)
         except SharingError:
-            with self._lock:
-                stats.failures += 1
+            stats.failures += 1
             self._m_failures.inc(src=src, dst=dst)
             self._m_link_up.set(0, src=src, dst=dst)
             raise
-        response = handler(src, kind, payload) or {}
-        with self._lock:
-            stats.messages += 1
-            stats.bytes += size
+        try:
+            response = handler(src, kind, payload) or {}
+        except SharingError:
+            raise
+        except ReproError as exc:
+            raise SharingError(f"delivery to {dst!r} failed: {exc}") from exc
+        stats.messages += 1
+        stats.bytes += size
         self._m_messages.inc(src=src, dst=dst, kind=kind)
         self._m_bytes.inc(size, src=src, dst=dst)
         self._m_link_up.set(1, src=src, dst=dst)
@@ -115,14 +118,12 @@ class Backbone:
 
     def bytes_sent(self, org: str) -> int:
         """Total payload bytes this org pushed onto the backbone."""
-        with self._lock:
-            return sum(stats.bytes for (src, _dst), stats
-                       in self.stats.items() if src == org)
+        return sum(stats.bytes for (src, _dst), stats
+                   in self.stats.items() if src == org)
 
     def total_bytes(self) -> int:
         """Payload bytes delivered across every link."""
-        with self._lock:
-            return sum(stats.bytes for stats in self.stats.values())
+        return sum(stats.bytes for stats in self.stats.values())
 
 
 class InMemoryBackbone(Backbone):
@@ -136,7 +137,7 @@ class SimulatedNetworkBackbone(Backbone):
     (:meth:`~repro.resilience.FaultInjector.check_link`), so scripted
     :class:`~repro.resilience.FaultPlan` rules over ``src->dst`` keys and
     imperative ``partition``/``heal``/``lossy`` calls decide which
-    messages are dropped — deterministically, at any thread count.
+    messages are dropped — deterministically.
     """
 
     def __init__(self, fault_injector,

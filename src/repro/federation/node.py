@@ -92,7 +92,6 @@ class FederationNode:
 
     def __init__(self, name: str, backbone: Backbone, topology: Topology,
                  clock: Optional[Clock] = None, *,
-                 workers: int = 2,
                  policy: Optional[SharingPolicy] = None,
                  accept_ceiling: str = Tlp.RED,
                  failure_threshold: int = 3,
@@ -114,7 +113,6 @@ class FederationNode:
         # content, so faulted runs can match the baseline byte-for-byte.
         self.gateway = SharingGateway(
             self.misp, self.policy,
-            workers=workers,
             retry_policy=retry_policy or RetryPolicy(max_retries=1, seed=11),
             breakers=CircuitBreakerBoard(
                 clock=self.clock, failure_threshold=failure_threshold,
@@ -282,18 +280,22 @@ class Federation:
     def __init__(self, topology: Topology, *,
                  backbone: Optional[Backbone] = None,
                  clock: Optional[Clock] = None,
-                 workers: int = 2,
+                 workers: int = 1,
                  metrics: Optional[MetricsRegistry] = None,
                  node_options: Optional[Dict[str, Dict[str, Any]]] = None
                  ) -> None:
+        # ``workers`` is ignored: each org's gateway shares entity by
+        # entity.  Kept only because the benchmark smoke test
+        # (``benchmarks/perf/test_smoke.py``) still passes ``workers=1``
+        # for the ``federate`` workload; it goes once that test stops
+        # passing it.
         self.topology = topology
         self.clock = clock or SimulatedClock(PAPER_NOW)
         self.backbone = backbone or InMemoryBackbone(metrics=metrics)
         options = node_options or {}
         self.nodes: Dict[str, FederationNode] = {
             org: FederationNode(org, self.backbone, topology, self.clock,
-                                workers=workers, metrics=metrics,
-                                **options.get(org, {}))
+                                metrics=metrics, **options.get(org, {}))
             for org in topology.orgs
         }
         for src, dst in topology.links:

@@ -246,9 +246,9 @@ class CountingConnection:
     """A SQLite connection that counts Python→SQLite round trips.
 
     The counter feeds ``MispStore.sql_statements`` so the SQL-budget benches
-    can prove a path's statement count.  ``check_same_thread=False`` because
-    the sharing fan-out hands remote stores to worker threads (serialized
-    behind the gateway's transport lock).
+    can prove a path's statement count.  ``check_same_thread=False`` keeps
+    a store usable from a thread other than the one that opened it; no
+    code in the package touches one store from two threads at once.
     """
 
     def __init__(self, path: str) -> None:

@@ -21,7 +21,6 @@ from .log import (
     LOG_LEVELS,
     LOG_RECORD_SCHEMA,
     NULL_LOG,
-    LogBuffer,
     StructuredLog,
     validate_record,
     validate_records,
@@ -70,7 +69,6 @@ __all__ = [
     "CycleSnapshot",
     "Gauge",
     "Histogram",
-    "LogBuffer",
     "Metric",
     "MetricTimeSeries",
     "MetricsRegistry",

@@ -7,14 +7,9 @@ adds (``trace_id``, ``event_uuid``, counts, scores).  Records land on a
 bounded ring buffer (:class:`StructuredLog`) and, optionally, a JSONL
 file sink.
 
-Determinism contract (docs/OBSERVABILITY.md): log emission follows the
-same discipline as metrics and sync ledger writes in PRs 2/4/5 — worker
-pools never emit directly.  Coordinating threads emit over drain-ordered
-results, and code that *must* log from inside a pool task writes into a
-per-task :class:`LogBuffer` that the coordinator flushes post-drain in
-registration order, assigning ``seq`` and ``ts`` at flush time.  The
-result: ``fetch_workers``/``share_workers`` of 1 or 4 produce
-byte-identical ``to_jsonl()`` output.
+Determinism contract (docs/OBSERVABILITY.md): the feed-fetch pool never
+emits.  The cycle's thread emits over its drain-ordered results, so
+``fetch_workers`` of 1 or 4 produce byte-identical ``to_jsonl()`` output.
 
 :data:`LOG_RECORD_SCHEMA` is a JSON-Schema subset describing every
 record; :func:`validate_record` checks it without external dependencies.
@@ -96,27 +91,6 @@ def validate_record(record: Any) -> List[str]:
     return errors
 
 
-class LogBuffer:
-    """Per-task log staging for worker-pool code.
-
-    A pool task emits into its buffer; the coordinating thread flushes
-    buffers post-drain in registration order via
-    :meth:`StructuredLog.flush_buffer`, which assigns ``seq``/``ts`` then
-    — so record order never depends on pool scheduling.
-    """
-
-    def __init__(self, log: "StructuredLog") -> None:
-        self._log = log
-        self.entries: List[Tuple[str, str, str, Dict[str, Any]]] = []
-
-    def emit(self, stage: str, event: str, level: str = "info",
-             **fields: Any) -> None:
-        """Stage one record for the coordinator to flush."""
-        if not self._log.enabled:
-            return
-        self.entries.append((stage, event, level, fields))
-
-
 class StructuredLog:
     """Bounded ring buffer of JSON log records, with an optional file sink."""
 
@@ -163,18 +137,6 @@ class StructuredLog:
             self._records.append(record)
             self._write_sink(record)
         return record
-
-    def buffer(self) -> LogBuffer:
-        """A fresh per-task staging buffer (see :class:`LogBuffer`)."""
-        return LogBuffer(self)
-
-    def flush_buffer(self, buffer: LogBuffer) -> int:
-        """Emit a task buffer's staged records, in their staged order."""
-        for stage, event, level, fields in buffer.entries:
-            self.emit(stage, event, level, **fields)
-        count = len(buffer.entries)
-        buffer.entries = []
-        return count
 
     def records(self) -> List[Dict[str, Any]]:
         """Every buffered record, oldest first."""

@@ -1,9 +1,9 @@
-"""The one worker pool: ``ordered_map`` for the platform's parallel stages.
+"""The one worker pool: ``ordered_map`` for the feed-fetch stage.
 
-Feed fetching and the sharing fan-out have the same shape: a list of
-independent items that wait on I/O, a bounded worker count, results needed
-in input order, and per-item spans that must nest under the stage that
-spawned the work.  :func:`ordered_map` is that shape, written once.
+Feed fetching is a list of independent items that wait on I/O, a bounded
+worker count, results needed in input order, and per-item spans that must
+nest under the stage that spawned the work.  :func:`ordered_map` is that
+shape; :meth:`~repro.feeds.FeedFetcher.fetch_many` is its one caller.
 
 Spans opened for the tasks are flagged as *work* spans on every path (pool
 or serial), so :meth:`~repro.obs.trace.Span.flatten` reports them as summed

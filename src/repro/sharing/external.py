@@ -16,44 +16,40 @@ Both MISP transports build one wire message per share and hand it to one
 receiver, :meth:`~repro.misp.MispInstance.receive_message`: the ``misp``
 transport calls it on the peer instance, the ``backbone`` transport
 transmits the message to the peer org's federation node, which calls it.
+A receiver that raises (its store faulted) is a failed delivery, retried
+like a down link.
 
 :meth:`SharingGateway.sync_cycle` is the one share path: a **delta sync**
 over the store's change feed (one read per cycle, filtered by each
 entity's watermark; per-entity watermark + content-digest ledger in
 :class:`~repro.misp.MispStore`), payloads rendered once per cycle through
-a :class:`~repro.sharing.sync.RenderCache`, and the per-entity fan-out run
-on a bounded thread pool with circuit breakers, deterministic retry
-backoff and dead-letter quarantine.  Any worker count produces
-byte-identical records, remote stores, digests and watermarks
+a :class:`~repro.sharing.sync.RenderCache`, then each entity's shares run
+in registration order with circuit breakers, deterministic retry backoff
+and dead-letter quarantine, and are committed in the same order
 (docs/SHARING.md).
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..clock import Clock, SimulatedClock
 from ..core.deltas import collapse_changes
-from ..errors import SharingError
+from ..errors import ReproError, SharingError
 from ..misp import MispEvent, MispInstance
 from ..misp.store import BATCH_SIZE_BUCKETS
 from ..obs import (
     BYTES_BUCKETS,
-    LogBuffer,
     MetricsRegistry,
     NULL_LOG,
     NULL_RECORDER,
     NULL_REGISTRY,
     ProvenanceRecorder,
     StructuredLog,
-    Tracer,
     share_context,
     share_contexts,
 )
-from ..parallel import ordered_map, pool_width
 from ..resilience.breaker import BreakerState, CircuitBreakerBoard
 from ..resilience.retry import RetryPolicy, sleeper_for
 from .taxii import TaxiiServer
@@ -87,9 +83,6 @@ class ExternalEntity:
     #: For the ``backbone`` transport: the federation fabric to transmit
     #: over; the entity name is the destination org.
     backbone: Optional[Any] = None
-    #: Simulated per-share transport latency; really slept only when the
-    #: gateway runs with ``realtime=True`` (wall-clock benches).
-    latency_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.transport not in ("misp", "taxii", "stix-download",
@@ -129,7 +122,7 @@ class SharingRecord:
 
 @dataclass
 class _EntityOutcome:
-    """What one entity's fan-out worker produced (merged post-drain)."""
+    """What one entity's shares produced, for the commit to apply."""
 
     records: List[SharingRecord] = field(default_factory=list)
     #: uuid -> ledger entry (raw digest for ok, marker for terminal non-ok).
@@ -143,6 +136,9 @@ class _EntityOutcome:
     backoff: float = 0.0
     payload_bytes: int = 0
     breaker_skipped: int = 0
+    #: ``share_result`` log records as (level, fields), emitted by the
+    #: commit after this entity's backoff sleep.
+    log: List[Tuple[str, Dict[str, Any]]] = field(default_factory=list)
 
     def count(self, outcome: str) -> None:
         self.counts[outcome] = self.counts.get(outcome, 0) + 1
@@ -155,15 +151,13 @@ class SharingGateway:
     share is checked against the event's TLP marking and the entity's
     clearance before any transport is invoked.
 
-    ``workers`` bounds the fan-out pool used by :meth:`sync_cycle`; 1 keeps
-    the serial behaviour.  ``retry_policy`` governs transient transport
-    retries (none by default), ``breakers`` trips a per-entity circuit after
-    consecutive transport failures, and ``deadletters`` quarantines shares
-    that exhaust their retries for a later ``replay``.
+    ``retry_policy`` governs transient transport retries (none by
+    default), ``breakers`` trips a per-entity circuit after consecutive
+    transport failures, and ``deadletters`` quarantines shares that
+    exhaust their retries for a later ``replay``.
     """
 
     def __init__(self, local_misp: MispInstance, policy=None, *,
-                 workers: int = 1,
                  retry_policy: Optional[RetryPolicy] = None,
                  breakers: Optional[CircuitBreakerBoard] = None,
                  deadletters=None,
@@ -171,19 +165,13 @@ class SharingGateway:
                  clock: Optional[Clock] = None,
                  sleeper=None,
                  fault_injector=None,
-                 realtime: bool = False,
-                 tracer: Optional[Tracer] = None,
                  provenance: Optional[ProvenanceRecorder] = None,
                  log: Optional[StructuredLog] = None) -> None:
-        if workers < 1:
-            raise SharingError("workers must be positive")
         self._misp = local_misp
-        self._tracer = tracer or Tracer(enabled=False)
         self._provenance = provenance or NULL_RECORDER
         self._log = log or NULL_LOG
         self._entities: List[ExternalEntity] = []
         self._policy = policy
-        self._workers = workers
         self._retry = retry_policy
         self._clock = clock or SimulatedClock()
         self.breakers = breakers if breakers is not None else \
@@ -192,19 +180,11 @@ class SharingGateway:
         self._sleeper = sleeper if sleeper is not None else \
             sleeper_for("virtual", self._clock)
         self.fault_injector = fault_injector
-        self._realtime = realtime
         self.audit_log: List[SharingRecord] = []
         #: (entity, event uuid) -> digest of the version that entity sent
         #: this org; read and dropped by the next plan.
         self._peer_held: Dict[Tuple[str, str], str] = {}
-        #: Serializes every transport touch of the local instance and of
-        #: shared remote endpoints (MISP peer stores are SQLite connections;
-        #: safe across threads only when accesses never overlap).
-        self._transport_lock = threading.Lock()
         self._metrics = metrics or NULL_REGISTRY
-        self._m_pool = self._metrics.gauge(
-            "caop_share_pool_workers",
-            "Worker threads used by the last sync_cycle fan-out")
         self._m_batch = self._metrics.histogram(
             "caop_share_batch_size",
             "Events actually shared per entity per sync cycle",
@@ -247,11 +227,6 @@ class SharingGateway:
         """The registered external entities."""
         return list(self._entities)
 
-    @property
-    def workers(self) -> int:
-        """The configured fan-out pool bound."""
-        return self._workers
-
     def entity(self, name: str) -> ExternalEntity:
         """Look one registered entity up by name."""
         for candidate in self._entities:
@@ -274,11 +249,7 @@ class SharingGateway:
 
     def _share_trace(self, entity: ExternalEntity,
                      event_uuid: str) -> Optional[Dict[str, Any]]:
-        """Trace context to ride alongside a MISP share (None otherwise).
-
-        Reads the local provenance table, so it must run on the coordinating
-        thread, never inside a fan-out worker.
-        """
+        """Trace context to ride alongside a MISP share (None otherwise)."""
         if not self._carries_trace(entity):
             return None
         return share_context(self._misp.store, event_uuid, self._misp.org)
@@ -297,14 +268,13 @@ class SharingGateway:
                         ) -> Tuple[bool, str, int]:
         """One transport attempt: (ok, detail, bytes actually handed over).
 
-        Raises :class:`SharingError` on transport faults (retryable); a
-        ``False`` return is a *terminal* non-ok outcome (distribution skip,
-        rejected objects) that retrying cannot change.
+        Raises :class:`SharingError` on transport faults, a receiver's
+        included (retryable); a ``False`` return is a *terminal* non-ok
+        outcome (distribution skip, rejected objects) that retrying cannot
+        change.
         """
         if self.fault_injector is not None:
             self.fault_injector.check("share", entity.name)
-        if self._realtime and entity.latency_seconds > 0:
-            time.sleep(entity.latency_seconds)
         if entity.transport in ("misp", "backbone"):
             # One MISP-to-MISP hop: the release gate toward the destination
             # org, then one message carrying the rendered wire document
@@ -313,28 +283,30 @@ class SharingGateway:
             # entity name is the destination org.
             dest_org = entity.name if entity.transport == "backbone" \
                 else entity.misp_instance.org
-            with self._transport_lock:
-                ok, group, reason = self._misp.release_gate(event, dest_org)
-                if not ok:
-                    return False, f"skipped ({reason})", 0
-                message: Dict[str, Any] = {"document": payload.text}
-                if group is not None:
-                    message["sharing_group"] = group.to_dict()
-                if trace is not None:
-                    message["trace"] = trace
-                if entity.transport == "backbone":
-                    response = entity.backbone.transmit(
-                        self._misp.org, entity.name, "event", message)
-                else:
+            ok, group, reason = self._misp.release_gate(event, dest_org)
+            if not ok:
+                return False, f"skipped ({reason})", 0
+            message: Dict[str, Any] = {"document": payload.text}
+            if group is not None:
+                message["sharing_group"] = group.to_dict()
+            if trace is not None:
+                message["trace"] = trace
+            if entity.transport == "backbone":
+                response = entity.backbone.transmit(
+                    self._misp.org, entity.name, "event", message)
+            else:
+                try:
                     response = entity.misp_instance.receive_message(message)
+                except ReproError as exc:
+                    raise SharingError(
+                        f"delivery to {entity.name!r} failed: {exc}") from exc
             if response.get("accepted"):
                 return True, "", payload.size
             detail = response.get("reason", "rejected")
             return False, f"skipped ({detail})", 0
         if entity.transport == "taxii":
-            with self._transport_lock:
-                status = entity.taxii_server.add_objects(
-                    entity.taxii_collection, list(payload.objects))
+            status = entity.taxii_server.add_objects(
+                entity.taxii_collection, list(payload.objects))
             ok = status["failure_count"] == 0 and status["success_count"] > 0
             detail = f"accepted {status['success_count']} objects"
             return ok, detail, payload.size if ok else 0
@@ -346,8 +318,7 @@ class SharingGateway:
     def plan_cycle(self) -> Tuple[List[EntityCycle], RenderCache]:
         """Build every entity's delta plan and pre-render the payloads.
 
-        Runs entirely on the calling thread (all local-store reads happen
-        here): reads the store's change feed once, from the lowest entity
+        Reads the store's change feed once, from the lowest entity
         watermark up to the current audit cursor, and collapses it to live
         upserts.  Each entity's candidates are the upserts whose last seq
         is above its own watermark, in ``(last seq, uuid)`` order; digest-
@@ -421,33 +392,26 @@ class SharingGateway:
     def sync_cycle(self) -> ShareCycleReport:
         """One incremental share fan-out across every registered entity.
 
-        Deterministic for any ``workers`` count: plans and payloads are
-        built serially up front, each entity's shares run serially inside
-        one worker, and all ledger/audit/quarantine writes are committed
-        after the pool drains, in entity registration order.
+        Plans and payloads are built up front; then each entity's shares
+        run in registration order, and a second pass commits each
+        entity's outcome in the same order: its backoff sleep, audit and
+        log records, lineage, ledger, watermark, quarantine and telemetry.
+        Committing after every entity has run keeps later entities'
+        breaker decisions and timestamps off the clock the backoff sleeps
+        advance.
         """
         report = ShareCycleReport(entities=len(self._entities))
         if not self._entities:
             return report
         store = self._misp.store
         plans, cache = self.plan_cycle()
-        self._m_pool.set(pool_width(self._workers, len(plans)))
-        # One log buffer per entity: workers stage records thread-locally,
-        # the post-drain commit flushes them in registration order, so the
-        # structured log is byte-identical at any worker count.
-        buffers = [self._log.buffer() for _ in plans]
-        outcomes = ordered_map(
-            lambda pair: self._run_entity_cycle(*pair),
-            zip(plans, buffers), self._workers, self._tracer, "share_entity",
-            tags=lambda pair: {"entity": pair[0].entity.name})
-        # Post-drain commit, serial and in registration order: backoff,
-        # audit records, log records, lineage, ledger updates, quarantine,
-        # telemetry.
-        for plan, outcome, buffer in zip(plans, outcomes, buffers):
+        outcomes = [self._run_entity_cycle(plan) for plan in plans]
+        for plan, outcome in zip(plans, outcomes):
             entity = plan.entity
             self._sleeper.sleep(outcome.backoff)
             self.audit_log.extend(outcome.records)
-            self._log.flush_buffer(buffer)
+            for level, fields in outcome.log:
+                self._log.emit("share", "share_result", level, **fields)
             if self._provenance.enabled:
                 for record in outcome.records:
                     if record.ok:
@@ -490,15 +454,12 @@ class SharingGateway:
         self._m_cycles.inc()
         return report
 
-    def _run_entity_cycle(self, plan: EntityCycle,
-                          buffer: Optional[LogBuffer] = None
-                          ) -> _EntityOutcome:
-        """One entity's serial share sequence (runs inside a pool worker).
+    def _run_entity_cycle(self, plan: EntityCycle) -> _EntityOutcome:
+        """One entity's share sequence, in candidate order.
 
-        Touches only the entity's transport (and thread-safe shared
-        machinery: breaker, metrics counters); every local-store write is
-        deferred to the post-drain commit.  Log records are staged into
-        ``buffer`` (flushed post-drain, in registration order).
+        Touches the entity's transport, breaker and metrics; every
+        local-store write, backoff sleep and log record is left to the
+        commit in :meth:`sync_cycle`.
         """
         outcome = _EntityOutcome()
         entity = plan.entity
@@ -514,13 +475,10 @@ class SharingGateway:
                 outcome.digests[item.event.uuid] = terminal_digest(
                     item.kind, item.digest)
                 outcome.count(item.kind)
-                if buffer is not None:
-                    buffer.emit("share", "share_result",
-                                level="warn" if item.kind == OUTCOME_REFUSED
-                                else "info",
-                                entity=entity.name,
-                                event_uuid=item.event.uuid,
-                                outcome=item.kind)
+                outcome.log.append((
+                    "warn" if item.kind == OUTCOME_REFUSED else "info",
+                    {"entity": entity.name, "event_uuid": item.event.uuid,
+                     "outcome": item.kind}))
                 continue
             if not breaker.allow():
                 # Open breaker: leave the event pending (no record, no
@@ -528,11 +486,10 @@ class SharingGateway:
                 outcome.blocked_seqs.append(item.seq)
                 outcome.breaker_skipped += 1
                 outcome.count("breaker_open")
-                if buffer is not None:
-                    buffer.emit("share", "share_result", level="warn",
-                                entity=entity.name,
-                                event_uuid=item.event.uuid,
-                                outcome="breaker_open")
+                outcome.log.append((
+                    "warn", {"entity": entity.name,
+                             "event_uuid": item.event.uuid,
+                             "outcome": "breaker_open"}))
                 continue
             probing = breaker.state == BreakerState.HALF_OPEN
             record, entry, failed = self._attempt_share(
@@ -543,13 +500,11 @@ class SharingGateway:
             if failed:
                 outcome.blocked_seqs.append(item.seq)
                 outcome.quarantine.append((item.event, record.detail))
-            if buffer is not None:
-                buffer.emit(
-                    "share", "share_result",
-                    level="warn" if failed else "info",
-                    entity=entity.name, event_uuid=item.event.uuid,
-                    outcome=OUTCOME_OK if record.ok else
-                    (OUTCOME_FAILED if failed else OUTCOME_SKIPPED))
+            outcome.log.append((
+                "warn" if failed else "info",
+                {"entity": entity.name, "event_uuid": item.event.uuid,
+                 "outcome": OUTCOME_OK if record.ok else
+                 (OUTCOME_FAILED if failed else OUTCOME_SKIPPED)}))
         return outcome
 
     def _attempt_share(self, entity: ExternalEntity, item: PlannedShare,
@@ -615,8 +570,6 @@ class SharingGateway:
         breaker = self.breakers.breaker(entity.name)
         if not breaker.allow():
             return False
-        # replay runs on the coordinating thread, so reading the local
-        # provenance table for the trace context is safe here.
         trace = self._share_trace(entity, event.uuid)
         try:
             ok, detail, sent_bytes = self._transport_push(

@@ -23,16 +23,14 @@ the same shape over the local store:
   the hop downgrade applied), which both MISP transports send as is;
 - :class:`ShareCycleReport` — what one ``sync_cycle`` accomplished.
 
-Determinism contract (docs/SHARING.md): candidates are ordered by their last
-audit change (then uuid), payloads are pre-rendered serially, and ledger
-writes happen after the fan-out pool drains — so any ``share_workers``
-count produces byte-identical records, remote stores, digests and
-watermarks.
+Order (docs/SHARING.md): candidates are ordered by their last audit change
+(then uuid), payloads are rendered while the plan is built, and ledger
+writes are committed entity by entity, in registration order, after every
+entity's shares have run.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -84,11 +82,12 @@ class RenderedPayload:
 class RenderCache:
     """Payload render cache keyed on ``(content identity, format)``.
 
-    ``get_or_render`` is called serially (pre-fan-out) by the gateway, so a
-    payload needed by N entities is serialized exactly once per cycle; the
-    hit/miss counters land on ``caop_share_renders_total``.  Other fan-out
-    paths (the dashboard's snapshot+delta hub) reuse the same cache shape
-    through :meth:`get_or_build` under their own metric name.
+    The gateway calls ``get_or_render`` while it builds the cycle's plan,
+    so a payload needed by N entities is serialized exactly once per
+    cycle; the hit/miss counters land on ``caop_share_renders_total``.
+    Other fan-out paths (the dashboard's snapshot+delta hub) reuse the
+    same cache shape through :meth:`get_or_build` under their own metric
+    name.
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None,
@@ -96,7 +95,6 @@ class RenderCache:
                  metric_help: str = "Render-cache lookups by the sharing "
                                     "fan-out, labelled hit/miss") -> None:
         self._cache: Dict[Tuple[str, str], RenderedPayload] = {}
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         metrics = metrics or NULL_REGISTRY
@@ -106,16 +104,14 @@ class RenderCache:
                      builder: Callable[[], RenderedPayload]
                      ) -> RenderedPayload:
         """The cached payload for ``key``, calling ``builder`` on first use."""
-        with self._lock:
-            payload = self._cache.get(key)
-            if payload is not None:
-                self.hits += 1
-                self._m_renders.inc(result="hit")
-                return payload
+        payload = self._cache.get(key)
+        if payload is not None:
+            self.hits += 1
+            self._m_renders.inc(result="hit")
+            return payload
         payload = builder()
-        with self._lock:
-            self._cache[key] = payload
-            self.misses += 1
+        self._cache[key] = payload
+        self.misses += 1
         self._m_renders.inc(result="miss")
         return payload
 
@@ -128,8 +124,7 @@ class RenderCache:
 
     def reset(self) -> None:
         """Drop every cached payload (the hit/miss counters are kept)."""
-        with self._lock:
-            self._cache.clear()
+        self._cache.clear()
 
     @staticmethod
     def _render(event: MispEvent, render_format: str) -> RenderedPayload:
@@ -184,8 +179,8 @@ class PlannedShare:
     payload: Optional[RenderedPayload] = None
     detail: str = ""
     #: Provenance trace context (``{"trace_id", "path"}``) computed at plan
-    #: time on the coordinating thread; rides *alongside* the payload so the
-    #: shared content (and its digest) never changes.
+    #: time; rides *alongside* the payload so the shared content (and its
+    #: digest) never changes.
     trace: Optional[Dict[str, Any]] = None
 
 

@@ -10,7 +10,6 @@ platforms in one process can exchange intelligence the standard way.
 from __future__ import annotations
 
 import datetime as _dt
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -57,10 +56,6 @@ class TaxiiServer:
         self._collections: Dict[str, TaxiiCollection] = {}
         self._clock = clock or SimulatedClock()
         self.requests_served = 0
-        #: Serializes object writes — sharing gateways may push from
-        #: worker threads (each gateway holds its own transport lock, but
-        #: several gateways can target one server).
-        self._write_lock = threading.Lock()
 
     # -- server management -----------------------------------------------------
 
@@ -116,15 +111,14 @@ class TaxiiServer:
         now = self._clock.now()
         successes = 0
         failures = 0
-        with self._write_lock:
-            self.requests_served += 1
-            for obj in objects:
-                try:
-                    parse_object(obj)  # validate before accepting
-                    collection._objects.append((now, dict(obj)))
-                    successes += 1
-                except Exception:
-                    failures += 1
+        self.requests_served += 1
+        for obj in objects:
+            try:
+                parse_object(obj)  # validate before accepting
+                collection._objects.append((now, dict(obj)))
+                successes += 1
+            except Exception:
+                failures += 1
         return {
             "status": "complete",
             "success_count": successes,

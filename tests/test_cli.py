@@ -19,8 +19,8 @@ class TestParser:
     @pytest.mark.parametrize("command", ["run", "metrics"])
     def test_cycle_option_defaults(self, command):
         args = build_parser().parse_args([command])
-        assert (args.cycles, args.seed, args.entries, args.fetch_workers,
-                args.share_workers) == (3, 7, 60, 4, 4)
+        assert (args.cycles, args.seed, args.entries,
+                args.fetch_workers) == (3, 7, 60, 4)
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):

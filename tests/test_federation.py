@@ -12,8 +12,6 @@ queue replays.
 import datetime as dt
 import json
 
-import pytest
-
 from repro.clock import PAPER_NOW, SimulatedClock
 from repro.misp import Distribution, MispAttribute, MispEvent, MispInstance
 from repro.resilience import (
@@ -35,13 +33,12 @@ BREAKER_COOLDOWN = 120.0
 class Organization:
     """One federation node: a MISP instance plus its sharing gateway."""
 
-    def __init__(self, name, clock, workers=4, fault_injector=None):
+    def __init__(self, name, clock, fault_injector=None):
         self.name = name
         self.misp = MispInstance(org=name, clock=clock)
         self.deadletters = DeadLetterQueue(clock=clock)
         self.gateway = SharingGateway(
             self.misp,
-            workers=workers,
             retry_policy=RetryPolicy(max_retries=1, seed=7),
             breakers=CircuitBreakerBoard(
                 clock=clock, failure_threshold=2,
@@ -76,13 +73,12 @@ def seed_events(org, count):
         org.misp.add_event(event)
 
 
-def build_federation(workers=4, fault_injector=None):
+def build_federation(fault_injector=None):
     """A -> B -> C chain; the injector (if any) faults the A->B hop."""
     clock = SimulatedClock(PAPER_NOW)
-    a = Organization("org-a", clock, workers=workers,
-                     fault_injector=fault_injector)
-    b = Organization("org-b", clock, workers=workers)
-    c = Organization("org-c", clock, workers=workers)
+    a = Organization("org-a", clock, fault_injector=fault_injector)
+    b = Organization("org-b", clock)
+    c = Organization("org-c", clock)
     a.peer_with(b)
     b.peer_with(c)
     seed_events(a, 6)
@@ -156,11 +152,10 @@ class TestFederationConvergence:
             component="share", key="org-b", rate=1.0,
             reason="injected A->B outage")])
 
-    def converge(self, workers):
+    def converge(self):
         """Run the faulted federation to convergence; returns the nodes."""
         injector = FaultInjector(self.fault_plan())
-        clock, a, b, c = build_federation(workers=workers,
-                                          fault_injector=injector)
+        clock, a, b, c = build_federation(fault_injector=injector)
         # Rounds under fault: nothing crosses A->B; A's breaker opens and
         # failed shares quarantine.
         run_round(a, b, c)
@@ -185,13 +180,13 @@ class TestFederationConvergence:
         baseline = c0.store_blob()
         assert baseline == a0.store_blob()
 
-        a, b, c = self.converge(workers=4)
+        a, b, c = self.converge()
         assert a.store_blob() == baseline
         assert b.store_blob() == baseline
         assert c.store_blob() == baseline
 
     def test_watermarks_self_heal_after_recovery(self):
-        a, b, c = self.converge(workers=4)
+        a, b, c = self.converge()
         for org in (a, b, c):
             cursor = org.misp.store.max_audit_seq()
             for entity, watermark in org.gateway.watermarks().items():
@@ -199,9 +194,3 @@ class TestFederationConvergence:
         # Fully drained: one more round moves nothing.
         reports = run_round(a, b, c)
         assert all(r.shared == 0 and r.failed == 0 for r in reports)
-
-    @pytest.mark.parametrize("workers", [1, 8])
-    def test_converged_state_is_worker_count_invariant(self, workers):
-        reference = [org.store_blob() for org in self.converge(workers=4)]
-        other = [org.store_blob() for org in self.converge(workers=workers)]
-        assert other == reference

@@ -9,12 +9,13 @@ provenance lineage) equals the fault-free baseline's.
 
 Unit layers covered on the way there: topology routing, backbone delivery
 and accounting, the fault injector's ``link`` seam
-(``partition``/``heal``/``lossy``), the anti-entropy preference rule and
-repair protocol and the offer index, the sightings feedback loop, the TLP
-trust boundary at the backbone edge, the receiver's refusal of malformed
-messages, the wire document of a hop (the release copy, encoded once per
-event per cycle), and the echo a receiver no longer sends back to the org
-it got a version from.
+(``partition``/``heal``/``lossy``), a receiver's store fault as a failed
+delivery, the anti-entropy preference rule and repair protocol and the
+offer index, the sightings feedback loop, the TLP trust boundary at the
+backbone edge, the receiver's refusal of malformed messages, the wire
+document of a hop (the release copy, encoded once per event per cycle),
+and the echo a receiver no longer sends back to the org it got a version
+from.
 """
 
 import datetime as dt
@@ -225,6 +226,29 @@ class TestLinkFaults:
         assert failures.value(src="a", dst="b") == 1
         assert registry.gauge("caop_federation_link_up").value(
             src="a", dst="b") == 0
+
+
+class TestReceiverFaults:
+    def test_a_receiver_store_fault_is_a_failed_delivery(self):
+        federation = Federation(mesh(["left", "right", "third"]),
+                                clock=SimulatedClock(PAPER_NOW))
+        injector = FaultInjector(FaultPlan(rules=[
+            FaultRule(component="store", key="*", rate=1.0)]))
+        federation.node("right").misp.store.fault_injector = injector
+        left = federation.node("left")
+        for index in range(3):
+            left.misp.add_event(make_intel(index, PAPER_NOW))
+        federation.run_round()
+        watermarks = left.gateway.watermarks()
+        assert watermarks["third"] == left.misp.store.max_audit_seq()
+        assert watermarks["right"] == 0
+        assert federation.node("third").misp.store.event_count() == 3
+        assert federation.backbone.stats[("left", "right")].messages == 0
+        assert federation.reconcile()["left->right"]["link_down"] == 1
+        injector.clear()
+        federation.replay_deadletters()
+        federation.run(3)
+        assert federation.converged()
 
 
 class TestPrefersIncoming:

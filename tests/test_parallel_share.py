@@ -1,28 +1,31 @@
-"""Parallel delta-sync sharing fan-out: determinism, delta, resilience.
+"""Delta-sync sharing fan-out: delta, order, resilience.
 
-The contract under test (docs/SHARING.md): any ``share_workers`` count
-produces byte-identical SharingRecord ledgers, remote stores, digests and
-watermarks; a steady-state cycle renders and shares nothing; transport
-failures block the watermark, quarantine to the dead-letter queue, and the
-ledger self-heals after breaker recovery + replay.
+The contract under test (docs/SHARING.md): a steady-state cycle renders
+and shares nothing; entities run and commit in registration order, and
+each entity's log records are stamped after its backoff sleep; transport
+failures, a receiver's store fault among them, block the watermark,
+quarantine to the dead-letter queue, and the ledger self-heals after
+breaker recovery + replay.
 """
 
 import datetime as dt
-import json
 
 import pytest
 
-from repro.clock import PAPER_NOW, SimulatedClock
+from repro.clock import PAPER_NOW, SimulatedClock, format_timestamp
 from repro.errors import SharingError
 from repro.misp import Distribution, MispAttribute, MispEvent, MispInstance
+from repro.obs import MetricsRegistry, StructuredLog
 from repro.resilience import (
     KIND_SHARE,
+    CircuitBreakerBoard,
     DeadLetterQueue,
     FaultInjector,
     FaultPlan,
     FaultRule,
     RetryPolicy,
 )
+from repro.resilience.retry import sleeper_for
 from repro.sharing import (
     ExternalEntity,
     SharingGateway,
@@ -58,7 +61,7 @@ def make_events(count, tlp=None):
     return events
 
 
-def build_world(workers, events=6, fault_plan=None, policy=None,
+def build_world(events=6, fault_plan=None, policy=None,
                 retries=1, breaker_threshold=3, breaker_cooldown=300.0):
     clock = SimulatedClock(PAPER_NOW)
     local = MispInstance(org="Local", clock=clock)
@@ -68,10 +71,8 @@ def build_world(workers, events=6, fault_plan=None, policy=None,
     server = TaxiiServer(clock=clock)
     server.create_collection("indicators", "Indicators")
     deadletters = DeadLetterQueue(clock=clock)
-    from repro.resilience import CircuitBreakerBoard
     gateway = SharingGateway(
         local, policy,
-        workers=workers,
         retry_policy=RetryPolicy(max_retries=retries, seed=7),
         breakers=CircuitBreakerBoard(
             clock=clock, failure_threshold=breaker_threshold,
@@ -87,71 +88,9 @@ def build_world(workers, events=6, fault_plan=None, policy=None,
     return gateway, local, peer, server, deadletters, clock
 
 
-def canonical_state(gateway, local, peer, server):
-    """Everything the determinism contract covers, as one canonical blob."""
-    store = local.store
-    digests = {
-        entity.name: store.get_sync_digests(
-            entity.name, [UUID_BASE.format(i) for i in range(32)])
-        for entity in gateway.entities
-    }
-    return json.dumps({
-        "records": [(r.entity, r.transport, r.event_uuid, r.payload_bytes,
-                     r.ok, r.detail) for r in gateway.audit_log],
-        "watermarks": gateway.watermarks(),
-        "digests": digests,
-        "peer_events": sorted(
-            json.dumps(e.to_dict(), sort_keys=True)
-            for e in peer.store.list_events()),
-        "taxii_objects": sorted(
-            json.dumps(obj, sort_keys=True)
-            for obj in server.get_objects("indicators")),
-    }, sort_keys=True)
-
-
-class TestWorkerDeterminism:
-    @pytest.mark.parametrize("cycles", [1, 2])
-    def test_worker_counts_byte_identical(self, cycles):
-        blobs = []
-        for workers in (1, 4, 8):
-            gateway, local, peer, server, _dlq, _clock = build_world(workers)
-            for _ in range(cycles):
-                gateway.sync_cycle()
-            blobs.append(canonical_state(gateway, local, peer, server))
-        assert blobs[0] == blobs[1] == blobs[2]
-
-    def test_worker_counts_byte_identical_under_faults(self):
-        plan = FaultPlan(rules=[FaultRule(
-            component="share", key="peer-misp", from_call=0, until_call=4)])
-        blobs = []
-        for workers in (1, 4, 8):
-            gateway, local, peer, server, _dlq, _clock = build_world(
-                workers, fault_plan=plan)
-            gateway.sync_cycle()
-            blobs.append(canonical_state(gateway, local, peer, server))
-        assert blobs[0] == blobs[1] == blobs[2]
-
-    def test_pool_gauge_reflects_bound(self):
-        from repro.obs import MetricsRegistry
-        metrics = MetricsRegistry()
-        local = MispInstance(org="Local")
-        for event in make_events(2):
-            local.add_event(event)
-        gateway = SharingGateway(local, workers=8, metrics=metrics)
-        gateway.register(ExternalEntity(name="a", transport="stix-download"))
-        gateway.register(ExternalEntity(name="b", transport="stix-download"))
-        gateway.register(ExternalEntity(name="c", transport="stix-download"))
-        report = gateway.sync_cycle()
-        # 3 entities, 8 workers: the pool is clamped to the entity count.
-        assert metrics.get("caop_share_pool_workers").value() == 3
-        outcomes = metrics.get("caop_share_outcomes_total")
-        assert outcomes.value(entity="a", outcome="ok") == 2
-        assert report.payload_bytes > 0
-
-
 class TestDeltaSync:
     def test_first_cycle_shares_everything(self):
-        gateway, _local, peer, server, _dlq, _clock = build_world(1, events=5)
+        gateway, _local, peer, server, _dlq, _clock = build_world(events=5)
         report = gateway.sync_cycle()
         assert report.shared == 15  # 5 events x 3 entities
         assert report.failed == 0
@@ -159,7 +98,7 @@ class TestDeltaSync:
         assert len(server.get_objects("indicators")) >= 5
 
     def test_steady_state_cycle_renders_nothing(self):
-        gateway, *_ = build_world(4, events=5)
+        gateway, *_ = build_world(events=5)
         first = gateway.sync_cycle()
         assert first.renders > 0
         second = gateway.sync_cycle()
@@ -169,7 +108,7 @@ class TestDeltaSync:
         assert second.events_considered == 0
 
     def test_render_cache_one_serialization_per_format(self):
-        gateway, *_ = build_world(4, events=5)
+        gateway, *_ = build_world(events=5)
         report = gateway.sync_cycle()
         # misp-json for the MISP peer + stix shared by taxii and download:
         # 2 renders per event, 3 consumers -> 1 hit per event.
@@ -177,7 +116,7 @@ class TestDeltaSync:
         assert report.render_hits == 5
 
     def test_changed_event_is_the_only_delta(self):
-        gateway, local, peer, _server, _dlq, clock = build_world(4, events=6)
+        gateway, local, peer, _server, _dlq, clock = build_world(events=6)
         gateway.sync_cycle()
         changed = local.store.get_event(UUID_BASE.format(2))
         changed.add_attribute(MispAttribute(type="url",
@@ -194,7 +133,7 @@ class TestDeltaSync:
         assert len(peer.store.get_event(UUID_BASE.format(2)).attributes) == 3
 
     def test_rewrite_without_content_change_shares_nothing(self):
-        gateway, local, _peer, _server, _dlq, _clock = build_world(4, events=4)
+        gateway, local, _peer, _server, _dlq, _clock = build_world(events=4)
         gateway.sync_cycle()
         # Re-saving identical content bumps the audit cursor but not the
         # digest, so the candidates are dropped as unchanged.
@@ -206,7 +145,7 @@ class TestDeltaSync:
         assert report.renders == 0
 
     def test_late_registered_entity_gets_full_backfill(self):
-        gateway, local, _peer, _server, _dlq, clock = build_world(4, events=4)
+        gateway, local, _peer, _server, _dlq, clock = build_world(events=4)
         gateway.sync_cycle()
         late_peer = MispInstance(org="Late", clock=clock)
         gateway.register(ExternalEntity(name="late", transport="misp",
@@ -215,12 +154,26 @@ class TestDeltaSync:
         assert report.shared == 4
         assert late_peer.store.event_count() == 4
 
+    def test_outcome_counter_and_payload_bytes(self):
+        metrics = MetricsRegistry()
+        local = MispInstance(org="Local")
+        for event in make_events(2):
+            local.add_event(event)
+        gateway = SharingGateway(local, metrics=metrics)
+        for name in ("a", "b", "c"):
+            gateway.register(ExternalEntity(name=name,
+                                            transport="stix-download"))
+        report = gateway.sync_cycle()
+        outcomes = metrics.get("caop_share_outcomes_total")
+        assert outcomes.value(entity="a", outcome="ok") == 2
+        assert report.payload_bytes > 0
+
     @pytest.mark.parametrize("entities", [1, 8])
     def test_one_feed_read_per_cycle(self, entities, monkeypatch):
         local = MispInstance(org="Local")
         for event in make_events(4):
             local.add_event(event)
-        gateway = SharingGateway(local, workers=4)
+        gateway = SharingGateway(local)
         for index in range(entities):
             gateway.register(ExternalEntity(name=f"partner-{index}",
                                             transport="stix-download"))
@@ -241,7 +194,7 @@ class TestFailureSemantics:
     def test_failed_share_has_zero_payload_bytes(self):
         plan = FaultPlan(rules=[FaultRule(component="share", key="peer-misp",
                                           rate=1.0)])
-        gateway, *_ = build_world(1, events=3, fault_plan=plan,
+        gateway, *_ = build_world(events=3, fault_plan=plan,
                                   breaker_threshold=99)
         report = gateway.sync_cycle()
         failed = [r for r in report.records if r.entity == "peer-misp"]
@@ -251,7 +204,7 @@ class TestFailureSemantics:
     def test_failed_share_does_not_advance_watermark(self):
         plan = FaultPlan(rules=[FaultRule(component="share", key="peer-misp",
                                           rate=1.0)])
-        gateway, local, *_ = build_world(1, events=3, fault_plan=plan,
+        gateway, local, *_ = build_world(events=3, fault_plan=plan,
                                          breaker_threshold=99)
         gateway.sync_cycle()
         assert gateway.watermarks()["peer-misp"] == 0
@@ -267,7 +220,7 @@ class TestFailureSemantics:
         plan = FaultPlan(rules=[FaultRule(component="share", key="peer-misp",
                                           from_call=0, until_call=4)])
         gateway, local, peer, _server, _dlq, _clock = build_world(
-            1, events=4, fault_plan=plan, breaker_threshold=99)
+            events=4, fault_plan=plan, breaker_threshold=99)
         report = gateway.sync_cycle()
         peer_records = [r for r in report.records if r.entity == "peer-misp"]
         assert [r.ok for r in peer_records] == [False, False, True, True]
@@ -287,7 +240,7 @@ class TestFailureSemantics:
     def test_breaker_opens_and_skips_remaining_events(self):
         plan = FaultPlan(rules=[FaultRule(component="share", key="peer-misp",
                                           rate=1.0)])
-        gateway, *_ = build_world(1, events=6, fault_plan=plan,
+        gateway, *_ = build_world(events=6, fault_plan=plan,
                                   retries=0, breaker_threshold=3)
         report = gateway.sync_cycle()
         assert report.failed == 3
@@ -307,7 +260,7 @@ class TestFailureSemantics:
             local.add_event(event)
         policy = SharingPolicy()
         policy.set_clearance("legacy", "amber")
-        gateway = SharingGateway(local, policy, workers=2, clock=clock)
+        gateway = SharingGateway(local, policy, clock=clock)
         gateway.register(ExternalEntity(name="legacy",
                                         transport="stix-download"))
         report = gateway.sync_cycle()
@@ -341,12 +294,80 @@ class TestFailureSemantics:
         assert gateway.sync_cycle().events_considered == 0
 
 
+    def test_receiver_store_fault_is_a_failed_share(self):
+        clock = SimulatedClock(PAPER_NOW)
+        local = MispInstance(org="Local", clock=clock)
+        for event in make_events(3):
+            local.add_event(event)
+        good = MispInstance(org="Good", clock=clock)
+        bad = MispInstance(org="Bad", clock=clock)
+        bad.store.fault_injector = FaultInjector(FaultPlan(rules=[
+            FaultRule(component="store", key="*", rate=1.0)]))
+        deadletters = DeadLetterQueue(clock=clock)
+        gateway = SharingGateway(
+            local, breakers=CircuitBreakerBoard(clock=clock,
+                                                failure_threshold=99),
+            deadletters=deadletters, clock=clock)
+        gateway.register(ExternalEntity(name="good", transport="misp",
+                                        misp_instance=good))
+        gateway.register(ExternalEntity(name="bad", transport="misp",
+                                        misp_instance=bad))
+        report = gateway.sync_cycle()
+        # The receiver's fault is a failed delivery: it stays with "bad"
+        # and the cycle commits every entity's bookkeeping.
+        failed = [r for r in report.records if r.entity == "bad"]
+        assert [r.ok for r in failed] == [False, False, False]
+        assert report.failed == 3
+        assert len(deadletters) == 3
+        assert good.store.event_count() == 3
+        assert gateway.watermarks() == {
+            "good": local.store.max_audit_seq(), "bad": 0}
+        bad.store.fault_injector.clear()
+        replay = deadletters.replay(gateway=gateway)
+        assert replay.shares_replayed == 3
+        assert bad.store.event_count() == 3
+
+
+class TestCommitOrder:
+    def test_share_results_are_stamped_after_the_backoff(self):
+        # Entity a's first attempt faults and is retried: the commit
+        # sleeps a's backoff on the virtual clock before it emits a's
+        # records, and b's records come after that, in registration order.
+        clock = SimulatedClock(PAPER_NOW)
+        local = MispInstance(org="Local", clock=clock)
+        for event in make_events(2):
+            local.add_event(event)
+        retry = RetryPolicy(max_retries=1, seed=7)
+        log = StructuredLog(clock=clock)
+        gateway = SharingGateway(
+            local, retry_policy=retry, clock=clock,
+            sleeper=sleeper_for("virtual", clock), log=log,
+            fault_injector=FaultInjector(FaultPlan(rules=[
+                FaultRule(component="share", key="a", calls=(0,))])))
+        for name in ("a", "b"):
+            gateway.register(ExternalEntity(name=name,
+                                            transport="stix-download"))
+        start = clock.now()
+        gateway.sync_cycle()
+        backoff = retry.delay(f"share:a:{UUID_BASE.format(0)}", 0)
+        stamp = format_timestamp(start + dt.timedelta(seconds=backoff))
+        assert stamp != format_timestamp(start)
+        results = [record for record in log.records()
+                   if record["event"] == "share_result"]
+        assert [(r["entity"], r["event_uuid"]) for r in results] == [
+            (name, UUID_BASE.format(index))
+            for name in ("a", "b") for index in range(2)]
+        assert {r["ts"] for r in results} == {stamp}
+        assert [r["seq"] for r in results] == sorted(
+            r["seq"] for r in results)
+
+
 class TestDeadLetterReplay:
     def test_failed_shares_quarantine_with_kind_share(self):
         plan = FaultPlan(rules=[FaultRule(component="share", key="peer-misp",
                                           rate=1.0)])
         gateway, _local, _peer, _server, dlq, _clock = build_world(
-            1, events=3, fault_plan=plan, breaker_threshold=99)
+            events=3, fault_plan=plan, breaker_threshold=99)
         gateway.sync_cycle()
         letters = dlq.entries()
         assert len(letters) == 3
@@ -358,7 +379,7 @@ class TestDeadLetterReplay:
         plan = FaultPlan(rules=[FaultRule(component="share", key="peer-misp",
                                           rate=1.0)])
         gateway, _local, _peer, _server, dlq, _clock = build_world(
-            1, events=4, fault_plan=plan, retries=0, breaker_threshold=3)
+            events=4, fault_plan=plan, retries=0, breaker_threshold=3)
         gateway.sync_cycle()
         assert gateway.breakers.states()["peer-misp"] == "open"
         gateway.fault_injector.clear()
@@ -370,7 +391,7 @@ class TestDeadLetterReplay:
         plan = FaultPlan(rules=[FaultRule(component="share", key="peer-misp",
                                           rate=1.0)])
         gateway, local, peer, _server, dlq, clock = build_world(
-            1, events=3, fault_plan=plan, breaker_threshold=99,
+            events=3, fault_plan=plan, breaker_threshold=99,
             breaker_cooldown=300.0)
         gateway.sync_cycle()
         assert peer.store.event_count() == 0
@@ -392,7 +413,7 @@ class TestDeadLetterReplay:
         plan = FaultPlan(rules=[FaultRule(component="share", key="peer-misp",
                                           rate=1.0)])
         gateway, _local, _peer, _server, dlq, clock = build_world(
-            1, events=2, fault_plan=plan, breaker_threshold=99)
+            events=2, fault_plan=plan, breaker_threshold=99)
         gateway.sync_cycle()
         path = str(tmp_path / "dlq.json")
         dlq.save(path)
@@ -410,7 +431,7 @@ class TestPlatformIntegration:
     def platform(self):
         from repro.core import ContextAwareOSINTPlatform, PlatformConfig
         return ContextAwareOSINTPlatform.build_default(
-            PlatformConfig(feed_entries=12, share_workers=4))
+            PlatformConfig(feed_entries=12))
 
     def test_share_stage_runs_when_entities_registered(self, platform):
         peer = MispInstance(org="Peer", clock=platform.clock)
@@ -436,12 +457,6 @@ class TestPlatformIntegration:
         assert "entity:partner" in names
         assert "stage:share" in names
 
-    def test_config_workers_reach_gateway(self):
-        from repro.core import ContextAwareOSINTPlatform, PlatformConfig
-        platform = ContextAwareOSINTPlatform.build_default(
-            PlatformConfig(feed_entries=12, share_workers=2))
-        assert platform.gateway.workers == 2
-
     def test_replay_deadletters_drains_share_quarantine(self, platform):
         peer = MispInstance(org="Peer", clock=platform.clock)
         platform.gateway.register(ExternalEntity(
@@ -461,10 +476,6 @@ class TestPlatformIntegration:
 
 
 class TestGatewayValidation:
-    def test_workers_must_be_positive(self):
-        with pytest.raises(SharingError):
-            SharingGateway(MispInstance(), workers=0)
-
     def test_unknown_entity_lookup(self):
         gateway = SharingGateway(MispInstance())
         with pytest.raises(SharingError):

@@ -186,8 +186,7 @@ class TestPlatformLineage:
 
     def test_provenance_rows_are_worker_count_invariant(self):
         def rows(workers):
-            platform = self.build(fetch_workers=workers,
-                                  share_workers=workers)
+            platform = self.build(fetch_workers=workers)
             platform.run(2)
             store = platform.misp.store
             return [

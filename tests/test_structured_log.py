@@ -1,4 +1,4 @@
-"""Structured logging: schema validity, determinism, buffering, sinks."""
+"""Structured logging: schema validity, determinism, sinks."""
 
 import json
 
@@ -64,25 +64,6 @@ class TestStructuredLog:
         lines = path.read_text().splitlines()
         assert [json.loads(line)["event"] for line in lines] == ["one", "two"]
 
-    def test_buffer_stages_until_flushed(self):
-        log = StructuredLog()
-        buffer = log.buffer()
-        buffer.emit("share", "share_result", entity="b")
-        assert log.records() == []
-        assert log.flush_buffer(buffer) == 1
-        (record,) = log.records()
-        assert record["entity"] == "b"
-
-    def test_flush_order_assigns_seq_in_flush_order(self):
-        log = StructuredLog()
-        first, second = log.buffer(), log.buffer()
-        second.emit("s", "late")
-        first.emit("s", "early")
-        log.flush_buffer(first)
-        log.flush_buffer(second)
-        assert [r["event"] for r in log.records()] == ["early", "late"]
-        assert [r["seq"] for r in log.records()] == [0, 1]
-
 
 class TestSchemaValidation:
     def test_schema_required_fields_are_enforced(self):
@@ -107,8 +88,7 @@ class TestSchemaValidation:
 
 
 def build_platform(workers):
-    config = PlatformConfig(feed_entries=12, fetch_workers=workers,
-                            share_workers=workers)
+    config = PlatformConfig(feed_entries=12, fetch_workers=workers)
     platform = ContextAwareOSINTPlatform.build_default(config)
     from repro.sharing import ExternalEntity, TaxiiServer
     server = TaxiiServer(clock=platform.clock)
