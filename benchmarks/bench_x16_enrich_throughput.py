@@ -1,14 +1,18 @@
 """X16: enrich-throughput guard — batched write-back.
 
-``HeuristicComponent`` scores a drain in order, then plans every mutation
-of the cycle (score/breakdown attributes, galaxy tags, the eIoC tag) in
-memory and lands it through ``MispStore.apply_enrichments``: one
-transaction, one correlation pass, O(1) SQL statements per cycle instead
-of ~6 per event (docs/PERFORMANCE.md).
+``HeuristicComponent`` builds each drained cIoC from its zmq frame, scores
+the drain in order, then plans every mutation of the cycle (score/breakdown
+attributes, galaxy tags, the eIoC tag) in memory and lands it through
+``MispStore.apply_enrichments``: one transaction that writes only the rows
+that differ, O(1) SQL statements per cycle instead of ~6 per event
+(docs/PERFORMANCE.md).
 
-Guard: the enrich path must average ≤2 SQL statements per enriched event
-on a 500-cIoC drain.  CI runs it as a regression gate
-(``make bench-enrich``).
+Guards, run by CI as regression gates (``make bench-enrich``) on a
+500-cIoC drain:
+
+- the enrich path averages ≤2 SQL statements per enriched event;
+- the drain decodes no stored payload, and the write-back writes the two
+  attribute rows each eIoC gains, not every row of the event.
 """
 
 from repro.clock import PAPER_NOW, SimulatedClock
@@ -16,6 +20,7 @@ from repro.core import HeuristicComponent
 from repro.ids import IdGenerator
 from repro.infra import paper_inventory
 from repro.misp import MispAttribute, MispEvent, MispInstance
+from repro.obs import MetricsRegistry
 
 from conftest import print_table
 
@@ -37,8 +42,8 @@ def synthetic_ciocs(events: int = EVENTS) -> list:
     return batch
 
 
-def build_rig(events: int = EVENTS):
-    misp = MispInstance(org="bench")
+def build_rig(events: int = EVENTS, metrics=None):
+    misp = MispInstance(org="bench", metrics=metrics)
     component = HeuristicComponent(
         misp, inventory=paper_inventory(),
         clock=SimulatedClock(PAPER_NOW))
@@ -60,6 +65,25 @@ def test_x16_sql_statements_per_event():
     assert per_event <= SQL_PER_EVENT_TARGET, (
         f"enrich path issued {per_event:.2f} SQL statements per event "
         f"(target <= {SQL_PER_EVENT_TARGET})")
+
+
+def test_x16_write_back_reads_nothing_back():
+    metrics = MetricsRegistry()
+    misp, component = build_rig(metrics=metrics)
+    written = metrics.counter("caop_misp_attributes_stored_total")
+    decodes, rows = misp.store.payloads_deserialized, written.total()
+    results = component.process_pending()
+    decoded = misp.store.payloads_deserialized - decodes
+    per_eioc = (written.total() - rows) / len(results)
+    print_table(
+        f"X16: read-backs and rows written, {len(results)} events enriched",
+        "payloads decoded / attribute rows written per eIoC",
+        [f"write-back           {decoded:6d}  {per_eioc:.3f}"])
+    assert len(results) == EVENTS
+    assert decoded == 0, f"the drain decoded {decoded} stored payloads"
+    assert per_eioc == 2, (
+        f"the write-back wrote {per_eioc:.2f} attribute rows per eIoC "
+        f"(expected the 2 enrichment adds)")
 
 
 def test_bench_x16_enrich(benchmark):

@@ -5,6 +5,12 @@ prefix topics such as ``misp_json`` and ``misp_json_attribute``.  This module
 reproduces that *prefix-matching* subscription contract (zeroMQ SUB sockets
 match on topic prefixes, not globs) so the heuristic component's consumption
 code reads exactly like PyMISP/zmq client code.
+
+A frame is the JSON text itself.  A publisher that already holds the text
+(the MISP instance publishes the blob it just stored) sends it as is with
+:meth:`ZmqPublisher.send_text`, and a consumer that wants the text (the
+heuristic component digests it) drains it undecoded with
+:meth:`ZmqSubscriber.drain_text`.
 """
 
 from __future__ import annotations
@@ -25,8 +31,11 @@ class ZmqPublisher:
 
     def send(self, topic: str, document: Any) -> None:
         """Publish a JSON-serializable document under ``topic``."""
-        payload = json.dumps(document, sort_keys=True, default=str)
-        self._broker.publish(f"zmq.{topic}", payload)
+        self.send_text(topic, json.dumps(document, sort_keys=True, default=str))
+
+    def send_text(self, topic: str, text: str) -> None:
+        """Publish already-encoded JSON text under ``topic``, as is."""
+        self._broker.publish(f"zmq.{topic}", text)
         self.sent += 1
 
 
@@ -53,9 +62,14 @@ class ZmqSubscriber:
 
     def drain(self) -> Iterator[Tuple[str, Any]]:
         """Consume every pending message across all subscriptions."""
+        for topic, text in self.drain_text():
+            yield topic, json.loads(text)
+
+    def drain_text(self) -> Iterator[Tuple[str, str]]:
+        """Like :meth:`drain`, but yield each frame's JSON text undecoded."""
         for _prefix, subscription in self._subscriptions:
             for message in subscription.drain():
-                yield self._decode(message)
+                yield message.topic[len("zmq."):], message.payload
 
     def pending(self) -> int:
         """Number of messages waiting to be consumed."""

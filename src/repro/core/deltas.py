@@ -25,9 +25,13 @@ consumes it instead of re-scanning stored state every cycle:
 
 Cost model (docs/PERFORMANCE.md): a quiet cycle is one ``changes_since``
 query returning nothing — no event payload is fetched or deserialized and
-no rollup write happens.  Rollup state is persisted only at explicit
-``save()`` checkpoints, not per refresh, and a checkpoint costs the rows
-touched since the previous one, not the size of the store.
+no rollup write happens.  A busy cycle decodes each changed event at most
+once, and not even that for the eIoCs the platform hands on from its
+enrich stage (``refresh(handed=...)``): an eIoC whose stored blob still
+hashes to the digest it was written with is that blob's decode.  Rollup
+state is persisted only at explicit ``save()`` checkpoints, not per
+refresh, and a checkpoint costs the rows touched since the previous one,
+not the size of the store.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..misp.model import MispEvent
-from ..misp.store import MispStore, StoreChange
+from ..misp.store import Handed, MispStore, StoreChange
 
 
 @dataclass
@@ -82,19 +86,23 @@ def collapse_changes(changes: Sequence[StoreChange]) -> DeltaBatch:
     return batch
 
 
-def load_delta_events(store: MispStore, batch: DeltaBatch
+def load_delta_events(store: MispStore, batch: DeltaBatch,
+                      handed: Optional[Handed] = None
                       ) -> Tuple[List[MispEvent], List[str]]:
     """Batch-fetch the events behind a delta (chunked, one round trip set).
 
     Returns ``(upserted_events, deleted_uuids)``.  An upsert uuid that no
     longer resolves (deleted after the feed window closed) is reported as
     deleted now — its own ``deleted`` feed row, processed later, is then a
-    no-op, so consumers must treat deletes as idempotent.
+    no-op, so consumers must treat deletes as idempotent.  A ``handed``
+    event is used as is while the stored blob still hashes to its digest
+    (:meth:`~repro.misp.MispStore.get_events`), so only the other upserts
+    are decoded.
     """
     deleted = list(batch.deleted)
     if not batch.upserts:
         return [], deleted
-    fetched = store.get_events(batch.upserts)
+    fetched = store.get_events(batch.upserts, handed=handed)
     events: List[MispEvent] = []
     for uuid in batch.upserts:
         event = fetched.get(uuid)
@@ -203,13 +211,16 @@ class StoreRollup:
     def position(self) -> int:
         return self.cursor.position
 
-    def refresh(self) -> int:
-        """Consume everything past the cursor; returns feed rows consumed."""
+    def refresh(self, handed: Optional[Handed] = None) -> int:
+        """Consume everything past the cursor; returns feed rows consumed.
+
+        ``handed`` goes to :func:`load_delta_events`.
+        """
         changes = self.cursor.read()
         if not changes:
             return 0
         batch = collapse_changes(changes)
-        events, deleted = load_delta_events(self.store, batch)
+        events, deleted = load_delta_events(self.store, batch, handed)
         self.ingest(batch, events, deleted)
         return len(changes)
 
@@ -266,18 +277,22 @@ class RollupGroup:
         self.members.append(rollup)
         return rollup
 
-    def refresh(self) -> int:
-        """Bring every member current; returns feed rows consumed."""
+    def refresh(self, handed: Optional[Handed] = None) -> int:
+        """Bring every member current; returns feed rows consumed.
+
+        ``handed`` (the platform's eIoCs of the cycle) goes to
+        :func:`load_delta_events`.
+        """
         if not self.members:
             return 0
         positions = {rollup.position for rollup in self.members}
         if len(positions) > 1:
-            return max(rollup.refresh() for rollup in self.members)
+            return max(rollup.refresh(handed) for rollup in self.members)
         changes = self.store.changes_since(positions.pop())
         if not changes:
             return 0
         batch = collapse_changes(changes)
-        events, deleted = load_delta_events(self.store, batch)
+        events, deleted = load_delta_events(self.store, batch, handed)
         for rollup in self.members:
             rollup.ingest(batch, events, deleted)
         return len(changes)

@@ -8,17 +8,24 @@ calls for is already available to the dashboard.
 
 The enrich hot path is batched (docs/PERFORMANCE.md):
 
-1. **Drain** the feed into an ordered work list and batch-fetch the events
-   plus their correlation context in a handful of chunked queries
-   (:class:`EnrichmentContextCache`), instead of per-event round trips.
+1. **Drain** the feed into an ordered work list.  Each frame is the blob
+   text the store wrote, so, as a MISP zmq consumer does, the cIoC is built
+   from its document; the store is read only for a cIoC whose stored blob
+   no longer hashes to that text (re-saved or deleted since it was
+   published).  The correlation context comes in a handful of chunked
+   queries (:class:`EnrichmentContextCache`), instead of per-event round
+   trips.
 2. **Score** each eligible event in drain order on the calling thread:
    STIX export + heuristic evaluation over the prefetched context.  Every
    built-in extractor works in memory, so scoring is CPU-bound.
 3. **Write back** through a planner that builds each eIoC fully in memory
-   (score/breakdown attributes, galaxy tags, the enriched tag) in drain
-   order, then commits the whole cycle via
-   :meth:`~repro.misp.MispInstance.apply_enrichments`: one transaction, one
-   correlation pass, O(1) SQL statements per cycle.
+   (score/breakdown attributes stamped in whole seconds, galaxy tags, the
+   enriched tag) in drain order, then commits the whole cycle via
+   :meth:`~repro.misp.MispInstance.apply_enrichments`: one transaction that
+   writes only the rows that differ, O(1) SQL statements per cycle.  Each
+   :class:`EnrichmentResult` carries its stored blob's digest, and the eIoC
+   equals the decode of that blob, so the platform hands the eIoCs on to
+   the rollups and the share plan instead of reading them back.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from ..ids import content_uuid
 from ..infra import INFRASTRUCTURE_TAG, AlarmManager, Inventory
 from ..misp import MispAttribute, MispEvent, MispInstance, MispStore, to_stix2_bundle
 from ..misp.instance import TOPIC_EVENT
+from ..misp.store import Handed, blob_digest
 from ..obs import (
     MetricsRegistry,
     NULL_LOG,
@@ -57,12 +65,17 @@ _TYPE_PRIORITY = ("vulnerability", "indicator", "malware", "attack-pattern",
 
 @dataclass
 class EnrichmentResult:
-    """Outcome of enriching one cIoC."""
+    """Outcome of enriching one cIoC.
+
+    ``digest`` is the :func:`~repro.misp.store.blob_digest` of the blob the
+    write-back stored for ``eioc``, which is that blob's decode.
+    """
 
     event_uuid: str
     score: ThreatScoreResult
     object_results: Tuple[Tuple[str, ThreatScoreResult], ...]
     eioc: MispEvent
+    digest: str = ""
 
 
 class EnrichmentContextCache:
@@ -73,7 +86,9 @@ class EnrichmentContextCache:
     partner (to test the infrastructure tag).  :meth:`prefetch` resolves all
     of that with a constant number of chunked queries; the per-item
     accessors fall back to single lookups on miss, so the cache is also
-    correct for ad-hoc single-event enrichment.
+    correct for ad-hoc single-event enrichment.  The drained cIoCs
+    themselves come from the feed: the event fetch decodes only those
+    whose stored blob no longer matches the published text.
 
     The cache is a *snapshot* of the store:
     :meth:`HeuristicComponent.enrich_many` builds a fresh one per batch.
@@ -88,18 +103,21 @@ class EnrichmentContextCache:
         self.hits = 0
         self.misses = 0
 
-    def prefetch(self, uuids: Sequence[str]) -> None:
+    def prefetch(self, uuids: Sequence[str],
+                 handed: Optional[Handed] = None) -> None:
         """Batch-resolve events, correlations and partner infra flags.
 
         N events cost one chunked event fetch, one chunked correlation
         probe and one chunked tag lookup for the correlation partners —
-        instead of O(N + partners) single queries.
+        instead of O(N + partners) single queries.  ``handed`` events
+        stand in for their stored rows under
+        :meth:`~repro.misp.MispStore.get_events`' digest rule.
         """
         uuids = [uuid for uuid in dict.fromkeys(uuids)
                  if uuid not in self._events]
         if not uuids:
             return
-        fetched = self._store.get_events(uuids)
+        fetched = self._store.get_events(uuids, handed=handed)
         self._events.update(fetched)
         for uuid, event in fetched.items():
             self._infra_flags[uuid] = (
@@ -167,10 +185,11 @@ class EnrichmentContextCache:
 class HeuristicComponent:
     """Subscribes to the MISP feed and enriches incoming cIoCs.
 
-    Each drain is enriched as one batch: the store is read through a fresh,
-    prefetched :class:`EnrichmentContextCache`, every eligible event is
-    scored in drain order against a frozen snapshot of the clock, and the
-    eIoCs are committed by one write-back.
+    Each drain is enriched as one batch: the cIoCs come from the feed's
+    documents, the rest of the context from a fresh, prefetched
+    :class:`EnrichmentContextCache`, every eligible event is scored in
+    drain order against a frozen snapshot of the clock, and the eIoCs are
+    committed by one write-back.
     """
 
     def __init__(self, misp: MispInstance,
@@ -208,23 +227,30 @@ class HeuristicComponent:
             "caop_enrich_skipped_total", "Events ineligible for enrichment")
 
     def process_pending(self) -> List[EnrichmentResult]:
-        """Drain the zmq feed and enrich every eligible cIoC as one batch."""
+        """Drain the zmq feed and enrich every eligible cIoC as one batch.
+
+        Each frame's document becomes the cIoC while the stored blob still
+        hashes to the frame's text; a cIoC re-saved since it was published
+        is read from the store, and one deleted since is skipped as
+        ``missing``.
+        """
         uuids: List[str] = []
-        for topic, document in self._subscriber.drain():
+        feed: Dict[str, Tuple[str, MispEvent]] = {}
+        for topic, text in self._subscriber.drain_text():
             if topic != TOPIC_EVENT:
                 continue  # prefix subscription also matches attribute topic
-            uuid = (document.get("Event") or {}).get("uuid")
-            if not uuid:
-                uuid = MispEvent.from_dict(document).uuid
-            uuids.append(uuid)
-        return self.enrich_many(uuids)
+            event = MispEvent.from_dict(json.loads(text))
+            uuids.append(event.uuid)
+            feed[event.uuid] = (blob_digest(text), event)
+        return self.enrich_many(uuids, handed=feed)
 
     def enrich(self, event_uuid: str) -> Optional[EnrichmentResult]:
         """Enrich one stored event; returns None when not eligible."""
         results = self.enrich_many([event_uuid])
         return results[0] if results else None
 
-    def enrich_many(self, event_uuids: Sequence[str]
+    def enrich_many(self, event_uuids: Sequence[str],
+                    handed: Optional[Handed] = None
                     ) -> List[EnrichmentResult]:
         """Enrich a batch of stored events: prefetch, score, write back.
 
@@ -232,14 +258,16 @@ class HeuristicComponent:
         uuid are counted as skipped, matching the serial path where the
         first enrichment stamps the enriched tag and the second attempt
         sees it.  Each call reads the store through a fresh context cache,
-        so re-enriching an event sees its current correlations.
+        so re-enriching an event sees its current correlations.  A
+        ``handed`` event (:meth:`process_pending` passes the feed's) is
+        used instead of a decode while the stored blob matches its digest.
         """
         order = list(dict.fromkeys(event_uuids))
         duplicates = len(event_uuids) - len(order)
         if not order:
             return []
         cache = EnrichmentContextCache(self._misp.store)
-        cache.prefetch(order)
+        cache.prefetch(order, handed=handed)
 
         # Phase 1: eligibility over the batched context.
         eligible: List[MispEvent] = []
@@ -278,7 +306,9 @@ class HeuristicComponent:
             results.append(self._plan_write_back(event, object_results))
             plans.append(event)
         if plans:
-            self._misp.apply_enrichments(plans)
+            digests = self._misp.apply_enrichments(plans)
+            for result in results:
+                result.digest = digests[result.event_uuid]
             self._record_enrichment_lineage(results)
         return results
 
@@ -317,7 +347,10 @@ class HeuristicComponent:
         pre-enrichment attribute count) so a replayed event enriches to
         byte-identical state; the count keeps a re-scored event from
         colliding.  Galaxy tags are stamped after the score attributes so
-        the scan sees exactly the text the serial path scanned.
+        the scan sees exactly the text the serial path scanned.  The
+        attributes are stamped in whole seconds, as MISP JSON stores them,
+        so the eIoC equals the decode of its stored blob even after a
+        virtual backoff moved the clock by a fraction of a second.
         """
         best = max(object_results, key=lambda pair: pair[1].score)
         score = best[1]
@@ -325,13 +358,13 @@ class HeuristicComponent:
         event.add_attribute(MispAttribute(
             type="float", value=f"{score.score:.4f}",
             comment=THREAT_SCORE_COMMENT, to_ids=False,
-            timestamp=self._clock.now(),
+            timestamp=self._clock.now().replace(microsecond=0),
             uuid=content_uuid("eioc-score", event.uuid, count),
         ))
         event.add_attribute(MispAttribute(
             type="text", value=json.dumps(score.breakdown(), sort_keys=True),
             comment=BREAKDOWN_COMMENT, to_ids=False,
-            timestamp=self._clock.now(),
+            timestamp=self._clock.now().replace(microsecond=0),
             uuid=content_uuid("eioc-breakdown", event.uuid, count),
         ))
         # Contextual enrichment: galaxy clusters (threat actors, tooling)

@@ -36,7 +36,7 @@ from ..infra import (
     SensorNetwork,
     paper_inventory,
 )
-from ..misp import MispInstance
+from ..misp import MispEvent, MispInstance
 from ..obs import (
     MetricsRegistry,
     NULL_LOG,
@@ -203,11 +203,18 @@ class PlatformConfig:
 
 @dataclass
 class _Cycle:
-    """What one ``run_cycle`` hands from stage to stage."""
+    """What one ``run_cycle`` hands from stage to stage.
+
+    ``eiocs`` maps each eIoC the enrich stage stored to ``(digest of its
+    stored blob, the eIoC)``.  The share, compact and rollup stages pass it
+    to the gateway and the rollups, which use an eIoC instead of decoding
+    its row while the stored blob still hashes to that digest.
+    """
 
     number: int
     report: CycleReport
     enrichments: List[EnrichmentResult] = field(default_factory=list)
+    eiocs: Dict[str, Tuple[str, MispEvent]] = field(default_factory=dict)
     riocs: List[ReducedIoc] = field(default_factory=list)
 
 
@@ -473,9 +480,13 @@ class ContextAwareOSINTPlatform:
             cycle.report.stage_errors["store"] = collection.store_error
 
     def _enrich(self, cycle: _Cycle) -> None:
-        # Heuristic analysis: drain the feed, score, enrich.
+        # Heuristic analysis: drain the feed, score, enrich.  The eIoCs go
+        # on with the digests of their stored blobs, so later stages need
+        # not read back what this stage wrote.
         cycle.enrichments = self.heuristics.process_pending()
         cycle.report.eiocs_created = len(cycle.enrichments)
+        cycle.eiocs = {result.event_uuid: (result.digest, result.eioc)
+                       for result in cycle.enrichments}
 
     def _reduce(self, cycle: _Cycle) -> None:
         report = cycle.report
@@ -504,7 +515,7 @@ class ContextAwareOSINTPlatform:
 
     def _share(self, cycle: _Cycle) -> None:
         # Delta-sync fan-out of new/changed eIoCs to external entities.
-        shared = self.gateway.sync_cycle()
+        shared = self.gateway.sync_cycle(handed=cycle.eiocs)
         cycle.report.shares_sent = shared.shared
         cycle.report.share_failures = shared.failed + shared.breaker_skipped
 
@@ -516,7 +527,8 @@ class ContextAwareOSINTPlatform:
         # *before* the rollup stage so any purge lands in the change feed
         # the rollups consume this same cycle.
         if self.compaction.due(cycle.number):
-            cycle.report.deltas_consumed += self.rollups.refresh()
+            cycle.report.deltas_consumed += self.rollups.refresh(
+                handed=cycle.eiocs)
         compaction = self.compaction.maybe_run(cycle.number)
         cycle.report.compacted = compaction.ran
         cycle.report.events_purged = compaction.purged
@@ -524,7 +536,8 @@ class ContextAwareOSINTPlatform:
     def _rollup(self, cycle: _Cycle) -> None:
         # Bring the materialized dashboard and report views current off the
         # change feed; on a quiet cycle a single empty changes_since query.
-        cycle.report.deltas_consumed += self.rollups.refresh()
+        cycle.report.deltas_consumed += self.rollups.refresh(
+            handed=cycle.eiocs)
         if cycle.report.compacted:
             # Compaction cadence doubles as the checkpoint cadence: persist
             # rollup state while the store is already paying a write burst.

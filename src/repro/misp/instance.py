@@ -11,7 +11,7 @@ according to their distribution level.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..bus import MessageBroker, ZmqPublisher
 from ..clock import Clock
@@ -137,19 +137,28 @@ class MispInstance:
         uses: the whole batch is persisted in one transaction and correlated
         with one value lookup, yet produces exactly the events, audit trail
         and correlation edges that adding each event in turn would.
+
+        Each event is encoded once: its zmq frame is the blob text the store
+        wrote (:func:`~repro.misp.export.canonical_json`, the text a
+        ``json.dumps(event.to_dict(), sort_keys=True)`` frame always was).
+        The store returns one blob per uuid, so a batch that repeats a uuid
+        encodes each version again to publish its own text.
         """
         events = list(events)
         if not events:
             return events
-        self._save_with_retry(events)
+        blobs = self._save_with_retry(events)
         self._correlate_batch(events)
         if publish_feed:
+            repeated = len(blobs) != len(events)
             for event in events:
-                self.zmq.send(TOPIC_EVENT, event.to_dict())
+                self.zmq.send_text(TOPIC_EVENT, canonical_json(event)
+                                   if repeated else blobs[event.uuid])
         return events
 
-    def _save_with_retry(self, events: List[MispEvent]) -> None:
-        """Persist a batch, retrying transient storage faults with backoff.
+    def _save_with_retry(self, events: List[MispEvent]) -> Dict[str, str]:
+        """Persist a batch, retrying transient storage faults with backoff;
+        returns the stored blobs (:meth:`MispStore.save_events`).
 
         Exhausted batches are quarantined to the dead-letter queue (when one
         is wired) before the :class:`StorageError` propagates, so a flaky
@@ -163,8 +172,7 @@ class MispInstance:
             try:
                 if self._fault_injector is not None:
                     self._fault_injector.check("store", "add_events")
-                self.store.save_events(events)
-                return
+                return self.store.save_events(events)
             except TransientStorageError as exc:
                 if self._store_retry is not None and \
                         attempt < self._store_retry.max_retries:
@@ -183,29 +191,36 @@ class MispInstance:
                 raise
 
     def apply_enrichments(self, events: Sequence[MispEvent],
-                          publish_feed: bool = False) -> List[MispEvent]:
+                          publish_feed: bool = False) -> Dict[str, str]:
         """Persist one enrichment cycle's write-back as a single batch.
 
         ``events`` are fully-built eIoCs: the heuristic component's planner
         has already applied score/breakdown attributes, galaxy tags and the
-        enriched tag in memory.  The batch is stored in one transaction
-        (:meth:`MispStore.apply_enrichments`) and re-correlated with one
-        chunked value probe — replacing the ~6 store round trips per event
-        that the serial ``add_attribute``/``tag_event`` write-back issued.
-        With ``publish_feed`` the enriched events go out on the zmq event
-        feed in one publication pass (off by default: the historical
-        enrichment path never re-published, and re-publishing would make the
-        heuristic component re-drain its own output).
+        enriched tag in memory.  The batch is stored in one transaction that
+        writes only the rows that differ (:meth:`MispStore.apply_enrichments`),
+        and only the attribute rows that write added or changed in value are
+        correlated, by the :meth:`_correlate_batch` rules.  Enrichment adds
+        none that correlate (the score and breakdown attributes are
+        ``to_ids=False``), so an eIoC already linked to a later event gets
+        no second, reversed edge.  With ``publish_feed`` the stored blobs go
+        out on the zmq event feed in one publication pass (off by default:
+        the historical enrichment path never re-published, and
+        re-publishing would make the heuristic component re-drain its own
+        output).
+
+        Returns ``uuid -> content digest`` of each stored blob, so the
+        caller can hand the eIoCs on (:meth:`MispStore.get_events`).
         """
         events = list(events)
         if not events:
-            return events
-        self.store.apply_enrichments(events)
-        self._correlate_batch(events)
+            return {}
+        relink: Set[str] = set()
+        blobs = self.store.apply_enrichments(events, relink=relink)
+        self._correlate_batch(events, only=relink)
         if publish_feed:
             for event in events:
-                self.zmq.send(TOPIC_EVENT, event.to_dict())
-        return events
+                self.zmq.send_text(TOPIC_EVENT, blobs[event.uuid])
+        return {uuid: blob_digest(blob) for uuid, blob in blobs.items()}
 
     def add_attribute(self, event_uuid: str, attribute: MispAttribute,
                       publish_feed: bool = True) -> MispEvent:
@@ -247,7 +262,8 @@ class MispInstance:
         """MISP-style value correlation: link equal correlatable values."""
         return self._correlate_batch([event])
 
-    def _correlate_batch(self, events: Sequence[MispEvent]) -> int:
+    def _correlate_batch(self, events: Sequence[MispEvent],
+                         only: Optional[Set[str]] = None) -> int:
         """Correlate a batch of just-stored events against the store.
 
         One chunked ``IN (...)`` lookup resolves every correlatable value of
@@ -256,6 +272,13 @@ class MispInstance:
         links only against events already stored before it — pre-existing
         ones plus batch members *j < i* — never against itself or later
         batch members (those report the edge from their side).
+
+        ``only`` limits the pass to the attribute rows a write just added
+        (:meth:`apply_enrichments`); every other row was linked when it was
+        stored, so linking it again would add each pair's reversed edge.  A
+        later batch member's row outside ``only`` counts as stored before
+        event *i*.  Without ``only`` every attribute was just written
+        (:meth:`add_events`, :meth:`receive_events`).
         """
         events = list(events)
         if not events:
@@ -265,7 +288,8 @@ class MispInstance:
         values: List[str] = []
         for event in events:
             attributes = [attribute for attribute in event.all_attributes()
-                          if attribute.correlatable]
+                          if attribute.correlatable
+                          and (only is None or attribute.uuid in only)]
             correlatable.append(attributes)
             values.extend(attribute.value for attribute in attributes)
         if not values:
@@ -279,7 +303,8 @@ class MispInstance:
                     if other_event == event.uuid:
                         continue
                     other_index = batch_order.get(other_event)
-                    if other_index is not None and other_index >= index:
+                    if other_index is not None and other_index >= index \
+                            and (only is None or other_attribute in only):
                         continue
                     edges.append((
                         attribute.uuid, other_attribute,

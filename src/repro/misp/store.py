@@ -119,6 +119,36 @@ def blob_digest(blob: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+#: ``uuid -> (digest, event)``: events a caller holds in memory, each with
+#: the :func:`blob_digest` of the text it was written or published as.
+Handed = Mapping[str, Tuple[str, MispEvent]]
+
+_EVENT_COLS = ("uuid, info, date, org, threat_level_id, analysis,"
+               " distribution, published, timestamp, blob")
+
+_ATTRIBUTE_COLS = ("uuid, event_uuid, type, category, value, to_ids,"
+                   " correlatable, timestamp")
+
+
+def _event_rows(event: MispEvent
+                ) -> Tuple[Tuple, List[Tuple], List[Tuple[str, str]]]:
+    """One event's ``events`` row (blob last), ``attributes`` rows and
+    ``event_tags`` rows, in the column order of the tables."""
+    event_row = (
+        event.uuid, event.info, event.date.isoformat(), event.org,
+        event.threat_level_id, event.analysis, event.distribution,
+        int(event.published), int(event.timestamp.timestamp()),
+        canonical_json(event),
+    )
+    attribute_rows = [
+        (attribute.uuid, event.uuid, attribute.type, attribute.category,
+         attribute.value, int(attribute.to_ids), int(attribute.correlatable),
+         int(attribute.timestamp.timestamp()))
+        for attribute in event.all_attributes()]
+    tag_rows = [(event.uuid, tag.name) for tag in event.tags]
+    return event_row, attribute_rows, tag_rows
+
+
 #: Every table and index of a store.
 SCHEMA = """
 CREATE TABLE IF NOT EXISTS events (
@@ -497,32 +527,152 @@ class MispStore:
             return blobs
         return self._save_events_batch(events, replace=replace)
 
-    def apply_enrichments(self, events: Sequence[MispEvent]) -> None:
+    def apply_enrichments(self, events: Sequence[MispEvent],
+                          relink: Optional[Set[str]] = None
+                          ) -> Dict[str, str]:
         """Write one enrichment cycle back in a single transaction.
 
         ``events`` are fully-built eIoCs (score/breakdown attributes, galaxy
-        tags and the enriched tag already applied in memory).  The whole
-        batch lands through one set of ``executemany`` statements — the
-        replacement for the ~6 per-event round trips the serial
-        ``add_attribute``/``tag_event`` write-back used to issue — and each
-        event gets one ``enriched`` audit row instead of one ``updated`` row
-        per intermediate save.
+        tags and the enriched tag already applied in memory).  Only the
+        difference is written: the batch's stored attribute and tag rows
+        are read first, in chunked ``IN (...)`` reads that decode nothing;
+        then one transaction inserts the new or changed attribute rows,
+        deletes the dropped ones, inserts and deletes tag rows, ``UPDATE``s
+        each stored event row (a ``REPLACE`` would cascade the attribute
+        and tag rows away), inserts an event not stored yet, and writes one
+        ``enriched`` audit row per event.  The rows, audit rows and counters
+        are those a full rewrite of each event leaves
+        (tests/test_enrich_writeback.py keeps that rewrite as the
+        reference); ``caop_misp_attributes_stored_total`` counts the
+        attribute rows actually written.
+
+        ``relink``, when given, receives the uuids of the written attribute
+        rows that can add a correlation edge: rows new to their event, and
+        rows whose value or correlatable flag changed.  Returns ``uuid ->
+        blob`` as stored, like :meth:`save_events`.
         """
         events = list(events)
         if not events:
-            return
+            return {}
         if self.fault_injector is not None:
             self.fault_injector.check("store", "apply_enrichments")
         uuids = [event.uuid for event in events]
         if len(set(uuids)) != len(uuids):
             raise StorageError(
                 "apply_enrichments batch contains duplicate event uuids")
-        self._save_events_batch(events, replace=True, action="enriched")
+        stored_rows, stored_tags = self._stored_rows(uuids)
+
+        blobs: Dict[str, str] = {}
+        new_events: List[Tuple] = []
+        updates: List[Tuple] = []
+        audit_rows: List[Tuple] = []
+        written: List[Tuple] = []
+        dropped: List[Tuple[str]] = []
+        tags_added: List[Tuple[str, str]] = []
+        tags_dropped: List[Tuple[str, str]] = []
+        attribute_delta = 0
+        for event in events:
+            event_row, attribute_rows, tag_rows = _event_rows(event)
+            blobs[event.uuid] = event_row[-1]
+            audit_rows.append((event.uuid, "enriched",
+                               f"{len(attribute_rows)} attributes",
+                               event_row[8]))
+            if event.uuid in stored_tags:
+                # UPDATE binds the columns after the uuid, then the uuid.
+                updates.append((*event_row[1:], event.uuid))
+            else:
+                new_events.append(event_row)
+            held = stored_rows.get(event.uuid, {})
+            attribute_delta += len(attribute_rows) - len(held)
+            kept = {row[0] for row in attribute_rows}
+            dropped.extend((uuid,) for uuid in held if uuid not in kept)
+            for row in attribute_rows:
+                before = held.get(row[0])
+                if before == row:
+                    continue
+                written.append(row)
+                # Columns 4 and 6: value and correlatable.
+                if relink is not None and (
+                        before is None
+                        or (before[4], before[6]) != (row[4], row[6])):
+                    relink.add(row[0])
+            held_tags = stored_tags.get(event.uuid, set())
+            names = {name for _uuid, name in tag_rows}
+            tags_added.extend(row for row in tag_rows
+                              if row[1] not in held_tags)
+            tags_dropped.extend((event.uuid, name)
+                                for name in sorted(held_tags - names))
+
+        conn = self._conn
+        with self._transaction():
+            if new_events:
+                conn.executemany(
+                    f"INSERT INTO events ({_EVENT_COLS})"
+                    " VALUES (?,?,?,?,?,?,?,?,?,?)", new_events)
+            if updates:
+                conn.executemany(
+                    "UPDATE events SET info = ?, date = ?, org = ?,"
+                    " threat_level_id = ?, analysis = ?, distribution = ?,"
+                    " published = ?, timestamp = ?, blob = ?"
+                    " WHERE uuid = ?", updates)
+            # Deletes first: a dropped row's uuid may come back on
+            # another event of the batch.
+            if dropped:
+                conn.executemany(
+                    "DELETE FROM attributes WHERE uuid = ?", dropped)
+            if written:
+                conn.executemany(
+                    f"INSERT OR REPLACE INTO attributes ({_ATTRIBUTE_COLS})"
+                    " VALUES (?,?,?,?,?,?,?,?)", written)
+            if tags_dropped:
+                conn.executemany(
+                    "DELETE FROM event_tags WHERE event_uuid = ?"
+                    " AND name = ?", tags_dropped)
+            if tags_added:
+                conn.executemany(
+                    "INSERT OR IGNORE INTO event_tags (event_uuid, name)"
+                    " VALUES (?,?)", tags_added)
+            conn.executemany(
+                "INSERT INTO audit_log (event_uuid, action, detail,"
+                " logged_at) VALUES (?,?,?,?)", audit_rows)
+            self._bump("events", len(new_events))
+            self._bump("attributes", attribute_delta)
+        self._m_events.inc(len(events), action="enriched")
+        self._m_attributes.inc(len(written))
+        self._m_batch_size.observe(len(events))
         self._m_enrich_batch_size.observe(len(events))
+        return blobs
+
+    def _stored_rows(self, uuids: Sequence[str]
+                     ) -> Tuple[Dict[str, Dict[str, Tuple]],
+                                Dict[str, Set[str]]]:
+        """The stored ``attributes`` rows (``event -> attribute uuid ->
+        row``) and tag names (``event -> names``) of some events.
+
+        Chunked ``IN (...)`` reads, no decode.  Only stored events have an
+        entry in the tag map, an empty set when they carry no tag.
+        """
+        rows: Dict[str, Dict[str, Tuple]] = {}
+        tags: Dict[str, Set[str]] = {}
+        for chunk in chunks(list(uuids), chunk_size()):
+            marks = _marks(chunk)
+            for row in self._conn.execute(
+                    f"SELECT {_ATTRIBUTE_COLS} FROM attributes"
+                    f" WHERE event_uuid IN ({marks})",
+                    chunk).fetchall():
+                rows.setdefault(row[1], {})[row[0]] = tuple(row)
+            for uuid, name in self._conn.execute(
+                    "SELECT events.uuid, event_tags.name FROM events"
+                    " LEFT JOIN event_tags"
+                    " ON event_tags.event_uuid = events.uuid"
+                    f" WHERE events.uuid IN ({marks})", chunk).fetchall():
+                names = tags.setdefault(uuid, set())
+                if name is not None:
+                    names.add(name)
+        return rows, tags
 
     def _save_events_batch(self, events: List[MispEvent],
-                           replace: bool,
-                           action: Optional[str] = None) -> Dict[str, str]:
+                           replace: bool) -> Dict[str, str]:
         uuids = [event.uuid for event in events]
         existing = self.existing_events(uuids)
         if not replace:
@@ -536,33 +686,18 @@ class MispStore:
         tag_rows: List[Tuple] = []
         created = updated = 0
         for event in events:
-            attributes = event.all_attributes()
+            event_row, attributes, tags = _event_rows(event)
             exists = event.uuid in existing
             if exists:
                 updated += 1
             else:
                 created += 1
             audit_rows.append((
-                event.uuid,
-                action or ("updated" if exists else "created"),
-                f"{len(attributes)} attributes",
-                int(event.timestamp.timestamp()),
-            ))
-            event_rows.append((
-                event.uuid, event.info, event.date.isoformat(), event.org,
-                event.threat_level_id, event.analysis, event.distribution,
-                int(event.published), int(event.timestamp.timestamp()),
-                canonical_json(event),
-            ))
-            for attribute in attributes:
-                attribute_rows.append((
-                    attribute.uuid, event.uuid, attribute.type,
-                    attribute.category, attribute.value,
-                    int(attribute.to_ids), int(attribute.correlatable),
-                    int(attribute.timestamp.timestamp()),
-                ))
-            for tag in event.tags:
-                tag_rows.append((event.uuid, tag.name))
+                event.uuid, "updated" if exists else "created",
+                f"{len(attributes)} attributes", event_row[8]))
+            event_rows.append(event_row)
+            attribute_rows.extend(attributes)
+            tag_rows.extend(tags)
 
         conn = self._conn
         deletes = [(uuid,) for uuid in uuids]
@@ -574,17 +709,13 @@ class MispStore:
                 "DELETE FROM attributes WHERE event_uuid = ?", deletes)
             replaced = conn.total_changes - before
             conn.executemany(
-                "INSERT OR REPLACE INTO events "
-                "(uuid, info, date, org, threat_level_id, analysis,"
-                " distribution, published, timestamp, blob)"
+                f"INSERT OR REPLACE INTO events ({_EVENT_COLS})"
                 " VALUES (?,?,?,?,?,?,?,?,?,?)", event_rows)
             conn.executemany(
                 "DELETE FROM event_tags WHERE event_uuid = ?", deletes)
             conn.executemany(
-                "INSERT OR REPLACE INTO attributes "
-                "(uuid, event_uuid, type, category, value, to_ids,"
-                " correlatable, timestamp) VALUES (?,?,?,?,?,?,?,?)",
-                attribute_rows)
+                f"INSERT OR REPLACE INTO attributes ({_ATTRIBUTE_COLS})"
+                " VALUES (?,?,?,?,?,?,?,?)", attribute_rows)
             if tag_rows:
                 conn.executemany(
                     "INSERT OR IGNORE INTO event_tags (event_uuid, name)"
@@ -594,13 +725,10 @@ class MispStore:
                 " logged_at) VALUES (?,?,?,?)", audit_rows)
             self._bump("events", created)
             self._bump("attributes", len(attribute_rows) - replaced)
-        if action is not None:
-            self._m_events.inc(len(events), action=action)
-        else:
-            if created:
-                self._m_events.inc(created, action="created")
-            if updated:
-                self._m_events.inc(updated, action="updated")
+        if created:
+            self._m_events.inc(created, action="created")
+        if updated:
+            self._m_events.inc(updated, action="updated")
         self._m_attributes.inc(len(attribute_rows))
         self._m_batch_size.observe(len(events))
         return {row[0]: row[-1] for row in event_rows}
@@ -627,12 +755,20 @@ class MispStore:
             "SELECT blob FROM events WHERE uuid = ?", (uuid,)).fetchone()
         return self._decode(row[0]) if row is not None else None
 
-    def get_events(self, uuids: Sequence[str]) -> Dict[str, Optional[MispEvent]]:
+    def get_events(self, uuids: Sequence[str],
+                   handed: Optional[Handed] = None
+                   ) -> Dict[str, Optional[MispEvent]]:
         """Batch-fetch events with chunked ``IN (...)`` queries.
 
         Returns ``uuid -> event`` for every requested uuid, preserving the
         request order; uuids with no stored event map to ``None``.  N lookups
         cost ``ceil(N / chunk)`` round trips instead of N.
+
+        ``handed`` events stand in for their stored rows: one is returned
+        as is while the stored blob's :func:`blob_digest` equals the digest
+        it is handed with, that is while it is the decode of the stored
+        blob.  Only the other rows are decoded.  The store keeps no object
+        cache; a caller passes what it holds.
         """
         blobs: Dict[str, Optional[str]] = {uuid: None for uuid in uuids}
         for chunk in chunks(list(blobs), chunk_size()):
@@ -640,8 +776,17 @@ class MispStore:
                 f"SELECT uuid, blob FROM events WHERE uuid IN"
                 f" ({_marks(chunk)})", chunk).fetchall()
             blobs.update(rows)
-        return {uuid: self._decode(blob) if blob is not None else None
-                for uuid, blob in blobs.items()}
+        handed = handed or {}
+        events: Dict[str, Optional[MispEvent]] = {}
+        for uuid, blob in blobs.items():
+            entry = handed.get(uuid)
+            if blob is None:
+                events[uuid] = None
+            elif entry is not None and entry[0] == blob_digest(blob):
+                events[uuid] = entry[1]
+            else:
+                events[uuid] = self._decode(blob)
+        return events
 
     def event_digests(self, uuids: Sequence[str]
                       ) -> Dict[str, Optional[Tuple[int, str]]]:

@@ -38,7 +38,7 @@ from ..clock import Clock, SimulatedClock
 from ..core.deltas import collapse_changes
 from ..errors import ReproError, SharingError
 from ..misp import MispEvent, MispInstance
-from ..misp.store import BATCH_SIZE_BUCKETS
+from ..misp.store import BATCH_SIZE_BUCKETS, Handed
 from ..obs import (
     BYTES_BUCKETS,
     MetricsRegistry,
@@ -315,7 +315,8 @@ class SharingGateway:
 
     # -- delta-sync fan-out ----------------------------------------------------
 
-    def plan_cycle(self) -> Tuple[List[EntityCycle], RenderCache]:
+    def plan_cycle(self, handed: Optional[Handed] = None
+                   ) -> Tuple[List[EntityCycle], RenderCache]:
         """Build every entity's delta plan and pre-render the payloads.
 
         Reads the store's change feed once, from the lowest entity
@@ -329,6 +330,10 @@ class SharingGateway:
         :class:`RenderCache`.  Digests are those of the stored blobs
         (:meth:`~repro.misp.MispStore.event_digests`), and the trace
         contexts of every planned share come from one batched lineage read.
+        A ``handed`` event (the platform's eIoCs of the cycle) is used
+        instead of a decode while its stored blob still hashes to the
+        digest it is handed with (:meth:`~repro.misp.MispStore.get_events`),
+        so only the other upserts are decoded.
         """
         store = self._misp.store
         target_seq = store.max_audit_seq()
@@ -337,7 +342,7 @@ class SharingGateway:
         batch = collapse_changes(store.changes_since(
             min(watermarks.values(), default=target_seq),
             until_seq=target_seq))
-        events = store.get_events(batch.upserts)
+        events = store.get_events(batch.upserts, handed=handed)
         stamps = store.event_digests(batch.upserts)
         plans: List[EntityCycle] = []
         traced: List[PlannedShare] = []
@@ -389,22 +394,23 @@ class SharingGateway:
                 item.trace = contexts[item.event.uuid]
         return plans, cache
 
-    def sync_cycle(self) -> ShareCycleReport:
+    def sync_cycle(self, handed: Optional[Handed] = None
+                   ) -> ShareCycleReport:
         """One incremental share fan-out across every registered entity.
 
-        Plans and payloads are built up front; then each entity's shares
-        run in registration order, and a second pass commits each
-        entity's outcome in the same order: its backoff sleep, audit and
-        log records, lineage, ledger, watermark, quarantine and telemetry.
-        Committing after every entity has run keeps later entities'
-        breaker decisions and timestamps off the clock the backoff sleeps
-        advance.
+        Plans and payloads are built up front (``handed`` goes to
+        :meth:`plan_cycle`); then each entity's shares run in registration
+        order, and a second pass commits each entity's outcome in the same
+        order: its backoff sleep, audit and log records, lineage, ledger,
+        watermark, quarantine and telemetry.  Committing after every entity
+        has run keeps later entities' breaker decisions and timestamps off
+        the clock the backoff sleeps advance.
         """
         report = ShareCycleReport(entities=len(self._entities))
         if not self._entities:
             return report
         store = self._misp.store
-        plans, cache = self.plan_cycle()
+        plans, cache = self.plan_cycle(handed)
         outcomes = [self._run_entity_cycle(plan) for plan in plans]
         for plan, outcome in zip(plans, outcomes):
             entity = plan.entity
