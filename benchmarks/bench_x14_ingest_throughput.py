@@ -7,8 +7,9 @@ The collect→store hot path has three scaling wings (docs/PERFORMANCE.md):
    ``max(latency)`` instead of ``sum(latency)``.
 2. **Batched persistence** — ``MispStore.save_events`` writes a whole
    cycle in one transaction via ``executemany``.
-3. **Batched correlation** — ``MispInstance._correlate_batch`` resolves all
-   correlatable values with one chunked ``IN (...)`` query.
+3. **Batched correlation** — the same transaction links the cycle's
+   edges: one chunked ``IN (...)`` query resolves every correlatable
+   value of the batch, and one ``executemany`` inserts the edges.
 
 This bench measures each wing against its serial counterpart and guards the
 win: parallel fetch must be ≥2× faster wall-clock with 8 workers, and the

@@ -91,21 +91,8 @@ def wave_events(cycle, now):
 
 
 def ingest_wave(store, cycle, now):
-    """Persist one wave and correlate it the way ``_correlate_batch`` does."""
-    events = wave_events(cycle, now)
-    store.save_events(events)
-    values = sorted({attribute.value for event in events
-                     for attribute in event.attributes
-                     if attribute.type == "domain"})
-    probe = store.correlatable_attributes_many(values)
-    edges = []
-    for value in values:
-        hits = probe[value]
-        for a in hits:
-            for b in hits:
-                if a[0] != b[0] and a[1] < b[1]:
-                    edges.append((a[1], b[1], a[0], b[0], value))
-    store.save_correlations(edges)
+    """Persist one wave; the save links its edges."""
+    store.save_events(wave_events(cycle, now))
 
 
 def run_incremental():

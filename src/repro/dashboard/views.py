@@ -176,9 +176,10 @@ class CorrelationGraphView(StoreRollup):
     Maintained incrementally: the graph is materialized once and then fed
     deltas from the change feed.  Semantics match a full rescan exactly.
     Deleting an event deletes its correlation rows, so a retired event
-    leaves the graph with every edge it had; an edge endpoint that was
-    never stored stays as an attribute-less "ghost" node while a live
-    event's rows still name it.
+    leaves the graph with every edge it had; a changed event's edges are
+    read again, so an edge its write deleted (a dropped or changed value)
+    leaves too.  An edge endpoint that was never stored stays as an
+    attribute-less "ghost" node while a live event's rows still name it.
 
     A persistent view checkpoints one row per node: its ``info`` (null for
     a ghost) and its edges to larger uuids, so adding an edge touches one
@@ -212,6 +213,14 @@ class CorrelationGraphView(StoreRollup):
             [event.uuid for event in events])
         for event in events:
             uuid = event.uuid
+            linked = {side for correlation in rows[uuid]
+                      for side in (correlation["source_event"],
+                                   correlation["target_event"])}
+            for other in [other for other in self._graph.neighbors(uuid)
+                          if other not in linked]:
+                self._graph.remove_edge(uuid, other)
+                self._clusters = None
+                self._drop_bare_ghost(other)
             for correlation in rows[uuid]:
                 a = correlation["source_event"]
                 b = correlation["target_event"]
@@ -224,22 +233,25 @@ class CorrelationGraphView(StoreRollup):
                 if self._clusters is not None:
                     self._clusters.union(a, b)
 
+    def _drop_bare_ghost(self, uuid: str) -> None:
+        """A ghost left without edges goes, as a rescan would never meet
+        it; either way its row changed."""
+        self.touch(uuid)
+        if uuid not in self._live and self._graph.degree[uuid] == 0:
+            self._graph.remove_node(uuid)
+
     def _retire(self, uuid: str) -> None:
         self._live.discard(uuid)
         if uuid not in self._graph:
             return
         self.touch(uuid)
         self._clusters = None
-        # The store deleted the event's edges with it; a ghost left without
-        # edges goes too, as a rescan would never meet it.
+        # The store deleted the event's edges with it.
         neighbors = [other for other in self._graph.neighbors(uuid)
                      if other != uuid]
         self._graph.remove_node(uuid)
         for neighbor in neighbors:
-            self.touch(neighbor)
-            if neighbor not in self._live \
-                    and self._graph.degree[neighbor] == 0:
-                self._graph.remove_node(neighbor)
+            self._drop_bare_ghost(neighbor)
 
     def row(self, key: str) -> Optional[List[Any]]:
         if key not in self._graph:

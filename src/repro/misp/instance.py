@@ -1,17 +1,20 @@
-"""The MISP instance: store + correlation + real-time feed + sharing.
+"""The MISP instance: store + real-time feed + sharing.
 
-This is the operational module's hub (§III-B1): it ingests cIoCs, performs
-"basic automated correlation steps" against stored data, publishes incoming
+This is the operational module's hub (§III-B1): it ingests cIoCs into its
+store, which performs the "basic automated correlation steps" against stored
+data as it writes (:class:`~repro.misp.store.MispStore`), publishes incoming
 OSINT events on the zeroMQ feed for the heuristic component, accepts the
 threat score back as a new attribute (eIoC), and receives the events a
 trusted peer shares with it (:meth:`MispInstance.receive_message`)
-according to their distribution level.
+according to their distribution level.  Every write goes through the
+store's one write routine; the instance only retries, publishes and
+records receipts around it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..bus import MessageBroker, ZmqPublisher
 from ..clock import Clock
@@ -89,7 +92,7 @@ def _refused(reason: str) -> Dict[str, Any]:
 
 
 class MispInstance:
-    """One MISP deployment: local store, correlation, feed, peer receiver."""
+    """One MISP deployment: local store, feed, peer receiver."""
 
     def __init__(self, org: str = "CAOP", store: Optional[MispStore] = None,
                  broker: Optional[MessageBroker] = None,
@@ -122,21 +125,22 @@ class MispInstance:
     # -- ingestion ------------------------------------------------------------
 
     def add_event(self, event: MispEvent, publish_feed: bool = True) -> MispEvent:
-        """Store an event, correlate it, and publish it on the zmq feed.
+        """Store an event and publish it on the zmq feed.
 
         Re-adding the same uuid replaces the stored version (MISP edit
-        semantics).
+        semantics); the store writes only what changed.
         """
         return self.add_events([event], publish_feed=publish_feed)[0]
 
     def add_events(self, events: Sequence[MispEvent],
                    publish_feed: bool = True) -> List[MispEvent]:
-        """Store a batch of events, correlate them, publish each on zmq.
+        """Store a batch of events and publish each on zmq.
 
         This is the bulk-ingestion entry point the collector's store stage
-        uses: the whole batch is persisted in one transaction and correlated
-        with one value lookup, yet produces exactly the events, audit trail
-        and correlation edges that adding each event in turn would.
+        uses: the whole batch, with its correlation edges, is persisted in
+        one transaction (:meth:`MispStore.save_events`), yet produces
+        exactly the events, audit trail and correlation edges that adding
+        each event in turn would.
 
         Each event is encoded once: its zmq frame is the blob text the store
         wrote (:func:`~repro.misp.export.canonical_json`, the text a
@@ -148,7 +152,6 @@ class MispInstance:
         if not events:
             return events
         blobs = self._save_with_retry(events)
-        self._correlate_batch(events)
         if publish_feed:
             repeated = len(blobs) != len(events)
             for event in events:
@@ -164,8 +167,7 @@ class MispInstance:
         is wired) before the :class:`StorageError` propagates, so a flaky
         store degrades the cycle without losing the composed events —
         ``DeadLetterQueue.replay`` re-ingests them once the fault clears.
-        Permanent storage errors (duplicate uuid with ``replace=False``...)
-        are never retried.
+        Any other storage error is never retried.
         """
         attempt = 0
         while True:
@@ -190,36 +192,21 @@ class MispInstance:
                         f"{len(events)} events quarantined") from exc
                 raise
 
-    def apply_enrichments(self, events: Sequence[MispEvent],
-                          publish_feed: bool = False) -> Dict[str, str]:
+    def apply_enrichments(self, events: Sequence[MispEvent]
+                          ) -> Dict[str, str]:
         """Persist one enrichment cycle's write-back as a single batch.
 
         ``events`` are fully-built eIoCs: the heuristic component's planner
         has already applied score/breakdown attributes, galaxy tags and the
-        enriched tag in memory.  The batch is stored in one transaction that
-        writes only the rows that differ (:meth:`MispStore.apply_enrichments`),
-        and only the attribute rows that write added or changed in value are
-        correlated, by the :meth:`_correlate_batch` rules.  Enrichment adds
-        none that correlate (the score and breakdown attributes are
-        ``to_ids=False``), so an eIoC already linked to a later event gets
-        no second, reversed edge.  With ``publish_feed`` the stored blobs go
-        out on the zmq event feed in one publication pass (off by default:
-        the historical enrichment path never re-published, and
-        re-publishing would make the heuristic component re-drain its own
-        output).
+        enriched tag in memory.  The store writes only the rows that differ,
+        with the correlation edges, in one transaction
+        (:meth:`MispStore.apply_enrichments`).  Nothing is published on the
+        zmq feed: the heuristic component would re-drain its own output.
 
         Returns ``uuid -> content digest`` of each stored blob, so the
         caller can hand the eIoCs on (:meth:`MispStore.get_events`).
         """
-        events = list(events)
-        if not events:
-            return {}
-        relink: Set[str] = set()
-        blobs = self.store.apply_enrichments(events, relink=relink)
-        self._correlate_batch(events, only=relink)
-        if publish_feed:
-            for event in events:
-                self.zmq.send_text(TOPIC_EVENT, blobs[event.uuid])
+        blobs = self.store.apply_enrichments(events)
         return {uuid: blob_digest(blob) for uuid, blob in blobs.items()}
 
     def add_attribute(self, event_uuid: str, attribute: MispAttribute,
@@ -230,7 +217,6 @@ class MispInstance:
             raise StorageError(f"no such event {event_uuid}")
         event.add_attribute(attribute)
         self.store.save_event(event)
-        self._correlate(event)
         if publish_feed:
             self.zmq.send(TOPIC_ATTRIBUTE, {
                 "event_uuid": event_uuid,
@@ -257,61 +243,6 @@ class MispInstance:
         return event
 
     # -- correlation --------------------------------------------------------------
-
-    def _correlate(self, event: MispEvent) -> int:
-        """MISP-style value correlation: link equal correlatable values."""
-        return self._correlate_batch([event])
-
-    def _correlate_batch(self, events: Sequence[MispEvent],
-                         only: Optional[Set[str]] = None) -> int:
-        """Correlate a batch of just-stored events against the store.
-
-        One chunked ``IN (...)`` lookup resolves every correlatable value of
-        the batch, then all edges go through one ``executemany`` insert.
-        Edges are exactly those the serial per-event path creates: event *i*
-        links only against events already stored before it — pre-existing
-        ones plus batch members *j < i* — never against itself or later
-        batch members (those report the edge from their side).
-
-        ``only`` limits the pass to the attribute rows a write just added
-        (:meth:`apply_enrichments`); every other row was linked when it was
-        stored, so linking it again would add each pair's reversed edge.  A
-        later batch member's row outside ``only`` counts as stored before
-        event *i*.  Without ``only`` every attribute was just written
-        (:meth:`add_events`, :meth:`receive_events`).
-        """
-        events = list(events)
-        if not events:
-            return 0
-        batch_order = {event.uuid: index for index, event in enumerate(events)}
-        correlatable: List[List[MispAttribute]] = []
-        values: List[str] = []
-        for event in events:
-            attributes = [attribute for attribute in event.all_attributes()
-                          if attribute.correlatable
-                          and (only is None or attribute.uuid in only)]
-            correlatable.append(attributes)
-            values.extend(attribute.value for attribute in attributes)
-        if not values:
-            return 0
-        matches = self.store.correlatable_attributes_many(values)
-        edges: List[tuple] = []
-        for index, (event, attributes) in enumerate(zip(events, correlatable)):
-            for attribute in attributes:
-                for other_event, other_attribute in matches.get(
-                        attribute.value, ()):
-                    if other_event == event.uuid:
-                        continue
-                    other_index = batch_order.get(other_event)
-                    if other_index is not None and other_index >= index \
-                            and (only is None or other_attribute in only):
-                        continue
-                    edges.append((
-                        attribute.uuid, other_attribute,
-                        event.uuid, other_event, attribute.value,
-                    ))
-        self.store.save_correlations(edges)
-        return len(edges)
 
     def correlations(self, event_uuid: str) -> List[Dict[str, str]]:
         """Correlation rows touching one event."""
@@ -451,7 +382,7 @@ class MispInstance:
                        trace_contexts: Optional[
                            Dict[str, Dict[str, Any]]] = None
                        ) -> Dict[str, str]:
-        """Batched peer-facing ingestion: one transaction, one correlation pass.
+        """Batched peer-facing ingestion: one transaction, edges included.
 
         ``trace_contexts`` maps event uuid to the sender's trace context;
         each present entry becomes one ``synced-from`` lineage row in this
@@ -462,7 +393,6 @@ class MispInstance:
         if not events:
             return {}
         blobs = self.store.save_events(events)
-        self._correlate_batch(events)
         if trace_contexts:
             self._record_sync_receipts(events, trace_contexts)
         return {uuid: blob_digest(blob) for uuid, blob in blobs.items()}

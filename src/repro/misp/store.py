@@ -30,12 +30,16 @@ conformance suite (tests/test_storage_backends.py) asserts that a file
 store and an in-memory one leave byte-identical audit history, correlation
 graphs, sync ledgers and lineage.
 
-Persistence is batch-aware: :meth:`MispStore.save_events` writes a whole
-collection cycle — audit rows, event rows, attribute rows, tag rows — in a
-single transaction, and :meth:`MispStore.correlatable_attributes_many`
-resolves every correlatable value of a batch with chunked ``IN (...)``
-queries sized by the :data:`MAX_BOUND_VARS` budget, so no query can exceed
-SQLite's bound-variable limit however many uuids a cycle carries.
+Persistence is batch-aware, and every event write goes through one
+routine: :meth:`MispStore.save_events` (a collection cycle, a peer's events,
+an edit) and :meth:`MispStore.apply_enrichments` (the eIoC write-back) each
+write a whole batch — audit rows, event rows, attribute rows, tag rows — in
+a single transaction that writes only the rows differing from the stored
+ones and keeps the correlation graph current, one edge per pair of equal
+correlatable values in different events (MISP's "basic automated
+correlation", §III-B1).  Its reads are chunked ``IN (...)`` queries sized by
+the :data:`MAX_BOUND_VARS` budget, so no query can exceed SQLite's
+bound-variable limit however many uuids a cycle carries.
 ``sql_statements`` counts Python→SQLite round trips so benchmarks can prove
 the batched path issues fewer of them.  Ordered reads are fully specified
 (``timestamp DESC, uuid`` for event listings; insertion order for value
@@ -394,7 +398,7 @@ class MispStore:
         self._m_correlations = metrics.counter(
             "caop_misp_correlations_total", "Correlation edges persisted")
         self._m_batch_size = metrics.histogram(
-            "caop_store_batch_size", "Events persisted per save_events call",
+            "caop_store_batch_size", "Events persisted per event write",
             buckets=BATCH_SIZE_BUCKETS)
         self._m_enrich_batch_size = metrics.histogram(
             "caop_enrich_batch_size",
@@ -493,22 +497,23 @@ class MispStore:
 
     # -- events ----------------------------------------------------------------
 
-    def save_event(self, event: MispEvent, replace: bool = True) -> None:
+    def save_event(self, event: MispEvent) -> None:
         """Insert or update an event with all its attributes and tags.
 
         Every save (and delete) is recorded in the audit log, MISP-style.
         """
-        self.save_events([event], replace=replace)
+        self.save_events([event])
 
-    def save_events(self, events: Sequence[MispEvent],
-                    replace: bool = True) -> Dict[str, str]:
+    def save_events(self, events: Sequence[MispEvent]) -> Dict[str, str]:
         """Persist a batch of events in one transaction.
 
-        The batched write is behaviourally identical to saving each event in
-        turn — same audit rows, same replace semantics — but issues a
-        bounded number of SQL statements instead of O(events × attributes).
-        Returns ``uuid -> blob`` as stored (the last one for a uuid saved
-        twice), so a caller can digest what it stored without re-encoding.
+        Each event is audited as ``created``, or ``updated`` when its uuid
+        is stored, and written by :meth:`_write`.  The stored rows, audit
+        rows and correlation edges are those saving each event in turn
+        leaves; a batch that repeats a uuid is written event by event, so
+        each later version finds the one before it stored.  Returns ``uuid
+        -> blob`` as stored (the last one for a uuid saved twice), so a
+        caller can digest what it stored without re-encoding.
         """
         events = list(events)
         if not events:
@@ -517,39 +522,22 @@ class MispStore:
             self.fault_injector.check("store", "save_events")
         uuids = [event.uuid for event in events]
         if len(set(uuids)) != len(uuids):
-            # Intra-batch uuid collisions need per-event replace semantics
-            # (each later save replaces the earlier one's attribute rows);
-            # fall back to the serial path for this rare shape.
             blobs: Dict[str, str] = {}
             for event in events:
-                blobs.update(self._save_events_batch([event],
-                                                     replace=replace))
+                blobs.update(self._write([event], enriched=False))
             return blobs
-        return self._save_events_batch(events, replace=replace)
+        return self._write(events, enriched=False)
 
-    def apply_enrichments(self, events: Sequence[MispEvent],
-                          relink: Optional[Set[str]] = None
+    def apply_enrichments(self, events: Sequence[MispEvent]
                           ) -> Dict[str, str]:
         """Write one enrichment cycle back in a single transaction.
 
         ``events`` are fully-built eIoCs (score/breakdown attributes, galaxy
-        tags and the enriched tag already applied in memory).  Only the
-        difference is written: the batch's stored attribute and tag rows
-        are read first, in chunked ``IN (...)`` reads that decode nothing;
-        then one transaction inserts the new or changed attribute rows,
-        deletes the dropped ones, inserts and deletes tag rows, ``UPDATE``s
-        each stored event row (a ``REPLACE`` would cascade the attribute
-        and tag rows away), inserts an event not stored yet, and writes one
-        ``enriched`` audit row per event.  The rows, audit rows and counters
-        are those a full rewrite of each event leaves
-        (tests/test_enrich_writeback.py keeps that rewrite as the
-        reference); ``caop_misp_attributes_stored_total`` counts the
-        attribute rows actually written.
-
-        ``relink``, when given, receives the uuids of the written attribute
-        rows that can add a correlation edge: rows new to their event, and
-        rows whose value or correlatable flag changed.  Returns ``uuid ->
-        blob`` as stored, like :meth:`save_events`.
+        tags and the enriched tag already applied in memory), written by
+        :meth:`_write` with one ``enriched`` audit row each, so an eIoC
+        costs its new attribute and tag rows, not a rewrite of every row.
+        A batch may not repeat a uuid.  Returns ``uuid -> blob`` as stored,
+        like :meth:`save_events`.
         """
         events = list(events)
         if not events:
@@ -560,42 +548,96 @@ class MispStore:
         if len(set(uuids)) != len(uuids):
             raise StorageError(
                 "apply_enrichments batch contains duplicate event uuids")
+        blobs = self._write(events, enriched=True)
+        self._m_enrich_batch_size.observe(len(events))
+        return blobs
+
+    def _write(self, events: List[MispEvent], enriched: bool
+               ) -> Dict[str, str]:
+        """Write events with distinct uuids in one transaction: only the rows
+        that differ from the stored ones, with the correlation edges kept
+        current.
+
+        The batch's stored tag and attribute rows are read first, in chunked
+        ``IN (...)`` reads that decode nothing.  Then one transaction
+        inserts the attribute rows new to their event, replaces the changed
+        ones, deletes the dropped ones, inserts and deletes tag rows,
+        ``UPDATE``s each stored event row (a ``REPLACE`` would cascade the
+        attribute and tag rows away), inserts an event not stored yet and
+        writes one audit row per event: ``enriched``, or
+        ``created``/``updated``.  An attribute uuid listed twice keeps its
+        last row.  ``caop_misp_attributes_stored_total`` counts the
+        attribute rows written.
+
+        A new row whose uuid an event outside the batch holds takes that
+        row over: the insert skips it, and only then are the holders read
+        (one chunked read) and their rows replaced.  The losing event gets
+        an ``updated`` audit row (detail ``attribute moved``): its rows and
+        edges changed, so the change feed names it, though its blob still
+        lists the row.
+
+        The graph holds one edge per pair of correlatable rows with equal
+        values in different events.  The write deletes the edges of each
+        correlatable row it drops, changes in value or correlatable flag,
+        or takes over, then links each correlatable row it changed that way
+        or added (:meth:`_relink`).
+        """
+        uuids = [event.uuid for event in events]
         stored_rows, stored_tags = self._stored_rows(uuids)
+        built = [_event_rows(event) for event in events]
+        final = {row[0]: row
+                 for _event_row, attribute_rows, _tags in built
+                 for row in attribute_rows}
 
         blobs: Dict[str, str] = {}
         new_events: List[Tuple] = []
         updates: List[Tuple] = []
         audit_rows: List[Tuple] = []
-        written: List[Tuple] = []
+        added: List[Tuple] = []
+        changed: List[Tuple] = []
         dropped: List[Tuple[str]] = []
         tags_added: List[Tuple[str, str]] = []
         tags_dropped: List[Tuple[str, str]] = []
-        attribute_delta = 0
-        for event in events:
-            event_row, attribute_rows, tag_rows = _event_rows(event)
+        unlink: List[Tuple[str, str]] = []
+        link: List[List[Tuple]] = []
+        for event, (event_row, attribute_rows, tag_rows) in zip(events, built):
             blobs[event.uuid] = event_row[-1]
-            audit_rows.append((event.uuid, "enriched",
+            stored = event.uuid in stored_tags
+            action = "enriched" if enriched else (
+                "updated" if stored else "created")
+            audit_rows.append((event.uuid, action,
                                f"{len(attribute_rows)} attributes",
                                event_row[8]))
-            if event.uuid in stored_tags:
+            if stored:
                 # UPDATE binds the columns after the uuid, then the uuid.
                 updates.append((*event_row[1:], event.uuid))
             else:
                 new_events.append(event_row)
-            held = stored_rows.get(event.uuid, {})
-            attribute_delta += len(attribute_rows) - len(held)
-            kept = {row[0] for row in attribute_rows}
-            dropped.extend((uuid,) for uuid in held if uuid not in kept)
-            for row in attribute_rows:
-                before = held.get(row[0])
-                if before == row:
+            before_rows = stored_rows.get(event.uuid, {})
+            rows = [row for row in attribute_rows if final[row[0]] is row]
+            kept = {row[0] for row in rows}
+            for uuid, before in before_rows.items():
+                if uuid not in kept:
+                    dropped.append((uuid,))
+                    if before[6]:
+                        unlink.append((event.uuid, uuid))
+            linked: List[Tuple] = []
+            for row in rows:
+                before = before_rows.get(row[0])
+                if before is None:
+                    added.append(row)
+                elif before == row:
                     continue
-                written.append(row)
-                # Columns 4 and 6: value and correlatable.
-                if relink is not None and (
-                        before is None
-                        or (before[4], before[6]) != (row[4], row[6])):
-                    relink.add(row[0])
+                else:
+                    changed.append(row)
+                    # Columns 4 and 6: value and correlatable.
+                    if (before[4], before[6]) == (row[4], row[6]):
+                        continue
+                    if before[6]:
+                        unlink.append((event.uuid, row[0]))
+                if row[6]:
+                    linked.append(row)
+            link.append(linked)
             held_tags = stored_tags.get(event.uuid, set())
             names = {name for _uuid, name in tag_rows}
             tags_added.extend(row for row in tag_rows
@@ -620,10 +662,25 @@ class MispStore:
             if dropped:
                 conn.executemany(
                     "DELETE FROM attributes WHERE uuid = ?", dropped)
-            if written:
+            if changed:
                 conn.executemany(
                     f"INSERT OR REPLACE INTO attributes ({_ATTRIBUTE_COLS})"
-                    " VALUES (?,?,?,?,?,?,?,?)", written)
+                    " VALUES (?,?,?,?,?,?,?,?)", changed)
+            taken: List[Tuple] = []
+            if added:
+                before = conn.total_changes
+                conn.executemany(
+                    f"INSERT OR IGNORE INTO attributes ({_ATTRIBUTE_COLS})"
+                    " VALUES (?,?,?,?,?,?,?,?)", added)
+                if conn.total_changes - before < len(added):
+                    owners = self._attribute_owners(
+                        [row[0] for row in added])
+                    taken = [(row, owners[row[0]]) for row in added
+                             if owners[row[0]][0] != row[1]]
+                    conn.executemany(
+                        f"INSERT OR REPLACE INTO attributes"
+                        f" ({_ATTRIBUTE_COLS}) VALUES (?,?,?,?,?,?,?,?)",
+                        [row for row, _owner in taken])
             if tags_dropped:
                 conn.executemany(
                     "DELETE FROM event_tags WHERE event_uuid = ?"
@@ -632,16 +689,78 @@ class MispStore:
                 conn.executemany(
                     "INSERT OR IGNORE INTO event_tags (event_uuid, name)"
                     " VALUES (?,?)", tags_added)
+            stamps = {row[0]: row[3] for row in audit_rows}
+            moved_from: Dict[str, int] = {}
+            for row, (owner, correlatable) in taken:
+                moved_from.setdefault(owner, stamps[row[1]])
+                if correlatable:
+                    unlink.append((owner, row[0]))
             conn.executemany(
                 "INSERT INTO audit_log (event_uuid, action, detail,"
-                " logged_at) VALUES (?,?,?,?)", audit_rows)
+                " logged_at) VALUES (?,?,?,?)", audit_rows + [
+                    (uuid, "updated", "attribute moved", logged_at)
+                    for uuid, logged_at in moved_from.items()])
+            removed, inserted = self._relink(events, unlink, link)
             self._bump("events", len(new_events))
-            self._bump("attributes", attribute_delta)
-        self._m_events.inc(len(events), action="enriched")
-        self._m_attributes.inc(len(written))
+            self._bump("attributes",
+                       len(added) - len(taken) - len(dropped))
+            self._bump("correlations", inserted - removed)
+        for action in ("created", "updated", "enriched"):
+            count = sum(1 for row in audit_rows if row[1] == action)
+            if count:
+                self._m_events.inc(count, action=action)
+        self._m_attributes.inc(len(added) + len(changed))
+        if inserted:
+            self._m_correlations.inc(inserted)
         self._m_batch_size.observe(len(events))
-        self._m_enrich_batch_size.observe(len(events))
         return blobs
+
+    def _relink(self, events: List[MispEvent],
+                unlink: Sequence[Tuple[str, str]],
+                link: Sequence[Sequence[Tuple]]) -> Tuple[int, int]:
+        """Keep the correlation graph current inside :meth:`_write`'s
+        transaction; returns ``(edges deleted, edges inserted)``.
+
+        ``unlink`` names ``(event, attribute)`` rows whose edges go: the
+        two endpoint-event indexes find them.  ``link[i]`` holds the
+        attribute rows of ``events[i]`` to link, each against every stored
+        correlatable row with its value in another event, found by one
+        chunked probe.  A pair of two rows being linked gets one edge, from
+        the later batch member's side: event *i* links rows stored before
+        it and rows of batch members *j < i*, and a later member's row only
+        when that row is not being linked (it was linked when stored).
+        """
+        conn = self._conn
+        removed = inserted = 0
+        if unlink:
+            before = conn.total_changes
+            conn.executemany(
+                "DELETE FROM correlations"
+                " WHERE (source_event = ? AND source_attribute = ?)"
+                " OR (target_event = ? AND target_attribute = ?)",
+                [(event, uuid, event, uuid) for event, uuid in unlink])
+            removed = conn.total_changes - before
+        values = [row[4] for rows in link for row in rows]
+        if not values:
+            return removed, inserted
+        matches = self.correlatable_attributes_many(values)
+        order = {event.uuid: index for index, event in enumerate(events)}
+        linking = {row[0] for rows in link for row in rows}
+        edges: List[Tuple[str, str, str, str, str]] = []
+        for index, rows in enumerate(link):
+            for uuid, event_uuid, _type, _category, value, *_rest in rows:
+                for other_event, other in matches[value]:
+                    if other_event == event_uuid or (
+                            other in linking and order[other_event] >= index):
+                        continue
+                    edges.append((uuid, other, event_uuid, other_event, value))
+        if edges:
+            before = conn.total_changes
+            conn.executemany(
+                "INSERT OR IGNORE INTO correlations VALUES (?,?,?,?,?)",
+                edges)
+            inserted = conn.total_changes - before
+        return removed, inserted
 
     def _stored_rows(self, uuids: Sequence[str]
                      ) -> Tuple[Dict[str, Dict[str, Tuple]],
@@ -650,104 +769,47 @@ class MispStore:
         row``) and tag names (``event -> names``) of some events.
 
         Chunked ``IN (...)`` reads, no decode.  Only stored events have an
-        entry in the tag map, an empty set when they carry no tag.
+        entry in the tag map, an empty set when they carry no tag; the tag
+        read is the existence probe, so only stored events' attribute rows
+        are read.
         """
         rows: Dict[str, Dict[str, Tuple]] = {}
         tags: Dict[str, Set[str]] = {}
         for chunk in chunks(list(uuids), chunk_size()):
-            marks = _marks(chunk)
-            for row in self._conn.execute(
-                    f"SELECT {_ATTRIBUTE_COLS} FROM attributes"
-                    f" WHERE event_uuid IN ({marks})",
-                    chunk).fetchall():
-                rows.setdefault(row[1], {})[row[0]] = tuple(row)
             for uuid, name in self._conn.execute(
                     "SELECT events.uuid, event_tags.name FROM events"
                     " LEFT JOIN event_tags"
                     " ON event_tags.event_uuid = events.uuid"
-                    f" WHERE events.uuid IN ({marks})", chunk).fetchall():
+                    f" WHERE events.uuid IN ({_marks(chunk)})",
+                    chunk).fetchall():
                 names = tags.setdefault(uuid, set())
                 if name is not None:
                     names.add(name)
+        for chunk in chunks(list(tags), chunk_size()):
+            for row in self._conn.execute(
+                    f"SELECT {_ATTRIBUTE_COLS} FROM attributes"
+                    f" WHERE event_uuid IN ({_marks(chunk)})",
+                    chunk).fetchall():
+                rows.setdefault(row[1], {})[row[0]] = tuple(row)
         return rows, tags
 
-    def _save_events_batch(self, events: List[MispEvent],
-                           replace: bool) -> Dict[str, str]:
-        uuids = [event.uuid for event in events]
-        existing = self.existing_events(uuids)
-        if not replace:
-            for uuid in uuids:
-                if uuid in existing:
-                    raise StorageError(f"event {uuid} already stored")
-
-        audit_rows: List[Tuple] = []
-        event_rows: List[Tuple] = []
-        attribute_rows: List[Tuple] = []
-        tag_rows: List[Tuple] = []
-        created = updated = 0
-        for event in events:
-            event_row, attributes, tags = _event_rows(event)
-            exists = event.uuid in existing
-            if exists:
-                updated += 1
-            else:
-                created += 1
-            audit_rows.append((
-                event.uuid, "updated" if exists else "created",
-                f"{len(attributes)} attributes", event_row[8]))
-            event_rows.append(event_row)
-            attribute_rows.extend(attributes)
-            tag_rows.extend(tags)
-
-        conn = self._conn
-        deletes = [(uuid,) for uuid in uuids]
-        with self._transaction():
-            # Delete replaced attribute rows before the events upsert, whose
-            # REPLACE would cascade them away uncounted.
-            before = conn.total_changes
-            conn.executemany(
-                "DELETE FROM attributes WHERE event_uuid = ?", deletes)
-            replaced = conn.total_changes - before
-            conn.executemany(
-                f"INSERT OR REPLACE INTO events ({_EVENT_COLS})"
-                " VALUES (?,?,?,?,?,?,?,?,?,?)", event_rows)
-            conn.executemany(
-                "DELETE FROM event_tags WHERE event_uuid = ?", deletes)
-            conn.executemany(
-                f"INSERT OR REPLACE INTO attributes ({_ATTRIBUTE_COLS})"
-                " VALUES (?,?,?,?,?,?,?,?)", attribute_rows)
-            if tag_rows:
-                conn.executemany(
-                    "INSERT OR IGNORE INTO event_tags (event_uuid, name)"
-                    " VALUES (?,?)", tag_rows)
-            conn.executemany(
-                "INSERT INTO audit_log (event_uuid, action, detail,"
-                " logged_at) VALUES (?,?,?,?)", audit_rows)
-            self._bump("events", created)
-            self._bump("attributes", len(attribute_rows) - replaced)
-        if created:
-            self._m_events.inc(created, action="created")
-        if updated:
-            self._m_events.inc(updated, action="updated")
-        self._m_attributes.inc(len(attribute_rows))
-        self._m_batch_size.observe(len(events))
-        return {row[0]: row[-1] for row in event_rows}
+    def _attribute_owners(self, uuids: Sequence[str]
+                          ) -> Dict[str, Tuple[str, int]]:
+        """``attribute uuid -> (event uuid, correlatable)`` of the stored
+        rows among ``uuids``: chunked ``IN (...)`` reads, no decode."""
+        owners: Dict[str, Tuple[str, int]] = {}
+        for chunk in chunks(list(uuids), chunk_size()):
+            for uuid, event_uuid, correlatable in self._conn.execute(
+                    "SELECT uuid, event_uuid, correlatable FROM attributes"
+                    f" WHERE uuid IN ({_marks(chunk)})", chunk).fetchall():
+                owners[uuid] = (event_uuid, correlatable)
+        return owners
 
     def has_event(self, uuid: str) -> bool:
         """Whether an event uuid is stored."""
         row = self._conn.execute(
             "SELECT 1 FROM events WHERE uuid = ?", (uuid,)).fetchone()
         return row is not None
-
-    def existing_events(self, uuids: Sequence[str]) -> Set[str]:
-        """Which of the given uuids are stored (chunked batch probe)."""
-        existing: Set[str] = set()
-        for chunk in chunks(list(uuids), chunk_size()):
-            rows = self._conn.execute(
-                f"SELECT uuid FROM events WHERE uuid IN ({_marks(chunk)})",
-                chunk).fetchall()
-            existing.update(row[0] for row in rows)
-        return existing
 
     def get_event(self, uuid: str) -> Optional[MispEvent]:
         """Fetch one event by uuid."""
@@ -1210,29 +1272,6 @@ class MispStore:
         return result
 
     # -- correlations --------------------------------------------------------------
-
-    def save_correlations(
-            self, edges: Sequence[Tuple[str, str, str, str, str]]) -> int:
-        """Persist a batch of correlation edges in one transaction.
-
-        Each edge is ``(source_attribute, target_attribute, source_event,
-        target_event, value)``; duplicates are ignored.  Returns the number
-        of edges actually inserted.
-        """
-        edges = list(edges)
-        if not edges:
-            return 0
-        conn = self._conn
-        with self._transaction():
-            before = conn.total_changes
-            conn.executemany(
-                "INSERT OR IGNORE INTO correlations VALUES (?,?,?,?,?)",
-                edges)
-            inserted = conn.total_changes - before
-            self._bump("correlations", inserted)
-        if inserted > 0:
-            self._m_correlations.inc(inserted)
-        return inserted
 
     def correlations_for_event(self, event_uuid: str) -> List[Dict[str, str]]:
         """Correlation rows touching one event."""

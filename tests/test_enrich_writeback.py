@@ -1,17 +1,21 @@
-"""The enrichment write-back writes only the difference.
+"""Every event write writes only the difference, and keeps the graph.
 
-``MispStore.apply_enrichments`` reads the batch's stored attribute and tag
-rows and writes only the rows that differ.  :func:`rewrite_enrichments`
-keeps the full rewrite it replaced (delete and re-insert every attribute
-and tag row of each event), and the differential tests below hold the two
-to the same stored rows, audit rows, counters and returned blobs.  The
-correlation tests check that the write-back links only what it added, so
-an eIoC already linked to a later event gets no second, reversed edge.
+``MispStore.save_events`` and ``MispStore.apply_enrichments`` share one write
+that reads the batch's stored attribute and tag rows and writes only the
+rows that differ.  :func:`rewrite` keeps the full rewrite it replaced
+(delete and re-insert every attribute and tag row of each event), and the
+differential tests below hold the two to the same stored rows, audit rows,
+event and attribute counters and returned blobs.  The same transaction
+keeps the correlation graph current: :func:`graph` compares the stored
+edges with the one edge per pair of equal correlatable values in different
+events that the attribute rows call for, after every write path.
 """
 
 import datetime as dt
 import json
-from typing import Dict, List
+from collections import defaultdict
+from itertools import combinations
+from typing import Dict, List, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.clock import PAPER_NOW
 from repro.core import SightingProcessor
+from repro.dashboard.views import CorrelationGraphView
 from repro.infra import INFRASTRUCTURE_TAG
 from repro.misp import MispAttribute, MispEvent, MispInstance, MispStore
 from repro.misp.model import MispObject
@@ -26,36 +31,67 @@ from repro.misp.store import VAR_BUDGET
 from repro.workloads import rce_use_case
 
 
-def rewrite_enrichments(store: MispStore,
-                        events: List[MispEvent]) -> Dict[str, str]:
-    """Reference: the full rewrite the difference write-back replaced."""
-    conn = store._conn
+def rewrite(store: MispStore, events: List[MispEvent],
+            action: Optional[str] = "enriched") -> Dict[str, str]:
+    """Reference: the full rewrite the difference write replaced.
+
+    ``action`` is every event's audit action; ``None`` audits each as
+    ``created`` or ``updated`` and writes a batch that repeats a uuid
+    event by event, as ``save_events`` does.  An event outside the batch
+    whose attribute row the batch takes over is audited ``updated`` too.
+    The attribute counter moves by the change in the table's row count.
+    """
     uuids = [event.uuid for event in events]
-    existing = store.existing_events(uuids)
+    if action is None and len(set(uuids)) != len(uuids):
+        blobs = {}
+        for event in events:
+            blobs.update(rewrite(store, [event], action))
+        return blobs
+    conn = store._conn
+
+    def stored(sql, keys):
+        return dict(conn.raw.execute(
+            f"{sql} IN ({','.join('?' * len(keys))})", keys).fetchall())
+
+    existing = stored("SELECT uuid, 1 FROM events WHERE uuid", uuids)
+    owners = stored("SELECT uuid, event_uuid FROM attributes WHERE uuid",
+                    [attribute.uuid for event in events
+                     for attribute in event.all_attributes()])
     audit_rows, event_rows, attribute_rows, tag_rows = [], [], [], []
+    moved_from = {}
     for event in events:
         attributes = event.all_attributes()
-        audit_rows.append((event.uuid, "enriched",
-                           f"{len(attributes)} attributes",
-                           int(event.timestamp.timestamp())))
+        audit_rows.append((
+            event.uuid,
+            action or ("updated" if event.uuid in existing else "created"),
+            f"{len(attributes)} attributes",
+            int(event.timestamp.timestamp())))
         event_rows.append((
             event.uuid, event.info, event.date.isoformat(), event.org,
             event.threat_level_id, event.analysis, event.distribution,
             int(event.published), int(event.timestamp.timestamp()),
             json.dumps(event.to_dict(), sort_keys=True)))
         for attribute in attributes:
+            owner = owners.get(attribute.uuid, event.uuid)
+            if owner not in uuids:
+                moved_from.setdefault(owner, int(event.timestamp.timestamp()))
             attribute_rows.append((
                 attribute.uuid, event.uuid, attribute.type,
                 attribute.category, attribute.value, int(attribute.to_ids),
                 int(attribute.correlatable),
                 int(attribute.timestamp.timestamp())))
         tag_rows.extend((event.uuid, tag.name) for tag in event.tags)
+    audit_rows.extend((uuid, "updated", "attribute moved", logged_at)
+                      for uuid, logged_at in moved_from.items())
     deletes = [(uuid,) for uuid in uuids]
+
+    def attribute_table_size():
+        return conn.raw.execute("SELECT COUNT(*) FROM attributes").fetchone()[0]
+
     with store._transaction():
-        before = conn.total_changes
+        before = attribute_table_size()
         conn.executemany("DELETE FROM attributes WHERE event_uuid = ?",
                          deletes)
-        replaced = conn.total_changes - before
         conn.executemany(
             "INSERT OR REPLACE INTO events (uuid, info, date, org,"
             " threat_level_id, analysis, distribution, published, timestamp,"
@@ -73,13 +109,49 @@ def rewrite_enrichments(store: MispStore,
         conn.executemany(
             "INSERT INTO audit_log (event_uuid, action, detail, logged_at)"
             " VALUES (?,?,?,?)", audit_rows)
-        store._bump("events", len(set(uuids) - existing))
-        store._bump("attributes", len(attribute_rows) - replaced)
+        store._bump("events", len(set(uuids) - set(existing)))
+        store._bump("attributes", attribute_table_size() - before)
     return {row[0]: row[-1] for row in event_rows}
 
 
+def graph(store: MispStore):
+    """``(stored, expected)`` edges as sorted ``((attribute, event),
+    (attribute, event), value)`` triples, endpoints ordered by uuid.
+
+    Expected: one edge per pair of correlatable attribute rows with equal
+    values in different events, and no other.
+    """
+    raw = store._conn.raw
+    stored = sorted(
+        (*sorted([(source, source_event), (target, target_event)]), value)
+        for source, target, source_event, target_event, value in raw.execute(
+            "SELECT source_attribute, target_attribute, source_event,"
+            " target_event, value FROM correlations"))
+    by_value = defaultdict(list)
+    for uuid, event_uuid, value in sorted(raw.execute(
+            "SELECT uuid, event_uuid, value FROM attributes"
+            " WHERE correlatable = 1")):
+        by_value[value].append((uuid, event_uuid))
+    expected = sorted((a, b, value) for value, rows in by_value.items()
+                      for a, b in combinations(rows, 2) if a[1] != b[1])
+    return stored, expected
+
+
+def assert_consistent(store: MispStore) -> None:
+    """The graph is the one the rows call for, and every counter counts
+    its table."""
+    stored, expected = graph(store)
+    assert stored == expected
+    raw = store._conn.raw
+    assert [store.event_count(), store.attribute_count(),
+            store.correlation_count()] == [
+        raw.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+        for table in ("events", "attributes", "correlations")]
+
+
 def table_state(store: MispStore) -> Dict[str, list]:
-    """Every row the write-back can touch; audit rows in seq order."""
+    """Every row a write can touch but the edges, which the reference does
+    not keep; audit rows in seq order."""
     raw = store._conn.raw
 
     def rows(sql):
@@ -90,7 +162,8 @@ def table_state(store: MispStore) -> Dict[str, list]:
         "attributes": sorted(rows("SELECT * FROM attributes")),
         "event_tags": sorted(rows("SELECT * FROM event_tags")),
         "audit_log": rows("SELECT * FROM audit_log ORDER BY seq"),
-        "counters": sorted(rows("SELECT * FROM counters")),
+        "counters": sorted(rows(
+            "SELECT * FROM counters WHERE name != 'correlations'")),
     }
 
 
@@ -191,6 +264,25 @@ def change(event: MispEvent, kind: str, data, donor: MispEvent) -> None:
         donor.attributes = donor.attributes[1:]
 
 
+def chunked_reads(store: MispStore, write) -> Dict[str, List[int]]:
+    """Run ``write()``; the bound-parameter count of each ``SELECT`` it
+    issued, by statement (its text up to the ``IN`` list)."""
+    reads: Dict[str, List[int]] = {}
+    execute = store._conn.execute
+
+    def spy(sql, params=()):
+        if sql.startswith("SELECT"):
+            reads.setdefault(sql.split(" IN (")[0], []).append(len(params))
+        return execute(sql, params)
+
+    store._conn.execute = spy
+    try:
+        write()
+    finally:
+        del store._conn.execute
+    return reads
+
+
 def two_stores(events: List[MispEvent]):
     stores = [MispStore(), MispStore()]
     for store in stores:
@@ -198,21 +290,24 @@ def two_stores(events: List[MispEvent]):
     return stores
 
 
-def assert_same_write(batch: List[MispEvent], stored: List[MispEvent]):
+def assert_same_write(batch: List[MispEvent], stored: List[MispEvent],
+                      enriched: bool = True):
+    """Write ``batch`` over ``stored`` through ``apply_enrichments`` (or
+    ``save_events``) and through the reference; the two must agree."""
     diff, reference = two_stores(stored)
-    blobs = diff.apply_enrichments([copy_of(event) for event in batch])
-    expected = rewrite_enrichments(
-        reference, [copy_of(event) for event in batch])
+    write = diff.apply_enrichments if enriched else diff.save_events
+    blobs = write([copy_of(event) for event in batch])
+    expected = rewrite(reference, [copy_of(event) for event in batch],
+                       "enriched" if enriched else None)
     assert blobs == expected
     assert table_state(diff) == table_state(reference)
-    assert diff.attribute_count() == reference.attribute_count()
-    assert diff.event_count() == reference.event_count()
+    assert_consistent(diff)
     return diff
 
 
 class TestDifferentialWriteBack:
     @given(events_strategy, st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_difference_write_matches_full_rewrite(self, drawn, data):
         stored = [build_event(index, *fields)
                   for index, fields in enumerate(drawn)]
@@ -229,7 +324,13 @@ class TestDifferentialWriteBack:
                                                     True, 1)], [], TAGS[:1]))
         if not batch:
             batch = versions[:1]
-        assert_same_write(batch, stored)
+        enriched = data.draw(st.booleans())
+        if not enriched and data.draw(st.booleans()):
+            # save_events writes a batch that repeats a uuid event by event.
+            again = copy_of(data.draw(st.sampled_from(batch)))
+            change(again, data.draw(st.sampled_from(CHANGES)), data, again)
+            batch.append(again)
+        assert_same_write(batch, stored, enriched)
 
     def test_unchanged_event_rewrites_nothing_but_its_audit_row(self):
         event = build_event(0, [("domain", "a.example", True, 0)], [],
@@ -255,39 +356,84 @@ class TestDifferentialWriteBack:
                 version.attributes = version.attributes[1:]
                 version.tags = []
             batch.append(version)
-        batch.append(build_event(count, [("domain", "new.example", True, 0)],
-                                 [], []))
-        reads = []
+        # A new event takes over the row of a stored event outside the
+        # batch.
+        outsider = build_event(count, [("domain", "old.example", True, 0)],
+                               [], [])
+        stored.append(outsider)
+        batch.append(build_event(count + 1, [], [], []))
+        batch[-1].add_attribute(MispAttribute(
+            type="domain", value="new.example",
+            uuid=outsider.attributes[0].uuid))
         store = MispStore()
         store.save_events([copy_of(event) for event in stored])
-        execute = store._conn.execute
-
-        def spy(sql, params=()):
-            if sql.startswith("SELECT"):
-                reads.append(len(params))
-            return execute(sql, params)
-
-        store._conn.execute = spy
-        store.apply_enrichments([copy_of(event) for event in batch])
-        # Two reads (attribute rows, tag rows) per IN chunk.
-        assert sorted(reads) == [count + 1 - VAR_BUDGET] * 2 \
-            + [VAR_BUDGET] * 2
+        reads = chunked_reads(store, lambda: store.apply_enrichments(
+            [copy_of(event) for event in batch]))
+        # The tag rows of the 1,001 events, the attribute rows of the 1,000
+        # stored ones and the holders of the 1,001 added attribute uuids
+        # (read because one is taken over) take two IN chunks each; the
+        # correlation probe reads the one new correlatable value.
+        assert sorted(size for sizes in reads.values() for size in sizes) \
+            == [1, count - VAR_BUDGET] + [count + 1 - VAR_BUDGET] * 2 \
+            + [VAR_BUDGET] * 3
         assert_same_write(batch, stored)
 
+    def test_resave_over_the_variable_budget_spans_two_chunks(self):
+        # Events 2k and 2k+1 share a value.  The re-save changes each
+        # event's shared value to the next event's own value: every pair
+        # edge goes, and one edge links each event to the next.
+        count = VAR_BUDGET + 40
+        stored = [build_event(index,
+                              [("domain", f"pair-{index // 2}.example",
+                                True, 0),
+                               ("domain", f"own-{index}.example", True, 0)],
+                              [], [])
+                  for index in range(count)]
+        store = MispStore()
+        reads = chunked_reads(store, lambda: store.save_events(
+            [copy_of(event) for event in stored]))
+        # No event is stored and no other event holds a written uuid, so
+        # only the tag rows (the existence probe) and the correlation probe
+        # are read.
+        assert len(reads) == 2
+        assert all(len(sizes) >= 2 for sizes in reads.values()), reads
+        assert store.correlation_count() == count // 2
+        versions = [copy_of(event) for event in stored]
+        for index, version in enumerate(versions):
+            version.attributes[0].value = f"own-{(index + 1) % count}.example"
+        reads = chunked_reads(store, lambda: store.save_events(versions))
+        # No uuid moved, so only the attribute rows, the tag rows and the
+        # probe of the 1,000 changed values are read, each in two chunks.
+        assert sorted(reads.values()) == \
+            [[VAR_BUDGET, count - VAR_BUDGET]] * 3
+        assert store.correlation_count() == count
+        assert_consistent(store)
+
     def test_relink_names_rows_new_or_changed_in_value(self):
+        partner = build_event(1, [("domain", value, True, 0) for value in (
+            "a.example", "b.example", "d.example", "e.example")], [], [])
         event = build_event(0, [("domain", "a.example", True, 0),
                                 ("domain", "b.example", True, 0),
                                 ("domain", "c.example", True, 0)], [], [])
         store = MispStore()
-        store.save_events([copy_of(event)])
+        store.save_events([copy_of(partner), copy_of(event)])
+        raw = store._conn.raw
+        kept = raw.execute("SELECT rowid, * FROM correlations"
+                           " WHERE value = 'a.example'").fetchall()
         version = copy_of(event)
         version.attributes[0].timestamp = stamp(3)      # same value
         version.attributes[1].value = "d.example"       # new value
         version.add_attribute(MispAttribute(
             type="domain", value="e.example", uuid="attr-new"))
-        relink = set()
-        store.apply_enrichments([version], relink=relink)
-        assert relink == {version.attributes[1].uuid, "attr-new"}
+        store.apply_enrichments([version])
+        # The row whose value stayed keeps its edge, rowid and all.
+        assert raw.execute("SELECT rowid, * FROM correlations"
+                           " WHERE value = 'a.example'").fetchall() == kept
+        assert [(row["source_attribute"], row["value"])
+                for row in store.correlations_for_event(event.uuid)] == [
+            ("attr-0000-01", "a.example"), ("attr-0000-02", "d.example"),
+            ("attr-new", "e.example")]
+        assert_consistent(store)
 
     def test_attributes_metric_counts_rows_written(self):
         from repro.obs import MetricsRegistry
@@ -302,6 +448,11 @@ class TestDifferentialWriteBack:
         version.add_attribute(MispAttribute(
             type="float", value="1.0000", to_ids=False, uuid="attr-score"))
         store.apply_enrichments([version])
+        assert counter.total() - before == 1
+        # A re-save counts only the row it changed too.
+        version.attributes[0].value = "b.example"
+        before = counter.total()
+        store.save_events([copy_of(version)])
         assert counter.total() - before == 1
 
 
@@ -363,3 +514,190 @@ class TestWriteBackCorrelation:
         rows = misp.store.correlations_for_event(a.uuid)
         assert [(row["source_event"], row["target_event"]) for row in rows] \
             == [(a.uuid, b.uuid)]
+
+
+def domain_event(info: str, *values: str) -> MispEvent:
+    event = MispEvent(info=info, timestamp=stamp(0))
+    for value in values:
+        event.add_attribute(MispAttribute(type="domain", value=value,
+                                          timestamp=stamp(0)))
+    return event
+
+
+def view_state(view: CorrelationGraphView):
+    """A graph view's nodes (with their info) and unordered edges."""
+    graph = view.graph()
+    return (sorted(graph.nodes(data="info")),
+            sorted(tuple(sorted(edge)) for edge in graph.edges()))
+
+
+WRITES = ("add_events", "receive_event", "apply_enrichments",
+          "add_attribute", "tag_event", "publish_event", "delete_event")
+EDITS = ("append", "drop", "value", "to_ids", "move")
+
+
+class TestEveryWriteKeepsTheGraph:
+    """Every write path leaves one edge per pair of equal correlatable
+    values in different events, and counters that count their tables."""
+
+    @pytest.mark.parametrize("edit", ["drop", "change"])
+    def test_resave_that_drops_or_changes_a_value_unlinks_it(self, edit):
+        misp = MispInstance(org="TestOrg")
+        a = domain_event("a", "x.example")
+        b = domain_event("b", "x.example")
+        misp.add_events([a, b], publish_feed=False)
+        assert misp.store.correlation_count() == 1
+        version = copy_of(b)
+        if edit == "drop":
+            version.attributes = [MispAttribute(type="domain",
+                                                value="y.example")]
+        else:
+            version.attributes[0].value = "y.example"
+        misp.add_events([version], publish_feed=False)
+        assert misp.store.correlations_for_event(b.uuid) == []
+        assert misp.store.correlations_for_event(a.uuid) == []
+        assert_consistent(misp.store)
+
+    def test_moved_attribute_uuid_keeps_the_counter_and_drops_old_edges(
+            self):
+        store = MispStore()
+        partner = domain_event("w", "x.example")
+        x = domain_event("x", "x.example")
+        y = domain_event("y", "x.example")
+        y.attributes[0].uuid = x.attributes[0].uuid
+        store.save_events([partner])
+        store.save_events([x])
+        assert len(store.correlations_for_event(x.uuid)) == 1
+        view = CorrelationGraphView(store)
+        view.refresh()
+        store.save_events([y])
+        assert store.correlations_for_event(x.uuid) == []
+        assert len(store.correlations_for_event(y.uuid)) == 1
+        assert_consistent(store)
+        # X's rows changed, so the change feed names it, and a view
+        # maintained from the feed drops X's edge as a rescan does.
+        assert [(row["action"], row["detail"])
+                for row in store.event_history(x.uuid)] == [
+            ("created", "1 attributes"), ("updated", "attribute moved")]
+        assert view_state(view) == view_state(
+            CorrelationGraphView(store, name="fresh:graph"))
+        store.delete_event(x.uuid)
+        assert store.attribute_count() == 2
+        assert len(store.correlations_for_event(y.uuid)) == 1
+        assert_consistent(store)
+
+    @pytest.mark.parametrize("path", ["add_event", "add_attribute",
+                                      "receive_event"])
+    def test_rewriting_an_earlier_event_adds_no_reversed_edge(self, path):
+        misp = MispInstance(org="TestOrg")
+        a = domain_event("a", "evil.example")
+        misp.add_event(a, publish_feed=False)
+        misp.add_event(domain_event("b", "evil.example"), publish_feed=False)
+        version = copy_of(a)
+        version.timestamp = stamp(1)
+        if path == "add_event":
+            misp.add_event(version, publish_feed=False)
+        elif path == "add_attribute":
+            misp.add_attribute(a.uuid, MispAttribute(
+                type="domain", value="other.example"), publish_feed=False)
+        else:
+            misp.receive_event(version)
+        assert misp.store.correlation_count() == 1
+        assert reversed_pairs(misp.store) == []
+        assert_consistent(misp.store)
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_every_write_keeps_one_edge_per_pair(self, data):
+        misp = MispInstance(org="TestOrg")
+        store = misp.store
+        raw = store._conn.raw
+        serial = iter(range(1, 1_000_000))
+        # Maintained from the change feed, it must follow every edge a
+        # write deletes, as a rescan does.
+        view = CorrelationGraphView(store)
+
+        def attribute() -> MispAttribute:
+            kind, value, to_ids, offset = data.draw(attribute_fields)
+            return MispAttribute(type=kind, value=value, to_ids=to_ids,
+                                 timestamp=stamp(offset),
+                                 uuid=f"attr-{next(serial)}")
+
+        def stored_uuids() -> List[str]:
+            return [row[0] for row in raw.execute(
+                "SELECT uuid FROM events ORDER BY uuid")]
+
+        def version() -> MispEvent:
+            """A new event, or a stored one with drawn edits."""
+            uuids = stored_uuids()
+            if not uuids or data.draw(st.booleans()):
+                number = next(serial)
+                event = MispEvent(info=f"event {number}",
+                                  uuid=f"event-{number}",
+                                  timestamp=stamp(number))
+                for _ in range(data.draw(st.integers(1, 3))):
+                    event.add_attribute(attribute())
+                return event
+            event = store.get_event(data.draw(st.sampled_from(uuids)))
+            event.timestamp = stamp(next(serial))
+            for edit in data.draw(st.lists(st.sampled_from(EDITS),
+                                           min_size=1, max_size=3)):
+                attributes = event.all_attributes()
+                if edit == "append":
+                    event.add_attribute(attribute())
+                elif edit == "drop" and event.attributes:
+                    event.attributes.pop(data.draw(
+                        st.integers(0, len(event.attributes) - 1)))
+                elif edit == "value" and attributes:
+                    data.draw(st.sampled_from(attributes)).value = \
+                        data.draw(st.sampled_from(VALUES))
+                elif edit == "to_ids" and attributes:
+                    target = data.draw(st.sampled_from(attributes))
+                    target.to_ids = not target.to_ids
+                elif edit == "move":
+                    # Take over the uuid of another event's attribute row.
+                    rows = raw.execute(
+                        "SELECT uuid, type, value, to_ids FROM attributes"
+                        " WHERE event_uuid != ? ORDER BY uuid",
+                        (event.uuid,)).fetchall()
+                    if rows:
+                        moved, kind, value, to_ids = data.draw(
+                            st.sampled_from(rows))
+                        event.add_attribute(MispAttribute(
+                            type=kind, value=value, to_ids=bool(to_ids),
+                            timestamp=stamp(0), uuid=moved))
+            return event
+
+        def batch() -> List[MispEvent]:
+            return [version() for _ in range(data.draw(st.integers(1, 3)))]
+
+        for _ in range(data.draw(st.integers(1, 8))):
+            write = data.draw(st.sampled_from(WRITES))
+            uuids = stored_uuids()
+            if write == "add_events":
+                misp.add_events(batch(), publish_feed=False)
+            elif write == "receive_event":
+                misp.receive_event(version())
+            elif write == "apply_enrichments":
+                eiocs = {event.uuid: event for event in batch()}
+                for event in eiocs.values():
+                    event.add_attribute(MispAttribute(
+                        type="float", value="2.5000", to_ids=False,
+                        timestamp=stamp(9), uuid=f"score-{next(serial)}"))
+                    event.add_tag("caop:eioc")
+                misp.apply_enrichments(list(eiocs.values()))
+            elif not uuids:
+                continue
+            elif write == "add_attribute":
+                misp.add_attribute(data.draw(st.sampled_from(uuids)),
+                                   attribute(), publish_feed=False)
+            elif write == "tag_event":
+                misp.tag_event(data.draw(st.sampled_from(uuids)),
+                               data.draw(st.sampled_from(TAGS)))
+            elif write == "publish_event":
+                misp.publish_event(data.draw(st.sampled_from(uuids)))
+            else:
+                store.delete_event(data.draw(st.sampled_from(uuids)))
+            assert_consistent(store)
+            assert view_state(view) == view_state(
+                CorrelationGraphView(store, name="fresh:graph"))

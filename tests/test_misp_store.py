@@ -5,7 +5,6 @@ import datetime as dt
 import pytest
 
 from repro.clock import PAPER_NOW, SimulatedClock
-from repro.errors import StorageError
 from repro.misp import Distribution, MispAttribute, MispEvent, MispStore
 
 
@@ -46,12 +45,6 @@ class TestCrud:
         store.save_event(event)
         assert store.get_event(event.uuid).info == "updated"
         assert store.event_count() == 1
-
-    def test_no_replace_raises_on_duplicate(self, store):
-        event = make_event()
-        store.save_event(event)
-        with pytest.raises(StorageError):
-            store.save_event(event, replace=False)
 
     def test_delete(self, store):
         event = make_event()
@@ -137,15 +130,17 @@ class TestSearch:
 
 class TestCorrelations:
     def test_save_and_query(self, store):
-        store.save_correlations([("a1", "a2", "e1", "e2", "value")])
+        first, second = make_event(info="first"), make_event(info="second")
+        store.save_events([first, second])
         assert store.correlation_count() == 1
-        found = store.correlations_for_event("e1")
-        assert found[0]["target_event"] == "e2"
-        assert store.correlations_for_event("e2")  # symmetric query
+        found = store.correlations_for_event(second.uuid)
+        assert found[0]["target_event"] == first.uuid
+        assert store.correlations_for_event(first.uuid)  # symmetric query
 
     def test_duplicate_correlations_ignored(self, store):
-        store.save_correlations([("a1", "a2", "e1", "e2", "v")])
-        store.save_correlations([("a1", "a2", "e1", "e2", "v")])
+        events = [make_event(info="first"), make_event(info="second")]
+        store.save_events(events)
+        store.save_events(events)
         assert store.correlation_count() == 1
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro.clock import SimulatedClock
 from repro.core import OsintDataCollector
-from repro.errors import FeedError, StorageError
+from repro.errors import FeedError
 from repro.feeds import (
     FeedDescriptor,
     FeedFetcher,
@@ -186,13 +186,6 @@ class TestBatchedPersistence:
         for event in events:
             actions = [h["action"] for h in misp.store.event_history(event.uuid)]
             assert actions == ["created", "updated"]
-
-    def test_batch_replace_false_raises_on_existing(self):
-        events = make_events(2)
-        misp = MispInstance()
-        misp.store.save_events(events)
-        with pytest.raises(StorageError):
-            misp.store.save_events(events, replace=False)
 
     def test_intra_batch_duplicate_uuid_keeps_last_version(self):
         first, second = make_events(2)

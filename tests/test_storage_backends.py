@@ -64,19 +64,6 @@ def copies_of(corpus):
     return [MispEvent.from_dict(event.to_dict()) for event in corpus]
 
 
-def correlate(store, pool):
-    """Build correlation edges the way ``_correlate_batch`` does."""
-    probe = store.correlatable_attributes_many(pool)
-    edges = []
-    for value in pool:
-        hits = probe[value]
-        for a in hits:
-            for b in hits:
-                if a[0] != b[0] and a[1] < b[1]:
-                    edges.append((a[1], b[1], a[0], b[0], value))
-    return store.save_correlations(edges)
-
-
 #: The two endpoint-event indexes ``correlations`` carries.
 CORRELATION_INDEXES = ("idx_correlations_source_event",
                        "idx_correlations_target_event")
@@ -184,8 +171,6 @@ class TestConformanceCrud:
         store.save_event(event)
         assert store.get_event(event.uuid).info == "updated"
         assert store.event_count() == 1
-        with pytest.raises(StorageError):
-            store.save_event(event, replace=False)
 
     def test_delete_and_audit_trail(self, store):
         event = make_event(values=("a.example", "b.example"))
@@ -195,12 +180,6 @@ class TestConformanceCrud:
         assert not store.has_event(event.uuid)
         actions = [row["action"] for row in store.event_history(event.uuid)]
         assert actions == ["created", "deleted"]
-
-    def test_existing_events_probe(self, store):
-        events = [make_event(info=f"e{i}") for i in range(5)]
-        store.save_events(events[:3])
-        known = store.existing_events([e.uuid for e in events] + ["ghost"])
-        assert known == {e.uuid for e in events[:3]}
 
     def test_list_events_order_and_limit(self, store):
         stamps = [TS + dt.timedelta(hours=h) for h in (2, 0, 1, 2)]
@@ -236,10 +215,9 @@ class TestConformanceCrud:
         one = make_event(info="one", values=("shared.example",))
         two = make_event(info="two", values=("shared.example",))
         store.save_events([one, two])
-        inserted = correlate(store, ["shared.example"])
-        assert inserted == 1
-        # Idempotent: replaying the same probe inserts nothing new.
-        assert correlate(store, ["shared.example"]) == 0
+        assert store.correlation_count() == 1
+        # Idempotent: saving the same events again links nothing new.
+        store.save_events(copies_of([one, two]))
         rows_one = store.correlations_for_event(one.uuid)
         rows_two = store.correlations_for_event(two.uuid)
         assert rows_one == rows_two
@@ -311,11 +289,10 @@ class TestCounters:
     """The O(1)-counter satellite: counts survive save/delete/replay."""
 
     def test_counts_track_saves_and_deletes(self, store):
-        corpus, pool = make_corpus(count=10)
+        corpus, _pool = make_corpus(count=10)
         store.save_events(corpus)
         assert store.event_count() == 10
         assert store.attribute_count() == 30
-        correlate(store, pool)
         assert store.correlation_count() > 0
         before_corr = store.correlation_count()
         # Replacing an event with fewer attributes shrinks the count.
@@ -327,17 +304,16 @@ class TestCounters:
         store.delete_event(corpus[1].uuid)
         assert store.event_count() == 9
         assert store.attribute_count() == 25
-        # The delete took the event's edges with it; replaying the same
-        # correlation probe changes nothing.
+        # The delete took the event's edges with it; saving the survivors
+        # again changes nothing.
         remaining = store.correlation_count()
         assert remaining < before_corr
-        correlate(store, pool)
+        store.save_events(copies_of(corpus[2:]))
         assert store.correlation_count() == remaining
 
     def test_counts_match_full_scan(self, store):
-        corpus, pool = make_corpus(count=15)
+        corpus, _pool = make_corpus(count=15)
         store.save_events(corpus)
-        correlate(store, pool)
         gone = corpus[0].uuid
         assert store.correlations_for_event(gone)
         store.delete_event(gone)
@@ -374,7 +350,6 @@ class TestChunkBudget:
         assert len(fetched) == 1101
         assert fetched["ghost"] is None
         assert all(fetched[e.uuid] is not None for e in corpus)
-        assert store.existing_events(uuids) == set(uuids[:-1])
         statements, decoded = store.sql_statements, store.payloads_deserialized
         stamps = store.event_digests(uuids)
         assert store.sql_statements - statements == \
@@ -427,9 +402,8 @@ class TestQueryPlan:
         # of the table.
         built = MispStore(":memory:")
         try:
-            corpus, pool = make_corpus(count=12)
+            corpus, _pool = make_corpus(count=12)
             built.save_events(corpus)
-            correlate(built, pool)
             uuids = [event.uuid for event in corpus]
             with statement_log(built) as log:
                 correlation_reads(built, uuids)
@@ -508,7 +482,10 @@ def test_indexed_reads_answer_as_the_forced_scan(case):
     built = MispStore(":memory:")
     try:
         for batch in batches:
-            built.save_correlations(batch)
+            # Edges as given: the reads must answer for any graph.
+            built._conn.executemany(
+                "INSERT OR IGNORE INTO correlations VALUES (?,?,?,?,?)",
+                batch)
         indexed = correlation_reads(built, request)
         with statement_log(built, rewrite=forced_scan) as log:
             scanned = correlation_reads(built, request)
@@ -529,7 +506,6 @@ def run_scenario(store):
     events = copies_of(corpus)
     store.save_events(events[:25])
     store.save_events(events[25:])
-    correlate(store, pool)
     # Touch update, enrichment, delete and ledger paths.
     events[3].info = "updated info"
     store.save_event(events[3])
