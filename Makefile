@@ -4,16 +4,16 @@ install:
 	pip install -e . || python setup.py develop
 
 test:
-	pytest tests/
+	PYTHONPATH=src pytest tests/
 
 coverage:
-	pytest tests/ --cov=repro --cov-report=term-missing --cov-fail-under=82
+	PYTHONPATH=src pytest tests/ --cov=repro --cov-report=term-missing --cov-fail-under=82
 
 bench:
-	pytest benchmarks/
+	PYTHONPATH=src pytest benchmarks/
 
 bench-timing:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src pytest benchmarks/ --benchmark-only
 
 bench-ingest:
 	PYTHONPATH=src pytest benchmarks/bench_x14_ingest_throughput.py -s --benchmark-disable
@@ -40,14 +40,14 @@ chaos:
 	PYTHONPATH=src pytest tests/test_resilience.py tests/test_chaos.py tests/test_parallel_share.py tests/test_federation.py tests/test_federation_backbone.py tests/test_sync_properties.py benchmarks/bench_x15_chaos_recovery.py benchmarks/bench_x23_federation.py -s --benchmark-disable
 
 tables:
-	pytest benchmarks/ -s --benchmark-disable
+	PYTHONPATH=src pytest benchmarks/ -s --benchmark-disable
 
 examples:
-	python examples/quickstart.py
-	python examples/rce_use_case.py
-	python examples/intel_sharing.py
-	python examples/feed_monitoring.py
-	python examples/soc_operations.py
+	PYTHONPATH=src python examples/quickstart.py
+	PYTHONPATH=src python examples/rce_use_case.py
+	PYTHONPATH=src python examples/intel_sharing.py
+	PYTHONPATH=src python examples/feed_monitoring.py
+	PYTHONPATH=src python examples/soc_operations.py
 
 metrics-demo:
 	PYTHONPATH=src python -m repro.cli metrics --cycles 3

@@ -36,7 +36,6 @@ from .deltas import (
 )
 from .enrich import (
     BREAKDOWN_COMMENT,
-    EnrichmentContextCache,
     EnrichmentResult,
     HeuristicComponent,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "collapse_changes",
     "load_delta_events",
     "BREAKDOWN_COMMENT",
-    "EnrichmentContextCache",
     "EnrichmentResult",
     "HeuristicComponent",
     "FeatureScore",

@@ -12,11 +12,11 @@ The enrich hot path is batched (docs/PERFORMANCE.md):
    text the store wrote, so, as a MISP zmq consumer does, the cIoC is built
    from its document; the store is read only for a cIoC whose stored blob
    no longer hashes to that text (re-saved or deleted since it was
-   published).  The correlation context comes in a handful of chunked
-   queries (:class:`EnrichmentContextCache`), instead of per-event round
-   trips.
+   published).  The correlation context comes in three chunked reads
+   whatever the drain's size: the events, their correlation rows and the
+   infrastructure tags of their correlation partners.
 2. **Score** each eligible event in drain order on the calling thread:
-   STIX export + heuristic evaluation over the prefetched context.  Every
+   STIX export + heuristic evaluation over that context.  Every
    built-in extractor works in memory, so scoring is CPU-bound.
 3. **Write back** through a planner that builds each eIoC fully in memory
    (score/breakdown attributes stamped in whole seconds, galaxy tags, the
@@ -39,7 +39,7 @@ from ..clock import Clock, FixedClock, SimulatedClock
 from ..cvss import CveDatabase
 from ..ids import content_uuid
 from ..infra import INFRASTRUCTURE_TAG, AlarmManager, Inventory
-from ..misp import MispAttribute, MispEvent, MispInstance, MispStore, to_stix2_bundle
+from ..misp import MispAttribute, MispEvent, MispInstance, to_stix2_bundle
 from ..misp.instance import TOPIC_EVENT
 from ..misp.store import Handed, blob_digest
 from ..obs import (
@@ -78,118 +78,13 @@ class EnrichmentResult:
     digest: str = ""
 
 
-class EnrichmentContextCache:
-    """Per-batch memo of the store lookups enrichment context needs.
-
-    One drain cycle enriches N events; without the cache each event costs a
-    ``correlations_for_event`` probe and a ``get_event`` per correlation
-    partner (to test the infrastructure tag).  :meth:`prefetch` resolves all
-    of that with a constant number of chunked queries; the per-item
-    accessors fall back to single lookups on miss, so the cache is also
-    correct for ad-hoc single-event enrichment.  The drained cIoCs
-    themselves come from the feed: the event fetch decodes only those
-    whose stored blob no longer matches the published text.
-
-    The cache is a *snapshot* of the store:
-    :meth:`HeuristicComponent.enrich_many` builds a fresh one per batch.
-    """
-
-    def __init__(self, store: MispStore) -> None:
-        self._store = store
-        self._events: Dict[str, Optional[MispEvent]] = {}
-        self._correlations: Dict[str, List[Dict[str, str]]] = {}
-        self._infra_flags: Dict[str, bool] = {}
-        #: Lookups answered from memory vs sent to the store (observability).
-        self.hits = 0
-        self.misses = 0
-
-    def prefetch(self, uuids: Sequence[str],
-                 handed: Optional[Handed] = None) -> None:
-        """Batch-resolve events, correlations and partner infra flags.
-
-        N events cost one chunked event fetch, one chunked correlation
-        probe and one chunked tag lookup for the correlation partners —
-        instead of O(N + partners) single queries.  ``handed`` events
-        stand in for their stored rows under
-        :meth:`~repro.misp.MispStore.get_events`' digest rule.
-        """
-        uuids = [uuid for uuid in dict.fromkeys(uuids)
-                 if uuid not in self._events]
-        if not uuids:
-            return
-        fetched = self._store.get_events(uuids, handed=handed)
-        self._events.update(fetched)
-        for uuid, event in fetched.items():
-            self._infra_flags[uuid] = (
-                event is not None and event.has_tag(INFRASTRUCTURE_TAG))
-        self._correlations.update(self._store.correlations_for_events(uuids))
-        partners: List[str] = []
-        for uuid in uuids:
-            for row in self._correlations[uuid]:
-                other = (row["target_event"]
-                         if row["source_event"] == uuid
-                         else row["source_event"])
-                if other not in self._infra_flags:
-                    partners.append(other)
-        partners = list(dict.fromkeys(partners))
-        if partners:
-            tagged = self._store.events_with_tag(INFRASTRUCTURE_TAG, partners)
-            for other in partners:
-                self._infra_flags[other] = other in tagged
-
-    def get_event(self, uuid: str) -> Optional[MispEvent]:
-        """Memoized :meth:`MispStore.get_event`."""
-        if uuid in self._events:
-            self.hits += 1
-            return self._events[uuid]
-        self.misses += 1
-        event = self._store.get_event(uuid)
-        self._events[uuid] = event
-        self._infra_flags[uuid] = (
-            event is not None and event.has_tag(INFRASTRUCTURE_TAG))
-        return event
-
-    def correlations_for(self, uuid: str) -> List[Dict[str, str]]:
-        """Memoized :meth:`MispStore.correlations_for_event`."""
-        if uuid in self._correlations:
-            self.hits += 1
-            return self._correlations[uuid]
-        self.misses += 1
-        rows = self._store.correlations_for_event(uuid)
-        self._correlations[uuid] = rows
-        return rows
-
-    def is_infrastructure(self, uuid: str) -> bool:
-        """Whether an event carries the infrastructure tag (memoized)."""
-        if uuid in self._infra_flags:
-            self.hits += 1
-            return self._infra_flags[uuid]
-        event = self.get_event(uuid)
-        return event is not None and event.has_tag(INFRASTRUCTURE_TAG)
-
-    def source_types_for(self, event: MispEvent) -> FrozenSet[str]:
-        """osint always (cIoCs come from feeds); infrastructure when the
-        MISP correlation engine linked the event to an infrastructure event.
-        """
-        kinds = {"osint"}
-        for row in self.correlations_for(event.uuid):
-            other = (row["target_event"]
-                     if row["source_event"] == event.uuid
-                     else row["source_event"])
-            if self.is_infrastructure(other):
-                kinds.add("infrastructure")
-                break
-        return frozenset(kinds)
-
-
 class HeuristicComponent:
     """Subscribes to the MISP feed and enriches incoming cIoCs.
 
     Each drain is enriched as one batch: the cIoCs come from the feed's
-    documents, the rest of the context from a fresh, prefetched
-    :class:`EnrichmentContextCache`, every eligible event is scored in
-    drain order against a frozen snapshot of the clock, and the eIoCs are
-    committed by one write-back.
+    documents, the rest of the context from three chunked store reads,
+    every eligible event is scored in drain order against a frozen
+    snapshot of the clock, and the eIoCs are committed by one write-back.
     """
 
     def __init__(self, misp: MispInstance,
@@ -252,27 +147,49 @@ class HeuristicComponent:
     def enrich_many(self, event_uuids: Sequence[str],
                     handed: Optional[Handed] = None
                     ) -> List[EnrichmentResult]:
-        """Enrich a batch of stored events: prefetch, score, write back.
+        """Enrich a batch of stored events: read, score, write back.
 
         Results come back in drain (input) order; later duplicates of a
         uuid are counted as skipped, matching the serial path where the
         first enrichment stamps the enriched tag and the second attempt
-        sees it.  Each call reads the store through a fresh context cache,
-        so re-enriching an event sees its current correlations.  A
-        ``handed`` event (:meth:`process_pending` passes the feed's) is
-        used instead of a decode while the stored blob matches its digest.
+        sees it.  The context is three chunked reads, whatever the batch
+        size: the events (:meth:`~repro.misp.MispStore.get_events`; a
+        ``handed`` event, such as the feed's that :meth:`process_pending`
+        passes, is used instead of a decode while the stored blob matches
+        its digest), their correlation rows, and the infrastructure tag of
+        each correlation partner outside the batch.  Each call reads them
+        afresh, so re-enriching an event sees its current correlations.
         """
         order = list(dict.fromkeys(event_uuids))
         duplicates = len(event_uuids) - len(order)
         if not order:
             return []
-        cache = EnrichmentContextCache(self._misp.store)
-        cache.prefetch(order, handed=handed)
+        store = self._misp.store
+        events = store.get_events(order, handed=handed)
+        partners = {
+            uuid: [row["target_event"] if row["source_event"] == uuid
+                   else row["source_event"] for row in rows]
+            for uuid, rows in store.correlations_for_events(order).items()}
+        infrastructure = {uuid for uuid, event in events.items()
+                          if event is not None
+                          and event.has_tag(INFRASTRUCTURE_TAG)}
+        outside = list(dict.fromkeys(
+            other for others in partners.values() for other in others
+            if other not in events))
+        if outside:
+            infrastructure |= store.events_with_tag(INFRASTRUCTURE_TAG,
+                                                    outside)
+        # Source types: osint always (cIoCs come from feeds), infrastructure
+        # when MISP correlated the event with an infrastructure event.
+        sources = {uuid: frozenset({"osint", "infrastructure"})
+                   if infrastructure.intersection(others)
+                   else frozenset({"osint"})
+                   for uuid, others in partners.items()}
 
         # Phase 1: eligibility over the batched context.
         eligible: List[MispEvent] = []
         for uuid in order:
-            event = cache.get_event(uuid)
+            event = events[uuid]
             if event is None:
                 self.skipped += 1
                 self._m_skipped.inc(reason="missing")
@@ -289,7 +206,7 @@ class HeuristicComponent:
         # snapshot, so stored timestamps do not depend on how long scoring
         # takes.
         scored = [
-            self.score_event(event, cache.source_types_for(event),
+            self.score_event(event, sources[event.uuid],
                              FixedClock(self._clock.now()))
             for event in eligible
         ]
@@ -385,9 +302,8 @@ class HeuristicComponent:
                     clock: Clock) -> List[Tuple[str, ThreatScoreResult]]:
         """Export the event to STIX 2.0 and score every supported object.
 
-        ``source_types`` comes from
-        :meth:`EnrichmentContextCache.source_types_for`, and ``clock`` is the
-        event's frozen snapshot; :meth:`enrich_many` supplies both.
+        ``source_types`` is the event's source types and ``clock`` its
+        frozen snapshot; :meth:`enrich_many` supplies both.
         """
         bundle = to_stix2_bundle(event)
         osint_feeds = frozenset(tags_to_feeds(event))

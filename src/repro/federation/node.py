@@ -171,16 +171,14 @@ class FederationNode:
                       payload: Dict[str, Any]) -> Dict[str, Any]:
         # The instance's receiver checks the whole message before anything
         # is written; a refusal goes back to the sender, which records it
-        # and moves on.
-        response = self.misp.receive_message(payload, admit=self._admit)
+        # and moves on.  Once it stores the event, it tells this node's
+        # gateway that src holds that version, so no copy goes back.
+        response = self.misp.receive_message(payload, admit=self._admit,
+                                             sender=src)
         if not response["accepted"]:
             return response
-        # src holds the version just stored, so the next sync sends it
-        # no copy back.
-        uuid = response["uuid"]
-        self.gateway.note_held(src, uuid, response["digest"])
         path = (response["trace"] or {}).get("path")
-        self.origins[uuid] = path[0] if path else src
+        self.origins[response["uuid"]] = path[0] if path else src
         return {"accepted": True}
 
     def _handle_sighting(self, src: str,

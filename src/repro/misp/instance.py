@@ -113,6 +113,10 @@ class MispInstance:
         self.zmq = ZmqPublisher(self.broker)
         self._ids = id_generator or IdGenerator()
         self.sharing_groups: Dict[str, SharingGroup] = {}
+        #: The :class:`~repro.sharing.SharingGateway` that shares from this
+        #: instance, which registers itself here; :meth:`receive_message`
+        #: tells it which version a sender holds.
+        self.gateway = None
         self._store_retry = store_retry_policy
         self._sleeper = sleeper
         self._deadletters = deadletters
@@ -316,8 +320,8 @@ class MispInstance:
 
     def receive_message(
             self, message: Any,
-            admit: Optional[Callable[[MispEvent], Optional[str]]] = None
-            ) -> Dict[str, Any]:
+            admit: Optional[Callable[[MispEvent], Optional[str]]] = None,
+            sender: Optional[str] = None) -> Dict[str, Any]:
         """Store the event one wire message carries, unless it is refused.
 
         The one receiver of every MISP-to-MISP hop.  ``message`` holds the
@@ -331,7 +335,14 @@ class MispInstance:
         node's inbound TLP ceiling).  The sharing group is then registered
         for onward hops, and the held copy's stored row, never decoded,
         refuses an event no newer (``duplicate``) or, on ``reconcile``,
-        one :func:`prefers_incoming` does not prefer (``stale``).
+        one :func:`prefers_incoming` does not prefer (``stale``).  The
+        store refuses, writing nothing, an event that lists an attribute
+        uuid twice or carries one another stored event holds
+        (``duplicate attribute uuid``).
+
+        ``sender`` is the sending org.  Once the event is stored, this
+        instance's :attr:`gateway` notes that ``sender`` holds the stored
+        version, so its next sync sends no copy back.
 
         Returns ``{"accepted": False, "reason": ...}``, or, once
         :meth:`receive_event` has stored the event, ``{"accepted": True}``
@@ -363,7 +374,12 @@ class MispInstance:
                     return _refused("stale")
             elif held_ts >= incoming_ts:
                 return _refused("duplicate")
-        digest = self.receive_event(event, trace_context=trace)
+        try:
+            digest = self.receive_event(event, trace_context=trace)
+        except ValidationError:
+            return _refused("duplicate attribute uuid")
+        if sender is not None and self.gateway is not None:
+            self.gateway.note_held(sender, event.uuid, digest)
         return {"accepted": True, "uuid": event.uuid, "digest": digest,
                 "trace": trace}
 

@@ -37,9 +37,12 @@ write a whole batch — audit rows, event rows, attribute rows, tag rows — in
 a single transaction that writes only the rows differing from the stored
 ones and keeps the correlation graph current, one edge per pair of equal
 correlatable values in different events (MISP's "basic automated
-correlation", §III-B1).  Its reads are chunked ``IN (...)`` queries sized by
-the :data:`MAX_BOUND_VARS` budget, so no query can exceed SQLite's
-bound-variable limit however many uuids a cycle carries.
+correlation", §III-B1).  As in MISP, an attribute uuid has one owner for
+life: a write that would give it a second one raises
+:class:`~repro.errors.ValidationError` and writes nothing.  Its reads are
+chunked ``IN (...)`` queries sized by the :data:`MAX_BOUND_VARS` budget, so
+no query can exceed SQLite's bound-variable limit however many uuids a
+cycle carries.
 ``sql_statements`` counts Python→SQLite round trips so benchmarks can prove
 the batched path issues fewer of them.  Ordered reads are fully specified
 (``timestamp DESC, uuid`` for event listings; insertion order for value
@@ -76,7 +79,7 @@ from typing import (
 )
 
 from ..clock import Clock
-from ..errors import StorageError
+from ..errors import StorageError, ValidationError
 from ..obs import MetricsRegistry, NULL_REGISTRY
 from .export import canonical_json
 from .model import MispEvent
@@ -510,22 +513,17 @@ class MispStore:
         Each event is audited as ``created``, or ``updated`` when its uuid
         is stored, and written by :meth:`_write`.  The stored rows, audit
         rows and correlation edges are those saving each event in turn
-        leaves; a batch that repeats a uuid is written event by event, so
-        each later version finds the one before it stored.  Returns ``uuid
-        -> blob`` as stored (the last one for a uuid saved twice), so a
-        caller can digest what it stored without re-encoding.
+        leaves.  Returns ``uuid -> blob`` as stored (the last one for a
+        uuid saved twice), so a caller can digest what it stored without
+        re-encoding.  Raises :class:`~repro.errors.ValidationError`, and
+        writes nothing, when the batch would give an attribute uuid a
+        second owner.
         """
         events = list(events)
         if not events:
             return {}
         if self.fault_injector is not None:
             self.fault_injector.check("store", "save_events")
-        uuids = [event.uuid for event in events]
-        if len(set(uuids)) != len(uuids):
-            blobs: Dict[str, str] = {}
-            for event in events:
-                blobs.update(self._write([event], enriched=False))
-            return blobs
         return self._write(events, enriched=False)
 
     def apply_enrichments(self, events: Sequence[MispEvent]
@@ -537,7 +535,8 @@ class MispStore:
         :meth:`_write` with one ``enriched`` audit row each, so an eIoC
         costs its new attribute and tag rows, not a rewrite of every row.
         A batch may not repeat a uuid.  Returns ``uuid -> blob`` as stored,
-        like :meth:`save_events`.
+        and refuses a second owner of an attribute uuid, like
+        :meth:`save_events`.
         """
         events = list(events)
         if not events:
@@ -554,42 +553,76 @@ class MispStore:
 
     def _write(self, events: List[MispEvent], enriched: bool
                ) -> Dict[str, str]:
-        """Write events with distinct uuids in one transaction: only the rows
-        that differ from the stored ones, with the correlation edges kept
-        current.
+        """Write a batch in one transaction: only the rows that differ from
+        the stored ones, with the correlation edges kept current.
 
-        The batch's stored tag and attribute rows are read first, in chunked
-        ``IN (...)`` reads that decode nothing.  Then one transaction
-        inserts the attribute rows new to their event, replaces the changed
-        ones, deletes the dropped ones, inserts and deletes tag rows,
+        A batch that repeats an event uuid is written event by event, so
+        each later version finds the one before it stored; any other batch
+        is written whole (:meth:`_write_part`).  Every audit row is
+        ``enriched``, or ``created``/``updated``.
+        ``caop_misp_attributes_stored_total`` counts the attribute rows
+        written.
+
+        An attribute uuid has one owner.  A write that would give it a
+        second one raises :class:`~repro.errors.ValidationError`, and the
+        transaction writes nothing: one event listing the uuid twice, two
+        batch events listing it, or a new row of a uuid that an event
+        outside the batch holds (the ``attributes`` primary key refuses its
+        plain ``INSERT``).  A uuid that one batch event drops and another
+        adds is legal, because the deletes run first.
+        """
+        uuids = [event.uuid for event in events]
+        parts = [events] if len(set(uuids)) == len(uuids) \
+            else [[event] for event in events]
+        blobs: Dict[str, str] = {}
+        audit_rows: List[Tuple] = []
+        written = inserted = 0
+        with self._transaction():
+            for part in parts:
+                rows, part_written, part_inserted = self._write_part(
+                    part, enriched, blobs)
+                audit_rows += rows
+                written += part_written
+                inserted += part_inserted
+        for action in ("created", "updated", "enriched"):
+            count = sum(1 for row in audit_rows if row[1] == action)
+            if count:
+                self._m_events.inc(count, action=action)
+        self._m_attributes.inc(written)
+        if inserted:
+            self._m_correlations.inc(inserted)
+        for part in parts:
+            self._m_batch_size.observe(len(part))
+        return blobs
+
+    def _write_part(self, events: List[MispEvent], enriched: bool,
+                    blobs: Dict[str, str]) -> Tuple[List[Tuple], int, int]:
+        """Write events with distinct uuids inside :meth:`_write`'s
+        transaction; returns their audit rows, the attribute rows written
+        and the edges inserted, and puts each stored blob in ``blobs``.
+
+        The events' stored tag and attribute rows are read first, in
+        chunked ``IN (...)`` reads that decode nothing.  Then the write
+        deletes the attribute rows dropped from their event, replaces the
+        changed ones, inserts the new ones, inserts and deletes tag rows,
         ``UPDATE``s each stored event row (a ``REPLACE`` would cascade the
         attribute and tag rows away), inserts an event not stored yet and
-        writes one audit row per event: ``enriched``, or
-        ``created``/``updated``.  An attribute uuid listed twice keeps its
-        last row.  ``caop_misp_attributes_stored_total`` counts the
-        attribute rows written.
-
-        A new row whose uuid an event outside the batch holds takes that
-        row over: the insert skips it, and only then are the holders read
-        (one chunked read) and their rows replaced.  The losing event gets
-        an ``updated`` audit row (detail ``attribute moved``): its rows and
-        edges changed, so the change feed names it, though its blob still
-        lists the row.
+        writes one audit row per event.
 
         The graph holds one edge per pair of correlatable rows with equal
         values in different events.  The write deletes the edges of each
-        correlatable row it drops, changes in value or correlatable flag,
-        or takes over, then links each correlatable row it changed that way
-        or added (:meth:`_relink`).
+        correlatable row it drops or changes in value or correlatable flag,
+        then links each correlatable row it changed that way or added
+        (:meth:`_relink`).
         """
-        uuids = [event.uuid for event in events]
-        stored_rows, stored_tags = self._stored_rows(uuids)
         built = [_event_rows(event) for event in events]
-        final = {row[0]: row
-                 for _event_row, attribute_rows, _tags in built
-                 for row in attribute_rows}
+        listed = [row[0] for _event_row, attribute_rows, _tags in built
+                  for row in attribute_rows]
+        if len(set(listed)) != len(listed):
+            raise ValidationError("the write lists an attribute uuid twice")
+        stored_rows, stored_tags = self._stored_rows(
+            [event.uuid for event in events])
 
-        blobs: Dict[str, str] = {}
         new_events: List[Tuple] = []
         updates: List[Tuple] = []
         audit_rows: List[Tuple] = []
@@ -614,15 +647,14 @@ class MispStore:
             else:
                 new_events.append(event_row)
             before_rows = stored_rows.get(event.uuid, {})
-            rows = [row for row in attribute_rows if final[row[0]] is row]
-            kept = {row[0] for row in rows}
+            kept = {row[0] for row in attribute_rows}
             for uuid, before in before_rows.items():
                 if uuid not in kept:
                     dropped.append((uuid,))
                     if before[6]:
                         unlink.append((event.uuid, uuid))
             linked: List[Tuple] = []
-            for row in rows:
+            for row in attribute_rows:
                 before = before_rows.get(row[0])
                 if before is None:
                     added.append(row)
@@ -646,74 +678,50 @@ class MispStore:
                                 for name in sorted(held_tags - names))
 
         conn = self._conn
-        with self._transaction():
-            if new_events:
-                conn.executemany(
-                    f"INSERT INTO events ({_EVENT_COLS})"
-                    " VALUES (?,?,?,?,?,?,?,?,?,?)", new_events)
-            if updates:
-                conn.executemany(
-                    "UPDATE events SET info = ?, date = ?, org = ?,"
-                    " threat_level_id = ?, analysis = ?, distribution = ?,"
-                    " published = ?, timestamp = ?, blob = ?"
-                    " WHERE uuid = ?", updates)
-            # Deletes first: a dropped row's uuid may come back on
-            # another event of the batch.
-            if dropped:
-                conn.executemany(
-                    "DELETE FROM attributes WHERE uuid = ?", dropped)
-            if changed:
-                conn.executemany(
-                    f"INSERT OR REPLACE INTO attributes ({_ATTRIBUTE_COLS})"
-                    " VALUES (?,?,?,?,?,?,?,?)", changed)
-            taken: List[Tuple] = []
-            if added:
-                before = conn.total_changes
-                conn.executemany(
-                    f"INSERT OR IGNORE INTO attributes ({_ATTRIBUTE_COLS})"
-                    " VALUES (?,?,?,?,?,?,?,?)", added)
-                if conn.total_changes - before < len(added):
-                    owners = self._attribute_owners(
-                        [row[0] for row in added])
-                    taken = [(row, owners[row[0]]) for row in added
-                             if owners[row[0]][0] != row[1]]
-                    conn.executemany(
-                        f"INSERT OR REPLACE INTO attributes"
-                        f" ({_ATTRIBUTE_COLS}) VALUES (?,?,?,?,?,?,?,?)",
-                        [row for row, _owner in taken])
-            if tags_dropped:
-                conn.executemany(
-                    "DELETE FROM event_tags WHERE event_uuid = ?"
-                    " AND name = ?", tags_dropped)
-            if tags_added:
-                conn.executemany(
-                    "INSERT OR IGNORE INTO event_tags (event_uuid, name)"
-                    " VALUES (?,?)", tags_added)
-            stamps = {row[0]: row[3] for row in audit_rows}
-            moved_from: Dict[str, int] = {}
-            for row, (owner, correlatable) in taken:
-                moved_from.setdefault(owner, stamps[row[1]])
-                if correlatable:
-                    unlink.append((owner, row[0]))
+        if new_events:
             conn.executemany(
-                "INSERT INTO audit_log (event_uuid, action, detail,"
-                " logged_at) VALUES (?,?,?,?)", audit_rows + [
-                    (uuid, "updated", "attribute moved", logged_at)
-                    for uuid, logged_at in moved_from.items()])
-            removed, inserted = self._relink(events, unlink, link)
-            self._bump("events", len(new_events))
-            self._bump("attributes",
-                       len(added) - len(taken) - len(dropped))
-            self._bump("correlations", inserted - removed)
-        for action in ("created", "updated", "enriched"):
-            count = sum(1 for row in audit_rows if row[1] == action)
-            if count:
-                self._m_events.inc(count, action=action)
-        self._m_attributes.inc(len(added) + len(changed))
-        if inserted:
-            self._m_correlations.inc(inserted)
-        self._m_batch_size.observe(len(events))
-        return blobs
+                f"INSERT INTO events ({_EVENT_COLS})"
+                " VALUES (?,?,?,?,?,?,?,?,?,?)", new_events)
+        if updates:
+            conn.executemany(
+                "UPDATE events SET info = ?, date = ?, org = ?,"
+                " threat_level_id = ?, analysis = ?, distribution = ?,"
+                " published = ?, timestamp = ?, blob = ?"
+                " WHERE uuid = ?", updates)
+        # Deletes first: a dropped row's uuid may come back on another
+        # event of the batch.
+        if dropped:
+            conn.executemany(
+                "DELETE FROM attributes WHERE uuid = ?", dropped)
+        if changed:
+            conn.executemany(
+                f"INSERT OR REPLACE INTO attributes ({_ATTRIBUTE_COLS})"
+                " VALUES (?,?,?,?,?,?,?,?)", changed)
+        if added:
+            try:
+                conn.executemany(
+                    f"INSERT INTO attributes ({_ATTRIBUTE_COLS})"
+                    " VALUES (?,?,?,?,?,?,?,?)", added)
+            except sqlite3.IntegrityError as exc:
+                raise ValidationError(
+                    "an attribute uuid of the write belongs to another"
+                    f" event: {exc}") from exc
+        if tags_dropped:
+            conn.executemany(
+                "DELETE FROM event_tags WHERE event_uuid = ?"
+                " AND name = ?", tags_dropped)
+        if tags_added:
+            conn.executemany(
+                "INSERT OR IGNORE INTO event_tags (event_uuid, name)"
+                " VALUES (?,?)", tags_added)
+        conn.executemany(
+            "INSERT INTO audit_log (event_uuid, action, detail,"
+            " logged_at) VALUES (?,?,?,?)", audit_rows)
+        removed, inserted = self._relink(events, unlink, link)
+        self._bump("events", len(new_events))
+        self._bump("attributes", len(added) - len(dropped))
+        self._bump("correlations", inserted - removed)
+        return audit_rows, len(added) + len(changed), inserted
 
     def _relink(self, events: List[MispEvent],
                 unlink: Sequence[Tuple[str, str]],
@@ -792,18 +800,6 @@ class MispStore:
                     chunk).fetchall():
                 rows.setdefault(row[1], {})[row[0]] = tuple(row)
         return rows, tags
-
-    def _attribute_owners(self, uuids: Sequence[str]
-                          ) -> Dict[str, Tuple[str, int]]:
-        """``attribute uuid -> (event uuid, correlatable)`` of the stored
-        rows among ``uuids``: chunked ``IN (...)`` reads, no decode."""
-        owners: Dict[str, Tuple[str, int]] = {}
-        for chunk in chunks(list(uuids), chunk_size()):
-            for uuid, event_uuid, correlatable in self._conn.execute(
-                    "SELECT uuid, event_uuid, correlatable FROM attributes"
-                    f" WHERE uuid IN ({_marks(chunk)})", chunk).fetchall():
-                owners[uuid] = (event_uuid, correlatable)
-        return owners
 
     def has_event(self, uuid: str) -> bool:
         """Whether an event uuid is stored."""

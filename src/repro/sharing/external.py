@@ -16,8 +16,9 @@ Both MISP transports build one wire message per share and hand it to one
 receiver, :meth:`~repro.misp.MispInstance.receive_message`: the ``misp``
 transport calls it on the peer instance, the ``backbone`` transport
 transmits the message to the peer org's federation node, which calls it.
-A receiver that raises (its store faulted) is a failed delivery, retried
-like a down link.
+Either way the receiver learns the sending org and tells its own gateway,
+which then sends that org no copy back.  A receiver that raises (its store
+faulted) is a failed delivery, retried like a down link.
 
 :meth:`SharingGateway.sync_cycle` is the one share path: a **delta sync**
 over the store's change feed (one read per cycle, filtered by each
@@ -94,6 +95,15 @@ class ExternalEntity:
             raise SharingError(f"entity {self.name!r} needs a TAXII server")
         if self.transport == "backbone" and self.backbone is None:
             raise SharingError(f"entity {self.name!r} needs a backbone")
+
+    @property
+    def dest_org(self) -> Optional[str]:
+        """The org a MISP transport delivers to: the peer instance's org
+        for ``misp``, the entity name for ``backbone``; None for the
+        transports that deliver no MISP event."""
+        if self.transport == "misp":
+            return self.misp_instance.org
+        return self.name if self.transport == "backbone" else None
 
     @property
     def render_format(self) -> str:
@@ -181,9 +191,10 @@ class SharingGateway:
             sleeper_for("virtual", self._clock)
         self.fault_injector = fault_injector
         self.audit_log: List[SharingRecord] = []
-        #: (entity, event uuid) -> digest of the version that entity sent
-        #: this org; read and dropped by the next plan.
+        #: (org, event uuid) -> digest of the version that org sent this
+        #: one; read and dropped by the next plan.
         self._peer_held: Dict[Tuple[str, str], str] = {}
+        local_misp.gateway = self
         self._metrics = metrics or NULL_REGISTRY
         self._m_batch = self._metrics.histogram(
             "caop_share_batch_size",
@@ -234,18 +245,20 @@ class SharingGateway:
                 return candidate
         raise SharingError(f"no such entity {name!r}")
 
-    def note_held(self, entity_name: str, event_uuid: str,
-                  digest: str) -> None:
-        """Note that a registered entity holds one version of an event.
+    def note_held(self, org: str, event_uuid: str, digest: str) -> None:
+        """Note that ``org`` holds one version of an event.
 
-        A federation node calls this when it stores a version the entity
-        sent it; ``digest`` is that stored blob's.  While the event's
-        stored digest is still ``digest``, the next :meth:`plan_cycle`
-        plans it for the entity as a ``skipped`` item that needs no
-        transport.  A name that is not registered is ignored.
+        The instance this gateway shares from calls this when it stores a
+        version ``org`` sent it
+        (:meth:`~repro.misp.MispInstance.receive_message`); ``digest`` is
+        that stored blob's.  While the event's stored digest is still
+        ``digest``, the next :meth:`plan_cycle` plans it as a ``skipped``
+        item that needs no transport for each entity whose
+        :attr:`~ExternalEntity.dest_org` is ``org``.  An org no registered
+        entity reaches is ignored.
         """
-        if any(entity.name == entity_name for entity in self._entities):
-            self._peer_held[(entity_name, event_uuid)] = digest
+        if any(entity.dest_org == org for entity in self._entities):
+            self._peer_held[(org, event_uuid)] = digest
 
     def _share_trace(self, entity: ExternalEntity,
                      event_uuid: str) -> Optional[Dict[str, Any]]:
@@ -279,11 +292,9 @@ class SharingGateway:
             # One MISP-to-MISP hop: the release gate toward the destination
             # org, then one message carrying the rendered wire document
             # (the hop downgrade already applied), delivered to the peer's
-            # receiver directly or over the federation fabric, where the
-            # entity name is the destination org.
-            dest_org = entity.name if entity.transport == "backbone" \
-                else entity.misp_instance.org
-            ok, group, reason = self._misp.release_gate(event, dest_org)
+            # receiver directly or over the federation fabric.
+            ok, group, reason = self._misp.release_gate(
+                event, entity.dest_org)
             if not ok:
                 return False, f"skipped ({reason})", 0
             message: Dict[str, Any] = {"document": payload.text}
@@ -296,7 +307,8 @@ class SharingGateway:
                     self._misp.org, entity.name, "event", message)
             else:
                 try:
-                    response = entity.misp_instance.receive_message(message)
+                    response = entity.misp_instance.receive_message(
+                        message, sender=self._misp.org)
                 except ReproError as exc:
                     raise SharingError(
                         f"delivery to {entity.name!r} failed: {exc}") from exc
@@ -324,8 +336,9 @@ class SharingGateway:
         upserts.  Each entity's candidates are the upserts whose last seq
         is above its own watermark, in ``(last seq, uuid)`` order; digest-
         unchanged candidates are dropped, the sharing policy is applied,
-        a version the entity sent this org (:meth:`note_held`) is skipped
-        without transport when the release gate would let it through, and
+        a version the entity's org sent this one (:meth:`note_held`) is
+        skipped without transport when the release gate would let it
+        through, and
         each needed payload is rendered once through the returned
         :class:`RenderCache`.  Digests are those of the stored blobs
         (:meth:`~repro.misp.MispStore.event_digests`), and the trace
@@ -344,6 +357,7 @@ class SharingGateway:
             until_seq=target_seq))
         events = store.get_events(batch.upserts, handed=handed)
         stamps = store.event_digests(batch.upserts)
+        peer_held, self._peer_held = self._peer_held, {}
         plans: List[EntityCycle] = []
         traced: List[PlannedShare] = []
         for entity in self._entities:
@@ -355,7 +369,6 @@ class SharingGateway:
             known = store.get_sync_digests(entity.name, candidates)
             for uuid in candidates:
                 event = events[uuid]
-                held = self._peer_held.pop((entity.name, uuid), None)
                 if event is None:
                     continue
                 seq = batch.last_seqs[uuid]
@@ -371,10 +384,10 @@ class SharingGateway:
                         detail=f"refused by TLP policy (marking: "
                                f"{self._policy.marking_of(event)})"))
                     continue
-                if held == digest and \
-                        self._misp.release_gate(event, entity.name)[0]:
-                    # The entity sent this version: a copy would come back
-                    # refused as a duplicate.
+                if peer_held.get((entity.dest_org, uuid)) == digest and \
+                        self._misp.release_gate(event, entity.dest_org)[0]:
+                    # The entity's org sent this version: a copy would come
+                    # back refused as a duplicate.
                     plan.items.append(PlannedShare(
                         kind=OUTCOME_SKIPPED, event=event, seq=seq,
                         digest=digest, detail="skipped (duplicate)"))

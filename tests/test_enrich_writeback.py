@@ -5,14 +5,16 @@ that reads the batch's stored attribute and tag rows and writes only the
 rows that differ.  :func:`rewrite` keeps the full rewrite it replaced
 (delete and re-insert every attribute and tag row of each event), and the
 differential tests below hold the two to the same stored rows, audit rows,
-event and attribute counters and returned blobs.  The same transaction
-keeps the correlation graph current: :func:`graph` compares the stored
-edges with the one edge per pair of equal correlatable values in different
-events that the attribute rows call for, after every write path.
+event and attribute counters and returned blobs, and to the same refusals
+of a second owner of an attribute uuid.  The same transaction keeps the
+correlation graph current: :func:`graph` compares the stored edges with
+the one edge per pair of equal correlatable values in different events
+that the attribute rows call for, after every write path.
 """
 
 import datetime as dt
 import json
+import sqlite3
 from collections import defaultdict
 from itertools import combinations
 from typing import Dict, List, Optional
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 from repro.clock import PAPER_NOW
 from repro.core import SightingProcessor
 from repro.dashboard.views import CorrelationGraphView
+from repro.errors import ValidationError
 from repro.infra import INFRASTRUCTURE_TAG
 from repro.misp import MispAttribute, MispEvent, MispInstance, MispStore
 from repro.misp.model import MispObject
@@ -37,28 +40,36 @@ def rewrite(store: MispStore, events: List[MispEvent],
 
     ``action`` is every event's audit action; ``None`` audits each as
     ``created`` or ``updated`` and writes a batch that repeats a uuid
-    event by event, as ``save_events`` does.  An event outside the batch
-    whose attribute row the batch takes over is audited ``updated`` too.
-    The attribute counter moves by the change in the table's row count.
+    event by event, as ``save_events`` does.  The whole batch is one
+    transaction.  Each event's attribute rows are deleted and inserted
+    again with a plain ``INSERT``, so the ``attributes`` primary key
+    refuses a second owner of an attribute uuid: the reference then
+    raises :class:`ValidationError` and writes nothing.  The attribute
+    counter moves by the change in the table's row count.
     """
     uuids = [event.uuid for event in events]
-    if action is None and len(set(uuids)) != len(uuids):
-        blobs = {}
-        for event in events:
-            blobs.update(rewrite(store, [event], action))
-        return blobs
+    parts = [[event] for event in events] \
+        if action is None and len(set(uuids)) != len(uuids) else [events]
+    blobs: Dict[str, str] = {}
+    try:
+        with store._transaction():
+            for part in parts:
+                blobs.update(rewrite_part(store, part, action))
+    except sqlite3.IntegrityError as exc:
+        raise ValidationError(str(exc)) from exc
+    return blobs
+
+
+def rewrite_part(store: MispStore, events: List[MispEvent],
+                 action: Optional[str]) -> Dict[str, str]:
+    """One part of :func:`rewrite`, events with distinct uuids, inside its
+    transaction."""
+    uuids = [event.uuid for event in events]
     conn = store._conn
-
-    def stored(sql, keys):
-        return dict(conn.raw.execute(
-            f"{sql} IN ({','.join('?' * len(keys))})", keys).fetchall())
-
-    existing = stored("SELECT uuid, 1 FROM events WHERE uuid", uuids)
-    owners = stored("SELECT uuid, event_uuid FROM attributes WHERE uuid",
-                    [attribute.uuid for event in events
-                     for attribute in event.all_attributes()])
+    existing = {row[0] for row in conn.raw.execute(
+        f"SELECT uuid FROM events WHERE uuid IN ({','.join('?' * len(uuids))})",
+        uuids)}
     audit_rows, event_rows, attribute_rows, tag_rows = [], [], [], []
-    moved_from = {}
     for event in events:
         attributes = event.all_attributes()
         audit_rows.append((
@@ -71,46 +82,38 @@ def rewrite(store: MispStore, events: List[MispEvent],
             event.threat_level_id, event.analysis, event.distribution,
             int(event.published), int(event.timestamp.timestamp()),
             json.dumps(event.to_dict(), sort_keys=True)))
-        for attribute in attributes:
-            owner = owners.get(attribute.uuid, event.uuid)
-            if owner not in uuids:
-                moved_from.setdefault(owner, int(event.timestamp.timestamp()))
-            attribute_rows.append((
-                attribute.uuid, event.uuid, attribute.type,
-                attribute.category, attribute.value, int(attribute.to_ids),
-                int(attribute.correlatable),
-                int(attribute.timestamp.timestamp())))
+        attribute_rows.extend((
+            attribute.uuid, event.uuid, attribute.type,
+            attribute.category, attribute.value, int(attribute.to_ids),
+            int(attribute.correlatable),
+            int(attribute.timestamp.timestamp()))
+            for attribute in attributes)
         tag_rows.extend((event.uuid, tag.name) for tag in event.tags)
-    audit_rows.extend((uuid, "updated", "attribute moved", logged_at)
-                      for uuid, logged_at in moved_from.items())
     deletes = [(uuid,) for uuid in uuids]
 
     def attribute_table_size():
         return conn.raw.execute("SELECT COUNT(*) FROM attributes").fetchone()[0]
 
-    with store._transaction():
-        before = attribute_table_size()
-        conn.executemany("DELETE FROM attributes WHERE event_uuid = ?",
-                         deletes)
+    before = attribute_table_size()
+    conn.executemany("DELETE FROM attributes WHERE event_uuid = ?", deletes)
+    conn.executemany(
+        "INSERT OR REPLACE INTO events (uuid, info, date, org,"
+        " threat_level_id, analysis, distribution, published, timestamp,"
+        " blob) VALUES (?,?,?,?,?,?,?,?,?,?)", event_rows)
+    conn.executemany("DELETE FROM event_tags WHERE event_uuid = ?", deletes)
+    conn.executemany(
+        "INSERT INTO attributes (uuid, event_uuid, type, category,"
+        " value, to_ids, correlatable, timestamp)"
+        " VALUES (?,?,?,?,?,?,?,?)", attribute_rows)
+    if tag_rows:
         conn.executemany(
-            "INSERT OR REPLACE INTO events (uuid, info, date, org,"
-            " threat_level_id, analysis, distribution, published, timestamp,"
-            " blob) VALUES (?,?,?,?,?,?,?,?,?,?)", event_rows)
-        conn.executemany("DELETE FROM event_tags WHERE event_uuid = ?",
-                         deletes)
-        conn.executemany(
-            "INSERT OR REPLACE INTO attributes (uuid, event_uuid, type,"
-            " category, value, to_ids, correlatable, timestamp)"
-            " VALUES (?,?,?,?,?,?,?,?)", attribute_rows)
-        if tag_rows:
-            conn.executemany(
-                "INSERT OR IGNORE INTO event_tags (event_uuid, name)"
-                " VALUES (?,?)", tag_rows)
-        conn.executemany(
-            "INSERT INTO audit_log (event_uuid, action, detail, logged_at)"
-            " VALUES (?,?,?,?)", audit_rows)
-        store._bump("events", len(set(uuids) - set(existing)))
-        store._bump("attributes", attribute_table_size() - before)
+            "INSERT OR IGNORE INTO event_tags (event_uuid, name)"
+            " VALUES (?,?)", tag_rows)
+    conn.executemany(
+        "INSERT INTO audit_log (event_uuid, action, detail, logged_at)"
+        " VALUES (?,?,?,?)", audit_rows)
+    store._bump("events", len(set(uuids) - existing))
+    store._bump("attributes", attribute_table_size() - before)
     return {row[0]: row[-1] for row in event_rows}
 
 
@@ -290,16 +293,28 @@ def two_stores(events: List[MispEvent]):
     return stores
 
 
+def outcome(write, batch: List[MispEvent]):
+    """``write``'s answer to a copy of ``batch``, or ``"refused"``."""
+    try:
+        return write([copy_of(event) for event in batch])
+    except ValidationError:
+        return "refused"
+
+
 def assert_same_write(batch: List[MispEvent], stored: List[MispEvent],
                       enriched: bool = True):
     """Write ``batch`` over ``stored`` through ``apply_enrichments`` (or
-    ``save_events``) and through the reference; the two must agree."""
+    ``save_events``) and through the reference; the two must agree, and a
+    refused write must leave the store as it was."""
     diff, reference = two_stores(stored)
-    write = diff.apply_enrichments if enriched else diff.save_events
-    blobs = write([copy_of(event) for event in batch])
-    expected = rewrite(reference, [copy_of(event) for event in batch],
-                       "enriched" if enriched else None)
-    assert blobs == expected
+    before = table_state(diff), graph(diff)
+    blobs = outcome(diff.apply_enrichments if enriched else diff.save_events,
+                    batch)
+    assert blobs == outcome(
+        lambda events: rewrite(reference, events,
+                               "enriched" if enriched else None), batch)
+    if blobs == "refused":
+        assert (table_state(diff), graph(diff)) == before
     assert table_state(diff) == table_state(reference)
     assert_consistent(diff)
     return diff
@@ -316,8 +331,9 @@ class TestDifferentialWriteBack:
             for kind in data.draw(st.lists(st.sampled_from(CHANGES),
                                            max_size=3)):
                 change(event, kind, data, data.draw(st.sampled_from(versions)))
-        # Some stored events stay out of the batch (a moved attribute may
-        # leave one of them), and one batch member is not stored yet.
+        # Some stored events stay out of the batch (an attribute moved
+        # from one of them is refused), and one batch member is not stored
+        # yet.
         batch = [event for event in versions if data.draw(st.booleans())]
         if data.draw(st.booleans()):
             batch.append(build_event(len(stored), [("domain", VALUES[0],
@@ -356,26 +372,15 @@ class TestDifferentialWriteBack:
                 version.attributes = version.attributes[1:]
                 version.tags = []
             batch.append(version)
-        # A new event takes over the row of a stored event outside the
-        # batch.
-        outsider = build_event(count, [("domain", "old.example", True, 0)],
-                               [], [])
-        stored.append(outsider)
-        batch.append(build_event(count + 1, [], [], []))
-        batch[-1].add_attribute(MispAttribute(
-            type="domain", value="new.example",
-            uuid=outsider.attributes[0].uuid))
         store = MispStore()
         store.save_events([copy_of(event) for event in stored])
         reads = chunked_reads(store, lambda: store.apply_enrichments(
             [copy_of(event) for event in batch]))
-        # The tag rows of the 1,001 events, the attribute rows of the 1,000
-        # stored ones and the holders of the 1,001 added attribute uuids
-        # (read because one is taken over) take two IN chunks each; the
-        # correlation probe reads the one new correlatable value.
-        assert sorted(size for sizes in reads.values() for size in sizes) \
-            == [1, count - VAR_BUDGET] + [count + 1 - VAR_BUDGET] * 2 \
-            + [VAR_BUDGET] * 3
+        # The tag rows and the attribute rows of the 1,000 events take two
+        # IN chunks each.  The write adds no correlatable value, so it
+        # reads nothing else.
+        assert sorted(reads.values()) == \
+            [[VAR_BUDGET, count - VAR_BUDGET]] * 2
         assert_same_write(batch, stored)
 
     def test_resave_over_the_variable_budget_spans_two_chunks(self):
@@ -392,9 +397,8 @@ class TestDifferentialWriteBack:
         store = MispStore()
         reads = chunked_reads(store, lambda: store.save_events(
             [copy_of(event) for event in stored]))
-        # No event is stored and no other event holds a written uuid, so
-        # only the tag rows (the existence probe) and the correlation probe
-        # are read.
+        # No event is stored, so only the tag rows (the existence probe)
+        # and the correlation probe are read.
         assert len(reads) == 2
         assert all(len(sizes) >= 2 for sizes in reads.values()), reads
         assert store.correlation_count() == count // 2
@@ -402,8 +406,8 @@ class TestDifferentialWriteBack:
         for index, version in enumerate(versions):
             version.attributes[0].value = f"own-{(index + 1) % count}.example"
         reads = chunked_reads(store, lambda: store.save_events(versions))
-        # No uuid moved, so only the attribute rows, the tag rows and the
-        # probe of the 1,000 changed values are read, each in two chunks.
+        # The attribute rows, the tag rows and the probe of the 1,000
+        # changed values are read, each in two chunks.
         assert sorted(reads.values()) == \
             [[VAR_BUDGET, count - VAR_BUDGET]] * 3
         assert store.correlation_count() == count
@@ -524,6 +528,35 @@ def domain_event(info: str, *values: str) -> MispEvent:
     return event
 
 
+def refused_batch(owner: str, x: MispEvent) -> List[MispEvent]:
+    """A batch that gives an attribute uuid a second owner: a stored event
+    ``x``, another batch event, or the same event."""
+    y = domain_event("y", "x.example", "y.example")
+    if owner == "stored":
+        y.attributes[0].uuid = x.attributes[0].uuid
+        return [y]
+    if owner == "batch":
+        z = domain_event("z", "z.example")
+        z.attributes[0].uuid = y.attributes[1].uuid
+        return [y, z]
+    y.attributes[1].uuid = y.attributes[0].uuid
+    return [y]
+
+
+def assert_blobs_list_their_rows(store: MispStore) -> None:
+    """Each stored event's blob lists exactly the attribute uuids of its
+    rows, each once."""
+    raw = store._conn.raw
+    rows = defaultdict(list)
+    for uuid, event_uuid in raw.execute(
+            "SELECT uuid, event_uuid FROM attributes"):
+        rows[event_uuid].append(uuid)
+    for uuid, blob in raw.execute("SELECT uuid, blob FROM events"):
+        listed = [attribute.uuid for attribute in
+                  MispEvent.from_dict(json.loads(blob)).all_attributes()]
+        assert sorted(listed) == sorted(rows[uuid]), uuid
+
+
 def view_state(view: CorrelationGraphView):
     """A graph view's nodes (with their info) and unordered edges."""
     graph = view.graph()
@@ -558,33 +591,68 @@ class TestEveryWriteKeepsTheGraph:
         assert misp.store.correlations_for_event(a.uuid) == []
         assert_consistent(misp.store)
 
-    def test_moved_attribute_uuid_keeps_the_counter_and_drops_old_edges(
-            self):
+    def test_second_owner_of_a_uuid_is_refused(self):
+        for owner in ("stored", "batch", "same-event"):
+            for path in ("save_events", "apply_enrichments"):
+                store = MispStore()
+                partner = domain_event("w", "x.example")
+                x = domain_event("x", "x.example")
+                store.save_events([partner, x])
+                batch = refused_batch(owner, x)
+                before = table_state(store), graph(store)
+                with pytest.raises(ValidationError):
+                    getattr(store, path)([copy_of(event) for event in batch])
+                assert (table_state(store), graph(store)) == before
+                assert not store.has_event(batch[0].uuid)
+                # The full rewrite refuses the same batch.
+                assert_same_write(batch, [partner, x],
+                                  enriched=path == "apply_enrichments")
+                # A newer version of the holder itself is still written.
+                version = copy_of(x)
+                version.attributes[0].value = "v.example"
+                version.timestamp = stamp(1)
+                getattr(store, path)([version])
+                assert store.correlations_for_event(x.uuid) == []
+                assert_consistent(store)
+
+    def test_a_uuid_one_batch_event_drops_and_another_adds_is_legal(self):
         store = MispStore()
         partner = domain_event("w", "x.example")
-        x = domain_event("x", "x.example")
-        y = domain_event("y", "x.example")
-        y.attributes[0].uuid = x.attributes[0].uuid
-        store.save_events([partner])
-        store.save_events([x])
-        assert len(store.correlations_for_event(x.uuid)) == 1
+        x = domain_event("x", "x.example", "kept.example")
+        store.save_events([partner, x])
         view = CorrelationGraphView(store)
         view.refresh()
-        store.save_events([y])
+        dropped = copy_of(x)
+        moved = dropped.attributes.pop(0)
+        y = domain_event("y")
+        y.add_attribute(moved)
+        store.save_events([copy_of(y), copy_of(dropped)])
+        assert_same_write([y, dropped], [partner, x], enriched=False)
         assert store.correlations_for_event(x.uuid) == []
-        assert len(store.correlations_for_event(y.uuid)) == 1
+        assert [row["source_attribute"]
+                for row in store.correlations_for_event(y.uuid)] == [moved.uuid]
+        assert store.attribute_count() == 3
         assert_consistent(store)
-        # X's rows changed, so the change feed names it, and a view
-        # maintained from the feed drops X's edge as a rescan does.
-        assert [(row["action"], row["detail"])
-                for row in store.event_history(x.uuid)] == [
-            ("created", "1 attributes"), ("updated", "attribute moved")]
+        assert_blobs_list_their_rows(store)
         assert view_state(view) == view_state(
             CorrelationGraphView(store, name="fresh:graph"))
-        store.delete_event(x.uuid)
-        assert store.attribute_count() == 2
-        assert len(store.correlations_for_event(y.uuid)) == 1
-        assert_consistent(store)
+
+    def test_a_refused_batch_that_repeats_an_event_writes_nothing(self):
+        # The batch is written event by event; the last one is refused, so
+        # the first two versions go too.
+        store = MispStore()
+        x = domain_event("x", "x.example")
+        store.save_events([copy_of(x)])
+        before = table_state(store), graph(store)
+        first, second = copy_of(x), copy_of(x)
+        first.attributes[0].value = "first.example"
+        second.attributes[0].value = "second.example"
+        y = domain_event("y", "y.example")
+        y.attributes[0].uuid = x.attributes[0].uuid
+        with pytest.raises(ValidationError):
+            store.save_events([first, second, y])
+        assert (table_state(store), graph(store)) == before
+        assert_same_write([first, second, y], [x], enriched=False)
 
     @pytest.mark.parametrize("path", ["add_event", "add_attribute",
                                       "receive_event"])
@@ -616,6 +684,9 @@ class TestEveryWriteKeepsTheGraph:
         # Maintained from the change feed, it must follow every edge a
         # write deletes, as a rescan does.
         view = CorrelationGraphView(store)
+        #: The attribute uuids the current write's versions took from
+        #: another event.
+        moved: List[str] = []
 
         def attribute() -> MispAttribute:
             kind, value, to_ids, offset = data.draw(attribute_fields)
@@ -655,30 +726,29 @@ class TestEveryWriteKeepsTheGraph:
                     target = data.draw(st.sampled_from(attributes))
                     target.to_ids = not target.to_ids
                 elif edit == "move":
-                    # Take over the uuid of another event's attribute row.
+                    # Carry the uuid of another event's attribute row.
                     rows = raw.execute(
                         "SELECT uuid, type, value, to_ids FROM attributes"
                         " WHERE event_uuid != ? ORDER BY uuid",
                         (event.uuid,)).fetchall()
                     if rows:
-                        moved, kind, value, to_ids = data.draw(
+                        uuid, kind, value, to_ids = data.draw(
                             st.sampled_from(rows))
+                        moved.append(uuid)
                         event.add_attribute(MispAttribute(
                             type=kind, value=value, to_ids=bool(to_ids),
-                            timestamp=stamp(0), uuid=moved))
+                            timestamp=stamp(0), uuid=uuid))
             return event
 
         def batch() -> List[MispEvent]:
             return [version() for _ in range(data.draw(st.integers(1, 3)))]
 
-        for _ in range(data.draw(st.integers(1, 8))):
-            write = data.draw(st.sampled_from(WRITES))
-            uuids = stored_uuids()
-            if write == "add_events":
+        def write(kind: str, uuids: List[str]) -> None:
+            if kind == "add_events":
                 misp.add_events(batch(), publish_feed=False)
-            elif write == "receive_event":
+            elif kind == "receive_event":
                 misp.receive_event(version())
-            elif write == "apply_enrichments":
+            elif kind == "apply_enrichments":
                 eiocs = {event.uuid: event for event in batch()}
                 for event in eiocs.values():
                     event.add_attribute(MispAttribute(
@@ -686,18 +756,39 @@ class TestEveryWriteKeepsTheGraph:
                         timestamp=stamp(9), uuid=f"score-{next(serial)}"))
                     event.add_tag("caop:eioc")
                 misp.apply_enrichments(list(eiocs.values()))
-            elif not uuids:
-                continue
-            elif write == "add_attribute":
+            elif kind == "add_attribute":
                 misp.add_attribute(data.draw(st.sampled_from(uuids)),
                                    attribute(), publish_feed=False)
-            elif write == "tag_event":
+            elif kind == "tag_event":
                 misp.tag_event(data.draw(st.sampled_from(uuids)),
                                data.draw(st.sampled_from(TAGS)))
-            elif write == "publish_event":
+            elif kind == "publish_event":
                 misp.publish_event(data.draw(st.sampled_from(uuids)))
             else:
                 store.delete_event(data.draw(st.sampled_from(uuids)))
+
+        for _ in range(data.draw(st.integers(1, 8))):
+            kind = data.draw(st.sampled_from(WRITES))
+            uuids = stored_uuids()
+            if not uuids and kind not in ("add_events", "receive_event",
+                                          "apply_enrichments"):
+                continue
+            moved.clear()
+            before = table_state(store), graph(store)
+            try:
+                write(kind, uuids)
+                refused = False
+            except ValidationError:
+                refused = True
+            # Only a moved uuid can give a row a second owner; a received
+            # event is written alone, so its moved uuid always does.  A
+            # refused write leaves the store as it was.
+            assert not refused or moved
+            if kind == "receive_event":
+                assert refused == bool(moved)
+            if refused:
+                assert (table_state(store), graph(store)) == before
             assert_consistent(store)
+            assert_blobs_list_their_rows(store)
             assert view_state(view) == view_state(
                 CorrelationGraphView(store, name="fresh:graph"))

@@ -12,10 +12,11 @@ and accounting, the fault injector's ``link`` seam
 (``partition``/``heal``/``lossy``), a receiver's store fault as a failed
 delivery, the anti-entropy preference rule and repair protocol and the
 offer index, the sightings feedback loop, the TLP trust boundary at the
-backbone edge, the receiver's refusal of malformed messages, the wire
-document of a hop (the release copy, encoded once per event per cycle),
-and the echo a receiver no longer sends back to the org it got a version
-from.
+backbone edge, the receiver's refusal of malformed messages and of a
+second owner of an attribute uuid, a 1,000-attribute non-ASCII document,
+the wire document of a hop (the release copy, encoded once per event per
+cycle), and the echo a receiver no longer sends back to the org it got a
+version from.
 """
 
 import datetime as dt
@@ -53,7 +54,7 @@ from repro.misp import (
     MispTag,
     SharingGroup,
 )
-from repro.misp.export import from_misp_json, to_misp_json
+from repro.misp.export import canonical_json, from_misp_json, to_misp_json
 from repro.misp.store import VAR_BUDGET
 from repro.obs import MetricsRegistry
 from repro.resilience import FaultInjector, FaultPlan, FaultRule, link_key
@@ -591,6 +592,85 @@ class TestInboundEvents:
         assert receiver.misp.store.provenance_count() == 0
         assert receiver.misp.sharing_groups == {}
         assert receiver.origins == {}
+
+    @pytest.mark.parametrize("conflict", ["listed-twice", "held-elsewhere"])
+    def test_a_second_owner_of_an_attribute_uuid_is_refused(self, conflict):
+        federation = Federation(mesh(["left", "right"]),
+                                clock=SimulatedClock(PAPER_NOW))
+        trace = {"trace_id": "trace-1", "path": ["left"]}
+
+        def relay(event):
+            return federation.backbone.transmit(
+                "left", "right", KIND_EVENT,
+                {"document": to_misp_json(event), "trace": trace})
+
+        held = make_intel(0, PAPER_NOW)
+        assert relay(held) == {"accepted": True}
+        receiver = federation.node("right")
+        store = receiver.misp.store
+        state = (receiver.fingerprint(), store.audit_count(),
+                 store.provenance_count(), dict(receiver.origins))
+        event = make_intel(1, PAPER_NOW)
+        if conflict == "listed-twice":
+            event.add_attribute(MispAttribute(
+                type="domain", value="second.example",
+                uuid=event.attributes[0].uuid, timestamp=PAPER_NOW))
+        else:
+            event.attributes[0].uuid = held.attributes[0].uuid
+        assert relay(event) == {"accepted": False,
+                                "reason": "duplicate attribute uuid"}
+        assert (receiver.fingerprint(), store.audit_count(),
+                store.provenance_count(), receiver.origins) == state
+        # A newer version of the holder itself is still accepted.
+        newer = make_intel(0, PAPER_NOW + dt.timedelta(minutes=5))
+        newer.info = "intel 0, revised"
+        assert relay(newer) == {"accepted": True}
+        assert store.get_event(held.uuid).info == newer.info
+
+    def test_a_large_non_ascii_document_is_stored_as_sent(self):
+        federation = Federation(mesh(["left", "right"]),
+                                clock=SimulatedClock(PAPER_NOW))
+        store = federation.node("right").misp.store
+        domains = [f"bücher-{index}.пример.рф" if index % 2 else
+                   f"例え-{index}.テスト.jp" for index in range(998)]
+        match = MispEvent(info="held", uuid="held-event", timestamp=PAPER_NOW)
+        match.add_attribute(MispAttribute(type="domain", value=domains[7],
+                                          timestamp=PAPER_NOW))
+        mark_tlp(match, "green")
+        federation.node("right").misp.add_event(match, publish_feed=False)
+        event = MispEvent(info="internationalised", uuid="idn-event",
+                          timestamp=PAPER_NOW)
+        for domain in domains:
+            event.add_attribute(MispAttribute(type="domain", value=domain,
+                                              timestamp=PAPER_NOW))
+        for text in ("Привет, мир", "威胁情报共享"):
+            event.add_attribute(MispAttribute(type="text", value=text,
+                                              timestamp=PAPER_NOW))
+        mark_tlp(event, "green")
+        document = to_misp_json(event)
+        probes = []
+        execute = store._conn.execute
+
+        def spy(sql, params=()):
+            if "correlatable = 1 AND value IN" in sql:
+                probes.append(len(params))
+            return execute(sql, params)
+
+        store._conn.execute = spy
+        try:
+            reply = federation.backbone.transmit(
+                "left", "right", KIND_EVENT, {"document": document})
+        finally:
+            del store._conn.execute
+        assert reply == {"accepted": True}
+        assert store._conn.raw.execute(
+            "SELECT blob FROM events WHERE uuid = 'idn-event'").fetchone()[0] \
+            == canonical_json(from_misp_json(document))
+        # The 998 correlatable values span two IN chunks.
+        assert probes == [VAR_BUDGET, len(domains) - VAR_BUDGET]
+        assert [(row["source_event"], row["target_event"], row["value"])
+                for row in store.correlations_for_event("held-event")] == \
+            [("idn-event", "held-event", domains[7])]
 
 
 #: A routed sighting record of ``make_intel(0)``'s indicator, origin left.

@@ -162,6 +162,45 @@ class TestSync:
         assert report.skipped == 1
         assert report.records[0].detail == "skipped (duplicate)"
 
+    def test_no_copy_goes_back_to_the_sender(self, misp, monkeypatch):
+        # Each instance holds a misp entity for the other, named apart
+        # from its org.  The receiver's next sync plans the three events
+        # it got for their sender as skipped: nothing is rendered or sent.
+        peer = MispInstance(org="Peer")
+        gateway = SharingGateway(misp)
+        gateway.register(ExternalEntity(name="to-peer", transport="misp",
+                                        misp_instance=peer))
+        back = SharingGateway(peer)
+        back.register(ExternalEntity(name="to-origin", transport="misp",
+                                     misp_instance=misp))
+        # A download consumer named after the sending org holds no copy.
+        back.register(ExternalEntity(name=misp.org,
+                                     transport="stix-download"))
+        events = [make_event(info=f"event {index}",
+                             value=f"evil{index}.example",
+                             distribution=Distribution.ALL_COMMUNITIES)
+                  for index in range(3)]
+        misp.add_events(events)
+        assert gateway.sync_cycle().shared == 3
+        received = []
+        receive = misp.receive_message
+        monkeypatch.setattr(misp, "receive_message",
+                            lambda message, **kwargs: received.append(message)
+                            or receive(message, **kwargs))
+        report = back.sync_cycle()
+        assert [(record.entity, record.ok, record.detail)
+                for record in report.records] == \
+            [("to-origin", False, "skipped (duplicate)")] * 3 \
+            + [(misp.org, True, "")] * 3
+        assert (report.skipped, received) == (3, [])
+        # Only the download consumer's three STIX payloads are rendered.
+        assert report.renders == 3
+        digests = peer.store.event_digests([event.uuid for event in events])
+        assert peer.store.get_sync_digests(
+            "to-origin", [event.uuid for event in events]) == {
+            uuid: f"skipped:{digest}" for uuid, (_ts, digest)
+            in digests.items()}
+
     def test_cannot_peer_with_self(self, misp):
         with pytest.raises(SharingError):
             link(misp, misp)

@@ -1,4 +1,4 @@
-"""Batched enrichment: drain order, context cache, batched write-back."""
+"""Batched enrichment: drain order, context reads, batched write-back."""
 
 import json
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.clock import FixedClock, PAPER_NOW, SimulatedClock
 from repro.core import (
-    EnrichmentContextCache,
     HeuristicComponent,
     TAG_CIOC,
     TAG_EIOC,
@@ -106,16 +105,37 @@ class TestSqlBudget:
 
 
 class TestContextCache:
-    def test_prefetch_answers_without_further_store_reads(self, misp):
-        uuids = build_workload(misp)
-        cache = EnrichmentContextCache(misp.store)
-        cache.prefetch(uuids)
-        baseline = misp.store.sql_statements
-        for uuid in uuids:
-            assert cache.get_event(uuid) is not None
-            cache.correlations_for(uuid)
-        assert misp.store.sql_statements == baseline
-        assert cache.misses == 0
+    def test_statement_count_does_not_grow_with_the_drain(self):
+        # Every cIoC correlates with the others and with an infrastructure
+        # event outside the drain, so all three context reads run.
+        spent = []
+        for count in (10, 40):
+            misp = MispInstance(org="TestOrg")
+            component = HeuristicComponent(
+                misp, inventory=paper_inventory(),
+                clock=SimulatedClock(PAPER_NOW))
+            infra = MispEvent(info="internal sighting")
+            infra.add_attribute(MispAttribute(type="domain",
+                                              value="shared.example"))
+            infra.add_tag(INFRASTRUCTURE_TAG)
+            misp.add_event(infra, publish_feed=False)
+            for index in range(count):
+                event = MispEvent(info=f"osint report {index}")
+                event.add_attribute(MispAttribute(type="domain",
+                                                  value="shared.example"))
+                event.add_attribute(MispAttribute(
+                    type="ip-dst", value=f"203.0.113.{index}"))
+                event.add_tag(TAG_CIOC)
+                misp.add_event(event)
+            before = misp.store.sql_statements
+            results = component.process_pending()
+            spent.append(misp.store.sql_statements - before)
+            assert len(results) == count
+            assert {feature.attribute_label for result in results
+                    for feature in result.score.features
+                    if feature.feature == "source_type"} \
+                == {"osint_and_infrastructure"}
+        assert spent[0] == spent[1]
 
     def test_reenrichment_sees_fresh_correlations(self, misp, inventory, clock):
         # Enrich, then land an infrastructure sighting of the same value,
