@@ -15,13 +15,17 @@ This bench measures each wing against its serial counterpart and guards the
 win: parallel fetch must be ≥2× faster wall-clock with 8 workers, and the
 batched store+correlate path must issue ≥30% fewer SQL round trips than the
 per-event path — while producing byte-identical stored events and identical
-correlation edges.  CI runs it as a regression gate (``make bench-ingest``).
+correlation edges.  The default pool (one worker per feed) is timed and
+held to the same determinism checks as the 8-worker pool.  CI runs it as a
+regression gate under ``pytest benchmarks/``; ``make bench-ingest`` runs it
+alone, with its tables printed.
 """
 
 import time
 
 import pytest
 
+from repro import PlatformConfig
 from repro.clock import SimulatedClock
 from repro.feeds import (
     FeedFetcher,
@@ -38,6 +42,8 @@ SEED = 14
 FEED_ENTRIES = 30
 LATENCY_RANGE = (0.01, 0.03)
 PARALLEL_WORKERS = 8
+#: The platform's default pool: one worker per due feed.
+DEFAULT_WORKERS = PlatformConfig().fetch_workers
 FETCH_SPEEDUP_TARGET = 2.0
 SQL_REDUCTION_TARGET = 0.70  # batched must use <= 70% of per-event statements
 EVENTS = 60
@@ -83,6 +89,7 @@ def test_x14_parallel_fetch_speedup():
         serial, parallel = serial_time, parallel_time
         if speedup >= FETCH_SPEEDUP_TARGET:
             break
+    default_time, default_docs, default_stats = timed_fetch(DEFAULT_WORKERS)
     print_table(
         f"X14: fetch wall-clock, {len(serial_docs)} feeds, "
         f"latency {LATENCY_RANGE[0]*1000:.0f}-{LATENCY_RANGE[1]*1000:.0f} ms",
@@ -91,13 +98,17 @@ def test_x14_parallel_fetch_speedup():
             f"serial (1 worker)        {serial * 1000:8.1f} ms  1.00x",
             f"parallel ({PARALLEL_WORKERS} workers)    "
             f"{parallel * 1000:8.1f} ms  {speedup:.2f}x",
+            f"default (1 per feed)     {default_time * 1000:8.1f} ms  "
+            f"{serial / default_time:.2f}x",
         ])
     # Determinism: the pool changes nothing about what is fetched.
-    assert [d.descriptor.name for d in parallel_docs] == \
-        [d.descriptor.name for d in serial_docs]
-    assert [d.body for d in parallel_docs] == [d.body for d in serial_docs]
-    assert parallel_stats.requests == serial_stats.requests
-    assert parallel_stats.failures == serial_stats.failures
+    for docs, stats in ((parallel_docs, parallel_stats),
+                        (default_docs, default_stats)):
+        assert [d.descriptor.name for d in docs] == \
+            [d.descriptor.name for d in serial_docs]
+        assert [d.body for d in docs] == [d.body for d in serial_docs]
+        assert stats.requests == serial_stats.requests
+        assert stats.failures == serial_stats.failures
     assert speedup >= FETCH_SPEEDUP_TARGET, (
         f"parallel fetch only {speedup:.2f}x faster than serial "
         f"(target {FETCH_SPEEDUP_TARGET}x) across {ATTEMPTS} attempts")

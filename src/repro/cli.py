@@ -535,8 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
     cycle_options.add_argument("--entries", type=int, default=60,
                                help="entries per synthetic feed")
     cycle_options.add_argument(
-        "--fetch-workers", type=int, default=4,
-        help="worker threads for the feed-fetch stage")
+        "--fetch-workers", type=int, default=None,
+        help="worker threads for the feed-fetch stage (None: one worker "
+             "per due feed; an integer caps the pool)")
 
     run = subparsers.add_parser("run", help="run platform cycles",
                                 parents=[cycle_options])

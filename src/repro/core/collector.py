@@ -1,7 +1,9 @@
 """The OSINT Data Collector (§III-A1): the full input-module pipeline.
 
-fetch -> parse -> normalize -> deduplicate -> aggregate -> correlate ->
-compose cIoCs -> ship to the MISP instance.
+fetch -> parse -> deduplicate -> normalize -> aggregate -> correlate ->
+compose cIoCs -> ship to the MISP instance.  Deduplication keys each
+record on :meth:`~repro.core.Normalizer.uid` before normalizing, so only
+records not seen before pay for normalization and its NLP.
 """
 
 from __future__ import annotations
@@ -11,7 +13,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..clock import Clock, SimulatedClock
 from ..errors import FeedError, ParseError, StorageError
-from ..feeds import FeedDescriptor, FeedDocument, FeedFetcher, parse_document
+from ..feeds import (
+    FeedDescriptor,
+    FeedDocument,
+    FeedFetcher,
+    FeedRecord,
+    parse_document,
+)
 from ..feeds.scheduler import FeedScheduler
 from ..misp import MispEvent, MispInstance
 from ..misp.warninglists import WarninglistIndex
@@ -162,14 +170,14 @@ class OsintDataCollector:
         """
         if report is None:
             report = CollectionReport()
-        events: List[NormalizedEvent] = []
+        records: List[FeedRecord] = []
         with self._tracer.span("normalize"):
             for document in documents:
                 try:
                     if self._fault_injector is not None:
                         self._fault_injector.check(
                             "parse", document.descriptor.name)
-                    records = parse_document(document)
+                    parsed = parse_document(document)
                 except ParseError as exc:
                     # A feed serving garbage must not take the cycle down; it
                     # counts as failed and the remaining feeds proceed.  The
@@ -183,19 +191,26 @@ class OsintDataCollector:
                             document, reason=f"parse: {exc}")
                         report.documents_quarantined += 1
                     continue
-                report.records_parsed += len(records)
-                self._m_feed_events.inc(len(records), feed=document.descriptor.name)
-                events.extend(self._normalizer.normalize_all(records))
-        report.events_normalized = len(events)
+                report.records_parsed += len(parsed)
+                self._m_feed_events.inc(len(parsed), feed=document.descriptor.name)
+                records.extend(parsed)
+            keys = [(self._normalizer.uid(record), record.feed_name)
+                    for record in records]
+        report.events_normalized = len(records)
 
         with self._tracer.span("dedup"):
-            fresh, duplicates = self.deduplicator.filter(events)
-        report.duplicates_removed = len(duplicates)
+            flags = self.deduplicator.admit(keys)
         # Resolved to their absorbing cIoC after compose (the uid map may
         # gain entries this cycle); the pair order is document order, so
         # the recorded lineage is deterministic.
-        duplicate_pairs = [(event.uid, event.feed_name)
-                           for event in duplicates]
+        duplicate_pairs = [key for key, new in zip(keys, flags) if not new]
+        report.duplicates_removed = len(duplicate_pairs)
+
+        # Only a record the deduplicator has not seen is normalized, so the
+        # NLP runs once per story.
+        with self._tracer.span("normalize"):
+            fresh = [self._normalizer.normalize(record)
+                     for record, new in zip(records, flags) if new]
 
         with self._tracer.span("filter"):
             if self._warninglists is not None:

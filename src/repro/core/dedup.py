@@ -59,29 +59,44 @@ class Deduplicator:
         """Every feed that has ever reported this event."""
         return set(self._seen_feeds.get(uid, set()))
 
+    def admit(self, keys: Iterable[Tuple[str, str]]) -> List[bool]:
+        """Whether each ``(uid, feed name)`` of a batch is fresh.
+
+        Updates the seen set as it goes, so a uid repeated within the batch
+        is fresh only the first time.  The collector calls this with
+        :meth:`~repro.core.Normalizer.uid` keys before it normalizes, so
+        only fresh records pay for the NLP.
+        """
+        flags: List[bool] = []
+        for uid, feed_name in keys:
+            feeds = self._seen_feeds.get(uid)
+            if feeds is None:
+                self._seen_feeds[uid] = {feed_name}
+                flags.append(True)
+            else:
+                if feed_name not in feeds:
+                    feeds.add(feed_name)
+                    self.stats.cross_feed_duplicates += 1
+                flags.append(False)
+        fresh = sum(flags)
+        duplicates = len(flags) - fresh
+        self.stats.received += len(flags)
+        self.stats.unique += fresh
+        self.stats.duplicates += duplicates
+        if fresh:
+            self._m_events.inc(fresh, outcome="unique")
+        if duplicates:
+            self._m_events.inc(duplicates, outcome="duplicate")
+        self._m_ratio.set(self.stats.reduction_ratio)
+        return flags
+
     def filter(self, events: Iterable[NormalizedEvent]
                ) -> Tuple[List[NormalizedEvent], List[NormalizedEvent]]:
         """Split a batch into (fresh, duplicates); updates the seen set."""
-        fresh: List[NormalizedEvent] = []
-        duplicates: List[NormalizedEvent] = []
-        for event in events:
-            self.stats.received += 1
-            feeds = self._seen_feeds.get(event.uid)
-            if feeds is None:
-                self._seen_feeds[event.uid] = {event.feed_name}
-                self.stats.unique += 1
-                fresh.append(event)
-            else:
-                if event.feed_name not in feeds:
-                    feeds.add(event.feed_name)
-                    self.stats.cross_feed_duplicates += 1
-                self.stats.duplicates += 1
-                duplicates.append(event)
-        if fresh:
-            self._m_events.inc(len(fresh), outcome="unique")
-        if duplicates:
-            self._m_events.inc(len(duplicates), outcome="duplicate")
-        self._m_ratio.set(self.stats.reduction_ratio)
+        events = list(events)
+        flags = self.admit((event.uid, event.feed_name) for event in events)
+        fresh = [event for event, new in zip(events, flags) if new]
+        duplicates = [event for event, new in zip(events, flags) if not new]
         return fresh, duplicates
 
     def known_events(self) -> int:

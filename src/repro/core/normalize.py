@@ -49,6 +49,21 @@ class NormalizedEvent:
         return self.indicator_type == "text"
 
 
+def _title(record: FeedRecord) -> str:
+    """A news record's headline."""
+    return str(record.fields.get("title", "")) or record.value
+
+
+def _value(record: FeedRecord) -> str:
+    """An indicator record's value in its canonical case, trimmed."""
+    value = record.value.strip()
+    if record.indicator_type in ("domain", "url", "md5", "sha1", "sha256"):
+        value = value.lower()
+    if record.indicator_type == "cve":
+        value = value.upper()
+    return value
+
+
 class Normalizer:
     """Stateless-per-record normalizer with shared NLP components."""
 
@@ -59,22 +74,31 @@ class Normalizer:
         self._classifier = classifier or RelevanceClassifier()
         self._gazetteer = gazetteer or GazetteerExtractor()
 
+    def uid(self, record: FeedRecord) -> str:
+        """The content uid :meth:`normalize` gives ``record``, without NLP.
+
+        News is keyed on its lower-cased title, so two feeds carrying the
+        same story (same headline) deduplicate even if the body differs
+        slightly; any other record on its normalized value.  The collector
+        deduplicates on this before it normalizes, so the NLP runs only for
+        a story not seen before.
+        """
+        if record.indicator_type == "text":
+            return content_uuid("text", _title(record).lower())
+        return content_uuid(record.indicator_type, _value(record))
+
     def normalize(self, record: FeedRecord) -> NormalizedEvent:
         """Map one parsed feed record onto the common format."""
+        uid = self.uid(record)
         if record.indicator_type == "text":
-            return self._normalize_text(record)
-        value = record.value.strip()
-        if record.indicator_type in ("domain", "url", "md5", "sha1", "sha256"):
-            value = value.lower()
-        if record.indicator_type == "cve":
-            value = value.upper()
+            return self._normalize_text(record, uid)
         description = str(record.fields.get("summary", "")) or \
             f"{record.indicator_type} indicator from feed {record.feed_name}"
         return NormalizedEvent(
-            uid=content_uuid(record.indicator_type, value),
+            uid=uid,
             category=record.category,
             indicator_type=record.indicator_type,
-            value=value,
+            value=_value(record),
             description=description,
             feed_name=record.feed_name,
             source_type=record.source_type,
@@ -82,9 +106,9 @@ class Normalizer:
             fields=dict(record.fields),
         )
 
-    def _normalize_text(self, record: FeedRecord) -> NormalizedEvent:
+    def _normalize_text(self, record: FeedRecord, uid: str) -> NormalizedEvent:
         text = str(record.fields.get("text", "")) or record.value
-        title = str(record.fields.get("title", "")) or record.value
+        title = _title(record)
         blob = f"{title}. {text}"
         tags = self._tagger.categories(blob)
         prediction = self._classifier.predict(blob)
@@ -96,9 +120,7 @@ class Normalizer:
         for kind, names in named.items():
             extracted[kind] = tuple(names)
         return NormalizedEvent(
-            # Text identity is the title: two feeds carrying the same story
-            # (same headline) deduplicate even if the body differs slightly.
-            uid=content_uuid("text", title.lower()),
+            uid=uid,
             category=record.category,
             indicator_type="text",
             value=title,

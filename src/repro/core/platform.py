@@ -155,10 +155,11 @@ class PlatformConfig:
     sensor_alarm_rate: float = 0.25
     sensor_steps_per_cycle: int = 6
     drop_irrelevant_text: bool = False
-    #: Worker threads for the collector's feed-fetch stage.  The transport's
+    #: Worker threads for the collector's feed-fetch stage.  None: one
+    #: worker per due feed; an integer caps the pool.  The transport's
     #: per-request RNG keeps results identical to workers=1; see
     #: docs/PERFORMANCE.md.
-    fetch_workers: int = 4
+    fetch_workers: Optional[int] = None
     #: Ignored: scoring runs in drain order on the cycle's thread at any
     #: value.  Kept only because the benchmark smoke test
     #: (``benchmarks/perf/test_smoke.py``) still passes ``enrich_workers=1``;

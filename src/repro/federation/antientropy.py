@@ -211,8 +211,11 @@ def handle_offer(node: "FederationNode", src: str,
                  payload: Dict[str, Any]) -> Dict[str, Any]:
     """The receiver half: decide which offered uuids to request.
 
-    Answered from the receiver's own :class:`OfferIndex`.  An offer that
-    is not a map of digest entries is refused before anything is read.
+    Answered from the receiver's own :class:`OfferIndex`.  A version the
+    receiver already refused as ``duplicate attribute uuid`` (its
+    ``refused`` pairs) is not wanted again; a changed version, with a new
+    digest, is.  An offer that is not a map of digest entries is refused
+    before anything is read.
     """
     offer = payload.get("offer")
     if not _is_offer(offer):
@@ -223,6 +226,8 @@ def handle_offer(node: "FederationNode", src: str,
     for uuid in sorted(offer):
         held = index.entries.get(uuid)
         meta = offer[uuid]
+        if (uuid, meta["digest"]) in node.refused:
+            continue
         if held is None or prefers_incoming(
                 meta["ts"], meta["digest"], held.ts, held.blob_digest):
             want.append(uuid)

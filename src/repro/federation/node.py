@@ -26,7 +26,7 @@ fingerprints) onto the fault-free baseline.
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..clock import Clock, PAPER_NOW, SimulatedClock
 from ..core.enrich import HeuristicComponent
@@ -135,6 +135,10 @@ class FederationNode:
         self.rescores: List[RescoreOutcome] = []
         #: The anti-entropy sender's offer inputs, kept from the change feed.
         self.offer_index = OfferIndex(self.misp.store)
+        #: ``(event uuid, wire digest)`` of every version this node refused
+        #: as ``duplicate attribute uuid``, which anti-entropy no longer
+        #: wants.  In memory only: a restarted node asks once more.
+        self.refused: Set[Tuple[str, str]] = set()
         backbone.connect(name, self._handle)
 
     # -- wiring ---------------------------------------------------------------
@@ -176,7 +180,10 @@ class FederationNode:
         response = self.misp.receive_message(payload, admit=self._admit,
                                              sender=src)
         if not response["accepted"]:
-            return response
+            if response["reason"] == "duplicate attribute uuid":
+                # Anti-entropy stops wanting this version (handle_offer).
+                self.refused.add((response["uuid"], response["digest"]))
+            return {"accepted": False, "reason": response["reason"]}
         path = (response["trace"] or {}).get("path")
         self.origins[response["uuid"]] = path[0] if path else src
         return {"accepted": True}

@@ -5,7 +5,7 @@ maps URLs to generator-backed documents with configurable latency and
 failure injection, so collector retry behaviour is testable offline.
 
 Both the transport and the fetcher are thread-safe: ``FeedFetcher`` can run
-its fetches on a bounded worker pool (``workers > 1``) and the transport
+its fetches on a worker pool (``workers`` other than 1) and the transport
 derives every request's latency/failure draw from a *per-request* seeded RNG
 (keyed on ``(seed, url, request-index)``), so the outcome of each fetch is
 identical no matter how worker threads interleave — parallel and serial runs
@@ -136,9 +136,10 @@ class SimulatedTransport:
 class FeedFetcher:
     """Fetches configured feeds through a transport, with disciplined retries.
 
-    ``workers`` bounds the thread pool used by :meth:`fetch_many` /
-    :meth:`fetch_all`; 1 keeps the historical serial behaviour.  Results are
-    always returned in descriptor order regardless of completion order.
+    ``workers`` sizes the thread pool used by :meth:`fetch_many` /
+    :meth:`fetch_all`.  None: one worker per due feed; an integer caps the
+    pool, and 1 fetches serially on the calling thread.  Results are always
+    returned in descriptor order regardless of completion order.
 
     Transient failures are retried under a :class:`RetryPolicy` (exponential
     backoff with deterministic per-``(feed, attempt)`` jitter); permanent
@@ -158,15 +159,15 @@ class FeedFetcher:
     def __init__(self, transport: SimulatedTransport, clock: Optional[Clock] = None,
                  max_retries: int = 2,
                  metrics: Optional[MetricsRegistry] = None,
-                 workers: int = 1,
+                 workers: Optional[int] = 1,
                  retry_policy: Optional[RetryPolicy] = None,
                  breakers: Optional[CircuitBreakerBoard] = None,
                  sleeper=None,
                  tracer=None) -> None:
         if max_retries < 0:
             raise FeedError("max_retries must be non-negative")
-        if workers < 1:
-            raise FeedError("workers must be positive")
+        if workers is not None and workers < 1:
+            raise FeedError("workers must be positive or None")
         self._transport = transport
         self._clock = clock or SimulatedClock()
         self._tracer = tracer
@@ -195,8 +196,8 @@ class FeedFetcher:
             "Worker threads used by the last fetch_many call")
 
     @property
-    def workers(self) -> int:
-        """The configured worker-pool bound."""
+    def workers(self) -> Optional[int]:
+        """The configured pool cap (None: one worker per due feed)."""
         return self._workers
 
     @property

@@ -338,7 +338,8 @@ class MispInstance:
         one :func:`prefers_incoming` does not prefer (``stale``).  The
         store refuses, writing nothing, an event that lists an attribute
         uuid twice or carries one another stored event holds
-        (``duplicate attribute uuid``).
+        (``duplicate attribute uuid``); that refusal also names the
+        event's ``uuid`` and the ``digest`` of the refused version.
 
         ``sender`` is the sending org.  Once the event is stored, this
         instance's :attr:`gateway` notes that ``sender`` holds the stored
@@ -377,7 +378,9 @@ class MispInstance:
         try:
             digest = self.receive_event(event, trace_context=trace)
         except ValidationError:
-            return _refused("duplicate attribute uuid")
+            return {**_refused("duplicate attribute uuid"),
+                    "uuid": event.uuid,
+                    "digest": blob_digest(canonical_json(event))}
         if sender is not None and self.gateway is not None:
             self.gateway.note_held(sender, event.uuid, digest)
         return {"accepted": True, "uuid": event.uuid, "digest": digest,

@@ -22,17 +22,22 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def pool_width(workers: int, count: int) -> int:
-    """Threads :func:`ordered_map` uses for ``count`` items (at least 1)."""
-    return max(1, min(workers, count))
+def pool_width(workers: Optional[int], count: int) -> int:
+    """Threads :func:`ordered_map` uses for ``count`` items (at least 1).
+
+    ``workers`` None: one worker per due feed; an integer caps the pool.
+    """
+    return max(1, count if workers is None else min(workers, count))
 
 
-def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int,
+def ordered_map(fn: Callable[[T], R], items: Iterable[T],
+                workers: Optional[int],
                 tracer: Optional[Tracer] = None, span_name: str = "task",
                 tags: Optional[Callable[[T], Dict[str, Any]]] = None
                 ) -> List[R]:
     """``[fn(item) for item in items]``, on up to ``workers`` threads.
 
+    ``workers`` None: one worker per due feed; an integer caps the pool.
     Results come back in input order whatever order the tasks finish in.
     If several tasks raise, the exception of the earliest failing item is
     re-raised (after every task has finished).  With one worker, or one

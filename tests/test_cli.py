@@ -20,7 +20,7 @@ class TestParser:
     def test_cycle_option_defaults(self, command):
         args = build_parser().parse_args([command])
         assert (args.cycles, args.seed, args.entries,
-                args.fetch_workers) == (3, 7, 60, 4)
+                args.fetch_workers) == (3, 7, 60, None)
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):

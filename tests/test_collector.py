@@ -1,9 +1,18 @@
 """Tests for the OSINT Data Collector pipeline."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.clock import SimulatedClock
-from repro.core import OsintDataCollector, is_cioc, tags_to_category
+from repro.core import (
+    Normalizer,
+    OsintDataCollector,
+    is_cioc,
+    tags_to_category,
+)
 from repro.feeds import (
     FeedDescriptor,
     FeedFetcher,
@@ -15,6 +24,8 @@ from repro.feeds import (
     standard_feed_set,
 )
 from repro.misp import MispInstance
+from repro.misp.export import canonical_json
+from repro.nlp import ThreatTagger
 from repro.workloads import single_feed_collector
 
 
@@ -91,6 +102,80 @@ class TestMultiFeed:
     def test_volume_reduction_metric(self, collector):
         _, report = collector.collect()
         assert 0.0 <= report.volume_reduction < 1.0
+
+
+class RecordingTagger(ThreatTagger):
+    """A threat tagger that keeps every text it annotates."""
+
+    def __init__(self):
+        super().__init__()
+        self.texts = []
+
+    def categories(self, text):
+        self.texts.append(text)
+        return super().categories(text)
+
+
+class TestNlpOncePerStory:
+    #: sha256 of each cycle's cIoCs (canonical JSON) and CollectionReport,
+    #: recorded while every record still went through the NLP before the
+    #: deduplicator: skipping the NLP for seen stories changes neither.
+    CYCLE_DIGESTS = [
+        "88991bc8972dd742610fd1faf3d3770101b87164bb56aec18e77c15b8a68375d",
+        "8ef7dba6bea170a562d2ed4b132e47c0148c48b051e95185237154039d06c851",
+        "d767a9be1bd7954e8a0d92111b6d67b642e8f5fac29f4476c715a3186fcb8cbb",
+    ]
+
+    def build(self, clock):
+        """Twelve standard feeds, two of them news, and a record of what
+        each news feed served."""
+        pool = IndicatorPool(seed=11, size=300)
+        transport = SimulatedTransport(clock=clock, seed=11)
+        served = []
+        descriptors = []
+        for generator, name in standard_feed_set(pool, entries=40, seed=11,
+                                                 overlap=0.7):
+            descriptor = generator.descriptor(name)
+
+            def body(now, generator=generator, news=name.startswith(
+                    "threat-news")):
+                text = generator.body(now)
+                if news:
+                    served.append(text)
+                return text
+
+            transport.register(descriptor.url, body)
+            descriptors.append(descriptor)
+        tagger = RecordingTagger()
+        collector = OsintDataCollector(
+            FeedFetcher(transport, clock=clock), descriptors, clock=clock,
+            normalizer=Normalizer(tagger=tagger))
+        return collector, tagger, served
+
+    def test_each_story_is_annotated_once(self, clock):
+        collector, tagger, served = self.build(clock)
+        seen = set()
+        for cycle, digest in enumerate(self.CYCLE_DIGESTS, start=1):
+            del served[:], tagger.texts[:]
+            ciocs, report = collector.collect()
+            # The text of each story's first record, in document order, for
+            # the stories no earlier cycle carried.
+            expected = []
+            for body in served:
+                for entry in json.loads(body)["entries"]:
+                    story = entry["title"].lower()
+                    if story not in seen:
+                        seen.add(story)
+                        expected.append(f"{entry['title']}. {entry['text']}")
+            assert len(served) == 2
+            assert tagger.texts == expected, f"cycle {cycle}"
+            assert hashlib.sha256(json.dumps({
+                "ciocs": [canonical_json(cioc) for cioc in ciocs],
+                "report": dataclasses.asdict(report),
+            }, sort_keys=True).encode()).hexdigest() == digest, \
+                f"cycle {cycle}"
+        assert report.events_normalized == report.records_parsed == 480
+        assert 0 < len(expected) < report.duplicates_removed
 
 
 class TestParseFailureCounting:

@@ -398,6 +398,51 @@ class TestAntiEntropy:
             events[index].uuid for index in (1, 3, 5, 8, 9)}
         assert set(last["third"]) == set(first["third"]) - {events[0].uuid}
 
+    def test_a_version_refused_as_a_second_owner_is_not_wanted_again(self):
+        federation = Federation(mesh(["a", "b"]),
+                                clock=SimulatedClock(PAPER_NOW))
+        sent = spy_event_messages(federation)
+        held = make_intel(0, PAPER_NOW)
+        federation.node("b").misp.add_event(held)
+        second = make_intel(1, PAPER_NOW)
+        second.attributes[0].uuid = held.attributes[0].uuid
+        federation.node("a").misp.add_event(second)
+        refusal = {"accepted": False, "reason": "duplicate attribute uuid"}
+
+        def repair_pass():
+            start = len(sent)
+            reports = federation.reconcile()
+            return reports, sent[start:]
+
+        reports, messages = repair_pass()
+        assert sorted((src, dst, uuid) for src, dst, uuid, _digest, _response
+                      in messages) == [("a", "b", second.uuid),
+                                       ("b", "a", held.uuid)]
+        assert all(message[4] == refusal for message in messages)
+        assert all(report["wanted"] == 1 and report["repaired"] == 0
+                   for report in reports.values())
+        refused = messages
+        for _ in range(2):
+            reports, messages = repair_pass()
+            assert messages == []
+            assert all(report["wanted"] == 0
+                       for report in reports.values())
+        for node in ("a", "b"):
+            assert federation.node(node).refused == {
+                (uuid, digest) for _src, dst, uuid, digest, _response
+                in refused if dst == node}
+        # A revised version has a new digest: it is wanted and pushed once.
+        revised = make_intel(0, PAPER_NOW + dt.timedelta(minutes=5))
+        revised.info = "intel 0, revised"
+        federation.node("b").misp.add_event(revised)
+        reports, messages = repair_pass()
+        assert [(src, dst, uuid, response) for src, dst, uuid, _digest,
+                response in messages] == [("b", "a", held.uuid, refusal)]
+        assert (reports["b->a"]["wanted"], reports["a->b"]["wanted"]) == (1, 0)
+        reports, messages = repair_pass()
+        assert messages == []
+        assert all(report["wanted"] == 0 for report in reports.values())
+
     def test_ledger_and_lineage_are_written_once_per_pass(self):
         federation = self.build_pair()
         left = federation.node("left")

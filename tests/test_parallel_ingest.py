@@ -6,10 +6,12 @@ results, batched event persistence parity with the serial path, and batched
 correlation parity — including the peer-sync routes.
 """
 
+import threading
+
 import pytest
 
 from repro.clock import SimulatedClock
-from repro.core import OsintDataCollector
+from repro.core import OsintDataCollector, PlatformConfig
 from repro.errors import FeedError
 from repro.feeds import (
     FeedDescriptor,
@@ -22,6 +24,7 @@ from repro.feeds import (
 from repro.ids import IdGenerator
 from repro.misp import MispAttribute, MispEvent, MispInstance
 from repro.obs import MetricsRegistry
+from repro.parallel import pool_width
 
 
 def build_collector(workers: int, failure_rate: float = 0.0,
@@ -59,7 +62,7 @@ def make_events(count: int, values_per_event: int = 3, value_pool: int = 10,
 
 
 class TestConcurrentFetchDeterminism:
-    @pytest.mark.parametrize("workers", [2, 4, 8])
+    @pytest.mark.parametrize("workers", [2, 4, 8, None])
     def test_same_ciocs_and_report_as_serial(self, workers):
         serial, _ = build_collector(workers=1)
         parallel, _ = build_collector(workers=workers)
@@ -159,6 +162,40 @@ class TestFetchMany:
         fetcher.fetch_many([good, good, good])
         # Bounded by the number of feeds, not the configured maximum.
         assert metrics.gauge("caop_fetch_pool_workers").value() == 3
+
+
+class TestEveryDueFeedInFlight:
+    def test_default_pool_fetches_every_feed_at_once(self):
+        # Every body waits until all twelve fetches are in flight, which
+        # only a pool of one worker per due feed can reach.
+        barrier = threading.Barrier(12, timeout=5)
+        metrics = MetricsRegistry()
+        clock = SimulatedClock()
+        transport = SimulatedTransport(clock=clock, seed=21)
+        descriptors = []
+        for generator, name in standard_feed_set(
+                IndicatorPool(seed=21, size=100), entries=5, seed=21):
+            descriptor = generator.descriptor(name)
+
+            def body(now, generator=generator):
+                barrier.wait()
+                return generator.body(now)
+
+            transport.register(descriptor.url, body)
+            descriptors.append(descriptor)
+        assert len(descriptors) == 12
+        fetcher = FeedFetcher(transport, clock=clock, metrics=metrics,
+                              workers=PlatformConfig().fetch_workers)
+        results = fetcher.fetch_many(descriptors)
+        assert [(d.name, error) for d, _doc, error in results] == \
+            [(d.name, None) for d in descriptors]
+        assert all(doc.body for _d, doc, _error in results)
+        assert metrics.gauge("caop_fetch_pool_workers").value() == 12
+
+    def test_an_integer_caps_the_pool(self):
+        assert [pool_width(workers, 12) for workers in (None, 1, 4, 20)] \
+            == [12, 1, 4, 12]
+        assert pool_width(None, 0) == 1
 
 
 class TestBatchedPersistence:
